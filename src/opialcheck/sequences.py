@@ -15,12 +15,19 @@ constant sequence is simultaneously increasing and decreasing, and the
 checking engine needs that, since the hypotheses are satisfied by ties.
 ``classify`` collapses the sets to a single reported label (ties read
 as increasing) purely for presentation.
+
+Every order test runs on integers. A sequence clears its denominators
+once: with D the lcm of all endpoint denominators, ``D * u_i`` has
+integer endpoints, and multiplying every endpoint by the same D > 0
+keeps every comparison of endpoints, of steps and of widths. The view
+is cached on the sequence and handed down to its windows.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .intervals import Interval
@@ -105,28 +112,48 @@ class SegmentDecomposition:
         }
 
 
-def _step_directions(prev: Interval, cur: Interval) -> set[Direction]:
-    out = set()
-    if cur.lo >= prev.lo and cur.hi >= prev.hi:
-        out.add(Direction.INCREASING)
-    if cur.lo <= prev.lo and cur.hi <= prev.hi:
-        out.add(Direction.DECREASING)
-    return out
+# order sets by bit pattern: 1 = the increasing order holds, 2 = the decreasing
+_DIRECTION_SETS = (
+    frozenset(),
+    frozenset({Direction.INCREASING}),
+    frozenset({Direction.DECREASING}),
+    frozenset({Direction.INCREASING, Direction.DECREASING}),
+)
+_MU_SETS = (
+    frozenset(),
+    frozenset({MuDirection.MU_INCREASING}),
+    frozenset({MuDirection.MU_DECREASING}),
+    frozenset({MuDirection.MU_INCREASING, MuDirection.MU_DECREASING}),
+)
+# the bit of a single order, and the reported label of a bit pattern (ties
+# read as increasing)
+_ORDER_BIT = {Direction.INCREASING: 1, Direction.DECREASING: 2,
+              MuDirection.MU_INCREASING: 1, MuDirection.MU_DECREASING: 2}
+_DIRECTION_LABEL = (Direction.NON_MONOTONE, Direction.INCREASING,
+                    Direction.DECREASING, Direction.INCREASING)
+_MU_LABEL = (MuDirection.MU_NON_MONOTONE, MuDirection.MU_INCREASING,
+             MuDirection.MU_DECREASING, MuDirection.MU_INCREASING)
 
 
-def _step_mu(prev: Interval, cur: Interval) -> set[MuDirection]:
-    out = set()
-    if cur.width >= prev.width:
-        out.add(MuDirection.MU_INCREASING)
-    if cur.width <= prev.width:
-        out.add(MuDirection.MU_DECREASING)
-    return out
+def _order_bits(xs, strict=False):
+    """Bit 1 when xs never falls (rises at every step if strict), bit 2
+    when it never rises (falls at every step if strict)."""
+    steps = list(zip(xs, xs[1:]))
+    if strict:
+        up = all(a < c for a, c in steps)
+        down = all(a > c for a, c in steps)
+    else:
+        up = all(a <= c for a, c in steps)
+        down = all(a >= c for a, c in steps)
+    return up | (down << 1)
 
 
 @dataclass(frozen=True, slots=True)
 class IntervalSequence:
     items: tuple[Interval, ...]
     base_index: int = 0
+    # (D, D*lo, D*hi) as ints, built on first use; see _int_view
+    _ints: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         items = tuple(self.items)
@@ -186,8 +213,29 @@ class IntervalSequence:
             raise IndexOutOfRange(
                 f"window [{n}, {m}] outside [{self.base_index}, {self.last_index}]"
             )
-        lo = n - self.base_index
-        return IntervalSequence(self.items[lo : m - self.base_index + 1], n)
+        lo, hi = n - self.base_index, m - self.base_index + 1
+        out = IntervalSequence(self.items[lo:hi], n)
+        D, lows, highs = self._int_view()
+        object.__setattr__(out, "_ints", (D, lows[lo:hi], highs[lo:hi]))
+        return out
+
+    def _int_view(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(D, lows, highs): a common denominator D > 0 and the integer
+        endpoints D*lo and D*hi of every element.
+
+        D is the lcm of the endpoint denominators, or the parent's D for
+        a window. Computed once per sequence.
+        """
+        if self._ints is None:
+            # built from lists: a tuple grown from a generator is resized
+            # into place and never taken from the interpreter's free list of
+            # its size, so each one freed would leave a block behind there
+            items = self.items
+            D = math.lcm(*[q.denominator for it in items for q in (it.lo, it.hi)])
+            lows = tuple([it.lo.numerator * (D // it.lo.denominator) for it in items])
+            highs = tuple([it.hi.numerator * (D // it.hi.denominator) for it in items])
+            object.__setattr__(self, "_ints", (D, lows, highs))
+        return self._ints
 
     def reals(self) -> tuple[Fraction, ...]:
         if not self.is_degenerate:
@@ -199,23 +247,21 @@ class IntervalSequence:
 
     # -- difference operators ------------------------------------------
 
-    def nabla(self) -> "IntervalSequence":
-        """Backward gH-differences u_i gh- u_{i-1}, indexed from b+1."""
+    def _gh_steps(self, name) -> tuple[Interval, ...]:
+        # u_{k+1} gh- u_k for every consecutive pair
         if len(self.items) < 2:
-            raise TooShort("nabla needs at least two elements")
-        diffs = tuple(
+            raise TooShort(f"{name} needs at least two elements")
+        return tuple(
             cur.gh_diff(prev)[0] for prev, cur in zip(self.items, self.items[1:])
         )
-        return IntervalSequence(diffs, self.base_index + 1)
+
+    def nabla(self) -> "IntervalSequence":
+        """Backward gH-differences u_i gh- u_{i-1}, indexed from b+1."""
+        return IntervalSequence(self._gh_steps("nabla"), self.base_index + 1)
 
     def delta(self) -> "IntervalSequence":
         """Forward gH-differences u_{i+1} gh- u_i, indexed from b."""
-        if len(self.items) < 2:
-            raise TooShort("delta needs at least two elements")
-        diffs = tuple(
-            cur.gh_diff(prev)[0] for prev, cur in zip(self.items, self.items[1:])
-        )
-        return IntervalSequence(diffs, self.base_index)
+        return IntervalSequence(self._gh_steps("delta"), self.base_index)
 
     def prefix_norm_sum(self, i: int) -> Fraction:
         """Sum of element norms over indices <= i.
@@ -239,8 +285,10 @@ class IntervalSequence:
     # -- classification -------------------------------------------------
 
     def zero_indices(self) -> tuple[int, ...]:
-        zero = Interval.zero()
-        return tuple(i for i, it in zip(self.indices, self.items) if it == zero)
+        _, lows, highs = self._int_view()
+        return tuple(
+            i for i, lo, hi in zip(self.indices, lows, highs) if lo == 0 == hi
+        )
 
     def classify(self, strict: bool = False) -> MonotonicityProfile:
         """Collapse the order-predicate sets to one reported label.
@@ -248,21 +296,12 @@ class IntervalSequence:
         Ties collapse to the increasing label; use direction_set and
         mu_direction_set when the distinction matters.
         """
-        dirs = direction_set(self, strict=strict)
-        mus = mu_direction_set(self, strict=strict)
-        if Direction.INCREASING in dirs:
-            d = Direction.INCREASING
-        elif Direction.DECREASING in dirs:
-            d = Direction.DECREASING
-        else:
-            d = Direction.NON_MONOTONE
-        if MuDirection.MU_INCREASING in mus:
-            mu = MuDirection.MU_INCREASING
-        elif MuDirection.MU_DECREASING in mus:
-            mu = MuDirection.MU_DECREASING
-        else:
-            mu = MuDirection.MU_NON_MONOTONE
-        return MonotonicityProfile(d, mu, strict, self.zero_indices())
+        _, lows, highs = self._int_view()
+        d = _order_bits(lows, strict) & _order_bits(highs, strict)
+        mu = _order_bits(_widths(lows, highs), strict)
+        return MonotonicityProfile(
+            _DIRECTION_LABEL[d], _MU_LABEL[mu], strict, self.zero_indices()
+        )
 
     def alternate_segments(self) -> SegmentDecomposition:
         """Greedy maximal split into monotone, mu-monotone segments.
@@ -273,36 +312,41 @@ class IntervalSequence:
         """
         if len(self.items) < 2:
             raise TooShort("segmentation needs at least two elements")
-        breakpoints = [self.base_index]
+        _, lo, hi = self._int_view()
+        b = self.base_index
+        breakpoints = [b]
         segments = []
-        seg_start = self.base_index
-        allowed_d = {Direction.INCREASING, Direction.DECREASING}
-        allowed_mu = {MuDirection.MU_INCREASING, MuDirection.MU_DECREASING}
-        for i in range(self.base_index + 1, self.last_index + 1):
-            prev, cur = self.at(i - 1), self.at(i)
-            sd = _step_directions(prev, cur)
-            smu = _step_mu(prev, cur)
+        seg_start = 0
+        # order sets as bits (1 increasing, 2 decreasing) surviving the open
+        # segment; they are exactly its non-strict order sets
+        allowed_d = allowed_mu = 3
+        for k in range(1, len(lo)):
+            sd = _step_bits(lo[k - 1], lo[k]) & _step_bits(hi[k - 1], hi[k])
             if not sd:
                 raise NotDecomposable(
-                    f"no monotone order for the step {i - 1} -> {i}"
+                    f"no monotone order for the step {b + k - 1} -> {b + k}"
                 )
+            smu = _step_bits(hi[k - 1] - lo[k - 1], hi[k] - lo[k])
             nd = allowed_d & sd
             nmu = allowed_mu & smu
             if nd and nmu:
                 allowed_d, allowed_mu = nd, nmu
             else:
-                segments.append(
-                    Segment(seg_start, i - 1, self.window(seg_start, i - 1).classify())
-                )
-                breakpoints.append(i - 1)
-                seg_start = i - 1
+                segments.append(self._segment(seg_start, k - 1, allowed_d, allowed_mu))
+                breakpoints.append(b + k - 1)
+                seg_start = k - 1
                 allowed_d, allowed_mu = sd, smu
-        segments.append(
-            Segment(seg_start, self.last_index,
-                    self.window(seg_start, self.last_index).classify())
-        )
+        segments.append(self._segment(seg_start, len(lo) - 1, allowed_d, allowed_mu))
         breakpoints.append(self.last_index)
         return SegmentDecomposition(tuple(breakpoints), tuple(segments))
+
+    def _segment(self, start, end, d, mu) -> Segment:
+        # positions start..end; d and mu are the stretch's order bits
+        _, lo, hi = self._int_view()
+        b = self.base_index
+        zeros = tuple(b + k for k in range(start, end + 1) if lo[k] == 0 == hi[k])
+        profile = MonotonicityProfile(_DIRECTION_LABEL[d], _MU_LABEL[mu], False, zeros)
+        return Segment(b + start, b + end, profile)
 
     def __str__(self) -> str:
         inner = ", ".join(str(it) for it in self.items)
@@ -311,84 +355,65 @@ class IntervalSequence:
         return f"{{{inner}}}"
 
 
-def _slice(seq: IntervalSequence, first, last) -> tuple[Interval, ...]:
+def _widths(lows, highs):
+    return [c - a for a, c in zip(lows, highs)]
+
+
+def _ends(seq, first, last):
+    """Integer endpoints (lows, highs) of u_first..u_last, whole sequence
+    by default; empty when first > last."""
     b = seq.base_index
     if first is None:
         first = seq.first_index
     if last is None:
         last = seq.last_index
     if first > last:
-        return ()
+        return (), ()
     if first < seq.first_index or last > seq.last_index:
         raise IndexOutOfRange(
             f"range [{first}, {last}] outside [{seq.first_index}, {seq.last_index}]"
         )
-    return seq.items[first - b : last - b + 1]
+    _, lows, highs = seq._int_view()
+    return lows[first - b : last - b + 1], highs[first - b : last - b + 1]
 
 
 def direction_set(seq, first=None, last=None, strict: bool = False) -> frozenset:
     """Every LU order the stretch satisfies (empty when neither holds)."""
-    items = _slice(seq, first, last)
-    up = down = True
-    for prev, cur in zip(items, items[1:]):
-        if strict:
-            if not (cur.lo > prev.lo and cur.hi > prev.hi):
-                up = False
-            if not (cur.lo < prev.lo and cur.hi < prev.hi):
-                down = False
-        else:
-            if cur.lo < prev.lo or cur.hi < prev.hi:
-                up = False
-            if cur.lo > prev.lo or cur.hi > prev.hi:
-                down = False
-    out = set()
-    if up:
-        out.add(Direction.INCREASING)
-    if down:
-        out.add(Direction.DECREASING)
-    return frozenset(out)
+    lows, highs = _ends(seq, first, last)
+    return _DIRECTION_SETS[_order_bits(lows, strict) & _order_bits(highs, strict)]
 
 
 def mu_direction_set(seq, first=None, last=None, strict: bool = False) -> frozenset:
     """Every width order the stretch satisfies."""
-    items = _slice(seq, first, last)
-    up = down = True
-    for prev, cur in zip(items, items[1:]):
-        if strict:
-            if not cur.width > prev.width:
-                up = False
-            if not cur.width < prev.width:
-                down = False
-        else:
-            if cur.width < prev.width:
-                up = False
-            if cur.width > prev.width:
-                down = False
-    out = set()
-    if up:
-        out.add(MuDirection.MU_INCREASING)
-    if down:
-        out.add(MuDirection.MU_DECREASING)
-    return frozenset(out)
+    lows, highs = _ends(seq, first, last)
+    return _MU_SETS[_order_bits(_widths(lows, highs), strict)]
+
+
+def _step_bits(x0, x1):
+    # order bits of one step: 1 when it does not fall, 2 when it does not rise
+    return (x1 >= x0) | ((x1 <= x0) << 1)
+
+
+def _first_break(xss, want, start):
+    """Absolute index of the first step where some sequence of xss loses
+    the order bit ``want``; 0 (a non-monotone label) breaks at the first step."""
+    for k in range(1, len(xss[0])):
+        if not all(want & _step_bits(xs[k - 1], xs[k]) for xs in xss):
+            return start + k
+    return None
 
 
 def first_direction_break(seq, direction: Direction, first=None, last=None):
     """Absolute index of the first step violating the given order, or None."""
-    items = _slice(seq, first, last)
+    lows, highs = _ends(seq, first, last)
     start = seq.first_index if first is None else first
-    for k, (prev, cur) in enumerate(zip(items, items[1:])):
-        if direction not in _step_directions(prev, cur):
-            return start + k + 1
-    return None
+    return _first_break((lows, highs), _ORDER_BIT.get(direction, 0), start)
 
 
 def first_mu_break(seq, mu: MuDirection, first=None, last=None):
-    items = _slice(seq, first, last)
+    lows, highs = _ends(seq, first, last)
     start = seq.first_index if first is None else first
-    for k, (prev, cur) in enumerate(zip(items, items[1:])):
-        if mu not in _step_mu(prev, cur):
-            return start + k + 1
-    return None
+    return _first_break((_widths(lows, highs),), _ORDER_BIT.get(mu, 0), start)
 
 
 def synchronous(u: IntervalSequence, v: IntervalSequence) -> Synchrony:

@@ -12,14 +12,27 @@ the detail) and the sides are computed regardless, flagged through
 numbers off non-conforming inputs.
 
 The four real-sequence statements (T2_2 and the three lemmas) are
-evaluated with plain rational arithmetic when the input is degenerate,
-an independent route from the interval engine. On non-degenerate input
-they fall back to interval norms and flag the degeneracy hypothesis.
+evaluated with plain signed arithmetic when the input is degenerate. On
+non-degenerate input they fall back to interval norms and flag the
+degeneracy hypothesis.
+
+Both sides are computed on integers. Every operation a statement uses
+is positively homogeneous: the gH-difference, the set-image product and
+integer power, the Minkowski sum and the norm max(-lo, hi). Scaling every
+endpoint by D > 0 therefore scales a side built from k factors by D^k
+and keeps every hypothesis (zeros, LU order, width order, alternation).
+So each sequence clears its denominators once (D = lcm of its endpoint
+denominators, D = lcm(Du, Dv) for a pair), both sums run on Python ints,
+and a side is returned as Fraction(int_sum, D^k) with k = l1 + l2, or
+k = 2 for T2_2 and the pair statements: the same exact rational the
+interval arithmetic gives. The norm is multiplicative on set-image
+products and powers, so a single-sequence term is ||u_i||^l1 * ||Du_i||^l2.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -486,6 +499,58 @@ def _resolve_window_pair(spec, b, e, window):
     return b, e
 
 
+# -- integer sums -----------------------------------------------------------
+
+
+def _opial_sums(seq, l1, l2, lhs_rng, rhs_rng, shift):
+    """Sums of ||u_i^l1 * (Du_i)^l2|| and of ||Du_i||^(l1+l2) over the ranges.
+
+    Du is nabla for shift 1 (step k is Du at b+k+1) and delta for shift 0.
+    The norm is multiplicative on the set-image product and power, so each
+    term is ||u_i||^l1 * ||Du_i||^l2. The gH step of [a0, c0] to [a1, c1]
+    has the endpoints a1 - a0 and c1 - c0 in some order, so its norm is
+    the larger absolute value.
+    """
+    D, lows, highs = seq._int_view()
+    un = [max(-a, c) for a, c in zip(lows, highs)]
+    sn = [max(abs(a1 - a0), abs(c1 - c0))
+          for a0, c0, a1, c1 in zip(lows, highs, lows[1:], highs[1:])]
+    b = seq.base_index
+    first = b + shift
+    lhs = sum(un[i - b] ** l1 * sn[i - first] ** l2 for i in lhs_rng)
+    rhs = sum(sn[i - first] ** (l1 + l2) for i in rhs_rng)
+    scale = D ** (l1 + l2)
+    return Fraction(lhs, scale), Fraction(rhs, scale)
+
+
+def _pair_sums(u, v, terms):
+    """Sums of ||u_{i-1} * nabla v_i + v_i * nabla u_i|| and of
+    ||(nabla u_i)^2 + (nabla v_i)^2|| over terms, on the common denominator
+    D = lcm(Du, Dv); both sums are homogeneous of degree 2.
+
+    A four-product does not depend on the order of the factors' endpoints,
+    so the gH steps enter as unsorted endpoint differences. The squares
+    are [>= 0, ||.||^2], so the norm of their sum is the sum of norms.
+    """
+    Du, ul, uh = u._int_view()
+    Dv, vl, vh = v._int_view()
+    D = math.lcm(Du, Dv)
+    su, sv = D // Du, D // Dv
+    b = u.base_index
+    lhs = rhs = 0
+    for i in terms:
+        k = i - b
+        ua, uc = ul[k - 1] * su, uh[k - 1] * su
+        va, vc = vl[k] * sv, vh[k] * sv
+        gu = (ul[k] * su - ua, uh[k] * su - uc)
+        gv = (va - vl[k - 1] * sv, vc - vh[k - 1] * sv)
+        p = (ua * gv[0], ua * gv[1], uc * gv[0], uc * gv[1])
+        q = (va * gu[0], va * gu[1], vc * gu[0], vc * gu[1])
+        lhs += max(-(min(p) + min(q)), max(p) + max(q))
+        rhs += max(map(abs, gu)) ** 2 + max(map(abs, gv)) ** 2
+    return Fraction(lhs, D * D), Fraction(rhs, D * D)
+
+
 # -- checking ---------------------------------------------------------------
 
 
@@ -568,59 +633,41 @@ def _eval_real(spec, seq, l1, l2, n, m):
         pre.append(_pc_nonnegative(seq, b, e))
         pre.append(_pc_nondecreasing(seq, b, e))
     notes = []
+    if tid is TheoremId.T2_2:
+        lhs_rng, rhs_rng = range(b + 1, e), range(b, e)
+    elif tid is TheoremId.L3_02:
+        lhs_rng, rhs_rng = range(n, m), range(n, m + 1)
+    else:
+        lhs_rng = rhs_rng = range(b + 1, e + 1)
     if pre[0].passed:
-        xs = {i: seq.at(i).lo for i in range(b, hyp_end + 1)}
+        # x_i = xs[i - b] / D on [b, hyp_end]; both sums are homogeneous
+        # of degree k in the x_i
+        D, xs, _ = seq._int_view()
+        k = l1 + l2
+        steps = [x1 - x0 for x0, x1 in zip(xs, xs[1:])]
         if tid is TheoremId.T2_2:
-            d = {i: xs[i + 1] - xs[i] for i in range(b, e)}
-            lhs = sum((abs(xs[i] * d[i]) for i in range(b + 1, e)), Fraction(0))
-            rhs = const * sum((d[i] ** 2 for i in range(b, e)), Fraction(0))
+            # delta x_i = steps[i - b]
+            lhs = sum(abs(xs[i - b] * steps[i - b]) for i in lhs_rng)
+            rhs = sum(steps[i - b] ** 2 for i in rhs_rng)
         else:
-            g = {i: xs[i] - xs[i - 1] for i in range(b + 1, hyp_end + 1)}
+            # nabla x_i = steps[i - b - 1]
+            terms = (xs[i - b] ** l1 * steps[i - b - 1] ** l2 for i in lhs_rng)
+            powers = (steps[i - b - 1] ** k for i in rhs_rng)
             if tid is TheoremId.L3_1:
-                lhs = sum(
-                    (xs[i] ** l1 * g[i] ** l2 for i in range(b + 1, e + 1)), Fraction(0)
-                )
-                rhs = const * sum(
-                    (g[i] ** (l1 + l2) for i in range(b + 1, e + 1)), Fraction(0)
-                )
-            elif tid is TheoremId.L3_01:
-                lhs = sum(
-                    (abs(xs[i] ** l1 * g[i] ** l2) for i in range(b + 1, e + 1)),
-                    Fraction(0),
-                )
-                rhs = const * sum(
-                    (abs(g[i]) ** (l1 + l2) for i in range(b + 1, e + 1)), Fraction(0)
-                )
+                lhs, rhs = sum(terms), sum(powers)
             else:
-                lhs = sum(
-                    (abs(xs[i] ** l1 * g[i] ** l2) for i in range(n, m)), Fraction(0)
-                )
-                rhs = const * sum(
-                    (abs(g[i]) ** (l1 + l2) for i in range(n, m + 1)), Fraction(0)
-                )
+                lhs, rhs = sum(map(abs, terms)), sum(map(abs, powers))
+        lhs, rhs = Fraction(lhs, D ** k), Fraction(rhs, D ** k)
     else:
         notes.append("non-degenerate input: evaluated with interval norms")
-        if tid is TheoremId.T2_2:
-            d = seq.delta()
-            lhs = sum(((seq.at(i) * d.at(i)).norm for i in range(b + 1, e)), Fraction(0))
-            rhs = const * sum((d.at(i).norm ** 2 for i in range(b, e)), Fraction(0))
-        else:
-            g = seq.nabla()
-            if tid is TheoremId.L3_02:
-                l_rng, r_rng = range(n, m), range(n, m + 1)
-            else:
-                l_rng = r_rng = range(b + 1, e + 1)
-            lhs = sum(
-                (((seq.at(i) ** l1) * (g.at(i) ** l2)).norm for i in l_rng), Fraction(0)
-            )
-            rhs = const * sum((g.at(i).norm ** (l1 + l2) for i in r_rng), Fraction(0))
-    return tuple(pre), lhs, rhs, const, tuple(notes)
+        shift = 0 if tid is TheoremId.T2_2 else 1
+        lhs, rhs = _opial_sums(seq, l1, l2, lhs_rng, rhs_rng, shift)
+    return tuple(pre), lhs, const * rhs, const, tuple(notes)
 
 
 def _eval_nabla(spec, seq, l1, l2, n, m):
     b, e = seq.first_index, seq.last_index
     tid = spec.id
-    g = seq.nabla()
     pre = []
     if tid is TheoremId.T3_1:
         pre.append(_pc_zero_at(seq, b, "first_zero"))
@@ -653,17 +700,13 @@ def _eval_nabla(spec, seq, l1, l2, n, m):
         pre.append(_pc_no_other_zero(seq, b, e, frozenset({b, e})))
         lhs_rng, rhs_rng = range(b + 1, e), range(b + 1, e + 1)
         const = spec.constant(l1, l2, m=e - b)
-    lhs = sum(
-        (((seq.at(i) ** l1) * (g.at(i) ** l2)).norm for i in lhs_rng), Fraction(0)
-    )
-    rhs = const * sum((g.at(i).norm ** (l1 + l2) for i in rhs_rng), Fraction(0))
-    return tuple(pre), lhs, rhs, const, ()
+    lhs, rhs = _opial_sums(seq, l1, l2, lhs_rng, rhs_rng, 1)
+    return tuple(pre), lhs, const * rhs, const, ()
 
 
 def _eval_delta(spec, seq, l1, l2, n, m):
     b, e = seq.first_index, seq.last_index
     tid = spec.id
-    d = seq.delta()
     pre = []
     if tid is TheoremId.T4_1:
         pre.append(_pc_zero_at(seq, b, "first_zero"))
@@ -684,11 +727,8 @@ def _eval_delta(spec, seq, l1, l2, n, m):
         pre.append(_pc_no_other_zero(seq, b, e, frozenset({b, e})))
         lhs_rng, rhs_rng = range(b + 1, e), range(b, e)
         const = spec.constant(l1, l2, m=e - b)
-    lhs = sum(
-        (((seq.at(i) ** l1) * (d.at(i) ** l2)).norm for i in lhs_rng), Fraction(0)
-    )
-    rhs = const * sum((d.at(i).norm ** (l1 + l2) for i in rhs_rng), Fraction(0))
-    return tuple(pre), lhs, rhs, const, ()
+    lhs, rhs = _opial_sums(seq, l1, l2, lhs_rng, rhs_rng, 0)
+    return tuple(pre), lhs, const * rhs, const, ()
 
 
 def _v_profile_note(v, first, last):
@@ -722,7 +762,6 @@ def check_pair(u: IntervalSequence, v: IntervalSequence, theorem, window=None,
         raise TooShort(f"{spec.id.value} needs at least two elements")
     b, e = u.first_index, u.last_index
     n, m = _resolve_window_pair(spec, b, e, window)
-    nu, nv = u.nabla(), v.nabla()
     tid = spec.id
     pre = []
     notes = []
@@ -766,13 +805,8 @@ def check_pair(u: IntervalSequence, v: IntervalSequence, theorem, window=None,
         terms = range(b + 1, e + 1)
         const = spec.constant(m=e - b)
         notes.append(_v_profile_note(v, b, e))
-    lhs = sum(
-        ((u.at(i - 1) * nv.at(i) + v.at(i) * nu.at(i)).norm for i in terms),
-        Fraction(0),
-    )
-    rhs = const * sum(
-        ((nu.at(i) ** 2 + nv.at(i) ** 2).norm for i in terms), Fraction(0)
-    )
+    lhs, rhs = _pair_sums(u, v, terms)
+    rhs = const * rhs
     win_echo = (n, m) if (spec.windowed or spec.window_optional) else None
     return _verdict(spec, tuple(pre), lhs, rhs, const, None, None, win_echo, tuple(notes))
 

@@ -50,3 +50,36 @@ def ex32_n5():
          (Fraction(1, 4), Fraction(1, 2)), (0, 0)],
         base=1,
     )
+
+
+# primes near 10^6: sequences mixing them have pairwise coprime denominators,
+# so the common denominator of a sequence grows to ~10^(6 * length)
+BIG_PRIMES = (999953, 999959, 999961, 999979, 999983, 1000003, 1000033, 1000037)
+
+
+def mixed_rationals():
+    """Small-denominator rationals, large prime denominators, and zero."""
+    return st.one_of(
+        rationals(max_num=30, max_den=12),
+        st.builds(Fraction, st.integers(-3_000_000, 3_000_000), st.sampled_from(BIG_PRIMES)),
+        st.just(Fraction(0)),
+    )
+
+
+def mixed_intervals(degenerate=False):
+    if degenerate:
+        return st.builds(Interval.point, mixed_rationals())
+    return st.builds(
+        lambda a, b: Interval(min(a, b), max(a, b)), mixed_rationals(), mixed_rationals()
+    )
+
+
+@st.composite
+def mixed_sequences(draw, min_size=2, max_size=7, size=None):
+    """Interval sequences with mixed denominators and a base index in -4..4;
+    a quarter of them are degenerate (real-valued)."""
+    degenerate = draw(st.integers(0, 3)) == 0
+    if size is None:
+        size = draw(st.integers(min_size, max_size))
+    items = draw(st.lists(mixed_intervals(degenerate), min_size=size, max_size=size))
+    return IntervalSequence(tuple(items), draw(st.integers(-4, 4)))

@@ -12,6 +12,13 @@ import opialcheck
 from opialcheck import IntervalSequence, NonRational
 from opialcheck.cli import SchemaError, main, parse_sequence
 
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
+
+
+def sample(name):
+    """Absolute path of a bundled sample, wherever pytest started."""
+    return str(SAMPLES / name)
+
 
 # -- document parsing -----------------------------------------------------------
 
@@ -80,7 +87,7 @@ def run_cli(capsys, argv):
 
 def test_check_targeted_pass(capsys):
     code, out, _ = run_cli(capsys, [
-        "check", "--in", "samples/tent_classical.json",
+        "check", "--in", sample("tent_classical.json"),
         "--theorem", "T2_2", "--format", "json",
     ])
     assert code == 0
@@ -93,7 +100,7 @@ def test_check_targeted_pass(capsys):
 def test_check_targeted_out_of_hypotheses(capsys):
     # ex33 breaks the monotonicity requirement, so the claim does not apply
     code, out, _ = run_cli(capsys, [
-        "check", "--in", "samples/ex33.json",
+        "check", "--in", sample("ex33.json"),
         "--theorem", "T3_1", "--format", "json",
     ])
     assert code == 2
@@ -103,13 +110,13 @@ def test_check_targeted_out_of_hypotheses(capsys):
 
 def test_check_windowed_requires_window(capsys):
     code, _, err = run_cli(capsys, [
-        "check", "--in", "samples/ex32_n5.json", "--theorem", "T3_2",
+        "check", "--in", sample("ex32_n5.json"), "--theorem", "T3_2",
     ])
     assert code == 3
     assert "error:" in err
 
     code2, out, _ = run_cli(capsys, [
-        "check", "--in", "samples/ex32_n5.json", "--theorem", "T3_2",
+        "check", "--in", sample("ex32_n5.json"), "--theorem", "T3_2",
         "--l1", "1", "--l2", "2", "--window", "2,5", "--format", "json",
     ])
     assert code2 == 0
@@ -120,7 +127,7 @@ def test_check_windowed_requires_window(capsys):
 
 def test_check_discovery(capsys):
     code, out, _ = run_cli(capsys, [
-        "check", "--in", "samples/ex33.json", "--format", "json",
+        "check", "--in", sample("ex33.json"), "--format", "json",
     ])
     assert code == 0
     doc = json.loads(out)
@@ -144,7 +151,7 @@ def test_check_discovery_none_conforming(tmp_path, capsys):
 
 def test_check_discovery_pair(capsys):
     code, out, _ = run_cli(capsys, [
-        "check", "--in", "samples/pair_t36.json", "--format", "json",
+        "check", "--in", sample("pair_t36.json"), "--format", "json",
     ])
     assert code == 0
     doc = json.loads(out)
@@ -155,7 +162,7 @@ def test_check_discovery_pair(capsys):
 
 def test_check_alt_boundary_guard(capsys):
     code, _, err = run_cli(capsys, [
-        "check", "--in", "samples/pair_t36.json",
+        "check", "--in", sample("pair_t36.json"),
         "--theorem", "T3_6", "--alt-boundary",
     ])
     assert code == 3
@@ -164,7 +171,7 @@ def test_check_alt_boundary_guard(capsys):
 
 def test_classify_single(capsys):
     code, out, _ = run_cli(capsys, [
-        "classify", "--in", "samples/ex33.json", "--format", "json",
+        "classify", "--in", sample("ex33.json"), "--format", "json",
     ])
     assert code == 0
     doc = json.loads(out)
@@ -177,7 +184,7 @@ def test_classify_single(capsys):
 
 def test_classify_pair(capsys):
     code, out, _ = run_cli(capsys, [
-        "classify", "--in", "samples/pair_t36.json", "--format", "json",
+        "classify", "--in", sample("pair_t36.json"), "--format", "json",
     ])
     assert code == 0
     doc = json.loads(out)
@@ -232,9 +239,19 @@ def test_examples_command(capsys):
     assert [r["match"] for r in reports] == [True, True, False, False]
 
 
+def test_check_default_format_is_json(capsys):
+    code, out, _ = run_cli(capsys, [
+        "check", "--in", sample("ex33.json"), "--theorem", "T3_5",
+        "--l1", "2", "--l2", "3",
+    ])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"]["rhs"] == "31104/5"
+
+
 def test_json_output_is_float_free(capsys):
     code, out, _ = run_cli(capsys, [
-        "check", "--in", "samples/ex32_n5.json", "--theorem", "T3_2",
+        "check", "--in", sample("ex32_n5.json"), "--theorem", "T3_2",
         "--l1", "1", "--l2", "2", "--window", "2,5", "--format", "json",
     ])
     assert code == 0
@@ -253,7 +270,7 @@ def test_json_output_is_float_free(capsys):
 
 def test_table_format_smoke(capsys):
     code, out, _ = run_cli(capsys, [
-        "check", "--in", "samples/ex33.json", "--theorem", "T3_5",
+        "check", "--in", sample("ex33.json"), "--theorem", "T3_5",
         "--l1", "2", "--l2", "3",
     ])
     assert code == 0
@@ -272,7 +289,7 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code2 == 3 and "invalid JSON" in err2
 
     code3, _, _ = run_cli(capsys, [
-        "check", "--in", "samples/ex33.json", "--theorem", "T99",
+        "check", "--in", sample("ex33.json"), "--theorem", "T99",
     ])
     assert code3 == 3
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opialcheck import (
@@ -20,7 +20,7 @@ from opialcheck import (
     synchronous,
 )
 
-from conftest import intervals, iv, rseq, seq
+from conftest import intervals, iv, mixed_intervals, mixed_rationals, mixed_sequences, rseq, seq
 
 
 # -- construction and indexing -----------------------------------------------
@@ -246,3 +246,110 @@ def test_synchronous_length_mismatch():
 
     with pytest.raises(LengthMismatch):
         synchronous(seq([(0, 0), (1, 1)]), seq([(0, 0)]))
+
+
+# -- differential check against Interval comparisons ------------------------------
+#
+# The order predicates and the segmentation compare integers after clearing
+# denominators. The reference compares the Interval endpoints and widths of
+# each step directly.
+
+
+def _step_orders(prev, cur, strict=False):
+    """(LU orders, width orders) of one step, compared as Fractions."""
+    if strict:
+        up = cur.lo > prev.lo and cur.hi > prev.hi
+        down = cur.lo < prev.lo and cur.hi < prev.hi
+        mu_up, mu_down = cur.width > prev.width, cur.width < prev.width
+    else:
+        up = cur.lo >= prev.lo and cur.hi >= prev.hi
+        down = cur.lo <= prev.lo and cur.hi <= prev.hi
+        mu_up, mu_down = cur.width >= prev.width, cur.width <= prev.width
+    dirs = {d for d, ok in ((Direction.INCREASING, up), (Direction.DECREASING, down)) if ok}
+    mus = {d for d, ok in ((MuDirection.MU_INCREASING, mu_up),
+                           (MuDirection.MU_DECREASING, mu_down)) if ok}
+    return dirs, mus
+
+
+def _reference_orders(items, strict=False):
+    dirs = {Direction.INCREASING, Direction.DECREASING}
+    mus = {MuDirection.MU_INCREASING, MuDirection.MU_DECREASING}
+    for prev, cur in zip(items, items[1:]):
+        d, mu = _step_orders(prev, cur, strict)
+        dirs &= d
+        mus &= mu
+    return dirs, mus
+
+
+def _reference_break(items, start, want, width=False):
+    for k, (prev, cur) in enumerate(zip(items, items[1:])):
+        if want not in _step_orders(prev, cur)[1 if width else 0]:
+            return start + k + 1
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=mixed_sequences(min_size=1, max_size=8), data=st.data())
+def test_order_predicates_match_interval_reference(s, data):
+    b, e = s.first_index, s.last_index
+    first = data.draw(st.integers(b, e))
+    last = data.draw(st.integers(first, e))
+    items = s.items[first - b : last - b + 1]
+    for strict in (False, True):
+        dirs, mus = _reference_orders(items, strict)
+        assert direction_set(s, first, last, strict=strict) == dirs
+        assert mu_direction_set(s, first, last, strict=strict) == mus
+    for d in Direction:
+        assert first_direction_break(s, d, first, last) == _reference_break(items, first, d)
+    for mu in MuDirection:
+        assert first_mu_break(s, mu, first, last) == _reference_break(
+            items, first, mu, width=True)
+    whole = _reference_orders(s.items)
+    assert direction_set(s) == whole[0] and mu_direction_set(s) == whole[1]
+
+
+def _label(found, up, down, neither):
+    return up if up in found else down if down in found else neither
+
+
+@st.composite
+def stepped_sequences(draw):
+    """Sequences in which every step moves both endpoints the same way, so
+    that they always decompose; zero steps make ties."""
+    cur = draw(mixed_intervals())
+    items = [cur]
+    for _ in range(draw(st.integers(1, 9))):
+        a, c = abs(draw(mixed_rationals())), abs(draw(mixed_rationals()))
+        sign = draw(st.sampled_from((1, -1)))
+        lo, hi = cur.lo + sign * a, cur.hi + sign * c
+        if lo > hi:  # moving the endpoints the other way round keeps lo <= hi
+            lo, hi = cur.lo + sign * c, cur.hi + sign * a
+        cur = Interval(lo, hi)
+        items.append(cur)
+    return IntervalSequence(tuple(items), draw(st.integers(-4, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.one_of(mixed_sequences(max_size=10), stepped_sequences()))
+def test_segment_profiles_match_window_classify(s):
+    try:
+        dec = s.alternate_segments()
+    except NotDecomposable:
+        steps = [_step_orders(p, c)[0] for p, c in zip(s.items, s.items[1:])]
+        assert not all(steps)
+        return
+    assert dec.breakpoints[0] == s.first_index and dec.breakpoints[-1] == s.last_index
+    assert [g.start for g in dec.segments] == list(dec.breakpoints[:-1])
+    assert [g.end for g in dec.segments] == list(dec.breakpoints[1:])
+    for g in dec.segments:
+        w = s.window(g.start, g.end)
+        assert g.profile == w.classify()
+        # and the window's own classification agrees with Interval comparisons
+        dirs, mus = _reference_orders(w.items)
+        assert g.profile.direction is _label(
+            dirs, Direction.INCREASING, Direction.DECREASING, Direction.NON_MONOTONE)
+        assert g.profile.mu_direction is _label(
+            mus, MuDirection.MU_INCREASING, MuDirection.MU_DECREASING,
+            MuDirection.MU_NON_MONOTONE)
+        assert g.profile.zero_indices == tuple(
+            i for i in w.indices if w.at(i) == Interval.zero())

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opialcheck import (
     ArityMismatch,
     BoundaryNotZero,
     ExponentOutOfRange,
+    IntervalSequence,
     LengthMismatch,
     Operator,
     TheoremId,
@@ -20,7 +23,7 @@ from opialcheck import (
     registry,
 )
 
-from conftest import rseq, seq
+from conftest import mixed_sequences, rseq, seq
 
 
 # -- registry ------------------------------------------------------------------
@@ -329,3 +332,97 @@ def test_lhs_terms_delta_range(ex33):
     terms = lhs_terms(ex33, 2, 3, "T4_5")
     assert [t[0] for t in terms] == [1, 2, 3, 4]
     assert sum(t[2] for t in terms) == 2496
+
+
+# -- differential check against Interval arithmetic ---------------------------------
+#
+# The engine evaluates on integers after clearing denominators. The reference
+# here sums Interval objects built from nabla()/delta(), ** and *, with each
+# statement's ranges written out again.
+
+
+def _single_ranges(tid, b, e, n, m):
+    """(operator, lhs indices, rhs indices) of a single-sequence statement."""
+    return {
+        "T2_2": ("delta", range(b + 1, e), range(b, e)),
+        "L3_1": ("nabla", range(b + 1, e + 1), range(b + 1, e + 1)),
+        "L3_01": ("nabla", range(b + 1, e + 1), range(b + 1, e + 1)),
+        "L3_02": ("nabla", range(n, m), range(n, m + 1)),
+        "T3_1": ("nabla", range(b + 1, e + 1), range(b + 1, e + 1)),
+        "T3_2": ("nabla", range(n, m), range(n, m + 1)),
+        "T3_3": ("nabla", range(b + 1, e + 1), range(b + 1, e + 1)),
+        "T3_4": ("nabla", range(n, m), range(n, m + 1)),
+        "T3_5": ("nabla", range(b + 1, e), range(b + 1, e + 1)),
+        "T4_1": ("delta", range(b, e), range(b, e)),
+        "T4_2": ("delta", range(n, m), range(n - 1, m)),
+        "T4_5": ("delta", range(b + 1, e), range(b, e)),
+    }[tid]
+
+
+def _reference_single(s, l1, l2, tid, n, m):
+    b, e = s.first_index, s.last_index
+    op, lhs_rng, rhs_rng = _single_ranges(tid, b, e, n, m)
+    d = s.nabla() if op == "nabla" else s.delta()
+    terms = [(s.at(i) ** l1) * (d.at(i) ** l2) for i in lhs_rng]
+    if tid == "L3_1" and s.is_degenerate:
+        # the real lemma sums signed products
+        return (sum((t.lo for t in terms), Fraction(0)),
+                sum((d.at(i).lo ** (l1 + l2) for i in rhs_rng), Fraction(0)))
+    return (sum((t.norm for t in terms), Fraction(0)),
+            sum((d.at(i).norm ** (l1 + l2) for i in rhs_rng), Fraction(0)))
+
+
+_SINGLE_IDS = [s.id.value for s in registry() if s.arity == 1]
+_PAIR_IDS = [s.id.value for s in registry() if s.arity == 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=mixed_sequences(), lam=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       data=st.data())
+@pytest.mark.parametrize("tid", _SINGLE_IDS)
+def test_single_sums_match_interval_reference(tid, s, lam, data):
+    l1, l2 = (1, 1) if tid == "T2_2" else lam
+    b, e = s.first_index, s.last_index
+    window, (n, m) = None, (b, e)  # n, m are read only by windowed statements
+    if lookup(tid).windowed:
+        n = data.draw(st.integers(b + 1, e))
+        m = data.draw(st.integers(n, e))
+        window = (n, m)
+    v = check_single(s, l1, l2, tid, window=window)
+    lhs, rhs = _reference_single(s, l1, l2, tid, n, m)
+    assert v.lhs == lhs
+    assert v.rhs == v.constant * rhs
+
+
+def _reference_pair(u, w, terms):
+    nu, nw = u.nabla(), w.nabla()
+    lhs = sum(((u.at(i - 1) * nw.at(i) + w.at(i) * nu.at(i)).norm for i in terms),
+              Fraction(0))
+    rhs = sum(((nu.at(i) ** 2 + nw.at(i) ** 2).norm for i in terms), Fraction(0))
+    return lhs, rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=mixed_sequences(), data=st.data())
+@pytest.mark.parametrize("tid,alt", [(t, False) for t in _PAIR_IDS] + [("T3_10", True)])
+def test_pair_sums_match_interval_reference(tid, alt, u, data):
+    w = data.draw(mixed_sequences(size=len(u)))
+    w = IntervalSequence(w.items, u.base_index)
+    b, e = u.first_index, u.last_index
+    spec = lookup(tid)
+    window = None
+    if spec.windowed or (spec.window_optional and data.draw(st.booleans())):
+        n = data.draw(st.integers(b, e))
+        window = (n, data.draw(st.integers(n, e)))
+    v = check_pair(u, w, tid, window=window, alt_boundary=alt)
+    n, m = v.window if v.window is not None else (b, e)
+    terms = {
+        "T3_6": range(b + 1, e + 1),
+        "T3_7": range(n + 1, m + 1),
+        "T3_8": range(b + 1, n + 1),
+        "T3_9": range(n + 1, m + 1),
+        "T3_10": range(b + 1, e + 1),
+    }[tid]
+    lhs, rhs = _reference_pair(u, w, terms)
+    assert v.lhs == lhs
+    assert v.rhs == v.constant * rhs
