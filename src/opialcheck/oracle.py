@@ -40,7 +40,6 @@ from .theorems import (
     _check_lambdas,
 )
 
-_ZERO = Interval.zero()
 _ATTEMPTS = 80
 
 SequenceInput = Union[IntervalSequence, tuple[IntervalSequence, IntervalSequence]]
@@ -56,6 +55,11 @@ class BudgetExceeded(RuntimeError):
 
 class PreconditionViolated(ValueError):
     """product_rule_check called outside the cases where the identity holds."""
+
+
+class RelaxNotRealized(ValueError):
+    """fuzz could not break every relaxed precondition at once: the
+    mutation table does not cover the combination at the drawn length."""
 
 
 _PAIR_NAMES = frozenset(
@@ -307,8 +311,7 @@ def _alternate_pairs(names, L, rng, M):
 
 
 def _to_sequence(pairs, D, base=0):
-    items = tuple(Interval(Fraction(a, D), Fraction(b, D)) for a, b in pairs)
-    return IntervalSequence(items, base)
+    return IntervalSequence._from_ints(D, [a for a, _ in pairs], [b for _, b in pairs], base)
 
 
 def _joint_allowed_positions(names, L):
@@ -322,24 +325,24 @@ def _joint_allowed_positions(names, L):
     return allowed
 
 
-def _build_single(names, L, rng, M):
+def _build_single(names, L, rng, M, base):
     D = rng.randint(1, 16)
     if "degenerate" in names:
         nums = _degenerate_nums(names, L, rng, M)
-        return _to_sequence([(k, k) for k in nums], D)
+        return _to_sequence([(k, k) for k in nums], D, base)
     if "monotone" in names or "nondecreasing" in names:
-        return _to_sequence(_monotone_pairs(names, L, rng, M), D)
+        return _to_sequence(_monotone_pairs(names, L, rng, M), D, base)
     if "alternate" in names:
-        return _to_sequence(_alternate_pairs(names, L, rng, M), D)
+        return _to_sequence(_alternate_pairs(names, L, rng, M), D, base)
     pairs = [_rand_pair_ints(rng, M) for _ in range(L)]
     if "first_zero" in names:
         pairs[0] = (0, 0)
     if "last_zero" in names or "window_end_zero" in names:
         pairs[-1] = (0, 0)
-    return _to_sequence(pairs, D)
+    return _to_sequence(pairs, D, base)
 
 
-def _build_pair(names, L, rng, M):
+def _build_pair(names, L, rng, M, base):
     Du = rng.randint(1, 16)
     Dv = rng.randint(1, 16)
     if "synchronous" in names:
@@ -347,7 +350,7 @@ def _build_pair(names, L, rng, M):
         up = rng.random() < 0.5
         pu = _monotone_pairs(sub, L, rng, M, force_up=up)
         pv = _monotone_pairs(sub, L, rng, M, force_up=up)
-        return (_to_sequence(pu, Du), _to_sequence(pv, Dv))
+        return (_to_sequence(pu, Du, base), _to_sequence(pv, Dv, base))
     if "second_zero" in names:
         if L < 2:
             raise _Retry
@@ -374,7 +377,7 @@ def _build_pair(names, L, rng, M):
     for i in range(L):
         if i not in allowed and pu[i] == (0, 0) and pv[i] == (0, 0):
             pv[i] = (0, rng.randint(1, max(1, M // 4)))
-    return (_to_sequence(pu, Du), _to_sequence(pv, Dv))
+    return (_to_sequence(pu, Du, base), _to_sequence(pv, Dv, base))
 
 
 def _decomposable(seq, first, last):
@@ -400,16 +403,16 @@ def _conforms(names, built):
             if not u.is_degenerate:
                 return False
         elif name == "first_zero":
-            if u.at(b) != _ZERO or (v is not None and v.at(b) != _ZERO):
+            if not u.is_zero_at(b) or (v is not None and not v.is_zero_at(b)):
                 return False
         elif name in ("last_zero", "window_end_zero"):
-            if u.at(e) != _ZERO or (v is not None and v.at(e) != _ZERO):
+            if not u.is_zero_at(e) or (v is not None and not v.is_zero_at(e)):
                 return False
         elif name == "second_zero":
-            if len(u) < 2 or u.at(b + 1) != _ZERO or v.at(b + 1) != _ZERO:
+            if len(u) < 2 or not u.is_zero_at(b + 1) or not v.is_zero_at(b + 1):
                 return False
         elif name == "nonnegative":
-            if any(u.at(i).lo < 0 for i in u.indices):
+            if any(a < 0 for a in u.lows):
                 return False
         elif name == "nondecreasing":
             if Direction.INCREASING not in direction_set(u):
@@ -443,12 +446,12 @@ def _conforms(names, built):
             if "last_zero" in names or "window_end_zero" in names:
                 allowed.add(e)
             for i in range(lo, e + 1):
-                if i not in allowed and u.at(i) == _ZERO:
+                if i not in allowed and u.is_zero_at(i):
                     return False
         elif name == "no_other_joint_zero":
             allowed = {b + p for p in _joint_allowed_positions(names, len(u))}
             for i in range(b, e + 1):
-                if i not in allowed and u.at(i) == _ZERO and v.at(i) == _ZERO:
+                if i not in allowed and u.is_zero_at(i) and v.is_zero_at(i):
                     return False
         elif name == "synchronous":
             if not (direction_set(u) & direction_set(v)):
@@ -456,7 +459,7 @@ def _conforms(names, built):
     return True
 
 
-def _generate_with_rng(names, length, rng, magnitude):
+def _generate_with_rng(names, length, rng, magnitude, base=0):
     pair = bool(names & _PAIR_NAMES)
     if {"first_zero", "last_zero", "monotone", "no_other_zero"} <= names and length >= 3:
         raise InfeasibleProfile(
@@ -466,7 +469,8 @@ def _generate_with_rng(names, length, rng, magnitude):
         raise InfeasibleProfile("second_zero needs length >= 2")
     for _ in range(_ATTEMPTS):
         try:
-            built = (_build_pair if pair else _build_single)(names, length, rng, magnitude)
+            built = (_build_pair if pair else _build_single)(
+                names, length, rng, magnitude, base)
         except _Retry:
             continue
         if _conforms(names, built):
@@ -731,13 +735,8 @@ def _relax_and_check(spec, names, built, relax, rng, l1, l2, window, L, M):
             rows = {p.name: p.passed for p in verdict.preconditions}
             if all(rows.get(name) is False for name in relax):
                 return cand, verdict
-        built = _generate_with_rng(names, L, rng, M)
-        if base and spec.arity == 1:
-            built = IntervalSequence(built.items, base)
-        elif base:
-            built = (IntervalSequence(built[0].items, base),
-                     IntervalSequence(built[1].items, base))
-    raise RuntimeError(
+        built = _generate_with_rng(names, L, rng, M, base)
+    raise RelaxNotRealized(
         f"could not violate {sorted(relax)} for {spec.id.value} "
         f"(length {L}); mutation table may not cover this combination"
     )
@@ -766,7 +765,8 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
     RuntimeError as a generator/engine disagreement) is a bug. With
     relax names the targeted preconditions are deliberately broken and
     found violations are reported, never asserted: absence of a
-    counterexample proves nothing.
+    counterexample proves nothing. RelaxNotRealized is raised when a
+    trial finds no input that breaks every relaxed name at once.
 
     Trials are independent; the maximum-ratio witness breaks ties by
     the lowest trial index, so any execution order yields the same
@@ -798,13 +798,7 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
         else:
             l1 = rng.randint(*config.lambda_range)
             l2 = rng.randint(*config.lambda_range)
-        built = _generate_with_rng(names, L, rng, config.endpoint_magnitude)
-        if base:
-            if spec.arity == 1:
-                built = IntervalSequence(built.items, base)
-            else:
-                built = (IntervalSequence(built[0].items, base),
-                         IntervalSequence(built[1].items, base))
+        built = _generate_with_rng(names, L, rng, config.endpoint_magnitude, base)
         window = _fuzz_window(spec, rng, base, L)
         if config.relax:
             built, verdict = _relax_and_check(
@@ -1031,10 +1025,10 @@ def product_rule_check(u: IntervalSequence, v: IntervalSequence) -> dict:
     b, e = u.first_index, u.last_index
     shared = direction_set(u) & direction_set(v)
     mu_u, mu_v = mu_direction_set(u), mu_direction_set(v)
-    case_up = (u.at(b) == _ZERO and v.at(b) == _ZERO and shared
+    case_up = (u.is_zero_at(b) and v.is_zero_at(b) and shared
                and MuDirection.MU_INCREASING in mu_u
                and MuDirection.MU_INCREASING in mu_v)
-    case_down = (u.at(e) == _ZERO and v.at(e) == _ZERO and shared
+    case_down = (u.is_zero_at(e) and v.is_zero_at(e) and shared
                  and MuDirection.MU_DECREASING in mu_u
                  and MuDirection.MU_DECREASING in mu_v)
     if not (case_up or case_down):

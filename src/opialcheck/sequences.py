@@ -16,22 +16,26 @@ checking engine needs that, since the hypotheses are satisfied by ties.
 ``classify`` collapses the sets to a single reported label (ties read
 as increasing) purely for presentation.
 
-Every order test runs on integers. A sequence clears its denominators
-once: with D the lcm of all endpoint denominators, ``D * u_i`` has
-integer endpoints, and multiplying every endpoint by the same D > 0
-keeps every comparison of endpoints, of steps and of widths. The view
-is cached on the sequence and handed down to its windows.
+A sequence is held as integers: a common denominator D >= 1 and the
+integer endpoints ``D * lo`` and ``D * hi`` of every element. Built from
+``Interval`` elements, D is the lcm of their denominators; the generator
+and the grid scan hand over their integers and D directly. Multiplying
+every endpoint by the same D > 0 keeps every comparison of endpoints, of
+steps and of widths, so every order test, the segmentation, the zero
+tests and the gH-differences run on these integers, and windows slice
+them. The ``Interval`` elements are built only when something reads
+them: ``items``, iteration, ``at``, printing, serialization.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
-from .intervals import Interval
-from .rationals import as_rational
+from .intervals import Interval, InvalidBounds
 
 
 class TooShort(ValueError):
@@ -148,24 +152,49 @@ def _order_bits(xs, strict=False):
     return up | (down << 1)
 
 
-@dataclass(frozen=True, slots=True)
 class IntervalSequence:
-    items: tuple[Interval, ...]
-    base_index: int = 0
-    # (D, D*lo, D*hi) as ints, built on first use; see _int_view
-    _ints: tuple = field(default=None, init=False, repr=False, compare=False)
+    """The intervals u_b, ..., u_{b+len-1}, held as integers: a common
+    denominator D >= 1 and the endpoints lows[k] = D * lo and
+    highs[k] = D * hi of u_{b+k}.
 
-    def __post_init__(self):
-        items = tuple(self.items)
+    ``IntervalSequence(items, base_index)`` clears the denominators of the
+    given Interval elements (D = their lcm); ``_from_ints`` takes the
+    integers directly, with any D >= 1. ``items`` builds the Interval
+    elements on first read and keeps them. Equality, hashing and repr mean
+    (items, base_index), whatever D is. Instances are immutable.
+    """
+
+    __slots__ = ("D", "lows", "highs", "base_index", "_items")
+
+    def __init__(self, items, base_index: int = 0):
+        items = tuple(items)
         for it in items:
             if not isinstance(it, Interval):
                 raise TypeError(
                     f"expected Interval elements, got {type(it).__name__};"
                     " use from_pairs or from_reals for raw values"
                 )
-        if not isinstance(self.base_index, int) or isinstance(self.base_index, bool):
-            raise TypeError("base_index must be an int")
-        object.__setattr__(self, "items", items)
+        _check_base(base_index)
+        D = math.lcm(*[q.denominator for it in items for q in (it.lo, it.hi)])
+        lows = tuple([it.lo.numerator * (D // it.lo.denominator) for it in items])
+        highs = tuple([it.hi.numerator * (D // it.hi.denominator) for it in items])
+        _fill(self, D, lows, highs, base_index, items)
+
+    @classmethod
+    def _from_ints(cls, D, lows, highs, base_index: int = 0) -> "IntervalSequence":
+        """The sequence of [lows[k]/D, highs[k]/D]; D need not be in lowest
+        terms. Raises InvalidBounds when some lows[k] > highs[k]."""
+        if isinstance(D, bool) or not isinstance(D, int) or D < 1:
+            raise ValueError(f"common denominator must be an int >= 1, got {D!r}")
+        _check_base(base_index)
+        lows, highs = tuple(lows), tuple(highs)
+        if any(map(operator.gt, lows, highs)):
+            k = next(k for k, (a, c) in enumerate(zip(lows, highs)) if a > c)
+            raise InvalidBounds(
+                f"lower bound {Fraction(lows[k], D)} exceeds upper bound"
+                f" {Fraction(highs[k], D)} at index {base_index + k}"
+            )
+        return _fill(object.__new__(cls), D, lows, highs, base_index, None)
 
     @classmethod
     def from_pairs(cls, pairs, base_index: int = 0) -> "IntervalSequence":
@@ -175,8 +204,45 @@ class IntervalSequence:
     def from_reals(cls, values, base_index: int = 0) -> "IntervalSequence":
         return cls(tuple(Interval.point(v) for v in values), base_index)
 
+    @property
+    def items(self) -> tuple[Interval, ...]:
+        items = self._items
+        if items is None:
+            D = self.D
+            items = tuple([Interval(Fraction(a, D), Fraction(c, D))
+                           for a, c in zip(self.lows, self.highs)])
+            object.__setattr__(self, "_items", items)
+        return items
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.base_index != other.base_index or len(self.lows) != len(other.lows):
+            return False
+        # a/D == a'/D' exactly when a*D' == a'*D
+        D, Do = self.D, other.D
+        return all(
+            a * Do == ao * D and c * Do == co * D
+            for a, c, ao, co in zip(self.lows, self.highs, other.lows, other.highs)
+        )
+
+    def __hash__(self):
+        return hash((self.items, self.base_index))
+
+    def __repr__(self):
+        return f"IntervalSequence(items={self.items!r}, base_index={self.base_index!r})"
+
+    def __reduce__(self):
+        return (type(self)._from_ints, (self.D, self.lows, self.highs, self.base_index))
+
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.lows)
 
     def __iter__(self):
         return iter(self.items)
@@ -188,22 +254,35 @@ class IntervalSequence:
     @property
     def last_index(self) -> int:
         # one below base_index when empty
-        return self.base_index + len(self.items) - 1
+        return self.base_index + len(self.lows) - 1
 
     @property
     def indices(self) -> range:
-        return range(self.base_index, self.base_index + len(self.items))
+        return range(self.base_index, self.base_index + len(self.lows))
 
     @property
     def is_degenerate(self) -> bool:
-        return all(it.is_degenerate for it in self.items)
+        return self.lows == self.highs
 
-    def at(self, i: int) -> Interval:
-        if not (self.base_index <= i <= self.last_index):
+    def _position(self, i: int) -> int:
+        k = i - self.base_index
+        if not 0 <= k < len(self.lows):
             raise IndexOutOfRange(
                 f"index {i} outside [{self.base_index}, {self.last_index}]"
             )
-        return self.items[i - self.base_index]
+        return k
+
+    def at(self, i: int) -> Interval:
+        """u_i; builds only this element unless items were already read."""
+        k = self._position(i)
+        if self._items is not None:
+            return self._items[k]
+        return Interval(Fraction(self.lows[k], self.D), Fraction(self.highs[k], self.D))
+
+    def is_zero_at(self, i: int) -> bool:
+        """Whether u_i = [0, 0]."""
+        k = self._position(i)
+        return self.lows[k] == 0 == self.highs[k]
 
     def window(self, n: int, m: int) -> "IntervalSequence":
         """Sub-sequence u_n..u_m keeping absolute indexing."""
@@ -214,54 +293,37 @@ class IntervalSequence:
                 f"window [{n}, {m}] outside [{self.base_index}, {self.last_index}]"
             )
         lo, hi = n - self.base_index, m - self.base_index + 1
-        out = IntervalSequence(self.items[lo:hi], n)
-        D, lows, highs = self._int_view()
-        object.__setattr__(out, "_ints", (D, lows[lo:hi], highs[lo:hi]))
-        return out
-
-    def _int_view(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(D, lows, highs): a common denominator D > 0 and the integer
-        endpoints D*lo and D*hi of every element.
-
-        D is the lcm of the endpoint denominators, or the parent's D for
-        a window. Computed once per sequence.
-        """
-        if self._ints is None:
-            # built from lists: a tuple grown from a generator is resized
-            # into place and never taken from the interpreter's free list of
-            # its size, so each one freed would leave a block behind there
-            items = self.items
-            D = math.lcm(*[q.denominator for it in items for q in (it.lo, it.hi)])
-            lows = tuple([it.lo.numerator * (D // it.lo.denominator) for it in items])
-            highs = tuple([it.hi.numerator * (D // it.hi.denominator) for it in items])
-            object.__setattr__(self, "_ints", (D, lows, highs))
-        return self._ints
+        return _fill(object.__new__(IntervalSequence), self.D,
+                     self.lows[lo:hi], self.highs[lo:hi], n, None)
 
     def reals(self) -> tuple[Fraction, ...]:
         if not self.is_degenerate:
             raise ValueError("sequence has non-degenerate elements")
-        return tuple(it.lo for it in self.items)
+        return tuple(Fraction(a, self.D) for a in self.lows)
 
     def to_pairs(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple(it.to_pair() for it in self.items)
 
     # -- difference operators ------------------------------------------
 
-    def _gh_steps(self, name) -> tuple[Interval, ...]:
-        # u_{k+1} gh- u_k for every consecutive pair
-        if len(self.items) < 2:
+    def _gh_steps(self, name, base_index) -> "IntervalSequence":
+        # u_{k+1} gh- u_k for every consecutive pair: its endpoints are the
+        # two endpoint steps, in order
+        lows, highs = self.lows, self.highs
+        if len(lows) < 2:
             raise TooShort(f"{name} needs at least two elements")
-        return tuple(
-            cur.gh_diff(prev)[0] for prev, cur in zip(self.items, self.items[1:])
-        )
+        dl = [a1 - a0 for a0, a1 in zip(lows, lows[1:])]
+        dh = [c1 - c0 for c0, c1 in zip(highs, highs[1:])]
+        return _fill(object.__new__(IntervalSequence), self.D,
+                     tuple(map(min, dl, dh)), tuple(map(max, dl, dh)), base_index, None)
 
     def nabla(self) -> "IntervalSequence":
         """Backward gH-differences u_i gh- u_{i-1}, indexed from b+1."""
-        return IntervalSequence(self._gh_steps("nabla"), self.base_index + 1)
+        return self._gh_steps("nabla", self.base_index + 1)
 
     def delta(self) -> "IntervalSequence":
         """Forward gH-differences u_{i+1} gh- u_i, indexed from b."""
-        return IntervalSequence(self._gh_steps("delta"), self.base_index)
+        return self._gh_steps("delta", self.base_index)
 
     def prefix_norm_sum(self, i: int) -> Fraction:
         """Sum of element norms over indices <= i.
@@ -271,23 +333,22 @@ class IntervalSequence:
         sums to zero for any i. Otherwise i may not exceed the last
         index (the requested prefix would not be covered).
         """
-        if not self.items:
+        if not self.lows:
             return Fraction(0)
         if i > self.last_index:
             raise IndexOutOfRange(
                 f"prefix end {i} exceeds last index {self.last_index}"
             )
-        total = Fraction(0)
-        for j in range(self.base_index, i + 1):
-            total += self.items[j - self.base_index].norm
-        return total
+        end = max(0, i - self.base_index + 1)
+        return Fraction(
+            sum(max(-a, c) for a, c in zip(self.lows[:end], self.highs[:end])), self.D
+        )
 
     # -- classification -------------------------------------------------
 
     def zero_indices(self) -> tuple[int, ...]:
-        _, lows, highs = self._int_view()
         return tuple(
-            i for i, lo, hi in zip(self.indices, lows, highs) if lo == 0 == hi
+            i for i, lo, hi in zip(self.indices, self.lows, self.highs) if lo == 0 == hi
         )
 
     def classify(self, strict: bool = False) -> MonotonicityProfile:
@@ -296,7 +357,7 @@ class IntervalSequence:
         Ties collapse to the increasing label; use direction_set and
         mu_direction_set when the distinction matters.
         """
-        _, lows, highs = self._int_view()
+        lows, highs = self.lows, self.highs
         d = _order_bits(lows, strict) & _order_bits(highs, strict)
         mu = _order_bits(_widths(lows, highs), strict)
         return MonotonicityProfile(
@@ -310,9 +371,9 @@ class IntervalSequence:
         step admits no monotone order at all (endpoints moving strictly
         in opposite ways), naming the first such step.
         """
-        if len(self.items) < 2:
+        lo, hi = self.lows, self.highs
+        if len(lo) < 2:
             raise TooShort("segmentation needs at least two elements")
-        _, lo, hi = self._int_view()
         b = self.base_index
         breakpoints = [b]
         segments = []
@@ -342,7 +403,7 @@ class IntervalSequence:
 
     def _segment(self, start, end, d, mu) -> Segment:
         # positions start..end; d and mu are the stretch's order bits
-        _, lo, hi = self._int_view()
+        lo, hi = self.lows, self.highs
         b = self.base_index
         zeros = tuple(b + k for k in range(start, end + 1) if lo[k] == 0 == hi[k])
         profile = MonotonicityProfile(_DIRECTION_LABEL[d], _MU_LABEL[mu], False, zeros)
@@ -353,6 +414,22 @@ class IntervalSequence:
         if self.base_index:
             return f"{{{inner}}}@{self.base_index}"
         return f"{{{inner}}}"
+
+
+def _check_base(base_index):
+    if not isinstance(base_index, int) or isinstance(base_index, bool):
+        raise TypeError("base_index must be an int")
+
+
+def _fill(seq, D, lows, highs, base_index, items):
+    # sets the fields of a new, not yet shared IntervalSequence
+    _set = object.__setattr__
+    _set(seq, "D", D)
+    _set(seq, "lows", lows)
+    _set(seq, "highs", highs)
+    _set(seq, "base_index", base_index)
+    _set(seq, "_items", items)
+    return seq
 
 
 def _widths(lows, highs):
@@ -373,8 +450,7 @@ def _ends(seq, first, last):
         raise IndexOutOfRange(
             f"range [{first}, {last}] outside [{seq.first_index}, {seq.last_index}]"
         )
-    _, lows, highs = seq._int_view()
-    return lows[first - b : last - b + 1], highs[first - b : last - b + 1]
+    return seq.lows[first - b : last - b + 1], seq.highs[first - b : last - b + 1]
 
 
 def direction_set(seq, first=None, last=None, strict: bool = False) -> frozenset:

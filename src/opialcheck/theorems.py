@@ -21,8 +21,8 @@ is positively homogeneous: the gH-difference, the set-image product and
 integer power, the Minkowski sum and the norm max(-lo, hi). Scaling every
 endpoint by D > 0 therefore scales a side built from k factors by D^k
 and keeps every hypothesis (zeros, LU order, width order, alternation).
-So each sequence clears its denominators once (D = lcm of its endpoint
-denominators, D = lcm(Du, Dv) for a pair), both sums run on Python ints,
+So both sums run on the integer endpoints each sequence is held as
+(common denominator D, or D = lcm(Du, Dv) for a pair), on Python ints,
 and a side is returned as Fraction(int_sum, D^k) with k = l1 + l2, or
 k = 2 for T2_2 and the pair statements: the same exact rational the
 interval arithmetic gives. The norm is multiplicative on set-image
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .intervals import ExponentOutOfRange, Interval
+from .intervals import ExponentOutOfRange
 from .rationals import rational_to_json
 from .sequences import (
     Direction,
@@ -52,9 +52,6 @@ from .sequences import (
     first_mu_break,
     mu_direction_set,
 )
-
-_ZERO = Interval.zero()
-
 
 class ArityMismatch(TypeError):
     """Single-sequence entry point used with a pair statement, or vice versa."""
@@ -325,15 +322,14 @@ def lookup(theorem) -> TheoremSpec:
 
 
 def _pc_zero_at(seq, idx, name, sym="u"):
-    it = seq.at(idx)
-    if it == _ZERO:
+    if seq.is_zero_at(idx):
         return PreconditionCheck(name, True, f"{sym}_{idx} = [0, 0]")
-    return PreconditionCheck(name, False, f"{sym}_{idx} = {it} (expected [0, 0])")
+    return PreconditionCheck(name, False, f"{sym}_{idx} = {seq.at(idx)} (expected [0, 0])")
 
 
 def _pc_zero_pair(u, v, idx, name):
-    fu = u.at(idx) == _ZERO
-    fv = v.at(idx) == _ZERO
+    fu = u.is_zero_at(idx)
+    fv = v.is_zero_at(idx)
     if fu and fv:
         return PreconditionCheck(name, True, f"u_{idx} = v_{idx} = [0, 0]")
     if not fu:
@@ -342,18 +338,19 @@ def _pc_zero_pair(u, v, idx, name):
 
 
 def _pc_degenerate(seq, first, last):
+    b = seq.base_index
     for i in range(first, last + 1):
-        it = seq.at(i)
-        if not it.is_degenerate:
+        if seq.lows[i - b] != seq.highs[i - b]:
             return PreconditionCheck(
-                "degenerate", False, f"u_{i} = {it} has positive width"
+                "degenerate", False, f"u_{i} = {seq.at(i)} has positive width"
             )
     return PreconditionCheck("degenerate", True, f"u_{first}..u_{last} are points")
 
 
 def _pc_nonnegative(seq, first, last):
+    b = seq.base_index
     for i in range(first, last + 1):
-        if seq.at(i).lo < 0:
+        if seq.lows[i - b] < 0:
             return PreconditionCheck(
                 "nonnegative", False, f"u_{i} = {seq.at(i)} drops below zero"
             )
@@ -418,7 +415,7 @@ def _pc_no_other_zero(seq, first, last, allowed, name="no_other_zero"):
     for i in range(first, last + 1):
         if i in allowed:
             continue
-        if seq.at(i) == _ZERO:
+        if seq.is_zero_at(i):
             return PreconditionCheck(name, False, f"u_{i} = [0, 0] is a stray zero")
     return PreconditionCheck(name, True, "no stray zero")
 
@@ -427,7 +424,7 @@ def _pc_no_other_joint_zero(u, v, first, last, allowed):
     for i in range(first, last + 1):
         if i in allowed:
             continue
-        if u.at(i) == _ZERO and v.at(i) == _ZERO:
+        if u.is_zero_at(i) and v.is_zero_at(i):
             return PreconditionCheck(
                 "no_other_joint_zero", False, f"u_{i} = v_{i} = [0, 0] is a stray joint zero"
             )
@@ -511,7 +508,7 @@ def _opial_sums(seq, l1, l2, lhs_rng, rhs_rng, shift):
     has the endpoints a1 - a0 and c1 - c0 in some order, so its norm is
     the larger absolute value.
     """
-    D, lows, highs = seq._int_view()
+    D, lows, highs = seq.D, seq.lows, seq.highs
     un = [max(-a, c) for a, c in zip(lows, highs)]
     sn = [max(abs(a1 - a0), abs(c1 - c0))
           for a0, c0, a1, c1 in zip(lows, highs, lows[1:], highs[1:])]
@@ -532,8 +529,8 @@ def _pair_sums(u, v, terms):
     so the gH steps enter as unsorted endpoint differences. The squares
     are [>= 0, ||.||^2], so the norm of their sum is the sum of norms.
     """
-    Du, ul, uh = u._int_view()
-    Dv, vl, vh = v._int_view()
+    Du, ul, uh = u.D, u.lows, u.highs
+    Dv, vl, vh = v.D, v.lows, v.highs
     D = math.lcm(Du, Dv)
     su, sv = D // Du, D // Dv
     b = u.base_index
@@ -642,7 +639,7 @@ def _eval_real(spec, seq, l1, l2, n, m):
     if pre[0].passed:
         # x_i = xs[i - b] / D on [b, hyp_end]; both sums are homogeneous
         # of degree k in the x_i
-        D, xs, _ = seq._int_view()
+        D, xs = seq.D, seq.lows
         k = l1 + l2
         steps = [x1 - x0 for x0, x1 in zip(xs, xs[1:])]
         if tid is TheoremId.T2_2:
@@ -825,9 +822,9 @@ def check_classical(seq) -> Verdict:
         raise ValueError("classical check expects a real-valued (degenerate) sequence")
     if len(s) < 2:
         raise TooShort("classical check needs at least two elements")
-    if s.at(s.first_index) != _ZERO:
+    if not s.is_zero_at(s.first_index):
         raise BoundaryNotZero(f"u_{s.first_index} = {s.at(s.first_index)} (expected [0, 0])")
-    if s.at(s.last_index) != _ZERO:
+    if not s.is_zero_at(s.last_index):
         raise BoundaryNotZero(f"u_{s.last_index} = {s.at(s.last_index)} (expected [0, 0])")
     return check_single(s, 1, 1, TheoremId.T2_2)
 

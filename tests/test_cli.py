@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import opialcheck
-from opialcheck import IntervalSequence, NonRational
+from opialcheck import IntervalSequence, NonRational, registry
 from opialcheck.cli import SchemaError, main, parse_sequence
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
@@ -212,6 +213,41 @@ def test_fuzz_relax_exit_one(capsys):
     doc = json.loads(out)
     assert len(doc["violations"]) == 9
     assert doc["violations"][0]["verdict"]["holds"] is False
+
+
+RELAX_PAIRS = [
+    (spec.id.value, f"{a},{b}")
+    for spec in registry()
+    for a, b in itertools.combinations(spec.preconditions, 2)
+]
+
+
+@pytest.mark.parametrize("theorem,relax", RELAX_PAIRS)
+def test_fuzz_relax_pairs_exit_cleanly(capsys, theorem, relax):
+    # a combination the mutation table cannot break at a drawn length is a
+    # usage error (exit 3), never an uncaught exception or a false exit 1
+    code, out, err = run_cli(capsys, [
+        "fuzz", "--theorem", theorem, "--relax", relax,
+        "--trials", "200", "--seed", "0", "--format", "json",
+    ])
+    assert code in (0, 1, 3)
+    if code == 3:
+        assert err.startswith("error: could not violate") and out == ""
+    else:
+        assert json.loads(out)["trials_run"] == 200
+
+
+@pytest.mark.parametrize("theorem,relax", [
+    ("T3_1", "monotone,mu_increasing"),
+    ("T3_5", "first_zero,alternate"),
+    ("T4_5", "last_zero,alternate"),
+])
+def test_fuzz_relax_uncovered_combination_is_usage_error(capsys, theorem, relax):
+    code, out, err = run_cli(capsys, [
+        "fuzz", "--theorem", theorem, "--relax", relax, "--trials", "20", "--seed", "0",
+    ])
+    assert code == 3
+    assert err.startswith("error: could not violate") and out == ""
 
 
 def test_scan_exit_codes(capsys):

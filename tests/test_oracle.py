@@ -55,6 +55,28 @@ def test_generate_conforms_for_every_theorem(tid):
         assert v.holds
 
 
+@pytest.mark.parametrize("tid", [s.id for s in registry()], ids=lambda t: t.value)
+def test_conforming_generate_and_check_build_no_interval(tid, monkeypatch):
+    # sequences are built from integers and checked on them; an Interval is
+    # built only to show an element, and a conforming check shows none
+    built_count = []
+    init = Interval.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built_count.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Interval, "__init__", counting_init)
+    spec = lookup(tid)
+    for length, sd in ((4, 0), (7, 1), (9, 2)):
+        built = generate(spec.preconditions, length, sd)
+        v = _check_with_full_window(spec, built)
+        assert v.in_hypotheses
+    assert built_count == []
+    Interval(0, 1)
+    assert built_count == [1]  # the counter itself works
+
+
 def test_generate_deterministic():
     spec = lookup("T3_5")
     a = generate(spec.preconditions, 6, 42)

@@ -1,3 +1,6 @@
+import copy
+import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from opialcheck import (
     IndexOutOfRange,
     Interval,
     IntervalSequence,
+    InvalidBounds,
     MuDirection,
     NotDecomposable,
     Synchrony,
@@ -353,3 +357,88 @@ def test_segment_profiles_match_window_classify(s):
             MuDirection.MU_NON_MONOTONE)
         assert g.profile.zero_indices == tuple(
             i for i in w.indices if w.at(i) == Interval.zero())
+
+
+# -- sequences built from integers -----------------------------------------------
+#
+# The generator and the grid scan build sequences from a common denominator and
+# integer endpoints. Each such sequence must behave exactly like the one built
+# from the same Interval elements.
+
+
+def _scaled_ints(s, k):
+    """(D, lows, highs) of s from its Interval elements, with D = k times the
+    lcm of their denominators: not in lowest terms when k > 1."""
+    D = k * math.lcm(*[q.denominator for it in s.items for q in (it.lo, it.hi)])
+    return D, [int(it.lo * D) for it in s.items], [int(it.hi * D) for it in s.items]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotDecomposable, TooShort) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=mixed_sequences(min_size=0, max_size=8), k=st.integers(1, 6), data=st.data())
+def test_from_ints_matches_interval_construction(s, k, data):
+    D, lows, highs = _scaled_ints(s, k)
+    t = IntervalSequence._from_ints(D, lows, highs, s.base_index)
+    # everything that reads the integers first, before t builds its elements
+    assert t == s and s == t
+    assert len(t) == len(s) and t.indices == s.indices
+    assert t.is_degenerate == s.is_degenerate
+    assert t.zero_indices() == s.zero_indices()
+    zero = Interval.zero()
+    assert [t.is_zero_at(i) for i in t.indices] == [it == zero for it in s.items]
+    assert [t.at(i) for i in t.indices] == list(s.items)
+    for strict in (False, True):
+        assert t.classify(strict) == s.classify(strict)
+    assert _outcome(t.alternate_segments) == _outcome(s.alternate_segments)
+    if len(s):
+        b, e = s.first_index, s.last_index
+        first = data.draw(st.integers(b, e))
+        last = data.draw(st.integers(first, e))
+        for strict in (False, True):
+            assert direction_set(t, first, last, strict) == direction_set(s, first, last, strict)
+            assert (mu_direction_set(t, first, last, strict)
+                    == mu_direction_set(s, first, last, strict))
+        for d in Direction:
+            assert (first_direction_break(t, d, first, last)
+                    == first_direction_break(s, d, first, last))
+        for mu in MuDirection:
+            assert first_mu_break(t, mu, first, last) == first_mu_break(s, mu, first, last)
+        w, ws = t.window(first, last), s.window(first, last)
+        assert w == ws and len(w) == len(ws) and w.first_index == first
+        assert w.items == ws.items
+    assert t != IntervalSequence._from_ints(D, lows, highs, s.base_index + 1)
+    # then the elements, and what is computed from them
+    assert t.items == s.items
+    assert hash(t) == hash(s)
+    assert repr(t) == repr(s) and str(t) == str(s)
+    assert copy.deepcopy(t) == s
+
+
+def test_from_ints_empty_sequence():
+    t = IntervalSequence._from_ints(6, (), (), 3)
+    s = IntervalSequence((), 3)
+    assert t == s and hash(t) == hash(s) and repr(t) == repr(s)
+    assert len(t) == 0 and t.items == () and t.last_index == 2
+    assert t.zero_indices() == () and t.is_degenerate
+    with pytest.raises(IndexOutOfRange):
+        t.is_zero_at(3)
+
+
+def test_from_ints_keeps_value_checks():
+    with pytest.raises(InvalidBounds):
+        IntervalSequence._from_ints(4, (0, 3), (1, 2))
+    for bad in (0, -2, True, Fraction(1), 1.0):
+        with pytest.raises(ValueError):
+            IntervalSequence._from_ints(bad, (0,), (1,))
+    with pytest.raises(TypeError):
+        IntervalSequence._from_ints(2, (0,), (1,), base_index=False)
+    t = IntervalSequence._from_ints(4, (0, 2), (2, 6))
+    assert t == seq([(0, Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 2))])
+    with pytest.raises(FrozenInstanceError):
+        t.D = 2
