@@ -14,7 +14,6 @@ to keep exact arithmetic fast under repeated multiplication.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,6 +27,7 @@ from .sequences import (
     LengthMismatch,
     MuDirection,
     NotDecomposable,
+    _step_bits,
     direction_set,
     mu_direction_set,
 )
@@ -37,6 +37,7 @@ from .theorems import (
     check_pair,
     check_single,
     lookup,
+    _REAL_IDS,
     _check_lambdas,
 )
 
@@ -837,6 +838,17 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
 
 @dataclass(frozen=True)
 class ScanReport:
+    """Outcome of ratio_scan.
+
+    planned is the full grid times the windows per point, computed before
+    any work; it is what the budget is compared with. checked counts the
+    (point, window) checks decided: those the engine ran plus every point
+    of a pruned prefix, once per window, so it equals planned. admissible
+    and violations count engine verdicts in hypotheses. The witness is the
+    first point, in the lexicographic order of the free positions (u
+    before v), whose first window reaching max_ratio does so.
+    """
+
     theorem: TheoremId
     lambda1: Optional[int]
     lambda2: Optional[int]
@@ -873,18 +885,104 @@ class ScanReport:
         }
 
 
+# The scanned hypotheses as tests on a prefix of the grid walk: name ->
+# (test, bits). Every scanned range ends at the last index, whatever the
+# window, and the anchors are pinned, so a prefix failing a test fails
+# every point and window below it. "order" ANDs the LU order bits (1
+# increasing, 2 decreasing) of the range's steps into running bits that
+# start at bits, and fails once none is left; for a pair (synchronous) one
+# AND runs over u and then v. "width" fails on a step whose width order
+# bits miss bits. "split" fails on a step whose endpoints move strictly
+# apart, the only step alternate_segments cannot place. "zero" fails on a
+# zero (for a pair, a joint zero) off the anchors. The other names hold on
+# every grid point (degenerate, nonnegative) or are the anchors. A test here
+# may only be weaker than the engine's: a missing one prunes less, and the
+# engine still judges every point the walk reaches.
+_SCAN_PREFIX_TESTS = {
+    "nondecreasing": ("order", 1),
+    "monotone": ("order", 3),
+    "synchronous": ("order", 3),
+    "mu_increasing": ("width", 1),
+    "mu_decreasing": ("width", 2),
+    "alternate": ("split", 0),
+    "alternate_u": ("split", 0),
+    "no_other_zero": ("zero", 0),
+    "no_other_joint_zero": ("zero", 0),
+}
+# single-sequence ranges that start one index after a lone anchor at the
+# first index, as the engine checks T3_1, T3_3 and T4_1
+_SCAN_SHIFTED = frozenset({"monotone", "mu_increasing", "mu_decreasing", "alternate"})
+
+
+def _scan_rules(spec, L, anchors):
+    """The prefix tests at each walk position q (u_0..u_{L-1}, then
+    v_0..v_{L-1} for a pair) and the starting order bits.
+
+    rules[q] = (anchor, step, zero): whether position q is pinned to
+    [0, 0]; the tests of the step into it, None when there are none, else
+    (order, split, width): whether it ANDs its order bits into the running
+    bits, whether it must keep some order, and the width order bits it must
+    keep; whether a zero there (for a pair, a joint zero) fails.
+    """
+    acc0 = 3
+    shift = 1 if spec.arity == 1 and anchors == {0} else 0
+    rules = []
+    for s in range(spec.arity):
+        for i in range(L):
+            order = split = zero = False
+            width = 0
+            for name in spec.preconditions:
+                test = _SCAN_PREFIX_TESTS.get(name)
+                if test is None or (name == "alternate_u" and s):
+                    continue
+                kind, bits = test
+                if kind == "zero":
+                    zero = zero or (s == spec.arity - 1 and i not in anchors)
+                    continue
+                if kind == "order" and s == i == 0:
+                    acc0 &= bits
+                if i - 1 >= (shift if name in _SCAN_SHIFTED else 0):
+                    order = order or kind == "order"
+                    split = split or kind == "split"
+                    width |= bits if kind == "width" else 0
+            step = (order, split, width) if order or split or width else None
+            rules.append((i in anchors, step, zero))
+    return acc0, rules
+
+
+def _scan_step(tests, prev, pt, acc):
+    """The running order bits after the step prev -> pt under the step
+    tests of _scan_rules, or 0 when the step fails them; acc is nonzero."""
+    order, split, width = tests
+    (plo, phi), (lo, hi) = prev, pt
+    d = _step_bits(plo, lo) & _step_bits(phi, hi)
+    if (split and not d) or _step_bits(phi - plo, hi - lo) & width != width:
+        return 0
+    return acc & d if order else acc
+
+
 def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanReport:
     """Exhaust all grid sequences and report the worst lhs/rhs ratio.
 
-    Enumerates every sequence of the given element count whose endpoints
-    are integers 0 <= lo <= hi <= bound (scalars for the real-sequence
+    Covers every sequence of the given element count whose endpoints are
+    integers 0 <= lo <= hi <= bound (scalars for the real-sequence
     statements), with the profile's zero anchors pinned to [0, 0];
     non-negative grids lose no generality because both sides are
     invariant under joint negation. Windowed statements run every valid
     window start with the end at the last index. Only in-hypotheses
     verdicts compete for the ratio. The report unpacks as
-    (max_ratio, witness); the full enumeration size is computed first
-    and BudgetExceeded is raised before any work if it exceeds budget.
+    (max_ratio, witness).
+
+    planned, the grid size times the windows per point, is counted
+    arithmetically before anything is built, and BudgetExceeded is raised
+    before any work when it exceeds budget. The points are walked depth
+    first over the positions u_0..u_{L-1} (then v_0..v_{L-1}), each taking
+    its choices in increasing (lo, hi) order: the lexicographic order of
+    the free positions, u before v. A prefix that fails a hypothesis (see
+    _SCAN_PREFIX_TESTS) is cut off, and its points count as checked in
+    every window; every other point is built and judged by the engine in
+    every window. The witness is the first point in that order, with its
+    first window, that reaches the maximum.
 
     Exponent parameters are ignored by the pair statements.
     """
@@ -903,53 +1001,103 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
         raise ValueError("budget must be positive")
     L = length
     e = L - 1
-    real_family = tid in (TheoremId.T2_2, TheoremId.L3_1, TheoremId.L3_01, TheoremId.L3_02)
+    arity = spec.arity
+    real_family = tid in _REAL_IDS
+    n_choices = bound + 1 if real_family else (bound + 1) * (bound + 2) // 2
+    anchors = _joint_allowed_positions(spec.preconditions, L)
+    slots = (L - len(anchors)) * arity
+    first_start = 1 if arity == 1 else 0
+    windowed = spec.windowed or spec.window_optional
+    n_windows = e - first_start + 1 if windowed else 1
+    # planned = n_windows * n_choices ** slots, multiplied no further than
+    # past the budget
+    planned = n_windows
+    for _ in range(slots if n_choices > 1 else 0):
+        if planned > budget:
+            break
+        planned *= n_choices
+    if planned > budget:
+        raise BudgetExceeded(
+            f"scan needs {n_choices}^{slots} points in {n_windows} window(s) each,"
+            f" over the budget of {budget} checks"
+        )
+    windows = [(n, e) for n in range(first_start, e + 1)] if windowed else [None]
     if real_family:
         choices = [(k, k) for k in range(bound + 1)]
     else:
         choices = [(lo, hi) for lo in range(bound + 1) for hi in range(lo, bound + 1)]
-    anchors = set()
-    if "first_zero" in spec.preconditions:
-        anchors.add(0)
-    if "second_zero" in spec.preconditions:
-        anchors.add(1)
-    if ("last_zero" in spec.preconditions
-            or "window_end_zero" in spec.preconditions):
-        anchors.add(e)
-    free = [p for p in range(L) if p not in anchors]
-    if spec.arity == 1:
-        if spec.windowed:
-            windows = [(n, e) for n in range(1, e + 1)]
-        else:
-            windows = [None]
-    else:
-        if spec.windowed or spec.window_optional:
-            windows = [(n, e) for n in range(0, e + 1)]
-        else:
-            windows = [None]
-    per_assign = len(windows)
-    slots = len(free) * spec.arity
-    planned = (len(choices) ** slots) * per_assign
-    if planned > budget:
-        raise BudgetExceeded(
-            f"scan needs {planned} checks, over the budget of {budget}"
-        )
-
-    def build(assign):
-        pairs = [(0, 0)] * L
-        for p, (lo, hi) in zip(free, assign):
-            pairs[p] = (lo, hi)
-        return _to_sequence(pairs, 1)
-
+    acc0, rules = _scan_rules(spec, L, anchors)
+    free = [q for q, rule in enumerate(rules) if not rule[0]]
+    n_free = len(free)
+    # rest[k]: the (point, window) checks below one choice at free[k]
+    rest = [n_windows * n_choices ** (n_free - 1 - k) for k in range(n_free)]
+    pairs = [(0, 0)] * len(rules)
     checked = admissible = violations = 0
+
+    def options(k, acc):
+        # the choices at free[k] that keep the prefix admissible, with the
+        # running order bits after them. An anchor right after free[k] has
+        # no choice of its own, so the step into it is tested here; a step
+        # between two anchors always passes, and u_{L-1} to v_0 is no step.
+        # The points below a cut choice count as checked.
+        nonlocal checked
+        q = free[k]
+        _, into, zero = rules[q]
+        nxt = rules[q + 1] if (q + 1) % L else None
+        out = nxt[1] if nxt is not None and nxt[0] else None
+        prev = pairs[q - 1]
+        no_zero = zero and (arity == 1 or pairs[q - L] == (0, 0))
+        opts = []
+        for pt in choices:
+            if no_zero and pt == (0, 0):
+                continue
+            a = acc if into is None else _scan_step(into, prev, pt, acc)
+            if a and out is not None:
+                a = _scan_step(out, pt, (0, 0), a)
+            if a:
+                opts.append((pt, a))
+        checked += (n_choices - len(opts)) * rest[k]
+        return opts
+
+    def points():
+        # every point all of whose prefixes pass, in lexicographic order
+        if not free:
+            # a single sequence of length 2 anchored at both ends
+            yield _to_sequence(pairs, 1)
+            return
+        last, q_last = n_free - 1, free[-1]
+        u_last = n_free // 2 - 1 if arity == 2 else -1
+        stack = []
+        acc = acc0
+        while True:
+            if len(stack) < last:
+                stack.append(iter(options(len(stack), acc)))
+            else:
+                # the choices left at the last free position complete points
+                for pt, _ in options(last, acc):
+                    pairs[q_last] = pt
+                    if arity == 1:
+                        yield _to_sequence(pairs, 1)
+                    else:
+                        yield u, _to_sequence(pairs[L:], 1)
+            # take the next choice at the deepest position that has one left
+            while stack:
+                step = next(stack[-1], None)
+                if step is not None:
+                    break
+                stack.pop()
+            if not stack:
+                return
+            pt, acc = step
+            k = len(stack) - 1
+            pairs[free[k]] = pt
+            if k == u_last:
+                u = _to_sequence(pairs[:L], 1)
+
     best = None
     best_input = None
     best_window = None
-    for assign in itertools.product(choices, repeat=slots):
-        if spec.arity == 1:
-            built = build(assign)
-        else:
-            built = (build(assign[: len(free)]), build(assign[len(free):]))
+    for built in points():
         for window in windows:
             verdict = _run_check(spec, built, l1, l2, window)
             checked += 1
@@ -963,8 +1111,8 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
                 best, best_input, best_window = r, built, window
     return ScanReport(
         theorem=tid,
-        lambda1=l1 if spec.arity == 1 else None,
-        lambda2=l2 if spec.arity == 1 else None,
+        lambda1=l1 if arity == 1 else None,
+        lambda2=l2 if arity == 1 else None,
         length=L,
         bound=bound,
         planned=planned,

@@ -12,6 +12,10 @@ The relaxed-fuzz digests were recorded the same way before sequences were
 built from integers; they pin the mutation path, which re-reads the
 generated ``Interval`` elements, and the RNG stream of every relaxed trial.
 
+The grid-scan digests were recorded while ``ratio_scan`` still checked
+every grid point; they pin the windowed and pair-windowed statements and
+the T3_10 ``second_zero`` anchor, which the four scan digests above miss.
+
 Digest input: ``json.dumps(report.to_jsonable(), sort_keys=True)``, UTF-8.
 """
 
@@ -55,6 +59,49 @@ SCAN_DIGESTS = {
     ("T3_5", 5, 3): "742aa788fbf39639badb0b715f7795f6df5b706be4062947767e06b503a2b1b0",
     ("T3_6", 3, 2): "27290ce438f1cadeac460bff27f49a07bb1aa6dacd8c80b43a46df63c3ba5aac",
     ("T2_2", 7, 3): "f5c24fbd0ff846801b869200c1ad4dd3a2342f4b687e54f994ecafc64e98e190",
+}
+
+
+# ratio_scan(theorem, l1, l2, length=..., bound=...) on every statement:
+# single-sequence statements at length 4, bound 2, with exponents (1, 1)
+# and (2, 3) where the statement takes them; pair statements at length 3,
+# bound 2 and length 4, bound 1, and T3_10 also at length 5, bound 1.
+# Recorded on the exhaustive enumeration (every grid point checked) before
+# the scan walked only admissible prefixes; (T3_6, 3, 2) is pinned above.
+GRID_SCAN_DIGESTS = {
+    ("T2_2", 4, 2, 1, 1): "3524cb02e2a6d4b31bd24cc201b372bb20d3b318ce9f1dcfc15e4f049a5fa3ab",
+    ("L3_1", 4, 2, 1, 1): "ab52b85ab2b18852967ae792423ff4b0f5ca605d636ad846997911d731699c95",
+    ("L3_1", 4, 2, 2, 3): "195aec253ef25b593b5efeee99555e8b0d52c3509c45946530350b19cafbc9fe",
+    ("L3_01", 4, 2, 1, 1): "4d9725d732414f2fd1579ccc5b61b7edafa7a1710ff04124f89678a82b82dde4",
+    ("L3_01", 4, 2, 2, 3): "ed765d6b2d3fbb6640b83ae8ce940e011fb48f3866cd2183343611bdc0423d08",
+    ("L3_02", 4, 2, 1, 1): "874bcc0e1a5174b0cc7aa1f39cc3377126efa919893dd5a5082b701b966164c3",
+    ("L3_02", 4, 2, 2, 3): "56ef08f1decba38c79fdc03c5889a3eeaebac6c05e99aee8c353eba0f7f27251",
+    ("T3_1", 4, 2, 1, 1): "1828797838521e275d6295a59edb449ca826bafdfef2dc97b1c0c81bf41af89d",
+    ("T3_1", 4, 2, 2, 3): "c9887562a8d204a48847dc91f2ea2e7662acaad977eca37bc6d5130f60833e54",
+    ("T3_2", 4, 2, 1, 1): "db02aa2bfe68a8bb3851e341546756891eb90018fdfea20493feedd77611b379",
+    ("T3_2", 4, 2, 2, 3): "364695760b7cdce9fb73aede1614ae399d80eeaee4fa0384338e1ffc81e1b3d3",
+    ("T3_3", 4, 2, 1, 1): "f07674c050804a5c450a9c5e5d5949444c5b221fc60e4dddaddb1141bc921506",
+    ("T3_3", 4, 2, 2, 3): "eb379832531a856fc4ca0b6fb00dfc0e8a3624bc28d182af4eb8ae110651ef10",
+    ("T3_4", 4, 2, 1, 1): "4157bce10c0dcda66f40c3ec01e168da0bc7bb2d579edbe1e9aa29688b5f30ac",
+    ("T3_4", 4, 2, 2, 3): "ff2ba4aaa22bd3493ce1ef9b140b1f9a6c4adab4ba4fd2de025108f9f028e2e4",
+    ("T3_5", 4, 2, 1, 1): "23eeda5f6d54b3fd58a31601fc8ff10572f1171184deeeb8fee4e46b5acb81c8",
+    ("T3_5", 4, 2, 2, 3): "3f75804087df789139504b2c6c7648ceef8cfb73cd9f88c5727cde0e3d9973ae",
+    ("T3_6", 4, 1, 1, 1): "d549703972418b22791ae762573f45b43ce382737ad5b1c5d5226ab0e86843b2",
+    ("T3_7", 3, 2, 1, 1): "c0bedb324a83916b537355fff14ea63082e5c4e564b7c29257f0398b3094ac82",
+    ("T3_7", 4, 1, 1, 1): "c6e1579039cd078ab446f31c9e2431ca4db0e5fbaaeff466f42b8a681eb92b57",
+    ("T3_8", 3, 2, 1, 1): "c9bdb027e26559ef12cb1cfbfe997832a7b2088bf0921bb72ea2d07cb64cc042",
+    ("T3_8", 4, 1, 1, 1): "37aead32207de3ae49aa92a3f747777dde395182fa2b7e390548d0229b4901f2",
+    ("T3_9", 3, 2, 1, 1): "5fe6a24bf0c3334ebf269b306e299cfece4cb80bc08f9cf0f966ab29fb65ab08",
+    ("T3_9", 4, 1, 1, 1): "df340497c70728915acef2f21c545afe5474a6f486d9992357cede33c4b07167",
+    ("T3_10", 3, 2, 1, 1): "46df4bfc04bada7aec36b6e460e2e8469d3a69c043e8b00e3f756aef7f8015ac",
+    ("T3_10", 4, 1, 1, 1): "a2b501dec1b91c8fc0b18aa634989d405de8872cfcf20d5d9815e25e4adadae7",
+    ("T4_1", 4, 2, 1, 1): "ed042e54eea7f5ce8e1262e1256186bafc38a1d670ed7aaed9adf51cb5c3398e",
+    ("T4_1", 4, 2, 2, 3): "fb2c8dbb33e3ec7e670d8eeec134057ecb175c61d2c00fdfbb4f262379779bc2",
+    ("T4_2", 4, 2, 1, 1): "337a65b8f780c7ef6c29ce58fa486837000a986bd1b1e5aecc5a068acde775ab",
+    ("T4_2", 4, 2, 2, 3): "8116239fc26d57a479728f55050cf4328bb20e49f69cc9736a3b288be0992795",
+    ("T4_5", 4, 2, 1, 1): "382b9e48e844a7578f0b95cf08bcd7296f696cc50f17c2a6747bc6907ca936b8",
+    ("T4_5", 4, 2, 2, 3): "9cedd6086f564177015e2f9093da33e2e4c973c2ce09949fe58c88d2d47659d9",
+    ("T3_10", 5, 1, 1, 1): "6685aa89f6e193668526fe24e03df09185779936c93c718dbdbf169215a65492",
 }
 
 
@@ -127,6 +174,12 @@ def test_fuzz_report_is_unchanged(theorem):
 def test_scan_report_is_unchanged(theorem, length, bound):
     report = ratio_scan(theorem, length=length, bound=bound)
     assert _digest(report) == SCAN_DIGESTS[(theorem, length, bound)]
+
+
+@pytest.mark.parametrize("theorem,length,bound,l1,l2", sorted(GRID_SCAN_DIGESTS))
+def test_grid_scan_report_is_unchanged(theorem, length, bound, l1, l2):
+    report = ratio_scan(theorem, l1, l2, length=length, bound=bound)
+    assert _digest(report) == GRID_SCAN_DIGESTS[(theorem, length, bound, l1, l2)]
 
 
 @pytest.mark.parametrize("theorem,name", sorted(RELAX_DIGESTS))

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from opialcheck import (
     IntervalSequence,
     LengthMismatch,
     PreconditionViolated,
+    ScanReport,
     check_pair,
     check_single,
     fuzz,
@@ -25,6 +28,7 @@ from opialcheck import (
     reproduce_examples,
     young_check,
 )
+import opialcheck.oracle as oracle
 
 from conftest import seq
 
@@ -229,6 +233,132 @@ def test_scan_windowed_single():
 def test_scan_budget_guard():
     with pytest.raises(BudgetExceeded, match="budget"):
         ratio_scan("T3_6", length=6, bound=8, budget=1000)
+
+
+# The exhaustive enumeration ratio_scan ran before it walked admissible
+# prefixes: every grid point, every window, judged by the engine. Kept here
+# as the reference the walk must reproduce byte for byte.
+def _product_scan(theorem, l1, l2, length, bound):
+    spec = lookup(theorem)
+    e = length - 1
+    if spec.id.value in ("T2_2", "L3_1", "L3_01", "L3_02"):
+        choices = [(k, k) for k in range(bound + 1)]
+    else:
+        choices = [(lo, hi) for lo in range(bound + 1) for hi in range(lo, bound + 1)]
+    names = spec.preconditions
+    anchors = set()
+    if "first_zero" in names:
+        anchors.add(0)
+    if "second_zero" in names:
+        anchors.add(1)
+    if "last_zero" in names or "window_end_zero" in names:
+        anchors.add(e)
+    free = [p for p in range(length) if p not in anchors]
+    if not (spec.windowed or spec.window_optional):
+        windows = [None]
+    else:
+        windows = [(n, e) for n in range(1 if spec.arity == 1 else 0, e + 1)]
+
+    def build(assign):
+        pairs = [(0, 0)] * length
+        for p, pair in zip(free, assign):
+            pairs[p] = pair
+        return IntervalSequence.from_pairs(pairs)
+
+    checked = admissible = violations = 0
+    best = best_input = best_window = None
+    for assign in itertools.product(choices, repeat=len(free) * spec.arity):
+        if spec.arity == 1:
+            built = build(assign)
+        else:
+            built = (build(assign[: len(free)]), build(assign[len(free):]))
+        for window in windows:
+            if spec.arity == 1:
+                verdict = check_single(built, l1, l2, spec.id, window=window)
+            else:
+                verdict = check_pair(*built, spec.id, window=window)
+            checked += 1
+            if not verdict.in_hypotheses:
+                continue
+            admissible += 1
+            violations += not verdict.holds
+            r = verdict.ratio
+            if r is not None and (best is None or r > best):
+                best, best_input, best_window = r, built, window
+    return ScanReport(
+        theorem=spec.id,
+        lambda1=l1 if spec.arity == 1 else None,
+        lambda2=l2 if spec.arity == 1 else None,
+        length=length,
+        bound=bound,
+        planned=len(choices) ** (len(free) * spec.arity) * len(windows),
+        checked=checked,
+        admissible=admissible,
+        violations=violations,
+        max_ratio=best if best is not None else Fraction(0),
+        witness=best_input,
+        witness_window=best_window,
+    )
+
+
+def _count_engine_calls(monkeypatch):
+    calls = []
+    for name in ("check_single", "check_pair"):
+        real = getattr(oracle, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", registry(), ids=lambda s: s.id.value)
+def test_scan_matches_exhaustive_enumeration(spec, monkeypatch):
+    # every length 2-5 and bound 0-2 whose full grid has at most 20000
+    # checks; the walk must give the same report and run the engine once
+    # per admissible (point, window), never on a pruned point
+    calls = _count_engine_calls(monkeypatch)
+    exponents = [(1, 1)] if spec.arity == 2 or spec.id.value == "T2_2" else [(1, 1), (2, 3)]
+    ran = 0
+    for length in range(2, 6):
+        for bound in range(3):
+            for l1, l2 in exponents:
+                try:
+                    report = ratio_scan(spec.id, l1, l2, length=length, bound=bound,
+                                        budget=20_000)
+                except BudgetExceeded:
+                    continue
+                engine_calls = len(calls)
+                want = _product_scan(spec.id, l1, l2, length, bound)
+                assert report.to_jsonable() == want.to_jsonable(), (length, bound, l1, l2)
+                assert engine_calls == report.admissible, (length, bound, l1, l2)
+                calls.clear()
+                ran += 1
+    assert ran >= 8
+
+
+@pytest.mark.parametrize("spec", registry(), ids=lambda s: s.id.value)
+def test_scan_over_budget_runs_no_check(spec, monkeypatch):
+    calls = _count_engine_calls(monkeypatch)
+    with pytest.raises(BudgetExceeded, match="budget"):
+        ratio_scan(spec.id, length=4, bound=2, budget=8)
+    assert calls == []
+
+
+@pytest.mark.parametrize("length,bound", [(2, 1000), (10**6, 1)])
+def test_scan_budget_fires_before_building_the_grid(length, bound):
+    # a grid far over the budget must be refused before its choices or
+    # positions are listed, not after
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="budget"):
+            ratio_scan("T3_1", length=length, bound=bound, budget=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # -- inequality helpers -----------------------------------------------------------
