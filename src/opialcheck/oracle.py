@@ -14,6 +14,7 @@ to keep exact arithmetic fast under repeated multiplication.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,8 +38,12 @@ from .theorems import (
     check_pair,
     check_single,
     lookup,
-    _REAL_IDS,
     _check_lambdas,
+    _frame,
+    _norm,
+    _pair_term,
+    _step_norm,
+    _step_shift,
 )
 
 _ATTEMPTS = 80
@@ -606,16 +611,75 @@ def input_to_jsonable(built: SequenceInput) -> dict:
     return {"u": pairs(built), "base_index": built.base_index}
 
 
-def _relax_min_len(tid, name):
-    if name == "no_other_zero" and tid in (TheoremId.T3_5, TheoremId.T4_5):
-        return 3
-    if name in ("monotone", "mu_increasing") and tid in (TheoremId.T3_1, TheoremId.T4_1):
-        return 3
-    if name == "alternate" and tid is TheoremId.T3_3:
-        return 3
-    if name == "mu_increasing" and tid is TheoremId.T3_6:
-        return 3
-    return 2
+# names whose mutation writes a nonzero element at a fixed anchor: two of
+# them on one position both hold
+_ANCHOR_NAMES = frozenset({"first_zero", "last_zero", "window_end_zero", "second_zero"})
+# names whose mutation rewrites u_k from u_{k-1}, so it also needs u_{k-1}
+# to stay as it was
+_STEP_NAMES = frozenset(
+    {"nondecreasing", "monotone", "alternate", "alternate_u", "mu_increasing", "mu_decreasing"}
+)
+
+
+def _mutation_sites(names, name, L):
+    """The positions k of u at which _mutate may break name on a length-L
+    input of the profile names (synchronous rewrites v and has none)."""
+    end = "last_zero" in names or "window_end_zero" in names
+    if name == "first_zero":
+        return range(1)
+    if name in ("last_zero", "window_end_zero"):
+        return range(L - 1, L)
+    if name == "second_zero":
+        return range(1, min(2, L))
+    if name == "degenerate":
+        return range(L)
+    if name in ("nonnegative", "nondecreasing", "mu_decreasing"):
+        return range(1, L)
+    if name in ("monotone", "alternate", "alternate_u"):
+        # past the lone first anchor, as the engine checks T3_1, T3_3 and T4_1
+        start_only = name != "alternate_u" and "first_zero" in names and not end
+        return range(2 if start_only else 1, L)
+    if name == "mu_increasing":
+        return range(2 if "first_zero" in names else 1, L)
+    if name == "no_other_zero":
+        return range(1 if "first_zero" in names else 0, L - 1 if end else L)
+    if name == "no_other_joint_zero":
+        allowed = _joint_allowed_positions(names, L)
+        return [k for k in range(L) if k not in allowed]
+    return ()
+
+
+def _relax_fits(names, relax, L):
+    # whether each name of relax has a site at length L that no mutation
+    # applied after it (in _mutate's sorted order) rewrites: not its own
+    # position, nor the one before it for a step mutation. Anchor writes
+    # may share a position.
+    order = sorted(relax - {"synchronous"})
+    for ks in itertools.product(*(_mutation_sites(names, n, L) for n in order)):
+        kept = set()
+        anchors = set()
+        for name, k in zip(order, ks):
+            if k in kept or (k in anchors and name not in _ANCHOR_NAMES):
+                break
+            if name in _ANCHOR_NAMES:
+                anchors.add(k)
+            else:
+                kept.add(k)
+                if name in _STEP_NAMES:
+                    kept.add(k - 1)
+        else:
+            return True
+    return False
+
+
+def _relax_min_len(names, relax):
+    """The shortest length at which _mutate can break every name of relax
+    at once on an input of the profile names: each on a position of its
+    own that no later mutation rewrites."""
+    L = 2
+    while not _relax_fits(names, relax, L):
+        L += 1
+    return L
 
 
 def _mutate(names, items_u, items_v, name, rng, M):
@@ -625,87 +689,50 @@ def _mutate(names, items_u, items_v, name, rng, M):
     (the caller regenerates and retries). Side damage to other
     preconditions is acceptable; the verdict records everything.
     """
-    L = len(items_u)
-
-    def nz_iv():
+    if name == "synchronous":
+        for k in range(len(items_v)):
+            items_v[k] = -items_v[k]
+        return True
+    sites = _mutation_sites(names, name, len(items_u))
+    if name == "mu_increasing":
+        sites = [k for k in sites if items_u[k - 1].width > 0]
+    if not sites:
+        return False
+    k = sites[0] if name in _ANCHOR_NAMES else rng.choice(sites)
+    if name in _ANCHOR_NAMES:
         a = Fraction(rng.choice((1, -1)) * rng.randint(1, max(1, M // 4)))
         if "degenerate" in names:
-            return Interval(a, a)
-        w = Fraction(rng.randint(0, 2))
-        return Interval(a, a + w) if a > 0 else Interval(a - w, a)
-
-    if name == "first_zero":
-        items_u[0] = nz_iv()
-        return True
-    if name in ("last_zero", "window_end_zero"):
-        items_u[-1] = nz_iv()
-        return True
-    if name == "second_zero":
-        if L < 2:
-            return False
-        items_u[1] = nz_iv()
+            items_u[k] = Interval(a, a)
+        else:
+            w = Fraction(rng.randint(0, 2))
+            items_u[k] = Interval(a, a + w) if a > 0 else Interval(a - w, a)
         return True
     if name == "degenerate":
-        k = rng.randrange(L)
         it = items_u[k]
         items_u[k] = Interval(it.lo, it.lo + 1)
         return True
     if name == "nonnegative":
-        k = rng.randint(1, L - 1)
         x = Fraction(-rng.randint(1, max(1, M // 4)))
         items_u[k] = Interval(x, x)
         return True
-    if name == "nondecreasing":
-        k = rng.randint(1, L - 1)
-        x = items_u[k - 1].lo - rng.randint(1, 3)
-        items_u[k] = Interval(x, x)
-        return True
-    if name in ("monotone", "alternate", "alternate_u"):
-        start_only = (name != "alternate_u" and "first_zero" in names
-                      and "last_zero" not in names and "window_end_zero" not in names)
-        kmin = 2 if start_only else 1
-        if L - 1 < kmin:
-            return False
-        k = rng.randint(kmin, L - 1)
-        prev = items_u[k - 1]
-        items_u[k] = Interval(prev.lo - 1, prev.hi + 1)
-        return True
-    if name == "mu_increasing":
-        kmin = 2 if "first_zero" in names else 1
-        cands = [k for k in range(kmin, L) if items_u[k - 1].width > 0]
-        if not cands:
-            return False
-        k = rng.choice(cands)
-        h = items_u[k - 1].hi
-        items_u[k] = Interval(h, h)
-        return True
-    if name == "mu_decreasing":
-        k = rng.randint(1, L - 1)
-        prev = items_u[k - 1]
-        items_u[k] = Interval(prev.lo - 1, prev.hi)
-        return True
     if name == "no_other_zero":
-        lo_k = 1 if "first_zero" in names else 0
-        hi_k = L - 2 if ("last_zero" in names or "window_end_zero" in names) else L - 1
-        if lo_k > hi_k:
-            return False
-        k = rng.randint(lo_k, hi_k)
         items_u[k] = Interval.zero()
         return True
     if name == "no_other_joint_zero":
-        allowed = _joint_allowed_positions(names, L)
-        cands = [k for k in range(L) if k not in allowed]
-        if not cands:
-            return False
-        k = rng.choice(cands)
         items_u[k] = Interval.zero()
         items_v[k] = Interval.zero()
         return True
-    if name == "synchronous":
-        for k in range(L):
-            items_v[k] = -items_v[k]
-        return True
-    return False
+    prev = items_u[k - 1]
+    if name == "nondecreasing":
+        x = prev.lo - rng.randint(1, 3)
+        items_u[k] = Interval(x, x)
+    elif name in ("monotone", "alternate", "alternate_u"):
+        items_u[k] = Interval(prev.lo - 1, prev.hi + 1)
+    elif name == "mu_increasing":
+        items_u[k] = Interval(prev.hi, prev.hi)
+    else:  # mu_decreasing
+        items_u[k] = Interval(prev.lo - 1, prev.hi)
+    return True
 
 
 def _run_check(spec, built, l1, l2, window):
@@ -777,11 +804,12 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
     tid = spec.id
     names = frozenset(spec.preconditions)
     lmin, lmax = config.length_range
-    for name in config.relax:
-        need = _relax_min_len(tid, name)
+    if config.relax:
+        need = _relax_min_len(names, config.relax)
         if lmax < need:
             raise ValueError(
-                f"length_range too small to violate {name} (needs length >= {need})"
+                f"length_range too small to violate {', '.join(sorted(config.relax))}"
+                f" (needs length >= {need})"
             )
         lmin = max(lmin, need)
     violations = []
@@ -842,11 +870,15 @@ class ScanReport:
 
     planned is the full grid times the windows per point, computed before
     any work; it is what the budget is compared with. checked counts the
-    (point, window) checks decided: those the engine ran plus every point
-    of a pruned prefix, once per window, so it equals planned. admissible
-    and violations count engine verdicts in hypotheses. The witness is the
-    first point, in the lexicographic order of the free positions (u
-    before v), whose first window reaching max_ratio does so.
+    (point, window) checks decided: every point the walk reaches plus every
+    point of a pruned prefix, once per window, so it equals planned.
+    admissible counts the (point, window) checks in hypotheses, which are
+    exactly the points the walk reaches, in every window; violations counts
+    those whose lhs exceeds rhs. The walk decides both from its exact sums;
+    the engine judges only what is reported: every violation and every
+    point that raises the maximum, and must agree. The witness is the first
+    point, in the lexicographic order of the free positions (u before v),
+    whose first window reaching max_ratio does so.
     """
 
     theorem: TheoremId
@@ -886,18 +918,28 @@ class ScanReport:
 
 
 # The scanned hypotheses as tests on a prefix of the grid walk: name ->
-# (test, bits). Every scanned range ends at the last index, whatever the
-# window, and the anchors are pinned, so a prefix failing a test fails
-# every point and window below it. "order" ANDs the LU order bits (1
-# increasing, 2 decreasing) of the range's steps into running bits that
-# start at bits, and fails once none is left; for a pair (synchronous) one
-# AND runs over u and then v. "width" fails on a step whose width order
-# bits miss bits. "split" fails on a step whose endpoints move strictly
-# apart, the only step alternate_segments cannot place. "zero" fails on a
-# zero (for a pair, a joint zero) off the anchors. The other names hold on
-# every grid point (degenerate, nonnegative) or are the anchors. A test here
-# may only be weaker than the engine's: a missing one prunes less, and the
-# engine still judges every point the walk reaches.
+# (test, bits). Each is the engine's own test, read as an AND over the
+# steps (or elements) of its range:
+# - "order": direction_set is the AND, over the range's steps, of the LU
+#   order bits (1 increasing, 2 decreasing) the step keeps on both
+#   endpoints, from 3. A running AND starts at bits and fails once it is 0:
+#   monotone holds exactly when some bit is left, nondecreasing when bit 1
+#   is, synchronous when u and v share one, so one AND runs over u and then
+#   v.
+# - "width": mu_direction_set is the same AND over the width steps; a
+#   width order holds exactly when every step keeps its bit.
+# - "split": alternate_segments raises NotDecomposable exactly at a step
+#   that keeps neither order, and a range of one element passes, so
+#   alternate holds exactly when no step of the range splits.
+# - "zero": no_other_zero (no_other_joint_zero) fails exactly at a zero
+#   (joint zero) off the anchors.
+# The other names hold on every grid point (degenerate, nonnegative) or are
+# the anchors, which are pinned. Every scanned range starts at the first
+# index, or one after it (_SCAN_SHIFTED), and ends at the last, whatever
+# the window: no hypothesis depends on the window start n, and every window
+# ends at m = e. So a prefix failing a test fails every point below it in
+# every window, and a point whose every step passes is in hypotheses in
+# every window: the walk reaches exactly the admissible points.
 _SCAN_PREFIX_TESTS = {
     "nondecreasing": ("order", 1),
     "monotone": ("order", 3),
@@ -980,9 +1022,19 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     its choices in increasing (lo, hi) order: the lexicographic order of
     the free positions, u before v. A prefix that fails a hypothesis (see
     _SCAN_PREFIX_TESTS) is cut off, and its points count as checked in
-    every window; every other point is built and judged by the engine in
-    every window. The witness is the first point in that order, with its
-    first window, that reaches the maximum.
+    every window. The tests are exact, so every point the walk reaches is
+    admissible in every window.
+
+    The walk carries the exact integer prefix sums of the lhs and rhs terms
+    (see theorems._Sums): each position adds the terms it completes, a
+    pair's while v is walked. At a point, each window's sides are
+    differences of these sums, and the ratio is compared with the running
+    maximum by integer cross-multiplication. The engine judges only what
+    the report shows: each violation and each point that raises the
+    maximum is checked by check_single or check_pair, and RuntimeError is
+    raised, naming the point, when the engine's verdict differs. The
+    witness is the first point in the walk's order, with its first window,
+    that reaches the maximum.
 
     Exponent parameters are ignored by the pair statements.
     """
@@ -1002,7 +1054,7 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     L = length
     e = L - 1
     arity = spec.arity
-    real_family = tid in _REAL_IDS
+    real_family = spec.sums.shape == "real"
     n_choices = bound + 1 if real_family else (bound + 1) * (bound + 2) // 2
     anchors = _joint_allowed_positions(spec.preconditions, L)
     slots = (L - len(anchors)) * arity
@@ -1032,41 +1084,142 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     # rest[k]: the (point, window) checks below one choice at free[k]
     rest = [n_windows * n_choices ** (n_free - 1 - k) for k in range(n_free)]
     pairs = [(0, 0)] * len(rules)
-    checked = admissible = violations = 0
+    checked = 0
+
+    # each window's term ranges and constant, on b = 0 and m = e: its sides
+    # are lhs_at[el] - lhs_at[sl] and (cn / cd) * (rhs_at[er] - rhs_at[sr])
+    cl1, cl2 = (l1, l2) if arity == 1 else (1, 1)
+    frames = []
+    for window in windows:
+        n, m = window if window is not None else (0, e)
+        lhs_rng, rhs_rng, const = _frame(spec, 0, e, n, m, cl1, cl2)
+        frames.append((lhs_rng.start, lhs_rng.stop, rhs_rng.start, rhs_rng.stop,
+                       const.numerator, const.denominator, window))
+    # lhs_at[i], rhs_at[i]: the sums of the lhs and rhs terms of index < i.
+    # Walk position q completes the term of index done[q]: u_q completes
+    # the step into it (nabla: term q, forward: term q - 1), v_p the pair
+    # term p; positions that complete none hold None.
+    lhs_at = [0] * (L + 1)
+    rhs_at = [0] * (L + 1)
+    shift = _step_shift(spec)
+    if arity == 1:
+        done = [None] + [q - 1 + shift for q in range(1, L)]
+    else:
+        done = [None] * (L + 1) + list(range(1, L))
+    k_pow = l1 + l2
+
+    if arity == 1:
+        def terms(fills):
+            # nabla reads the norm of u_q, the forward difference of u_{q-1}
+            out = []
+            for q, i in fills:
+                a0, c0 = pairs[q - 1]
+                a1, c1 = pairs[q]
+                s = _step_norm(a0, c0, a1, c1)
+                out.append((i, _norm(*pairs[q - 1 + shift]) ** l1 * s ** l2, s ** k_pow))
+            return out
+    else:
+        def terms(fills):
+            return [(i, *_pair_term(*pairs[q - L - 1], *pairs[q - L], *pairs[q - 1], *pairs[q]))
+                    for q, i in fills]
+
+    def add(completed_terms):
+        for i, tl, tr in completed_terms:
+            lhs_at[i + 1] = lhs_at[i] + tl
+            rhs_at[i + 1] = rhs_at[i] + tr
+
+    def completed(first, stop):
+        # the (position, term index) pairs completed on positions first..stop-1
+        return [(q, done[q]) for q in range(first, stop) if done[q] is not None]
+
+    # fills[k]: the terms completed once free[k] is chosen, that is on the
+    # positions from free[k] up to the next free one (anchors have no choice)
+    bounds = free + [len(rules)]
+    fills = [completed(bounds[k], bounds[k + 1]) for k in range(n_free)]
+    add(terms(completed(0, bounds[0])))
+    # options(k, acc) depends only on the element before free[k] and acc
+    # (and, for v, on u, which is fixed while v is walked): memo[k] keeps
+    # its results, and the v entries are dropped when u changes. It holds
+    # at most one entry per (element, order bits) at each position.
+    memo = [{} for _ in range(n_free)]
+    first_v = n_free // 2 if arity == 2 else n_free
 
     def options(k, acc):
         # the choices at free[k] that keep the prefix admissible, with the
-        # running order bits after them. An anchor right after free[k] has
-        # no choice of its own, so the step into it is tested here; a step
-        # between two anchors always passes, and u_{L-1} to v_0 is no step.
-        # The points below a cut choice count as checked.
+        # running order bits after them and the terms they complete. An
+        # anchor right after free[k] has no choice of its own, so the step
+        # into it is tested here; a step between two anchors always passes,
+        # and u_{L-1} to v_0 is no step. The points below a cut choice count
+        # as checked.
         nonlocal checked
         q = free[k]
-        _, into, zero = rules[q]
-        nxt = rules[q + 1] if (q + 1) % L else None
-        out = nxt[1] if nxt is not None and nxt[0] else None
-        prev = pairs[q - 1]
-        no_zero = zero and (arity == 1 or pairs[q - L] == (0, 0))
-        opts = []
-        for pt in choices:
-            if no_zero and pt == (0, 0):
-                continue
-            a = acc if into is None else _scan_step(into, prev, pt, acc)
-            if a and out is not None:
-                a = _scan_step(out, pt, (0, 0), a)
-            if a:
-                opts.append((pt, a))
+        key = (pairs[q - 1], acc)
+        opts = memo[k].get(key)
+        if opts is None:
+            _, into, zero = rules[q]
+            nxt = rules[q + 1] if (q + 1) % L else None
+            out = nxt[1] if nxt is not None and nxt[0] else None
+            prev = key[0]
+            no_zero = zero and (arity == 1 or pairs[q - L] == (0, 0))
+            opts = []
+            for pt in choices:
+                if no_zero and pt == (0, 0):
+                    continue
+                a = acc if into is None else _scan_step(into, prev, pt, acc)
+                if a and out is not None:
+                    a = _scan_step(out, pt, (0, 0), a)
+                if a:
+                    pairs[q] = pt
+                    opts.append((pt, a, terms(fills[k])))
+            memo[k][key] = opts
         checked += (n_choices - len(opts)) * rest[k]
         return opts
 
-    def points():
-        # every point all of whose prefixes pass, in lexicographic order
-        if not free:
-            # a single sequence of length 2 anchored at both ends
-            yield _to_sequence(pairs, 1)
-            return
+    points = violations = 0
+    # the running maximum bn / bd; bn = -1 while there is none
+    bn, bd = -1, 1
+    best = best_input = best_window = None
+
+    def judge(lhs, rhs, cn, cd, window):
+        # the engine's verdict on the current point, which must be in
+        # hypotheses with the sides the kernel summed
+        u = _to_sequence(pairs[:L], 1)
+        built = u if arity == 1 else (u, _to_sequence(pairs[L:], 1))
+        verdict = _run_check(spec, built, l1, l2, window)
+        kernel_rhs = Fraction(cn * rhs, cd)
+        if not (verdict.in_hypotheses and verdict.lhs == lhs and verdict.rhs == kernel_rhs):
+            point = pairs[:L] if arity == 1 else (pairs[:L], pairs[L:])
+            raise RuntimeError(
+                f"scan kernel and engine disagree for {tid.value} at {point}, "
+                f"window {window}: kernel lhs {lhs}, rhs {kernel_rhs}, in hypotheses; "
+                f"engine lhs {verdict.lhs}, rhs {verdict.rhs}, "
+                f"in_hypotheses {verdict.in_hypotheses}"
+            )
+        return built, verdict
+
+    def at_point():
+        # every window of the current point; only a violation or a new
+        # maximum reaches the engine
+        nonlocal points, violations, bn, bd, best, best_input, best_window
+        points += 1
+        for sl, el, sr, er, cn, cd, window in frames:
+            lhs = lhs_at[el] - lhs_at[sl]
+            rhs = rhs_at[er] - rhs_at[sr]
+            lcd, crhs = lhs * cd, cn * rhs
+            # ratio lcd / crhs; 0 when both sides are 0, none when only rhs is
+            better = lcd * bd > bn * crhs if crhs else (not lhs and bn < 0)
+            if better or lcd > crhs:
+                built, verdict = judge(lhs, rhs, cn, cd, window)
+                violations += not verdict.holds
+                if better:
+                    best, best_input, best_window = verdict.ratio, built, window
+                    bn, bd = best.numerator, best.denominator
+
+    if not free:
+        # a single sequence of length 2 anchored at both ends
+        at_point()
+    else:
         last, q_last = n_free - 1, free[-1]
-        u_last = n_free // 2 - 1 if arity == 2 else -1
         stack = []
         acc = acc0
         while True:
@@ -1074,12 +1227,10 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
                 stack.append(iter(options(len(stack), acc)))
             else:
                 # the choices left at the last free position complete points
-                for pt, _ in options(last, acc):
+                for pt, _, completed_terms in options(last, acc):
                     pairs[q_last] = pt
-                    if arity == 1:
-                        yield _to_sequence(pairs, 1)
-                    else:
-                        yield u, _to_sequence(pairs[L:], 1)
+                    add(completed_terms)
+                    at_point()
             # take the next choice at the deepest position that has one left
             while stack:
                 step = next(stack[-1], None)
@@ -1087,28 +1238,15 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
                     break
                 stack.pop()
             if not stack:
-                return
-            pt, acc = step
+                break
+            pt, acc, completed_terms = step
             k = len(stack) - 1
             pairs[free[k]] = pt
-            if k == u_last:
-                u = _to_sequence(pairs[:L], 1)
+            add(completed_terms)
+            if k < first_v:
+                for m in memo[first_v:]:
+                    m.clear()
 
-    best = None
-    best_input = None
-    best_window = None
-    for built in points():
-        for window in windows:
-            verdict = _run_check(spec, built, l1, l2, window)
-            checked += 1
-            if not verdict.in_hypotheses:
-                continue
-            admissible += 1
-            if not verdict.holds:
-                violations += 1
-            r = verdict.ratio
-            if r is not None and (best is None or r > best):
-                best, best_input, best_window = r, built, window
     return ScanReport(
         theorem=tid,
         lambda1=l1 if arity == 1 else None,
@@ -1116,8 +1254,8 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
         length=L,
         bound=bound,
         planned=planned,
-        checked=checked,
-        admissible=admissible,
+        checked=checked + points * n_windows,
+        admissible=points * n_windows,
         violations=violations,
         max_ratio=best if best is not None else Fraction(0),
         witness=best_input,

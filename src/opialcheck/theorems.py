@@ -1,9 +1,10 @@
 """Inequality registry and the exact checking engine.
 
 Seventeen discrete Opial-type statements are registered, each with its
-difference operator, arity, precondition names, windowing rule, and
-constant formula. ``check_single`` and ``check_pair`` evaluate both
-sides exactly and return a ``Verdict``.
+difference operator, arity, precondition names, windowing rule, constant
+formula, and sums (``_Sums``: the term shape, the index ranges of both
+sides and the constant's arguments). ``check_single`` and ``check_pair``
+evaluate both sides exactly and return a ``Verdict``.
 
 Precondition failures never abort a check. Each hypothesis is reported
 as passed or failed on the verdict (with the first offending index in
@@ -148,6 +149,7 @@ class TheoremSpec:
     constant_params: tuple[str, ...]
     summary: str
     constant_fn: Callable = field(repr=False, compare=False)
+    sums: "_Sums" = field(repr=False, compare=False)
 
     def constant(self, l1: int = 1, l2: int = 1, n=None, m=None) -> Fraction:
         """Sharp constant for the given exponents and index parameters.
@@ -211,7 +213,68 @@ def _c_pair_half(l1, l2, n, m):
     return Fraction((m + 1) // 2, 2)
 
 
-def _spec(tid, op, arity, windowed, window_optional, pre, params, fn, summary):
+# -- the sums of each statement ----------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class _Sums:
+    """Where a statement's two sums run and what its constant reads.
+
+    shape is the term: "real" (|x_i|^l1 |Dx_i|^l2 on a real sequence, or
+    the interval norms off degenerate input), "interval" (||u_i||^l1
+    ||Du_i||^l2) or "pair" (||u_{i-1} nabla v_i + v_i nabla u_i|| against
+    ||nabla u_i||^2 + ||nabla v_i||^2). D is the statement's operator:
+    nabla reads (u_{i-1}, u_i), the forward differences (u_i, u_{i+1}).
+    lhs and rhs are the half-open ranges of term indices i, each end a
+    position in (b, e, n, m) plus an offset. const holds the constant's
+    arguments n and m, each None or the positions (p, q) in (b, e, n, m, 0)
+    of its value at[p] - at[q].
+    """
+
+    shape: str
+    lhs: tuple[tuple[int, int], tuple[int, int]]
+    rhs: tuple[tuple[int, int], tuple[int, int]]
+    const: tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]
+
+
+_SYMBOLS = "benm0"  # first index, last index, window start, window end, zero
+
+
+def _end(text):
+    # "b+1" -> (0, 1): the symbol's position in (b, e, n, m) and the offset
+    return _SYMBOLS.index(text[0]), int(text[1:] or 0)
+
+
+def _sums(shape, lhs, rhs, const):
+    """_Sums from the statement as written: ranges "start:stop" over
+    b+k, e+k, n+k, m+k, and constant arguments such as "n=e-b m=m"."""
+    args = {}
+    for item in const.split():
+        param, expr = item.split("=")
+        plus, _, minus = expr.partition("-")
+        args[param] = (_SYMBOLS.index(plus), _SYMBOLS.index(minus or "0"))
+    return _Sums(
+        shape,
+        tuple(_end(x) for x in lhs.split(":")),
+        tuple(_end(x) for x in rhs.split(":")),
+        (args.get("n"), args.get("m")),
+    )
+
+
+def _frame(spec, b, e, n, m, l1, l2):
+    """The lhs and rhs ranges of term indices and the constant of spec on
+    the indices b..e with window (n, m) ((b, e) when there is none)."""
+    t = spec.sums
+    at = (b, e, n, m, 0)
+    (ls, lo), (le, lf) = t.lhs
+    (rs, ro), (re_, rf) = t.rhs
+    cn, cm = t.const
+    return (range(at[ls] + lo, at[le] + lf), range(at[rs] + ro, at[re_] + rf),
+            spec.constant(l1, l2, None if cn is None else at[cn[0]] - at[cn[1]],
+                          None if cm is None else at[cm[0]] - at[cm[1]]))
+
+
+def _spec(tid, op, arity, windowed, window_optional, pre, params, fn, summary, sums):
     return TheoremSpec(
         id=tid,
         operator=op,
@@ -222,6 +285,7 @@ def _spec(tid, op, arity, windowed, window_optional, pre, params, fn, summary):
         constant_params=params,
         summary=summary,
         constant_fn=fn,
+        sums=sums,
     )
 
 
@@ -235,77 +299,90 @@ _REGISTRY = {
         _spec(TheoremId.T2_2, _C, 1, False, False,
               ("degenerate", "first_zero", "last_zero"),
               ("n",), _c_classical,
-              "classical forward-difference bound for real sequences vanishing at both ends"),
+              "classical forward-difference bound for real sequences vanishing at both ends",
+              _sums("real", "b+1:e", "b:e", "n=e-b")),
         _spec(TheoremId.L3_1, _N, 1, False, False,
               ("degenerate", "first_zero", "nonnegative", "nondecreasing"),
               ("l1", "l2", "n"), _c_opial,
-              "signed real bound for non-negative non-decreasing sequences anchored at zero"),
+              "signed real bound for non-negative non-decreasing sequences anchored at zero",
+              _sums("real", "b+1:e+1", "b+1:e+1", "n=e-b")),
         _spec(TheoremId.L3_01, _N, 1, False, False,
               ("degenerate", "first_zero"),
               ("l1", "l2", "n"), _c_opial,
-              "absolute-value real bound anchored at zero, no monotonicity required"),
+              "absolute-value real bound anchored at zero, no monotonicity required",
+              _sums("real", "b+1:e+1", "b+1:e+1", "n=e-b")),
         _spec(TheoremId.L3_02, _N, 1, True, False,
               ("degenerate", "window_end_zero"),
               ("l1", "l2", "n", "m"), _c_opial_window,
-              "windowed absolute-value real bound vanishing at the window end"),
+              "windowed absolute-value real bound vanishing at the window end",
+              _sums("real", "n:m", "n:m+1", "n=n m=m")),
         _spec(TheoremId.T3_1, _N, 1, False, False,
               ("first_zero", "monotone", "mu_increasing"),
               ("l1", "l2", "n"), _c_opial,
-              "backward-difference bound for monotone mu-increasing sequences anchored at zero"),
+              "backward-difference bound for monotone mu-increasing sequences anchored at zero",
+              _sums("interval", "b+1:e+1", "b+1:e+1", "n=e-b")),
         _spec(TheoremId.T3_2, _N, 1, True, False,
               ("window_end_zero", "monotone", "mu_decreasing"),
               ("l1", "l2", "n", "m"), _c_opial_window,
-              "windowed backward-difference bound for monotone mu-decreasing sequences"),
+              "windowed backward-difference bound for monotone mu-decreasing sequences",
+              _sums("interval", "n:m", "n:m+1", "n=n m=m")),
         _spec(TheoremId.T3_3, _N, 1, False, False,
               ("first_zero", "alternate", "no_other_zero"),
               ("l1", "l2", "n"), _c_opial,
-              "backward-difference bound for piecewise alternating sequences anchored at zero"),
+              "backward-difference bound for piecewise alternating sequences anchored at zero",
+              _sums("interval", "b+1:e+1", "b+1:e+1", "n=e-b")),
         _spec(TheoremId.T3_4, _N, 1, True, False,
               ("window_end_zero", "alternate", "no_other_zero"),
               ("l1", "l2", "n", "m"), _c_opial_window,
-              "windowed backward-difference bound for piecewise alternating sequences"),
+              "windowed backward-difference bound for piecewise alternating sequences",
+              _sums("interval", "n:m", "n:m+1", "n=n m=m")),
         _spec(TheoremId.T3_5, _N, 1, False, False,
               ("first_zero", "last_zero", "alternate", "no_other_zero"),
               ("l1", "l2", "m"), _c_opial_half,
-              "backward-difference bound for alternating sequences vanishing at both ends"),
+              "backward-difference bound for alternating sequences vanishing at both ends",
+              _sums("interval", "b+1:e", "b+1:e+1", "m=e-b")),
         _spec(TheoremId.T3_6, _N, 2, False, False,
               ("first_zero", "synchronous", "mu_increasing"),
               ("n",), _c_pair_count,
-              "pair product-rule bound for synchronous mu-increasing sequences anchored at zero"),
+              "pair product-rule bound for synchronous mu-increasing sequences anchored at zero",
+              _sums("pair", "b+1:e+1", "b+1:e+1", "n=e-b")),
         _spec(TheoremId.T3_7, _N, 2, True, False,
               ("window_end_zero", "synchronous", "mu_decreasing"),
               ("n", "m"), _c_pair_window,
-              "windowed pair bound for synchronous mu-decreasing sequences"),
+              "windowed pair bound for synchronous mu-decreasing sequences",
+              _sums("pair", "n+1:m+1", "n+1:m+1", "n=n m=m")),
         _spec(TheoremId.T3_8, _N, 2, False, True,
               ("first_zero", "alternate_u", "no_other_joint_zero"),
               ("n",), _c_pair_count,
-              "pair bound with alternating first sequence, both anchored at zero"),
+              "pair bound with alternating first sequence, both anchored at zero",
+              _sums("pair", "b+1:n+1", "b+1:n+1", "n=n-b")),
         _spec(TheoremId.T3_9, _N, 2, True, False,
               ("window_end_zero", "alternate_u", "no_other_joint_zero"),
               ("n", "m"), _c_pair_window,
-              "windowed pair bound with alternating first sequence, vanishing at the window end"),
+              "windowed pair bound with alternating first sequence, vanishing at the window end",
+              _sums("pair", "n+1:m+1", "n+1:m+1", "n=n m=m")),
         _spec(TheoremId.T3_10, _N, 2, False, False,
               ("second_zero", "last_zero", "alternate_u", "no_other_joint_zero"),
               ("m",), _c_pair_half,
-              "pair bound anchored at the second and the last index"),
+              "pair bound anchored at the second and the last index",
+              _sums("pair", "b+1:e+1", "b+1:e+1", "m=e-b")),
         _spec(TheoremId.T4_1, _D, 1, False, False,
               ("first_zero", "monotone", "mu_increasing"),
               ("l1", "l2", "n"), _c_opial,
-              "forward-difference version of the monotone mu-increasing bound"),
+              "forward-difference version of the monotone mu-increasing bound",
+              _sums("interval", "b:e", "b:e", "n=e-b")),
         _spec(TheoremId.T4_2, _D, 1, True, False,
               ("window_end_zero", "monotone", "mu_decreasing"),
               ("l1", "l2", "n", "m"), _c_opial_window,
-              "forward-difference version of the windowed mu-decreasing bound"),
+              "forward-difference version of the windowed mu-decreasing bound",
+              _sums("interval", "n:m", "n-1:m", "n=n m=m")),
         _spec(TheoremId.T4_5, _D, 1, False, False,
               ("first_zero", "last_zero", "alternate", "no_other_zero"),
               ("l1", "l2", "m"), _c_opial_half,
-              "forward-difference version of the two-end alternating bound"),
+              "forward-difference version of the two-end alternating bound",
+              _sums("interval", "b+1:e", "b:e", "m=e-b")),
     )
 }
-
-_REAL_IDS = frozenset(
-    {TheoremId.T2_2, TheoremId.L3_1, TheoremId.L3_01, TheoremId.L3_02}
-)
 
 
 def registry() -> tuple[TheoremSpec, ...]:
@@ -499,19 +576,50 @@ def _resolve_window_pair(spec, b, e, window):
 # -- integer sums -----------------------------------------------------------
 
 
+def _norm(a, c):
+    """||[a, c]||: the larger endpoint magnitude."""
+    return max(-a, c)
+
+
+def _step_norm(a0, c0, a1, c1):
+    """||[a1, c1] gh- [a0, c0]||: the gH step has the endpoints a1 - a0 and
+    c1 - c0 in some order, so its norm is the larger absolute value."""
+    return max(abs(a1 - a0), abs(c1 - c0))
+
+
+def _pair_term(ua0, uc0, ua1, uc1, va0, vc0, va1, vc1):
+    """The pair statements' lhs and rhs terms at i, from u_{i-1} = [ua0, uc0],
+    u_i = [ua1, uc1], v_{i-1} and v_i on one denominator:
+    ||u_{i-1} * nabla v_i + v_i * nabla u_i|| and
+    ||(nabla u_i)^2 + (nabla v_i)^2||.
+
+    A four-product does not depend on the order of the factors' endpoints,
+    so the gH steps enter as unsorted endpoint differences. The squares
+    are [>= 0, ||.||^2], so the norm of their sum is the sum of norms.
+    """
+    gu0, gu1 = ua1 - ua0, uc1 - uc0
+    gv0, gv1 = va1 - va0, vc1 - vc0
+    p = (ua0 * gv0, ua0 * gv1, uc0 * gv0, uc0 * gv1)
+    q = (va1 * gu0, va1 * gu1, vc1 * gu0, vc1 * gu1)
+    return (max(-(min(p) + min(q)), max(p) + max(q)),
+            max(abs(gu0), abs(gu1)) ** 2 + max(abs(gv0), abs(gv1)) ** 2)
+
+
+def _step_shift(spec):
+    # the step read by term i is step i - b - shift: nabla reads u_{i-1} -> u_i
+    return 1 if spec.operator is Operator.NABLA else 0
+
+
 def _opial_sums(seq, l1, l2, lhs_rng, rhs_rng, shift):
     """Sums of ||u_i^l1 * (Du_i)^l2|| and of ||Du_i||^(l1+l2) over the ranges.
 
     Du is nabla for shift 1 (step k is Du at b+k+1) and delta for shift 0.
     The norm is multiplicative on the set-image product and power, so each
-    term is ||u_i||^l1 * ||Du_i||^l2. The gH step of [a0, c0] to [a1, c1]
-    has the endpoints a1 - a0 and c1 - c0 in some order, so its norm is
-    the larger absolute value.
+    term is ||u_i||^l1 * ||Du_i||^l2.
     """
     D, lows, highs = seq.D, seq.lows, seq.highs
-    un = [max(-a, c) for a, c in zip(lows, highs)]
-    sn = [max(abs(a1 - a0), abs(c1 - c0))
-          for a0, c0, a1, c1 in zip(lows, highs, lows[1:], highs[1:])]
+    un = list(map(_norm, lows, highs))
+    sn = list(map(_step_norm, lows, highs, lows[1:], highs[1:]))
     b = seq.base_index
     first = b + shift
     lhs = sum(un[i - b] ** l1 * sn[i - first] ** l2 for i in lhs_rng)
@@ -521,14 +629,8 @@ def _opial_sums(seq, l1, l2, lhs_rng, rhs_rng, shift):
 
 
 def _pair_sums(u, v, terms):
-    """Sums of ||u_{i-1} * nabla v_i + v_i * nabla u_i|| and of
-    ||(nabla u_i)^2 + (nabla v_i)^2|| over terms, on the common denominator
-    D = lcm(Du, Dv); both sums are homogeneous of degree 2.
-
-    A four-product does not depend on the order of the factors' endpoints,
-    so the gH steps enter as unsorted endpoint differences. The squares
-    are [>= 0, ||.||^2], so the norm of their sum is the sum of norms.
-    """
+    """Sums of the _pair_term terms over terms, on the common denominator
+    D = lcm(Du, Dv); both sums are homogeneous of degree 2."""
     Du, ul, uh = u.D, u.lows, u.highs
     Dv, vl, vh = v.D, v.lows, v.highs
     D = math.lcm(Du, Dv)
@@ -537,14 +639,10 @@ def _pair_sums(u, v, terms):
     lhs = rhs = 0
     for i in terms:
         k = i - b
-        ua, uc = ul[k - 1] * su, uh[k - 1] * su
-        va, vc = vl[k] * sv, vh[k] * sv
-        gu = (ul[k] * su - ua, uh[k] * su - uc)
-        gv = (va - vl[k - 1] * sv, vc - vh[k - 1] * sv)
-        p = (ua * gv[0], ua * gv[1], uc * gv[0], uc * gv[1])
-        q = (va * gu[0], va * gu[1], vc * gu[0], vc * gu[1])
-        lhs += max(-(min(p) + min(q)), max(p) + max(q))
-        rhs += max(map(abs, gu)) ** 2 + max(map(abs, gv)) ** 2
+        tl, tr = _pair_term(ul[k - 1] * su, uh[k - 1] * su, ul[k] * su, uh[k] * su,
+                            vl[k - 1] * sv, vh[k - 1] * sv, vl[k] * sv, vh[k] * sv)
+        lhs += tl
+        rhs += tr
     return Fraction(lhs, D * D), Fraction(rhs, D * D)
 
 
@@ -600,17 +698,18 @@ def check_single(seq: IntervalSequence, l1: int, l2: int, theorem, window=None) 
         raise TooShort(f"{spec.id.value} needs at least two elements")
     b, e = seq.first_index, seq.last_index
     n, m = _resolve_window_single(spec, b, e, window)
-    if spec.id in _REAL_IDS:
-        pre, lhs, rhs, const, notes = _eval_real(spec, seq, l1, l2, n, m)
-    elif spec.operator is Operator.NABLA:
-        pre, lhs, rhs, const, notes = _eval_nabla(spec, seq, l1, l2, n, m)
+    lhs_rng, rhs_rng, const = _frame(spec, b, e, n, m, l1, l2)
+    if spec.sums.shape == "real":
+        pre, lhs, rhs, notes = _eval_real(spec, seq, l1, l2, m, lhs_rng, rhs_rng)
     else:
-        pre, lhs, rhs, const, notes = _eval_delta(spec, seq, l1, l2, n, m)
+        pre = _interval_preconditions(spec.id, seq, m)
+        lhs, rhs = _opial_sums(seq, l1, l2, lhs_rng, rhs_rng, _step_shift(spec))
+        notes = ()
     win_echo = (n, m) if spec.windowed else None
-    return _verdict(spec, pre, lhs, rhs, const, l1, l2, win_echo, notes)
+    return _verdict(spec, pre, lhs, const * rhs, const, l1, l2, win_echo, notes)
 
 
-def _eval_real(spec, seq, l1, l2, n, m):
+def _eval_real(spec, seq, l1, l2, m, lhs_rng, rhs_rng):
     b, e = seq.first_index, seq.last_index
     tid = spec.id
     hyp_end = m if tid is TheoremId.L3_02 else e
@@ -621,111 +720,54 @@ def _eval_real(spec, seq, l1, l2, n, m):
         pre.append(_pc_zero_at(seq, b, "first_zero"))
     if tid is TheoremId.T2_2:
         pre.append(_pc_zero_at(seq, e, "last_zero"))
-        const = spec.constant(l1, l2, n=e - b)
-    elif tid is TheoremId.L3_02:
-        const = spec.constant(l1, l2, n=n, m=m)
-    else:
-        const = spec.constant(l1, l2, n=e - b)
     if tid is TheoremId.L3_1:
         pre.append(_pc_nonnegative(seq, b, e))
         pre.append(_pc_nondecreasing(seq, b, e))
     notes = []
-    if tid is TheoremId.T2_2:
-        lhs_rng, rhs_rng = range(b + 1, e), range(b, e)
-    elif tid is TheoremId.L3_02:
-        lhs_rng, rhs_rng = range(n, m), range(n, m + 1)
-    else:
-        lhs_rng = rhs_rng = range(b + 1, e + 1)
+    shift = _step_shift(spec)
     if pre[0].passed:
-        # x_i = xs[i - b] / D on [b, hyp_end]; both sums are homogeneous
-        # of degree k in the x_i
+        # x_i = xs[i - b] / D on [b, hyp_end], Dx_i = steps[i - b - shift];
+        # both sums are homogeneous of degree k in the x_i
         D, xs = seq.D, seq.lows
         k = l1 + l2
         steps = [x1 - x0 for x0, x1 in zip(xs, xs[1:])]
-        if tid is TheoremId.T2_2:
-            # delta x_i = steps[i - b]
-            lhs = sum(abs(xs[i - b] * steps[i - b]) for i in lhs_rng)
-            rhs = sum(steps[i - b] ** 2 for i in rhs_rng)
+        first = b + shift
+        terms = (xs[i - b] ** l1 * steps[i - first] ** l2 for i in lhs_rng)
+        powers = (steps[i - first] ** k for i in rhs_rng)
+        if tid is TheoremId.L3_1:
+            lhs, rhs = sum(terms), sum(powers)
         else:
-            # nabla x_i = steps[i - b - 1]
-            terms = (xs[i - b] ** l1 * steps[i - b - 1] ** l2 for i in lhs_rng)
-            powers = (steps[i - b - 1] ** k for i in rhs_rng)
-            if tid is TheoremId.L3_1:
-                lhs, rhs = sum(terms), sum(powers)
-            else:
-                lhs, rhs = sum(map(abs, terms)), sum(map(abs, powers))
+            lhs, rhs = sum(map(abs, terms)), sum(map(abs, powers))
         lhs, rhs = Fraction(lhs, D ** k), Fraction(rhs, D ** k)
     else:
         notes.append("non-degenerate input: evaluated with interval norms")
-        shift = 0 if tid is TheoremId.T2_2 else 1
         lhs, rhs = _opial_sums(seq, l1, l2, lhs_rng, rhs_rng, shift)
-    return tuple(pre), lhs, const * rhs, const, tuple(notes)
+    return tuple(pre), lhs, rhs, tuple(notes)
 
 
-def _eval_nabla(spec, seq, l1, l2, n, m):
+def _interval_preconditions(tid, seq, m):
+    # the nabla statements and their forward-difference versions (T4_*)
     b, e = seq.first_index, seq.last_index
-    tid = spec.id
-    pre = []
-    if tid is TheoremId.T3_1:
-        pre.append(_pc_zero_at(seq, b, "first_zero"))
-        pre.append(_pc_monotone(seq, b + 1, e))
-        pre.append(_pc_mu(seq, b + 1, e, MuDirection.MU_INCREASING))
-        lhs_rng, rhs_rng = range(b + 1, e + 1), range(b + 1, e + 1)
-        const = spec.constant(l1, l2, n=e - b)
-    elif tid is TheoremId.T3_2:
-        pre.append(_pc_zero_at(seq, m, "window_end_zero"))
-        pre.append(_pc_monotone(seq, b, m))
-        pre.append(_pc_mu(seq, b, m, MuDirection.MU_DECREASING))
-        lhs_rng, rhs_rng = range(n, m), range(n, m + 1)
-        const = spec.constant(l1, l2, n=n, m=m)
-    elif tid is TheoremId.T3_3:
-        pre.append(_pc_zero_at(seq, b, "first_zero"))
-        pre.append(_pc_alternate(seq, b + 1, e))
-        pre.append(_pc_no_other_zero(seq, b + 1, e, frozenset()))
-        lhs_rng, rhs_rng = range(b + 1, e + 1), range(b + 1, e + 1)
-        const = spec.constant(l1, l2, n=e - b)
-    elif tid is TheoremId.T3_4:
-        pre.append(_pc_zero_at(seq, m, "window_end_zero"))
-        pre.append(_pc_alternate(seq, b, m))
-        pre.append(_pc_no_other_zero(seq, b, m, frozenset({m})))
-        lhs_rng, rhs_rng = range(n, m), range(n, m + 1)
-        const = spec.constant(l1, l2, n=n, m=m)
-    else:
-        pre.append(_pc_zero_at(seq, b, "first_zero"))
-        pre.append(_pc_zero_at(seq, e, "last_zero"))
-        pre.append(_pc_alternate(seq, b, e))
-        pre.append(_pc_no_other_zero(seq, b, e, frozenset({b, e})))
-        lhs_rng, rhs_rng = range(b + 1, e), range(b + 1, e + 1)
-        const = spec.constant(l1, l2, m=e - b)
-    lhs, rhs = _opial_sums(seq, l1, l2, lhs_rng, rhs_rng, 1)
-    return tuple(pre), lhs, const * rhs, const, ()
-
-
-def _eval_delta(spec, seq, l1, l2, n, m):
-    b, e = seq.first_index, seq.last_index
-    tid = spec.id
-    pre = []
-    if tid is TheoremId.T4_1:
-        pre.append(_pc_zero_at(seq, b, "first_zero"))
-        pre.append(_pc_monotone(seq, b + 1, e))
-        pre.append(_pc_mu(seq, b + 1, e, MuDirection.MU_INCREASING))
-        lhs_rng, rhs_rng = range(b, e), range(b, e)
-        const = spec.constant(l1, l2, n=e - b)
-    elif tid is TheoremId.T4_2:
-        pre.append(_pc_zero_at(seq, m, "window_end_zero"))
-        pre.append(_pc_monotone(seq, b, m))
-        pre.append(_pc_mu(seq, b, m, MuDirection.MU_DECREASING))
-        lhs_rng, rhs_rng = range(n, m), range(n - 1, m)
-        const = spec.constant(l1, l2, n=n, m=m)
-    else:
-        pre.append(_pc_zero_at(seq, b, "first_zero"))
-        pre.append(_pc_zero_at(seq, e, "last_zero"))
-        pre.append(_pc_alternate(seq, b, e))
-        pre.append(_pc_no_other_zero(seq, b, e, frozenset({b, e})))
-        lhs_rng, rhs_rng = range(b + 1, e), range(b, e)
-        const = spec.constant(l1, l2, m=e - b)
-    lhs, rhs = _opial_sums(seq, l1, l2, lhs_rng, rhs_rng, 0)
-    return tuple(pre), lhs, const * rhs, const, ()
+    if tid in (TheoremId.T3_1, TheoremId.T4_1):
+        return (_pc_zero_at(seq, b, "first_zero"),
+                _pc_monotone(seq, b + 1, e),
+                _pc_mu(seq, b + 1, e, MuDirection.MU_INCREASING))
+    if tid in (TheoremId.T3_2, TheoremId.T4_2):
+        return (_pc_zero_at(seq, m, "window_end_zero"),
+                _pc_monotone(seq, b, m),
+                _pc_mu(seq, b, m, MuDirection.MU_DECREASING))
+    if tid is TheoremId.T3_3:
+        return (_pc_zero_at(seq, b, "first_zero"),
+                _pc_alternate(seq, b + 1, e),
+                _pc_no_other_zero(seq, b + 1, e, frozenset()))
+    if tid is TheoremId.T3_4:
+        return (_pc_zero_at(seq, m, "window_end_zero"),
+                _pc_alternate(seq, b, m),
+                _pc_no_other_zero(seq, b, m, frozenset({m})))
+    return (_pc_zero_at(seq, b, "first_zero"),
+            _pc_zero_at(seq, e, "last_zero"),
+            _pc_alternate(seq, b, e),
+            _pc_no_other_zero(seq, b, e, frozenset({b, e})))
 
 
 def _v_profile_note(v, first, last):
@@ -759,6 +801,7 @@ def check_pair(u: IntervalSequence, v: IntervalSequence, theorem, window=None,
         raise TooShort(f"{spec.id.value} needs at least two elements")
     b, e = u.first_index, u.last_index
     n, m = _resolve_window_pair(spec, b, e, window)
+    terms, _, const = _frame(spec, b, e, n, m, 1, 1)
     tid = spec.id
     pre = []
     notes = []
@@ -766,27 +809,19 @@ def check_pair(u: IntervalSequence, v: IntervalSequence, theorem, window=None,
         pre.append(_pc_zero_pair(u, v, b, "first_zero"))
         pre.append(_pc_synchronous(u, v, b, e))
         pre.append(_pc_mu_pair(u, v, b, e, MuDirection.MU_INCREASING, "mu_increasing"))
-        terms = range(b + 1, e + 1)
-        const = spec.constant(n=e - b)
     elif tid is TheoremId.T3_7:
         pre.append(_pc_zero_pair(u, v, m, "window_end_zero"))
         pre.append(_pc_synchronous(u, v, b, m))
         pre.append(_pc_mu_pair(u, v, b, m, MuDirection.MU_DECREASING, "mu_decreasing"))
-        terms = range(n + 1, m + 1)
-        const = spec.constant(n=n, m=m)
     elif tid is TheoremId.T3_8:
         pre.append(_pc_zero_pair(u, v, b, "first_zero"))
         pre.append(_pc_alternate(u, b, m, name="alternate_u"))
         pre.append(_pc_no_other_joint_zero(u, v, b, m, frozenset({b})))
-        terms = range(b + 1, n + 1)
-        const = spec.constant(n=n - b)
         notes.append(_v_profile_note(v, b, m))
     elif tid is TheoremId.T3_9:
         pre.append(_pc_zero_pair(u, v, m, "window_end_zero"))
         pre.append(_pc_alternate(u, b, m, name="alternate_u"))
         pre.append(_pc_no_other_joint_zero(u, v, b, m, frozenset({m})))
-        terms = range(n + 1, m + 1)
-        const = spec.constant(n=n, m=m)
         notes.append(_v_profile_note(v, b, m))
     else:
         if alt_boundary:
@@ -799,8 +834,6 @@ def check_pair(u: IntervalSequence, v: IntervalSequence, theorem, window=None,
         pre.append(_pc_zero_pair(u, v, e, "last_zero"))
         pre.append(_pc_alternate(u, b, e, name="alternate_u"))
         pre.append(_pc_no_other_joint_zero(u, v, b, e, allowed))
-        terms = range(b + 1, e + 1)
-        const = spec.constant(m=e - b)
         notes.append(_v_profile_note(v, b, e))
     lhs, rhs = _pair_sums(u, v, terms)
     rhs = const * rhs
@@ -844,21 +877,8 @@ def lhs_terms(seq: IntervalSequence, l1: int, l2: int, theorem, window=None):
         raise TooShort(f"{spec.id.value} needs at least two elements")
     b, e = seq.first_index, seq.last_index
     n, m = _resolve_window_single(spec, b, e, window)
-    tid = spec.id
-    if tid is TheoremId.T2_2:
-        rng, diffs = range(b + 1, e), seq.delta()
-    elif tid in (TheoremId.T3_1, TheoremId.T3_3, TheoremId.L3_1, TheoremId.L3_01):
-        rng, diffs = range(b + 1, e + 1), seq.nabla()
-    elif tid in (TheoremId.T3_2, TheoremId.T3_4, TheoremId.L3_02):
-        rng, diffs = range(n, m), seq.nabla()
-    elif tid is TheoremId.T3_5:
-        rng, diffs = range(b + 1, e), seq.nabla()
-    elif tid is TheoremId.T4_1:
-        rng, diffs = range(b, e), seq.delta()
-    elif tid is TheoremId.T4_2:
-        rng, diffs = range(n, m), seq.delta()
-    else:
-        rng, diffs = range(b + 1, e), seq.delta()
+    rng, _, _ = _frame(spec, b, e, n, m, l1, l2)
+    diffs = seq.nabla() if _step_shift(spec) else seq.delta()
     out = []
     for i in rng:
         term = (seq.at(i) ** l1) * (diffs.at(i) ** l2)

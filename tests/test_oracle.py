@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -146,6 +147,35 @@ def test_fuzz_deterministic():
     assert a.to_jsonable() == b.to_jsonable()
 
 
+# the two-name relax sets that a per-name minimum length let collide: at the
+# shortest length either name alone needs, both mutations had only one
+# position to share, and fuzz raised RelaxNotRealized
+RELAX_SETS_NEEDING_LENGTH = [
+    ("T3_1", "monotone", "mu_increasing"),
+    ("T4_1", "monotone", "mu_increasing"),
+    ("T3_2", "window_end_zero", "monotone"),
+    ("T4_2", "window_end_zero", "monotone"),
+    ("T3_2", "monotone", "mu_decreasing"),
+    ("T4_2", "monotone", "mu_decreasing"),
+    ("T3_5", "first_zero", "alternate"),
+    ("T4_5", "first_zero", "alternate"),
+    ("T3_5", "last_zero", "alternate"),
+    ("T4_5", "last_zero", "alternate"),
+    ("T3_5", "alternate", "no_other_zero"),
+    ("T4_5", "alternate", "no_other_zero"),
+    ("T3_8", "first_zero", "alternate_u"),
+    ("T3_8", "alternate_u", "no_other_joint_zero"),
+]
+
+
+@pytest.mark.parametrize("tid,a,b", RELAX_SETS_NEEDING_LENGTH)
+def test_fuzz_relax_set_runs_to_completion(tid, a, b):
+    rep = fuzz(FuzzConfig(tid, trials=1000, seed=0, relax={a, b}))
+    assert rep.trials_run == 1000
+    for rec in rep.violations:
+        assert rec.relaxed == tuple(sorted((a, b)))
+
+
 @pytest.mark.parametrize(
     "tid,name",
     [("T2_2", "last_zero"), ("T3_1", "first_zero"), ("T3_5", "last_zero")],
@@ -237,7 +267,8 @@ def test_scan_budget_guard():
 
 # The exhaustive enumeration ratio_scan ran before it walked admissible
 # prefixes: every grid point, every window, judged by the engine. Kept here
-# as the reference the walk must reproduce byte for byte.
+# as the reference the walk must reproduce byte for byte. Also returns how
+# many (point, window) checks raised the running maximum.
 def _product_scan(theorem, l1, l2, length, bound):
     spec = lookup(theorem)
     e = length - 1
@@ -265,7 +296,7 @@ def _product_scan(theorem, l1, l2, length, bound):
             pairs[p] = pair
         return IntervalSequence.from_pairs(pairs)
 
-    checked = admissible = violations = 0
+    checked = admissible = violations = improvements = 0
     best = best_input = best_window = None
     for assign in itertools.product(choices, repeat=len(free) * spec.arity):
         if spec.arity == 1:
@@ -285,7 +316,8 @@ def _product_scan(theorem, l1, l2, length, bound):
             r = verdict.ratio
             if r is not None and (best is None or r > best):
                 best, best_input, best_window = r, built, window
-    return ScanReport(
+                improvements += 1
+    report = ScanReport(
         theorem=spec.id,
         lambda1=l1 if spec.arity == 1 else None,
         lambda2=l2 if spec.arity == 1 else None,
@@ -299,6 +331,7 @@ def _product_scan(theorem, l1, l2, length, bound):
         witness=best_input,
         witness_window=best_window,
     )
+    return report, improvements
 
 
 def _count_engine_calls(monkeypatch):
@@ -314,29 +347,84 @@ def _count_engine_calls(monkeypatch):
     return calls
 
 
+def _scan_grids(spec):
+    # lengths 2-6, bounds 0-3 and the exponents the statement takes
+    exponents = ([(1, 1)] if spec.arity == 2 or spec.id.value == "T2_2"
+                 else [(1, 1), (2, 3), (3, 1)])
+    for length in range(2, 7):
+        for bound in range(4):
+            for l1, l2 in exponents:
+                yield length, bound, l1, l2
+
+
 @pytest.mark.parametrize("spec", registry(), ids=lambda s: s.id.value)
 def test_scan_matches_exhaustive_enumeration(spec, monkeypatch):
-    # every length 2-5 and bound 0-2 whose full grid has at most 20000
-    # checks; the walk must give the same report and run the engine once
-    # per admissible (point, window), never on a pruned point
+    # on every grid of _scan_grids with at most 20000 checks, the walk must
+    # give the same report as the full enumeration, and run the engine only
+    # on the checks that raise the maximum or violate
     calls = _count_engine_calls(monkeypatch)
-    exponents = [(1, 1)] if spec.arity == 2 or spec.id.value == "T2_2" else [(1, 1), (2, 3)]
     ran = 0
-    for length in range(2, 6):
-        for bound in range(3):
-            for l1, l2 in exponents:
-                try:
-                    report = ratio_scan(spec.id, l1, l2, length=length, bound=bound,
-                                        budget=20_000)
-                except BudgetExceeded:
-                    continue
-                engine_calls = len(calls)
-                want = _product_scan(spec.id, l1, l2, length, bound)
-                assert report.to_jsonable() == want.to_jsonable(), (length, bound, l1, l2)
-                assert engine_calls == report.admissible, (length, bound, l1, l2)
-                calls.clear()
-                ran += 1
+    for length, bound, l1, l2 in _scan_grids(spec):
+        try:
+            report = ratio_scan(spec.id, l1, l2, length=length, bound=bound, budget=20_000)
+        except BudgetExceeded:
+            continue
+        engine_calls = len(calls)
+        want, improvements = _product_scan(spec.id, l1, l2, length, bound)
+        assert report.to_jsonable() == want.to_jsonable(), (length, bound, l1, l2)
+        assert engine_calls == improvements + want.violations, (length, bound, l1, l2)
+        calls.clear()
+        ran += 1
     assert ran >= 8
+
+
+@pytest.mark.parametrize("name", sorted(oracle._SCAN_PREFIX_TESTS))
+def test_scan_prefix_tests_have_teeth(name, monkeypatch):
+    # without one prefix test the walk reaches points outside the
+    # hypotheses and the kernel counts them: the differential test above
+    # must see it on some grid of a statement with that hypothesis (or the
+    # engine refuses a point the kernel took as a new maximum)
+    monkeypatch.delitem(oracle._SCAN_PREFIX_TESTS, name)
+    for spec in registry():
+        if name not in spec.preconditions:
+            continue
+        for length, bound, l1, l2 in _scan_grids(spec):
+            try:
+                report = ratio_scan(spec.id, l1, l2, length=length, bound=bound,
+                                    budget=20_000)
+            except BudgetExceeded:
+                continue
+            except RuntimeError:
+                return
+            want, _ = _product_scan(spec.id, l1, l2, length, bound)
+            if report.to_jsonable() != want.to_jsonable():
+                return
+    pytest.fail(f"dropping the {name} prefix test changed no scan report")
+
+
+@pytest.mark.parametrize("tid,engine", [("T3_1", "check_single"), ("T3_6", "check_pair")])
+def test_scan_raises_when_the_engine_disagrees(tid, engine, monkeypatch):
+    real = getattr(oracle, engine)
+
+    def off_by_one(*args, **kwargs):
+        verdict = real(*args, **kwargs)
+        return dataclasses.replace(verdict, lhs=verdict.lhs + 1)
+
+    monkeypatch.setattr(oracle, engine, off_by_one)
+    with pytest.raises(RuntimeError, match=f"disagree for {tid} at"):
+        ratio_scan(tid, length=3, bound=2)
+
+
+@pytest.mark.parametrize("tid", ["T3_2", "T4_2"])
+def test_one_point_windowed_scan_runs_the_engine_once(tid, monkeypatch):
+    # bound 0 leaves one point in L - 1 windows; each window's sides are
+    # differences of the carried prefix sums, so the scan is linear in L,
+    # and only the first window (ratio 0, the first maximum) is re-judged
+    calls = _count_engine_calls(monkeypatch)
+    rep = ratio_scan(tid, length=5000, bound=0)
+    assert rep.planned == rep.checked == rep.admissible == 4999
+    assert rep.max_ratio == 0 and rep.witness_window == (1, 4999)
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize("spec", registry(), ids=lambda s: s.id.value)
