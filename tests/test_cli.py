@@ -237,11 +237,19 @@ def test_fuzz_relax_pairs_exit_cleanly(capsys, theorem, relax):
         assert json.loads(out)["trials_run"] == 200
 
 
-def test_fuzz_relax_unrealized_is_usage_error(capsys, monkeypatch):
-    # a relax set the mutation table cannot break is a usage error (exit 3)
+@pytest.mark.parametrize("theorem,relax", [
+    ("T3_1", "monotone,mu_increasing"),
+    ("T3_5", "first_zero,alternate"),
+    ("T4_5", "last_zero,alternate"),
+])
+def test_fuzz_relax_uncovered_combination_is_usage_error(
+    capsys, monkeypatch, theorem, relax
+):
+    # a relax set the mutation table cannot break is a usage error (exit 3);
+    # these sets now run to completion, so the table is made to break nothing
     monkeypatch.setattr(opialcheck.oracle, "_mutate", lambda *args: False)
     code, out, err = run_cli(capsys, [
-        "fuzz", "--theorem", "T3_1", "--relax", "monotone,mu_increasing",
+        "fuzz", "--theorem", theorem, "--relax", relax,
         "--trials", "20", "--seed", "0",
     ])
     assert code == 3
