@@ -16,11 +16,11 @@ witness), 2 preconditions unsatisfied, 3 bad input or usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
-from fractions import Fraction
 
-from .intervals import Interval, InvalidBounds
 from .oracle import (
     BudgetExceeded,
     FuzzConfig,
@@ -29,7 +29,7 @@ from .oracle import (
     ratio_scan,
     reproduce_examples,
 )
-from .rationals import NonRational, as_rational
+from .rationals import NonRational, as_rational, rational_from_text
 from .sequences import IntervalSequence, NotDecomposable, synchronous
 from .theorems import check_pair, check_single, lookup, registry
 
@@ -47,34 +47,41 @@ def _json_loads_exact(text):
 
     try:
         # parse_float sees the literal digits, so decimal notation stays exact
-        return json.loads(text, parse_float=Fraction, parse_constant=reject)
+        return json.loads(text, parse_float=rational_from_text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
 
 
-def _endpoint(value, path):
+def _endpoint(value, key, j, side):
     try:
         return as_rational(value)
     except NonRational as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise type(exc)(f"{key}[{j}][{side}]: {exc}") from None
     except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+        raise SchemaError(f"{key}[{j}][{side}]: {exc}") from None
 
 
-def _parse_items(raw, key):
+def _parse_items(raw, key, base):
+    # straight to the common denominator D and the integer endpoints
     if not isinstance(raw, list):
         raise SchemaError(f"{key}: expected a list of [lo, hi] pairs")
-    items = []
+    los, his = [], []
     for j, entry in enumerate(raw):
         if not isinstance(entry, list) or len(entry) != 2:
             raise SchemaError(f"{key}[{j}]: expected a two-element [lo, hi] pair")
-        lo = _endpoint(entry[0], f"{key}[{j}][0]")
-        hi = _endpoint(entry[1], f"{key}[{j}][1]")
-        try:
-            items.append(Interval(lo, hi))
-        except InvalidBounds as exc:
-            raise SchemaError(f"{key}[{j}]: {exc}") from None
-    return tuple(items)
+        lo = _endpoint(entry[0], key, j, 0)
+        hi = _endpoint(entry[1], key, j, 1)
+        if lo > hi:
+            raise SchemaError(f"{key}[{j}]: lower bound {lo} exceeds upper bound {hi}")
+        los.append(lo)
+        his.append(hi)
+    D = math.lcm(*[q.denominator for q in los], *[q.denominator for q in his])
+    return IntervalSequence._from_ints(
+        D,
+        [q.numerator * (D // q.denominator) for q in los],
+        [q.numerator * (D // q.denominator) for q in his],
+        base,
+    )
 
 
 def parse_sequence(document):
@@ -96,9 +103,9 @@ def parse_sequence(document):
     base = doc.get("base_index", 0)
     if isinstance(base, bool) or not isinstance(base, int):
         raise SchemaError(f"base_index: expected an integer, got {base!r}")
-    u = IntervalSequence(_parse_items(doc["u"], "u"), base)
+    u = _parse_items(doc["u"], "u", base)
     if "v" in doc:
-        v = IntervalSequence(_parse_items(doc["v"], "v"), base)
+        v = _parse_items(doc["v"], "v", base)
         return (u, v)
     return u
 
@@ -286,7 +293,10 @@ def _add_format(sub):
                      help="output rendering (default json)")
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args returns a fresh Namespace each
+    # call and every default is immutable, so calls share nothing
     parser = argparse.ArgumentParser(
         prog="opialcheck",
         description="Exact checking of Opial-type inequalities on interval sequences.",

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .intervals import ExponentOutOfRange, Interval
-from .rationals import as_rational, rational_to_json
+from .rationals import as_rational, ratio_to_json, rational_to_json
 from .sequences import (
     Direction,
     IntervalSequence,
@@ -603,7 +603,8 @@ class FuzzReport:
 
 def input_to_jsonable(built: SequenceInput) -> dict:
     def pairs(s):
-        return [[rational_to_json(it.lo), rational_to_json(it.hi)] for it in s]
+        D = s.D
+        return [[ratio_to_json(a, D), ratio_to_json(c, D)] for a, c in zip(s.lows, s.highs)]
 
     if isinstance(built, tuple):
         u, v = built

@@ -7,21 +7,46 @@ conversion (floats are refused) and compact serialization.
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
 
 Rational = Fraction
+
+# Fraction("1e4000000") expands the exponent in full, at a cost that grows
+# faster than linearly; a literal whose decimal exponent is larger than this
+# (Python's default digit limit for int text) is refused before that.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 class NonRational(TypeError):
     """A value could not be interpreted as an exact rational."""
 
 
+def rational_from_text(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a decimal exponent larger than
+    MAX_DECIMAL_EXPONENT in magnitude with NonRational."""
+    m = _EXPONENT.search(text)
+    if m:
+        digits = m.group(1).replace("_", "").lstrip("0")
+        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                or int(digits or "0") > MAX_DECIMAL_EXPONENT):
+            shown = text if len(text) <= 40 else text[:37] + "..."
+            raise NonRational(
+                f"refusing {shown!r}: decimal exponent larger than"
+                f" {MAX_DECIMAL_EXPONENT} in magnitude"
+            )
+    return Fraction(text)
+
+
 def as_rational(value: object) -> Fraction:
     """Convert to ``Fraction`` without ever rounding.
 
     Accepts int, Fraction, and strings such as "3", "-7/2", "0.125" or
-    "1e-3", all of which are exact. Floats are rejected: their binary
-    rounding error must not leak into verdicts.
+    "1e-3", all of which are exact (see rational_from_text for the cap on
+    decimal exponents). Floats are rejected: their binary rounding error
+    must not leak into verdicts.
     """
     if isinstance(value, Fraction):
         return value
@@ -31,7 +56,7 @@ def as_rational(value: object) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return rational_from_text(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise NonRational(f"not an exact rational: {value!r}") from exc
     if isinstance(value, float):
@@ -53,3 +78,12 @@ def rational_to_json(value: Fraction):
     if value.denominator == 1:
         return value.numerator
     return format_rational(value)
+
+
+def ratio_to_json(a: int, D: int):
+    """``rational_to_json(Fraction(a, D))`` for ints a and D >= 1, without
+    building the Fraction."""
+    g = math.gcd(a, D)
+    if g == D:
+        return a // D
+    return f"{a // g}/{D // g}"

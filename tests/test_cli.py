@@ -4,13 +4,20 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opialcheck
-from opialcheck import IntervalSequence, NonRational, registry
+from opialcheck import (
+    Interval, IntervalSequence, NonRational, input_to_jsonable, rational_to_json, registry,
+)
+from opialcheck import cli
 from opialcheck.cli import SchemaError, main, parse_sequence
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
@@ -75,6 +82,217 @@ def test_round_trip_preserves_values(tmp_path):
         (Fraction(0), Fraction(0)),
         (Fraction(5, 2), Fraction(3)),
     )
+
+
+# every message as the Interval-building parser gave it
+@pytest.mark.parametrize("doc,exc,message", [
+    ('{"u": [[2, 1]]}', SchemaError, "u[0]: lower bound 2 exceeds upper bound 1"),
+    ('{"u": [[0, 0], ["3/2", "1/2"]], "v": [[0, 0], [0, 0]]}', SchemaError,
+     "u[1]: lower bound 3/2 exceeds upper bound 1/2"),
+    ('{"u": [[0, 0]], "v": [[0, 0], [5, 4.5]]}', SchemaError,
+     "v[1]: lower bound 5 exceeds upper bound 9/2"),
+    ('{"u": [["-1/3", "-2/3"]]}', SchemaError,
+     "u[0]: lower bound -1/3 exceeds upper bound -2/3"),
+    ('{"u": [[0, 1]], "v": [[1, 0]]}', SchemaError,
+     "v[0]: lower bound 1 exceeds upper bound 0"),
+    ('{"u": [[2, 1], ["abc", 0]]}', SchemaError,
+     "u[0]: lower bound 2 exceeds upper bound 1"),
+    ('{"u": [[0, true]]}', NonRational, "u[0][1]: cannot interpret True as a rational"),
+    ('{"u": [[false, 1]]}', NonRational, "u[0][0]: cannot interpret False as a rational"),
+    ('{"u": [["abc", 1]]}', NonRational, "u[0][0]: not an exact rational: 'abc'"),
+    ('{"u": [[0, "1/0"]]}', NonRational, "u[0][1]: not an exact rational: '1/0'"),
+    ('{"u": [[0, "0x10"]]}', NonRational, "u[0][1]: not an exact rational: '0x10'"),
+    ('{"u": [[0, "nan"]]}', NonRational, "u[0][1]: not an exact rational: 'nan'"),
+    ('{"u": [[0, null]]}', NonRational, "u[0][1]: cannot interpret NoneType as a rational"),
+    ('{"u": [[0, [1]]]}', NonRational, "u[0][1]: cannot interpret list as a rational"),
+    ('{"u": [["x", 1]], "v": [[1, 0]]}', NonRational, "u[0][0]: not an exact rational: 'x'"),
+    ('{"u": [[0, "1/2"], [1, "abc"]], "v": [[3, 2]]}', NonRational,
+     "u[1][1]: not an exact rational: 'abc'"),
+    ({"u": [[0, 0.1]]}, NonRational,
+     "u[0][1]: refusing float 0.1: pass an int, a Fraction, or an exact string"),
+    ('{"u": [[0, 0]], "base_index": 1.5}', SchemaError,
+     "base_index: expected an integer, got Fraction(3, 2)"),
+    ('{"u": [[0, 0]], "base_index": 1.0}', SchemaError,
+     "base_index: expected an integer, got Fraction(1, 1)"),
+    ('{"u": [[0, 0]], "base_index": true}', SchemaError,
+     "base_index: expected an integer, got True"),
+    ('{"u": [[0, 0]], "v": [[1, 0]], "base_index": "x"}', SchemaError,
+     "base_index: expected an integer, got 'x'"),
+    ('{"u": [[0, 0], [1]]}', SchemaError, "u[1]: expected a two-element [lo, hi] pair"),
+    ('{"u": {"a": 1}}', SchemaError, "u: expected a list of [lo, hi] pairs"),
+])
+def test_parse_error_messages(doc, exc, message):
+    with pytest.raises(exc) as info:
+        parse_sequence(doc)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def _endpoint_texts(value):
+    """JSON texts of an exact rational: "p/q" (not always in lowest terms),
+    an int when integral, and for a value with at most six decimals a
+    decimal string and bare JSON decimal literals."""
+    texts = [json.dumps(f"{value.numerator * k}/{value.denominator * k}") for k in (1, 3)]
+    if value.denominator == 1:
+        texts.append(str(value.numerator))
+    if 10 ** 6 % value.denominator == 0:
+        fixed = format(Decimal(value.numerator) / Decimal(value.denominator), "f")
+        micros = value.numerator * (10 ** 6 // value.denominator)
+        texts += [json.dumps(fixed), fixed if "." in fixed else fixed + ".0",
+                  f"{micros}e-6", json.dumps(f"{micros}E-06")]
+    return texts
+
+
+_values = st.one_of(
+    st.integers(-40, 40).map(Fraction),
+    st.builds(Fraction, st.integers(-400, 400), st.sampled_from([2, 4, 5, 8, 10, 25, 1000])),
+    st.builds(Fraction, st.integers(-3_000_000, 3_000_000),
+              st.sampled_from([3, 7, 12, 999_983, 1_000_003])),
+)
+
+
+@st.composite
+def _endpoint(draw):
+    value = draw(_values)
+    return value, draw(st.sampled_from(_endpoint_texts(value)))
+
+
+@st.composite
+def _items(draw):
+    pairs = draw(st.lists(st.tuples(_endpoint(), _endpoint()), max_size=8))
+    return [sorted(pair, key=lambda e: e[0]) for pair in pairs]
+
+
+def _items_json(items):
+    return "[" + ", ".join(f"[{lo[1]}, {hi[1]}]" for lo, hi in items) + "]"
+
+
+def _interval_sequence(items, base):
+    return IntervalSequence(tuple(Interval(lo[0], hi[0]) for lo, hi in items), base)
+
+
+def _interval_echo(seqs):
+    # the echo serialized from the Interval elements
+    doc = {name: [[rational_to_json(it.lo), rational_to_json(it.hi)] for it in s.items]
+           for name, s in zip(("u", "v"), seqs)}
+    doc["base_index"] = seqs[0].base_index
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=_items(), v=st.one_of(st.none(), _items()), base=st.integers(-4, 4))
+def test_parse_matches_interval_construction(u, v, base):
+    # the int parse path gives the sequences, common denominator included,
+    # and the echo that building Interval elements gives
+    text = f'{{"u": {_items_json(u)}, "base_index": {base}'
+    text += "}" if v is None else f', "v": {_items_json(v)}}}'
+    got = parse_sequence(text)
+    got_seqs = [got] if v is None else list(got)
+    want = [_interval_sequence(items, base) for items in (u, v) if items is not None]
+    assert got_seqs == want
+    for g, w in zip(got_seqs, want):
+        assert (g.D, g.lows, g.highs, g.base_index) == (w.D, w.lows, w.highs, w.base_index)
+    assert input_to_jsonable(got) == _interval_echo(want)
+
+
+CONFORMING_SAMPLE_CHECKS = [
+    ["ex31_n5.json", "--theorem", "T3_1"],
+    ["ex32_n5.json", "--theorem", "T3_2", "--l2", "2", "--window", "2,5"],
+    ["ex33.json", "--theorem", "T3_5", "--l1", "2", "--l2", "3"],
+    ["pair_t36.json", "--theorem", "T3_6"],
+    ["tent_classical.json", "--theorem", "T2_2"],
+]
+
+
+@pytest.mark.parametrize("args", CONFORMING_SAMPLE_CHECKS, ids=lambda a: a[0])
+def test_conforming_check_builds_no_interval(capsys, monkeypatch, args):
+    # a document goes straight to ints and is echoed from them; building one
+    # Interval per element would count 5 or 6 here
+    built = []
+    real_init = Interval.__init__
+
+    def counted(self, *a, **kw):
+        built.append(1)
+        real_init(self, *a, **kw)
+
+    monkeypatch.setattr(Interval, "__init__", counted)
+    code, out, _ = run_cli(capsys, ["check", "--in", sample(args[0])] + args[1:])
+    assert code == 0
+    assert json.loads(out)["verdict"]["in_hypotheses"] is True
+    assert built == []
+
+
+# -- decimal exponents ----------------------------------------------------------
+
+
+def test_decimal_exponent_cap_boundary():
+    cap = opialcheck.rationals.MAX_DECIMAL_EXPONENT
+    assert parse_sequence(f'{{"u": [[0, 1e{cap}]]}}').at(0).hi == 10 ** cap
+    edge = parse_sequence(f'{{"u": [["1E-{cap}", "1e+0{cap}"]]}}').at(0)
+    assert (edge.lo, edge.hi) == (Fraction(1, 10 ** cap), 10 ** cap)
+    with pytest.raises(NonRational, match=f"larger than {cap} in magnitude"):
+        parse_sequence(f'{{"u": [[0, 1e{cap + 1}]]}}')
+    with pytest.raises(NonRational, match=r"^u\[0\]\[0\]: refusing '1e-4_301'"):
+        parse_sequence('{"u": [["1e-4_301", 0]]}')
+    with pytest.raises(NonRational):
+        opialcheck.as_rational(" 1e" + "0" * 50 + "9" * 9 + " ")
+
+
+# Fraction expands the exponent in full: unguarded, the first document takes
+# about a second and the last ones hang and take hundreds of MB, so they run
+# in a child with a timeout and a cap on its address space
+_HOSTILE_DOCS = [
+    '{"u": [[0, 1e2000000]]}',
+    '{"u": [[0, "1e2000000"]]}',
+    '{"u": [[0, 1e999999999]]}',
+    '{"u": [["-1E-999999999", 0]]}',
+    '{"u": [[0, 1], [0, "1e1' + "0" * 5000 + '"]]}',
+]
+_HOSTILE_CHILD = textwrap.dedent("""
+    import contextlib, io, json, sys, time, tracemalloc
+    try:
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    except (ImportError, ValueError, OSError):
+        pass
+    from opialcheck.cli import main
+    results = []
+    for path in sys.argv[1:]:
+        out, err = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", "--in", path])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        results.append([code, out.getvalue(), err.getvalue(), elapsed, peak])
+    print(json.dumps(results))
+""")
+
+
+def test_hostile_exponents_fail_fast(tmp_path):
+    paths = []
+    for k, doc in enumerate(_HOSTILE_DOCS):
+        path = tmp_path / f"hostile{k}.json"
+        path.write_text(doc)
+        paths.append(str(path))
+    pkg_dir = str(Path(opialcheck.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_dir, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _HOSTILE_CHILD, *paths],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(_HOSTILE_DOCS)
+    for doc, (code, out, err, elapsed, peak) in zip(_HOSTILE_DOCS, results):
+        assert code == 3 and out == "", doc[:40]
+        assert err.startswith("error:") and "decimal exponent larger than 4300" in err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert elapsed < 0.25, (doc[:40], elapsed)
+        assert peak < 1_000_000, (doc[:40], peak)
 
 
 # -- command driver -----------------------------------------------------------------
@@ -337,6 +555,46 @@ def test_error_exit_codes(capsys, tmp_path):
 
     code4, _, _ = run_cli(capsys, [])
     assert code4 == 3
+
+
+# call sequences, with their exit codes, in which a parser that kept state
+# from one call would change the next: a flag, --help, a usage error, an
+# option's value
+REUSE_SEQUENCES = {
+    "alt_boundary": [
+        (["check", "--in", sample("pair_t36.json"), "--theorem", "T3_10",
+          "--alt-boundary"], 2),
+        (["check", "--in", sample("pair_t36.json"), "--theorem", "T3_10"], 2),
+    ],
+    "help": [
+        (["--help"], 0),
+        (["check", "--in", sample("tent_classical.json"), "--theorem", "T2_2"], 0),
+    ],
+    "usage_error": [
+        (["check", "--theorem", "T2_2"], 3),
+        (["check", "--in", sample("tent_classical.json"), "--theorem", "T2_2"], 0),
+    ],
+    "relax": [
+        (["fuzz", "--theorem", "T2_2", "--relax", "last_zero", "--trials", "60"], 1),
+        (["fuzz", "--theorem", "T2_2", "--trials", "60"], 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("calls", REUSE_SEQUENCES.values(), ids=REUSE_SEQUENCES)
+def test_parser_reuse_leaks_no_state(capsys, calls):
+    # each call of the sequence on the one cached parser gives what a
+    # freshly built parser gives it
+    fresh = []
+    for argv, _ in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, argv))
+    cli._build_parser.cache_clear()
+    reused = [run_cli(capsys, argv) for argv, _ in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [code for _, code in calls]
+    assert reused[0][1:] != reused[1][1:]
 
 
 def test_help_exits_zero(capsys):

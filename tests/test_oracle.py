@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -271,6 +273,15 @@ def test_scan_budget_guard():
 # many (point, window) checks raised the running maximum.
 def _product_scan(theorem, l1, l2, length, bound):
     spec = lookup(theorem)
+    return _product_scans(spec.id, length, bound, _scan_exponents(spec))[(l1, l2)]
+
+
+# The reference reports of one grid for each exponent pair in exponents,
+# from one pass that builds each grid point once. Cached, so the prefix-test
+# loops below reuse what the differential test computed.
+@functools.lru_cache(maxsize=None)
+def _product_scans(theorem, length, bound, exponents):
+    spec = lookup(theorem)
     e = length - 1
     if spec.id.value in ("T2_2", "L3_1", "L3_01", "L3_02"):
         choices = [(k, k) for k in range(bound + 1)]
@@ -296,42 +307,47 @@ def _product_scan(theorem, l1, l2, length, bound):
             pairs[p] = pair
         return IntervalSequence.from_pairs(pairs)
 
-    checked = admissible = violations = improvements = 0
-    best = best_input = best_window = None
+    runs = {ex: SimpleNamespace(admissible=0, violations=0, improvements=0,
+                                best=None, input=None, window=None)
+            for ex in exponents}
+    checked = 0
     for assign in itertools.product(choices, repeat=len(free) * spec.arity):
         if spec.arity == 1:
             built = build(assign)
         else:
             built = (build(assign[: len(free)]), build(assign[len(free):]))
         for window in windows:
-            if spec.arity == 1:
-                verdict = check_single(built, l1, l2, spec.id, window=window)
-            else:
-                verdict = check_pair(*built, spec.id, window=window)
             checked += 1
-            if not verdict.in_hypotheses:
-                continue
-            admissible += 1
-            violations += not verdict.holds
-            r = verdict.ratio
-            if r is not None and (best is None or r > best):
-                best, best_input, best_window = r, built, window
-                improvements += 1
-    report = ScanReport(
-        theorem=spec.id,
-        lambda1=l1 if spec.arity == 1 else None,
-        lambda2=l2 if spec.arity == 1 else None,
-        length=length,
-        bound=bound,
-        planned=len(choices) ** (len(free) * spec.arity) * len(windows),
-        checked=checked,
-        admissible=admissible,
-        violations=violations,
-        max_ratio=best if best is not None else Fraction(0),
-        witness=best_input,
-        witness_window=best_window,
-    )
-    return report, improvements
+            for (l1, l2), run in runs.items():
+                if spec.arity == 1:
+                    verdict = check_single(built, l1, l2, spec.id, window=window)
+                else:
+                    verdict = check_pair(*built, spec.id, window=window)
+                if not verdict.in_hypotheses:
+                    continue
+                run.admissible += 1
+                run.violations += not verdict.holds
+                r = verdict.ratio
+                if r is not None and (run.best is None or r > run.best):
+                    run.best, run.input, run.window = r, built, window
+                    run.improvements += 1
+    return {
+        (l1, l2): (ScanReport(
+            theorem=spec.id,
+            lambda1=l1 if spec.arity == 1 else None,
+            lambda2=l2 if spec.arity == 1 else None,
+            length=length,
+            bound=bound,
+            planned=len(choices) ** (len(free) * spec.arity) * len(windows),
+            checked=checked,
+            admissible=run.admissible,
+            violations=run.violations,
+            max_ratio=run.best if run.best is not None else Fraction(0),
+            witness=run.input,
+            witness_window=run.window,
+        ), run.improvements)
+        for (l1, l2), run in runs.items()
+    }
 
 
 def _count_engine_calls(monkeypatch):
@@ -347,13 +363,16 @@ def _count_engine_calls(monkeypatch):
     return calls
 
 
+def _scan_exponents(spec):
+    return (((1, 1),) if spec.arity == 2 or spec.id.value == "T2_2"
+            else ((1, 1), (2, 3), (3, 1)))
+
+
 def _scan_grids(spec):
     # lengths 2-6, bounds 0-3 and the exponents the statement takes
-    exponents = ([(1, 1)] if spec.arity == 2 or spec.id.value == "T2_2"
-                 else [(1, 1), (2, 3), (3, 1)])
     for length in range(2, 7):
         for bound in range(4):
-            for l1, l2 in exponents:
+            for l1, l2 in _scan_exponents(spec):
                 yield length, bound, l1, l2
 
 
