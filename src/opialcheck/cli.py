@@ -29,13 +29,17 @@ from .oracle import (
     ratio_scan,
     reproduce_examples,
 )
-from .rationals import NonRational, as_rational, rational_from_text
+from .rationals import MAX_DECIMAL_EXPONENT, NonRational, as_rational, rational_from_text
 from .sequences import IntervalSequence, NotDecomposable, synchronous
 from .theorems import check_pair, check_single, lookup, registry
 
 
 class SchemaError(ValueError):
     """Input document does not match the expected schema."""
+
+
+class OutputTooLarge(ValueError):
+    """A check of the document could give a number too long to print."""
 
 
 _ALLOWED_KEYS = {"u", "v", "base_index"}
@@ -155,6 +159,34 @@ def _read_input(path):
         return parse_sequence(fh.read())
 
 
+def _guard_output_size(built, l1, l2):
+    """Refuse a document whose check could print an integer longer than the
+    interpreter prints (Python's default limit where it sets none), before
+    any statement runs. Every integer a check prints (an endpoint, D, the
+    sides, the constant and the ratio, in lowest terms) is bounded from the
+    endpoints' bit length e on the common denominator D, the length n and
+    k = l1 + l2 (2 for a pair): a term has at most k(e + 1) + 1 bits, the
+    constant's numerator at most l2 * n^l1 and its denominator at most k."""
+    seqs = built if isinstance(built, tuple) else (built,)
+    D = math.lcm(*[s.D for s in seqs])
+    e = max(max(map(abs, s.lows + s.highs), default=0).bit_length()
+            + (D // s.D).bit_length() for s in seqs)
+    n = len(seqs[0].lows)
+    if len(seqs) == 2:
+        l1 = l2 = 1
+    k = l1 + l2
+    side = k * (e + 1) + 1 + n.bit_length() + max(l2, 1).bit_length() + l1 * n.bit_length()
+    bits = max(side, k * D.bit_length()) + k.bit_length()
+    digits = bits * 30103 // 100000 + 1   # log10(2) < 0.30103
+    limit = getattr(sys, "get_int_max_str_digits", int)() or MAX_DECIMAL_EXPONENT
+    if digits > limit:
+        raise OutputTooLarge(
+            f"input too large: endpoints of {e} bits (common denominator"
+            f" included) at length {n} and l1 + l2 = {k} can give results of"
+            f" {digits} digits, over the {limit}-digit limit for printing them"
+        )
+
+
 def _parse_window(text):
     parts = text.split(",")
     if len(parts) != 2:
@@ -182,6 +214,7 @@ def _run_one(spec, built, args, window):
 def _cmd_check(args):
     built = _read_input(args.path)
     window = _parse_window(args.window) if args.window else None
+    _guard_output_size(built, args.l1, args.l2)
     if args.theorem:
         spec = lookup(args.theorem)
         verdict = _run_one(spec, built, args, window)
@@ -367,7 +400,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SchemaError, NonRational) as exc:
+    except (SchemaError, NonRational, OutputTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError, ArithmeticError, OSError) as exc:

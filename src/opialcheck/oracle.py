@@ -16,18 +16,16 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .intervals import ExponentOutOfRange, Interval
 from .rationals import as_rational, ratio_to_json, rational_to_json
 from .sequences import (
-    Direction,
     IntervalSequence,
     LengthMismatch,
     MuDirection,
-    NotDecomposable,
     _step_bits,
     direction_set,
     mu_direction_set,
@@ -38,10 +36,16 @@ from .theorems import (
     check_pair,
     check_single,
     lookup,
+    _HYPOTHESES,
+    _SHIFTED,
     _check_lambdas,
     _frame,
+    _holds,
     _norm,
     _pair_term,
+    _resolve_window_pair,
+    _resolve_window_single,
+    _sides,
     _step_norm,
     _step_shift,
 )
@@ -71,13 +75,7 @@ class RelaxNotRealized(ValueError):
 _PAIR_NAMES = frozenset(
     {"synchronous", "alternate_u", "no_other_joint_zero", "second_zero"}
 )
-_KNOWN_NAMES = _PAIR_NAMES | frozenset(
-    {
-        "degenerate", "first_zero", "last_zero", "window_end_zero",
-        "nonnegative", "nondecreasing", "monotone",
-        "mu_increasing", "mu_decreasing", "alternate", "no_other_zero",
-    }
-)
+_KNOWN_NAMES = frozenset(_HYPOTHESES)
 
 
 # -- random generation ------------------------------------------------------
@@ -386,83 +384,12 @@ def _build_pair(names, L, rng, M, base):
     return (_to_sequence(pu, Du, base), _to_sequence(pv, Dv, base))
 
 
-def _decomposable(seq, first, last):
-    if last - first + 1 < 2:
-        return True
-    try:
-        seq.window(first, last).alternate_segments()
-        return True
-    except NotDecomposable:
-        return False
-
-
 def _conforms(names, built):
-    if isinstance(built, tuple):
-        u, v = built
-    else:
-        u, v = built, None
-    b, e = u.first_index, u.last_index
-    start_only = ("first_zero" in names and "last_zero" not in names
-                  and "window_end_zero" not in names)
-    for name in names:
-        if name == "degenerate":
-            if not u.is_degenerate:
-                return False
-        elif name == "first_zero":
-            if not u.is_zero_at(b) or (v is not None and not v.is_zero_at(b)):
-                return False
-        elif name in ("last_zero", "window_end_zero"):
-            if not u.is_zero_at(e) or (v is not None and not v.is_zero_at(e)):
-                return False
-        elif name == "second_zero":
-            if len(u) < 2 or not u.is_zero_at(b + 1) or not v.is_zero_at(b + 1):
-                return False
-        elif name == "nonnegative":
-            if any(a < 0 for a in u.lows):
-                return False
-        elif name == "nondecreasing":
-            if Direction.INCREASING not in direction_set(u):
-                return False
-        elif name == "monotone":
-            lo = b + 1 if start_only else b
-            if lo <= e and not direction_set(u, lo, e):
-                return False
-        elif name in ("mu_increasing", "mu_decreasing"):
-            want = (MuDirection.MU_INCREASING if name == "mu_increasing"
-                    else MuDirection.MU_DECREASING)
-            if v is None:
-                lo = b + 1 if start_only else b
-                if lo <= e and want not in mu_direction_set(u, lo, e):
-                    return False
-            else:
-                if want not in mu_direction_set(u) or want not in mu_direction_set(v):
-                    return False
-        elif name == "alternate":
-            lo = b + 1 if start_only else b
-            if not _decomposable(u, lo, e):
-                return False
-        elif name == "alternate_u":
-            if not _decomposable(u, b, e):
-                return False
-        elif name == "no_other_zero":
-            lo = b + 1 if start_only else b
-            allowed = set()
-            if "first_zero" in names:
-                allowed.add(b)
-            if "last_zero" in names or "window_end_zero" in names:
-                allowed.add(e)
-            for i in range(lo, e + 1):
-                if i not in allowed and u.is_zero_at(i):
-                    return False
-        elif name == "no_other_joint_zero":
-            allowed = {b + p for p in _joint_allowed_positions(names, len(u))}
-            for i in range(b, e + 1):
-                if i not in allowed and u.is_zero_at(i) and v.is_zero_at(i):
-                    return False
-        elif name == "synchronous":
-            if not (direction_set(u) & direction_set(v)):
-                return False
-    return True
+    """Whether built satisfies every hypothesis of the profile names, by the
+    engine's own tests (theorems._HYPOTHESES) with the window end at the
+    last index."""
+    u, v = built if isinstance(built, tuple) else (built, None)
+    return _holds(names, u, v, u.base_index + len(u.lows) - 1)
 
 
 def _generate_with_rng(names, length, rng, magnitude, base=0):
@@ -771,6 +698,14 @@ def _relax_and_check(spec, names, built, relax, rng, l1, l2, window, L, M):
     )
 
 
+def _conforming_sides(spec, built, l1, l2, window):
+    """The engine's integer sides of a conforming input (theorems._sides)."""
+    u, v = built if spec.arity == 2 else (built, None)
+    resolve = _resolve_window_single if v is None else _resolve_window_pair
+    n, m = resolve(spec, u.first_index, u.last_index, window)
+    return _sides(spec, u, v, l1, l2, n, m, spec.sums.shape == "real")
+
+
 def _fuzz_window(spec, rng, base, L):
     e = base + L - 1
     if spec.arity == 1:
@@ -790,8 +725,12 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
     """Run seeded random trials of one statement and report violations.
 
     With an empty relax set every generated input conforms to the
-    hypotheses, so a violation (or a non-conforming input, which raises
-    RuntimeError as a generator/engine disagreement) is a bug. With
+    hypotheses (the generator re-verifies it with the engine's own tests),
+    so a violation is a bug. Each trial's sides are the engine's integer
+    sums, and its ratio is compared with the maximum by integer
+    cross-multiplication; check_single/check_pair judge only what the
+    report shows, every violation and every strict new maximum, and
+    RuntimeError, naming the trial, is raised when they disagree. With
     relax names the targeted preconditions are deliberately broken and
     found violations are reported, never asserted: absence of a
     counterexample proves nothing. RelaxNotRealized is raised when a
@@ -814,9 +753,10 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
             )
         lmin = max(lmin, need)
     violations = []
-    best = None
-    best_trial = None
-    best_input = None
+    relaxed = tuple(sorted(config.relax))
+    # the running maximum bn / bd, reached first at best_trial
+    best = best_trial = best_input = None
+    bn, bd = 0, 1
     for t in range(config.trials):
         rng = random.Random(f"{config.seed}:{tid.value}:{t}")
         L = rng.randint(lmin, lmax)
@@ -835,23 +775,37 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
                 spec, names, built, config.relax, rng, l1, l2, window,
                 L, config.endpoint_magnitude,
             )
+            better = verdict.ratio is not None and (best is None or verdict.ratio > best)
         else:
+            # built conforms (_conforms runs the engine's hypothesis tests),
+            # so the engine's integer sides decide; it runs only on a
+            # violation or a new maximum, and must agree
+            lhs, rhs, scale, const = _conforming_sides(spec, built, l1, l2, window)
+            cd, crhs = const.denominator, const.numerator * rhs
+            lcd = lhs * cd
+            if crhs > 0:
+                better = best is None or lcd * bd > bn * crhs
+            else:
+                # the ratio is 0 when both sides are 0, none when only rhs is
+                better = lcd == 0 == crhs and (best is None or bn < 0)
+            if not (better or lcd > crhs):
+                continue
             verdict = _run_check(spec, built, l1, l2, window)
-            if not verdict.in_hypotheses:
-                failed = [p.name for p in verdict.preconditions if not p.passed]
+            kernel = (Fraction(lhs, scale), Fraction(crhs, cd * scale))
+            if not (verdict.in_hypotheses and (verdict.lhs, verdict.rhs) == kernel):
                 raise RuntimeError(
-                    f"generator produced non-conforming input for {tid.value} "
-                    f"at trial {t} (failed: {failed})"
+                    f"fuzz kernel and engine disagree for {tid.value} at trial {t}: kernel"
+                    f" lhs, rhs {kernel[0]}, {kernel[1]}, in hypotheses; engine {verdict.lhs},"
+                    f" {verdict.rhs}, in_hypotheses {verdict.in_hypotheses}"
                 )
-        rec = TrialRecord(
-            trial=t, input=built, lambda1=l1, lambda2=l2, window=window,
-            relaxed=tuple(sorted(config.relax)), verdict=verdict,
-        )
         if not verdict.holds:
-            violations.append(rec)
-        r = verdict.ratio
-        if r is not None and (best is None or r > best):
-            best, best_trial, best_input = r, t, built
+            violations.append(TrialRecord(
+                trial=t, input=built, lambda1=l1, lambda2=l2, window=window,
+                relaxed=relaxed, verdict=verdict,
+            ))
+        if better:
+            best, best_trial, best_input = verdict.ratio, t, built
+            bn, bd = best.numerator, best.denominator
     return FuzzReport(
         config=config,
         trials_run=config.trials,
@@ -936,7 +890,7 @@ class ScanReport:
 #   (joint zero) off the anchors.
 # The other names hold on every grid point (degenerate, nonnegative) or are
 # the anchors, which are pinned. Every scanned range starts at the first
-# index, or one after it (_SCAN_SHIFTED), and ends at the last, whatever
+# index, or one after it (theorems._SHIFTED), and ends at the last, whatever
 # the window: no hypothesis depends on the window start n, and every window
 # ends at m = e. So a prefix failing a test fails every point below it in
 # every window, and a point whose every step passes is in hypotheses in
@@ -952,9 +906,6 @@ _SCAN_PREFIX_TESTS = {
     "no_other_zero": ("zero", 0),
     "no_other_joint_zero": ("zero", 0),
 }
-# single-sequence ranges that start one index after a lone anchor at the
-# first index, as the engine checks T3_1, T3_3 and T4_1
-_SCAN_SHIFTED = frozenset({"monotone", "mu_increasing", "mu_decreasing", "alternate"})
 
 
 def _scan_rules(spec, L, anchors):
@@ -984,7 +935,7 @@ def _scan_rules(spec, L, anchors):
                     continue
                 if kind == "order" and s == i == 0:
                     acc0 &= bits
-                if i - 1 >= (shift if name in _SCAN_SHIFTED else 0):
+                if i - 1 >= (shift if name in _SHIFTED else 0):
                     order = order or kind == "order"
                     split = split or kind == "split"
                     width |= bits if kind == "width" else 0

@@ -142,14 +142,9 @@ _MU_LABEL = (MuDirection.MU_NON_MONOTONE, MuDirection.MU_INCREASING,
 def _order_bits(xs, strict=False):
     """Bit 1 when xs never falls (rises at every step if strict), bit 2
     when it never rises (falls at every step if strict)."""
-    steps = list(zip(xs, xs[1:]))
-    if strict:
-        up = all(a < c for a, c in steps)
-        down = all(a > c for a, c in steps)
-    else:
-        up = all(a <= c for a, c in steps)
-        down = all(a >= c for a, c in steps)
-    return up | (down << 1)
+    up, down = (operator.lt, operator.gt) if strict else (operator.le, operator.ge)
+    tail = xs[1:]
+    return all(map(up, xs, tail)) | (all(map(down, xs, tail)) << 1)
 
 
 class IntervalSequence:

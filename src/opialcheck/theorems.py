@@ -33,21 +33,25 @@ products and powers, so a single-sequence term is ||u_i||^l1 * ||Du_i||^l2.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .intervals import ExponentOutOfRange
-from .rationals import rational_to_json
+from .rationals import ratio_to_json, rational_to_json
 from .sequences import (
     Direction,
     IntervalSequence,
     LengthMismatch,
     MuDirection,
     NotDecomposable,
-    Synchrony,
     TooShort,
+    _ends,
+    _order_bits,
+    _widths,
     direction_set,
     first_direction_break,
     first_mu_break,
@@ -263,15 +267,16 @@ def _sums(shape, lhs, rhs, const):
 
 def _frame(spec, b, e, n, m, l1, l2):
     """The lhs and rhs ranges of term indices and the constant of spec on
-    the indices b..e with window (n, m) ((b, e) when there is none)."""
+    the indices b..e with window (n, m) ((b, e) when there is none); the
+    caller has checked the exponents."""
     t = spec.sums
     at = (b, e, n, m, 0)
     (ls, lo), (le, lf) = t.lhs
     (rs, ro), (re_, rf) = t.rhs
     cn, cm = t.const
     return (range(at[ls] + lo, at[le] + lf), range(at[rs] + ro, at[re_] + rf),
-            spec.constant(l1, l2, None if cn is None else at[cn[0]] - at[cn[1]],
-                          None if cm is None else at[cm[0]] - at[cm[1]]))
+            spec.constant_fn(l1, l2, None if cn is None else at[cn[0]] - at[cn[1]],
+                             None if cm is None else at[cm[0]] - at[cm[1]]))
 
 
 def _spec(tid, op, arity, windowed, window_optional, pre, params, fn, summary, sums):
@@ -395,136 +400,211 @@ def lookup(theorem) -> TheoremSpec:
     return _REGISTRY[tid]
 
 
-# -- precondition checks ---------------------------------------------------
+# -- the hypotheses ---------------------------------------------------------
+#
+# Every precondition is written once, in _HYPOTHESES: name -> (holds, detail).
+# holds(u, v, lo, hi, allowed) is its test on the integer endpoints, truthy
+# when it passes; v is None for a single sequence, lo..hi the absolute
+# indices it reads (an anchor reads lo = hi), allowed the anchors' indices.
+# detail(name, passed, u, v, lo, hi, allowed) is the text of its reported
+# row, built only for a verdict (_pc_row). _plan gives each name its range.
 
 
-def _pc_zero_at(seq, idx, name, sym="u"):
-    if seq.is_zero_at(idx):
-        return PreconditionCheck(name, True, f"{sym}_{idx} = [0, 0]")
-    return PreconditionCheck(name, False, f"{sym}_{idx} = {seq.at(idx)} (expected [0, 0])")
+def _zero(s, i):
+    k = i - s.base_index
+    return s.lows[k] == 0 == s.highs[k]
 
 
-def _pc_zero_pair(u, v, idx, name):
-    fu = u.is_zero_at(idx)
-    fv = v.is_zero_at(idx)
-    if fu and fv:
-        return PreconditionCheck(name, True, f"u_{idx} = v_{idx} = [0, 0]")
-    if not fu:
-        return PreconditionCheck(name, False, f"u_{idx} = {u.at(idx)} (expected [0, 0])")
-    return PreconditionCheck(name, False, f"v_{idx} = {v.at(idx)} (expected [0, 0])")
+def _elem(s, i):
+    """str(s.at(i)), without building the Interval."""
+    k = i - s.base_index
+    return f"[{ratio_to_json(s.lows[k], s.D)}, {ratio_to_json(s.highs[k], s.D)}]"
 
 
-def _pc_degenerate(seq, first, last):
-    b = seq.base_index
-    for i in range(first, last + 1):
-        if seq.lows[i - b] != seq.highs[i - b]:
-            return PreconditionCheck(
-                "degenerate", False, f"u_{i} = {seq.at(i)} has positive width"
-            )
-    return PreconditionCheck("degenerate", True, f"u_{first}..u_{last} are points")
+def _dir_bits(s, lo, hi):
+    # LU order bits of s_lo..s_hi: 1 increasing, 2 decreasing (direction_set)
+    lows, highs = _ends(s, lo, hi)
+    return _order_bits(lows) & _order_bits(highs)
 
 
-def _pc_nonnegative(seq, first, last):
-    b = seq.base_index
-    for i in range(first, last + 1):
-        if seq.lows[i - b] < 0:
-            return PreconditionCheck(
-                "nonnegative", False, f"u_{i} = {seq.at(i)} drops below zero"
-            )
-    return PreconditionCheck("nonnegative", True, "no element drops below zero")
+def _mu_bits(s, lo, hi):
+    return _order_bits(_widths(*_ends(s, lo, hi)))
 
 
-def _pc_nondecreasing(seq, first, last):
-    if Direction.INCREASING in direction_set(seq, first, last):
-        return PreconditionCheck(
-            "nondecreasing", True, f"non-decreasing on [{first}, {last}]"
-        )
-    i = first_direction_break(seq, Direction.INCREASING, first, last)
-    return PreconditionCheck("nondecreasing", False, f"decreases at i={i}")
+def _split_free(s, lo, hi):
+    # alternate_segments raises NotDecomposable exactly at a step that keeps
+    # no LU order: one whose endpoints move strictly apart, so that their
+    # differences have a negative product. A range of one element passes.
+    lows, highs = _ends(s, lo, hi)
+    return min(map(operator.mul, map(operator.sub, lows[1:], lows),
+                   map(operator.sub, highs[1:], highs)), default=0) >= 0
 
 
-def _pc_monotone(seq, first, last):
-    dirs = direction_set(seq, first, last)
-    if dirs:
-        label = " and ".join(sorted(d.value for d in dirs))
-        return PreconditionCheck("monotone", True, f"{label} on [{first}, {last}]")
-    up = first_direction_break(seq, Direction.INCREASING, first, last)
-    down = first_direction_break(seq, Direction.DECREASING, first, last)
-    return PreconditionCheck(
-        "monotone",
-        False,
-        f"no single order on [{first}, {last}]; both orders broken by i={max(up, down)}",
-    )
+def _first_stray(u, v, lo, hi, allowed):
+    """The first index of lo..hi off the anchors where u (and v) is [0, 0]."""
+    b = u.base_index
+    for i in range(lo, hi + 1):
+        k = i - b
+        if (u.lows[k] == 0 == u.highs[k] and i not in allowed
+                and (v is None or v.lows[k] == 0 == v.highs[k])):
+            return i
+    return None
 
 
-def _pc_mu(seq, first, last, want):
-    name = "mu_increasing" if want is MuDirection.MU_INCREASING else "mu_decreasing"
-    if want in mu_direction_set(seq, first, last):
-        return PreconditionCheck(name, True, f"width order holds on [{first}, {last}]")
-    i = first_mu_break(seq, want, first, last)
-    return PreconditionCheck(name, False, f"width order breaks at i={i}")
+def _no_order_at(s, lo, hi):
+    # the step by which both LU orders of s_lo..s_hi are broken
+    return max(first_direction_break(s, Direction.INCREASING, lo, hi),
+               first_direction_break(s, Direction.DECREASING, lo, hi))
 
 
-def _pc_mu_pair(u, v, first, last, want, name):
-    mu_u = want in mu_direction_set(u, first, last)
-    mu_v = want in mu_direction_set(v, first, last)
-    if mu_u and mu_v:
-        return PreconditionCheck(name, True, f"width order holds for u and v on [{first}, {last}]")
-    sym, s = ("u", u) if not mu_u else ("v", v)
-    i = first_mu_break(s, want, first, last)
-    return PreconditionCheck(name, False, f"{sym} width order breaks at i={i}")
+def _h_zero(u, v, i, _, __):
+    return _zero(u, i) and (v is None or _zero(v, i))
 
 
-def _pc_alternate(seq, first, last, name="alternate"):
-    if last - first + 1 < 2:
-        return PreconditionCheck(name, True, f"[{first}, {last}] is trivially alternate")
+def _h_mu(want):
+    def holds(u, v, lo, hi, _):
+        return want & _mu_bits(u, lo, hi) and (v is None or want & _mu_bits(v, lo, hi))
+    return holds
+
+
+def _d_zero(name, passed, u, v, i, _, __):
+    if passed:
+        return f"u_{i} = [0, 0]" if v is None else f"u_{i} = v_{i} = [0, 0]"
+    sym, s = ("v", v) if _zero(u, i) else ("u", u)
+    return f"{sym}_{i} = {_elem(s, i)} (expected [0, 0])"
+
+
+def _d_element(name, passed, u, v, lo, hi, _):
+    # degenerate and nonnegative: the first element that fails
+    degenerate = name == "degenerate"
+    if passed:
+        return f"u_{lo}..u_{hi} are points" if degenerate else "no element drops below zero"
+    lows, highs = _ends(u, lo, hi)
+    k = next(k for k, (a, c) in enumerate(zip(lows, highs)) if (a != c if degenerate else a < 0))
+    what = "has positive width" if degenerate else "drops below zero"
+    return f"u_{lo + k} = {_elem(u, lo + k)} {what}"
+
+
+def _d_nondecreasing(name, passed, u, v, lo, hi, _):
+    if passed:
+        return f"non-decreasing on [{lo}, {hi}]"
+    return f"decreases at i={first_direction_break(u, Direction.INCREASING, lo, hi)}"
+
+
+def _d_monotone(name, passed, u, v, lo, hi, _):
+    if passed:
+        label = " and ".join(sorted(d.value for d in direction_set(u, lo, hi)))
+        return f"{label} on [{lo}, {hi}]"
+    return f"no single order on [{lo}, {hi}]; both orders broken by i={_no_order_at(u, lo, hi)}"
+
+
+def _d_synchronous(name, passed, u, v, lo, hi, _):
+    if passed:
+        shared = direction_set(u, lo, hi) & direction_set(v, lo, hi)
+        return f"shared order: {' and '.join(sorted(d.value for d in shared))}"
+    if _dir_bits(u, lo, hi) and _dir_bits(v, lo, hi):
+        return "u and v are monotone in opposite directions"
+    sym, s = ("v", v) if _dir_bits(u, lo, hi) else ("u", u)
+    return f"{sym} admits no single order on [{lo}, {hi}]; broken by i={_no_order_at(s, lo, hi)}"
+
+
+def _d_mu(name, passed, u, v, lo, hi, _):
+    if passed:
+        return f"width order holds{'' if v is None else ' for u and v'} on [{lo}, {hi}]"
+    want = MuDirection.MU_INCREASING if name == "mu_increasing" else MuDirection.MU_DECREASING
+    if v is None:
+        return f"width order breaks at i={first_mu_break(u, want, lo, hi)}"
+    sym, s = ("v", v) if want in mu_direction_set(u, lo, hi) else ("u", u)
+    return f"{sym} width order breaks at i={first_mu_break(s, want, lo, hi)}"
+
+
+def _d_alternate(name, passed, u, v, lo, hi, _):
+    if hi - lo < 1:
+        return f"[{lo}, {hi}] is trivially alternate"
     try:
-        dec = seq.window(first, last).alternate_segments()
+        dec = u.window(lo, hi).alternate_segments()
     except NotDecomposable as exc:
-        return PreconditionCheck(name, False, str(exc))
-    return PreconditionCheck(
-        name, True,
-        f"{len(dec.segments)} segment(s), breakpoints {list(dec.breakpoints)}",
-    )
+        return str(exc)
+    return f"{len(dec.segments)} segment(s), breakpoints {list(dec.breakpoints)}"
 
 
-def _pc_no_other_zero(seq, first, last, allowed, name="no_other_zero"):
-    for i in range(first, last + 1):
-        if i in allowed:
-            continue
-        if seq.is_zero_at(i):
-            return PreconditionCheck(name, False, f"u_{i} = [0, 0] is a stray zero")
-    return PreconditionCheck(name, True, "no stray zero")
+def _d_stray(name, passed, u, v, lo, hi, allowed):
+    joint = " joint" if name == "no_other_joint_zero" else ""
+    if passed:
+        return f"no stray{joint} zero"
+    i = _first_stray(u, v if joint else None, lo, hi, allowed)
+    return f"{f'u_{i} = v_{i}' if joint else f'u_{i}'} = [0, 0] is a stray{joint} zero"
 
 
-def _pc_no_other_joint_zero(u, v, first, last, allowed):
-    for i in range(first, last + 1):
-        if i in allowed:
-            continue
-        if u.is_zero_at(i) and v.is_zero_at(i):
-            return PreconditionCheck(
-                "no_other_joint_zero", False, f"u_{i} = v_{i} = [0, 0] is a stray joint zero"
-            )
-    return PreconditionCheck("no_other_joint_zero", True, "no stray joint zero")
+_HYPOTHESES = {
+    "degenerate": (lambda u, v, lo, hi, _: operator.eq(*_ends(u, lo, hi)), _d_element),
+    "first_zero": (_h_zero, _d_zero),
+    "second_zero": (_h_zero, _d_zero),
+    "last_zero": (_h_zero, _d_zero),
+    "window_end_zero": (_h_zero, _d_zero),
+    "nonnegative": (lambda u, v, lo, hi, _: min(_ends(u, lo, hi)[0], default=0) >= 0, _d_element),
+    "nondecreasing": (lambda u, v, lo, hi, _: _dir_bits(u, lo, hi) & 1, _d_nondecreasing),
+    "monotone": (lambda u, v, lo, hi, _: _dir_bits(u, lo, hi), _d_monotone),
+    "synchronous": (lambda u, v, lo, hi, _: _dir_bits(u, lo, hi) & _dir_bits(v, lo, hi),
+                    _d_synchronous),
+    "mu_increasing": (_h_mu(1), _d_mu),
+    "mu_decreasing": (_h_mu(2), _d_mu),
+    "alternate": (lambda u, v, lo, hi, _: _split_free(u, lo, hi), _d_alternate),
+    "alternate_u": (lambda u, v, lo, hi, _: _split_free(u, lo, hi), _d_alternate),
+    "no_other_zero": (lambda u, v, lo, hi, a: _first_stray(u, None, lo, hi, a) is None, _d_stray),
+    "no_other_joint_zero": (lambda u, v, lo, hi, a: _first_stray(u, v, lo, hi, a) is None,
+                            _d_stray),
+}
+# an anchor's index as (position in (b, e, m), offset)
+_ANCHOR_AT = {"first_zero": (0, 0), "second_zero": (0, 1), "last_zero": (1, 0),
+              "window_end_zero": (2, 0)}
+# names that a single sequence whose only anchor is at the first index
+# checks from one index later (T3_1, T3_3, T4_1)
+_SHIFTED = frozenset({"monotone", "mu_increasing", "mu_decreasing", "alternate", "no_other_zero"})
 
 
-def _pc_synchronous(u, v, first, last):
-    du = direction_set(u, first, last)
-    dv = direction_set(v, first, last)
-    if du & dv:
-        shared = " and ".join(sorted(d.value for d in du & dv))
-        return PreconditionCheck("synchronous", True, f"shared order: {shared}")
-    if not du or not dv:
-        sym, s = ("u", u) if not du else ("v", v)
-        up = first_direction_break(s, Direction.INCREASING, first, last)
-        down = first_direction_break(s, Direction.DECREASING, first, last)
-        return PreconditionCheck(
-            "synchronous", False,
-            f"{sym} admits no single order on [{first}, {last}]; broken by i={max(up, down)}",
-        )
-    return PreconditionCheck(
-        "synchronous", False, "u and v are monotone in opposite directions"
-    )
+@functools.cache
+def _plan(names, pair):
+    """(name, holds, detail, lo, hi) for each of names, in order, each end
+    a (position in (b, e, m), offset); and the anchors' positions. An anchor
+    reads its own index, every other name the first index (one later if
+    _SHIFTED applies) to the window end m."""
+    start_only = (not pair and "first_zero" in names
+                  and "last_zero" not in names and "window_end_zero" not in names)
+    plan = []
+    for name in names:
+        lo = hi = _ANCHOR_AT.get(name)
+        if lo is None:
+            lo, hi = (0, int(start_only and name in _SHIFTED)), (2, 0)
+        plan.append((name, *_HYPOTHESES[name], lo, hi))
+    return tuple(plan), tuple(_ANCHOR_AT[n] for n in names if n in _ANCHOR_AT)
+
+
+def _hypotheses(names, u, v, m):
+    """(name, holds, detail, lo, hi) of each of names on u (and v) with the
+    window end m, and the set of anchor indices."""
+    plan, anchors = _plan(names, v is not None)
+    at = (u.base_index, u.base_index + len(u.lows) - 1, m)
+    return ([(name, holds, detail, at[lp] + lo, at[hp] + ho)
+             for name, holds, detail, (lp, lo), (hp, ho) in plan],
+            {at[p] + o for p, o in anchors})
+
+
+def _holds(names, u, v, m):
+    """Whether u (and v) satisfy every hypothesis of names at window end m."""
+    hyps, allowed = _hypotheses(names, u, v, m)
+    return all(holds(u, v, lo, hi, allowed) for _, holds, _, lo, hi in hyps)
+
+
+def _pc_row(name, passed, detail, u, v, lo, hi, allowed):
+    return PreconditionCheck(name, passed, detail(name, passed, u, v, lo, hi, allowed))
+
+
+def _rows(names, u, v, m):
+    """The reported row of each hypothesis of names, in order."""
+    hyps, allowed = _hypotheses(names, u, v, m)
+    return tuple(_pc_row(name, bool(holds(u, v, lo, hi, allowed)), detail, u, v, lo, hi, allowed)
+                 for name, holds, detail, lo, hi in hyps)
 
 
 # -- window handling --------------------------------------------------------
@@ -611,26 +691,42 @@ def _step_shift(spec):
 
 
 def _opial_sums(seq, l1, l2, lhs_rng, rhs_rng, shift):
-    """Sums of ||u_i^l1 * (Du_i)^l2|| and of ||Du_i||^(l1+l2) over the ranges.
+    """Sums of ||u_i^l1 * (Du_i)^l2|| and of ||Du_i||^(l1+l2) over the ranges,
+    as (lhs, rhs, scale): the sides are lhs / scale and rhs / scale.
 
     Du is nabla for shift 1 (step k is Du at b+k+1) and delta for shift 0.
     The norm is multiplicative on the set-image product and power, so each
     term is ||u_i||^l1 * ||Du_i||^l2.
     """
-    D, lows, highs = seq.D, seq.lows, seq.highs
+    lows, highs = seq.lows, seq.highs
     un = list(map(_norm, lows, highs))
     sn = list(map(_step_norm, lows, highs, lows[1:], highs[1:]))
     b = seq.base_index
     first = b + shift
     lhs = sum(un[i - b] ** l1 * sn[i - first] ** l2 for i in lhs_rng)
     rhs = sum(sn[i - first] ** (l1 + l2) for i in rhs_rng)
-    scale = D ** (l1 + l2)
-    return Fraction(lhs, scale), Fraction(rhs, scale)
+    return lhs, rhs, seq.D ** (l1 + l2)
+
+
+def _real_sums(seq, l1, l2, lhs_rng, rhs_rng, shift, signed):
+    """The real statements' sums of x_i^l1 (Dx_i)^l2 and (Dx_i)^(l1+l2) on a
+    degenerate stretch, signed or of absolute values, as (lhs, rhs, scale)."""
+    # x_i = xs[i - b] / D, Dx_i = steps[i - b - shift]; both sums are
+    # homogeneous of degree k in the x_i
+    xs, b, k = seq.lows, seq.base_index, l1 + l2
+    steps = [x1 - x0 for x0, x1 in zip(xs, xs[1:])]
+    first = b + shift
+    terms = (xs[i - b] ** l1 * steps[i - first] ** l2 for i in lhs_rng)
+    powers = (steps[i - first] ** k for i in rhs_rng)
+    if signed:
+        return sum(terms), sum(powers), seq.D ** k
+    return sum(map(abs, terms)), sum(map(abs, powers)), seq.D ** k
 
 
 def _pair_sums(u, v, terms):
-    """Sums of the _pair_term terms over terms, on the common denominator
-    D = lcm(Du, Dv); both sums are homogeneous of degree 2."""
+    """Sums of the _pair_term terms over terms, as (lhs, rhs, scale) on the
+    common denominator D = lcm(Du, Dv); both sums are homogeneous of degree
+    2, so scale = D^2."""
     Du, ul, uh = u.D, u.lows, u.highs
     Dv, vl, vh = v.D, v.lows, v.highs
     D = math.lcm(Du, Dv)
@@ -643,7 +739,24 @@ def _pair_sums(u, v, terms):
                             vl[k - 1] * sv, vh[k - 1] * sv, vl[k] * sv, vh[k] * sv)
         lhs += tl
         rhs += tr
-    return Fraction(lhs, D * D), Fraction(rhs, D * D)
+    return lhs, rhs, D * D
+
+
+def _sides(spec, u, v, l1, l2, n, m, real):
+    """(lhs, rhs, scale, const): the sides are lhs / scale and
+    const * rhs / scale on u (and v) in the window (n, m). real picks the
+    real statements' plain sums, which need a degenerate stretch."""
+    b, e = u.base_index, u.base_index + len(u.lows) - 1
+    if v is not None:
+        terms, _, const = _frame(spec, b, e, n, m, 1, 1)
+        return (*_pair_sums(u, v, terms), const)
+    lhs_rng, rhs_rng, const = _frame(spec, b, e, n, m, l1, l2)
+    if real:
+        sums = _real_sums(u, l1, l2, lhs_rng, rhs_rng, _step_shift(spec),
+                          spec.id is TheoremId.L3_1)
+    else:
+        sums = _opial_sums(u, l1, l2, lhs_rng, rhs_rng, _step_shift(spec))
+    return (*sums, const)
 
 
 # -- checking ---------------------------------------------------------------
@@ -660,20 +773,15 @@ def _check_lambdas(spec, l1, l2):
 
 
 def _verdict(spec, pre, lhs, rhs, const, l1, l2, window, notes):
-    holds = lhs <= rhs
-    if rhs > 0:
-        ratio = lhs / rhs
-    elif lhs == 0 and rhs == 0:
-        ratio = Fraction(0)
-    else:
-        ratio = None
+    # the ratio is 0 when both sides are 0, none when only rhs is
+    ratio = lhs / rhs if rhs > 0 else (Fraction(0) if lhs == 0 == rhs else None)
     return Verdict(
         theorem=spec.id,
         preconditions=pre,
         lhs=lhs,
         rhs=rhs,
         constant=const,
-        holds=holds,
+        holds=lhs <= rhs,
         ratio=ratio,
         in_hypotheses=all(p.passed for p in pre),
         lambda1=l1,
@@ -696,78 +804,17 @@ def check_single(seq: IntervalSequence, l1: int, l2: int, theorem, window=None) 
     _check_lambdas(spec, l1, l2)
     if len(seq) < 2:
         raise TooShort(f"{spec.id.value} needs at least two elements")
-    b, e = seq.first_index, seq.last_index
-    n, m = _resolve_window_single(spec, b, e, window)
-    lhs_rng, rhs_rng, const = _frame(spec, b, e, n, m, l1, l2)
-    if spec.sums.shape == "real":
-        pre, lhs, rhs, notes = _eval_real(spec, seq, l1, l2, m, lhs_rng, rhs_rng)
-    else:
-        pre = _interval_preconditions(spec.id, seq, m)
-        lhs, rhs = _opial_sums(seq, l1, l2, lhs_rng, rhs_rng, _step_shift(spec))
-        notes = ()
+    n, m = _resolve_window_single(spec, seq.first_index, seq.last_index, window)
+    pre = _rows(spec.preconditions, seq, None, m)
+    # the real statements' first row is degenerate; off it, interval norms
+    real = spec.sums.shape == "real"
+    notes = ()
+    if real and not pre[0].passed:
+        notes, real = ("non-degenerate input: evaluated with interval norms",), False
+    lhs, rhs, scale, const = _sides(spec, seq, None, l1, l2, n, m, real)
     win_echo = (n, m) if spec.windowed else None
-    return _verdict(spec, pre, lhs, const * rhs, const, l1, l2, win_echo, notes)
-
-
-def _eval_real(spec, seq, l1, l2, m, lhs_rng, rhs_rng):
-    b, e = seq.first_index, seq.last_index
-    tid = spec.id
-    hyp_end = m if tid is TheoremId.L3_02 else e
-    pre = [_pc_degenerate(seq, b, hyp_end)]
-    if tid is TheoremId.L3_02:
-        pre.append(_pc_zero_at(seq, m, "window_end_zero"))
-    else:
-        pre.append(_pc_zero_at(seq, b, "first_zero"))
-    if tid is TheoremId.T2_2:
-        pre.append(_pc_zero_at(seq, e, "last_zero"))
-    if tid is TheoremId.L3_1:
-        pre.append(_pc_nonnegative(seq, b, e))
-        pre.append(_pc_nondecreasing(seq, b, e))
-    notes = []
-    shift = _step_shift(spec)
-    if pre[0].passed:
-        # x_i = xs[i - b] / D on [b, hyp_end], Dx_i = steps[i - b - shift];
-        # both sums are homogeneous of degree k in the x_i
-        D, xs = seq.D, seq.lows
-        k = l1 + l2
-        steps = [x1 - x0 for x0, x1 in zip(xs, xs[1:])]
-        first = b + shift
-        terms = (xs[i - b] ** l1 * steps[i - first] ** l2 for i in lhs_rng)
-        powers = (steps[i - first] ** k for i in rhs_rng)
-        if tid is TheoremId.L3_1:
-            lhs, rhs = sum(terms), sum(powers)
-        else:
-            lhs, rhs = sum(map(abs, terms)), sum(map(abs, powers))
-        lhs, rhs = Fraction(lhs, D ** k), Fraction(rhs, D ** k)
-    else:
-        notes.append("non-degenerate input: evaluated with interval norms")
-        lhs, rhs = _opial_sums(seq, l1, l2, lhs_rng, rhs_rng, shift)
-    return tuple(pre), lhs, rhs, tuple(notes)
-
-
-def _interval_preconditions(tid, seq, m):
-    # the nabla statements and their forward-difference versions (T4_*)
-    b, e = seq.first_index, seq.last_index
-    if tid in (TheoremId.T3_1, TheoremId.T4_1):
-        return (_pc_zero_at(seq, b, "first_zero"),
-                _pc_monotone(seq, b + 1, e),
-                _pc_mu(seq, b + 1, e, MuDirection.MU_INCREASING))
-    if tid in (TheoremId.T3_2, TheoremId.T4_2):
-        return (_pc_zero_at(seq, m, "window_end_zero"),
-                _pc_monotone(seq, b, m),
-                _pc_mu(seq, b, m, MuDirection.MU_DECREASING))
-    if tid is TheoremId.T3_3:
-        return (_pc_zero_at(seq, b, "first_zero"),
-                _pc_alternate(seq, b + 1, e),
-                _pc_no_other_zero(seq, b + 1, e, frozenset()))
-    if tid is TheoremId.T3_4:
-        return (_pc_zero_at(seq, m, "window_end_zero"),
-                _pc_alternate(seq, b, m),
-                _pc_no_other_zero(seq, b, m, frozenset({m})))
-    return (_pc_zero_at(seq, b, "first_zero"),
-            _pc_zero_at(seq, e, "last_zero"),
-            _pc_alternate(seq, b, e),
-            _pc_no_other_zero(seq, b, e, frozenset({b, e})))
+    return _verdict(spec, pre, Fraction(lhs, scale), const * Fraction(rhs, scale), const,
+                    l1, l2, win_echo, notes)
 
 
 def _v_profile_note(v, first, last):
@@ -799,46 +846,19 @@ def check_pair(u: IntervalSequence, v: IntervalSequence, theorem, window=None,
         )
     if len(u) < 2:
         raise TooShort(f"{spec.id.value} needs at least two elements")
-    b, e = u.first_index, u.last_index
-    n, m = _resolve_window_pair(spec, b, e, window)
-    terms, _, const = _frame(spec, b, e, n, m, 1, 1)
-    tid = spec.id
-    pre = []
+    n, m = _resolve_window_pair(spec, u.first_index, u.last_index, window)
+    names = spec.preconditions
     notes = []
-    if tid is TheoremId.T3_6:
-        pre.append(_pc_zero_pair(u, v, b, "first_zero"))
-        pre.append(_pc_synchronous(u, v, b, e))
-        pre.append(_pc_mu_pair(u, v, b, e, MuDirection.MU_INCREASING, "mu_increasing"))
-    elif tid is TheoremId.T3_7:
-        pre.append(_pc_zero_pair(u, v, m, "window_end_zero"))
-        pre.append(_pc_synchronous(u, v, b, m))
-        pre.append(_pc_mu_pair(u, v, b, m, MuDirection.MU_DECREASING, "mu_decreasing"))
-    elif tid is TheoremId.T3_8:
-        pre.append(_pc_zero_pair(u, v, b, "first_zero"))
-        pre.append(_pc_alternate(u, b, m, name="alternate_u"))
-        pre.append(_pc_no_other_joint_zero(u, v, b, m, frozenset({b})))
-        notes.append(_v_profile_note(v, b, m))
-    elif tid is TheoremId.T3_9:
-        pre.append(_pc_zero_pair(u, v, m, "window_end_zero"))
-        pre.append(_pc_alternate(u, b, m, name="alternate_u"))
-        pre.append(_pc_no_other_joint_zero(u, v, b, m, frozenset({m})))
-        notes.append(_v_profile_note(v, b, m))
-    else:
-        if alt_boundary:
-            pre.append(_pc_zero_pair(u, v, b, "first_zero"))
-            allowed = frozenset({b, e})
-            notes.append("alternate boundary mode: anchors at the first and last index")
-        else:
-            pre.append(_pc_zero_pair(u, v, b + 1, "second_zero"))
-            allowed = frozenset({b + 1, e})
-        pre.append(_pc_zero_pair(u, v, e, "last_zero"))
-        pre.append(_pc_alternate(u, b, e, name="alternate_u"))
-        pre.append(_pc_no_other_joint_zero(u, v, b, e, allowed))
-        notes.append(_v_profile_note(v, b, e))
-    lhs, rhs = _pair_sums(u, v, terms)
-    rhs = const * rhs
+    if alt_boundary:
+        names = tuple("first_zero" if p == "second_zero" else p for p in names)
+        notes.append("alternate boundary mode: anchors at the first and last index")
+    pre = _rows(names, u, v, m)
+    if "alternate_u" in names:
+        notes.append(_v_profile_note(v, u.first_index, m))
+    lhs, rhs, scale, const = _sides(spec, u, v, None, None, n, m, False)
     win_echo = (n, m) if (spec.windowed or spec.window_optional) else None
-    return _verdict(spec, tuple(pre), lhs, rhs, const, None, None, win_echo, tuple(notes))
+    return _verdict(spec, pre, Fraction(lhs, scale), const * Fraction(rhs, scale), const,
+                    None, None, win_echo, tuple(notes))
 
 
 def check_classical(seq) -> Verdict:

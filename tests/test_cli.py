@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -220,6 +221,75 @@ def test_conforming_check_builds_no_interval(capsys, monkeypatch, args):
     assert code == 0
     assert json.loads(out)["verdict"]["in_hypotheses"] is True
     assert built == []
+
+
+def test_discovery_builds_no_interval(capsys, monkeypatch):
+    # ex32_n5 fails hypotheses of several statements; each failed row prints
+    # its element from the integers
+    built = []
+    real_init = Interval.__init__
+
+    def counted(self, *a, **kw):
+        built.append(1)
+        real_init(self, *a, **kw)
+
+    monkeypatch.setattr(Interval, "__init__", counted)
+    code, out, _ = run_cli(capsys, ["check", "--in", sample("ex32_n5.json")])
+    assert code == 2
+    rows = [p for v in json.loads(out)["verdicts"] for p in v["preconditions"]]
+    assert any(" = [" in p["detail"] and not p["passed"] for p in rows)
+    assert built == []
+
+
+# -- printed size ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("doc", [
+    '{"u": [[0, 0], [1e4000, 1e4000], [0, 0]]}',
+    '{"u": [[0, 1e4300]]}',
+    '{"u": [[0, 0], [1e3000, 1e3000]], "v": [[0, 0], [1, 1]]}',
+])
+def test_oversized_documents_are_refused_before_checking(capsys, tmp_path, monkeypatch, doc):
+    # a result past the interpreter's int-to-text limit cannot be printed,
+    # so the document is refused before any statement runs
+    path = tmp_path / "big.json"
+    path.write_text(doc)
+    calls = []
+    monkeypatch.setattr(cli, "check_single", lambda *a, **k: calls.append(1))
+    monkeypatch.setattr(cli, "check_pair", lambda *a, **k: calls.append(1))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["check", "--in", str(path)])
+    assert time.perf_counter() - start < 0.25
+    assert code == 3 and out == "" and calls == []
+    assert err.startswith("error: input too large") and err.count("\n") == 1
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SAMPLES.glob("*.json")))
+@pytest.mark.parametrize("l1,l2", [(1, 1), (4, 4)])
+def test_every_sample_is_admitted(name, l1, l2):
+    cli._guard_output_size(parse_sequence((SAMPLES / name).read_text()), l1, l2)
+
+
+@pytest.mark.parametrize("digits", [1000, 1400, 2100, 2150, 4000])
+@pytest.mark.parametrize("l1,l2", [(1, 1), (1, 2)])
+@pytest.mark.parametrize("den", [1, 999983])
+def test_admitted_documents_print(capsys, tmp_path, digits, l1, l2, den):
+    # whatever the bound admits runs and prints, and it refuses no tent
+    # whose sides (about digits * (l1 + l2) digits) stay within 4000
+    x = 10 ** digits
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"u": [[0, 0], [f"{x}/{den}", f"{x + 1}/{den}"],
+                                      [f"{x}/{den}", f"{x}/{den}"], [0, 0]]}))
+    try:
+        cli._guard_output_size(parse_sequence(path.read_text()), l1, l2)
+    except cli.OutputTooLarge:
+        assert digits * (l1 + l2) > 4000
+        return
+    code, out, _ = run_cli(capsys, ["check", "--in", str(path),
+                                    "--l1", str(l1), "--l2", str(l2)])
+    assert code in (0, 1, 2)
+    assert json.loads(out)["verdicts"]
 
 
 # -- decimal exponents ----------------------------------------------------------

@@ -7,6 +7,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from opialcheck import (
     BudgetExceeded,
@@ -32,8 +34,9 @@ from opialcheck import (
     young_check,
 )
 import opialcheck.oracle as oracle
+import opialcheck.theorems as theorems
 
-from conftest import seq
+from conftest import mixed_sequences, seq
 
 
 # -- generator ---------------------------------------------------------------
@@ -147,6 +150,153 @@ def test_fuzz_deterministic():
     a = fuzz(FuzzConfig(theorem="T3_6", trials=60, seed=11))
     b = fuzz(FuzzConfig(theorem="T3_6", trials=60, seed=11))
     assert a.to_jsonable() == b.to_jsonable()
+
+
+def _record_kernel(monkeypatch):
+    """The kernel sums of every fuzz trial: (spec, built, l1, l2, window, sides)."""
+    trials = []
+    real = oracle._conforming_sides
+
+    def recording(spec, built, l1, l2, window):
+        sides = real(spec, built, l1, l2, window)
+        trials.append((spec, built, l1, l2, window, sides))
+        return sides
+
+    monkeypatch.setattr(oracle, "_conforming_sides", recording)
+    return trials
+
+
+def _engine(spec, built, l1, l2, window, alt_boundary=False):
+    if spec.arity == 1:
+        return check_single(built, l1, l2, spec.id, window=window)
+    return check_pair(*built, spec.id, window=window, alt_boundary=alt_boundary)
+
+
+@pytest.mark.parametrize("weakened", [False, True], ids=["sharp", "weakened"])
+@pytest.mark.parametrize("spec", registry(), ids=lambda s: s.id.value)
+def test_fuzz_kernel_matches_engine(spec, weakened, monkeypatch):
+    # on every trial (lengths 2-12, exponents 1-4) the kernel's integer
+    # sides give the engine's lhs, rhs, holds and ratio; the engine ran on
+    # exactly the violations and the strict new maxima, and the report is
+    # the one judging every trial with the engine gives. A constant cut to
+    # a quarter, in both, makes violations to find.
+    if weakened:
+        quarter = dataclasses.replace(spec, constant_fn=lambda *a: spec.constant_fn(*a) / 4)
+        monkeypatch.setitem(theorems._REGISTRY, spec.id, quarter)
+    calls = _count_engine_calls(monkeypatch)
+    trials = _record_kernel(monkeypatch)
+    for seed in (0, 1, 2):
+        trials.clear()
+        calls.clear()
+        report = fuzz(FuzzConfig(spec.id, trials=150, seed=seed))
+        assert len(trials) == 150
+        best = best_trial = best_input = None
+        violations, improvements = [], []
+        for t, (_, built, l1, l2, window, (lhs, rhs, scale, const)) in enumerate(trials):
+            verdict = _engine(spec, built, l1, l2, window)
+            assert verdict.in_hypotheses, (seed, t)
+            sides = (Fraction(lhs, scale), const * Fraction(rhs, scale))
+            assert sides == (verdict.lhs, verdict.rhs), (seed, t)
+            lcd, crhs = lhs * const.denominator, rhs * const.numerator
+            assert (lcd <= crhs) == verdict.holds, (seed, t)
+            ratio = (Fraction(lcd, crhs) if crhs > 0
+                     else Fraction(0) if lcd == 0 == crhs else None)
+            assert ratio == verdict.ratio, (seed, t)
+            if not verdict.holds:
+                violations.append(t)
+            if ratio is not None and (best is None or ratio > best):
+                best, best_trial, best_input = ratio, t, built
+                improvements.append(t)
+        assert [r.trial for r in report.violations] == violations
+        assert (report.max_ratio, report.max_ratio_trial) == (best, best_trial)
+        assert report.max_ratio_witness == best_input
+        assert len(calls) == len(set(violations) | set(improvements)), seed
+        if weakened:
+            assert violations, seed
+
+
+@pytest.mark.parametrize("tid", ["T2_2", "L3_1", "T3_1", "T4_2", "T3_6", "T3_8"])
+@pytest.mark.parametrize("side", [0, 1])
+def test_fuzz_raises_when_the_kernel_is_off_by_one(tid, side, monkeypatch):
+    real = oracle._sides
+
+    def off_by_one(*args):
+        sides = list(real(*args))
+        sides[side] += 1
+        return tuple(sides)
+
+    monkeypatch.setattr(oracle, "_sides", off_by_one)
+    with pytest.raises(RuntimeError, match=rf"disagree for {tid} at trial \d"):
+        fuzz(FuzzConfig(tid, trials=5, seed=0))
+
+
+@pytest.mark.parametrize("tid,engine", [("T3_5", "check_single"), ("T3_9", "check_pair")])
+def test_fuzz_raises_when_the_engine_disagrees(tid, engine, monkeypatch):
+    real = getattr(oracle, engine)
+
+    def off_by_one(*args, **kwargs):
+        verdict = real(*args, **kwargs)
+        return dataclasses.replace(verdict, rhs=verdict.rhs + 1)
+
+    monkeypatch.setattr(oracle, engine, off_by_one)
+    with pytest.raises(RuntimeError, match=f"disagree for {tid} at trial 0"):
+        fuzz(FuzzConfig(tid, trials=5, seed=0))
+
+
+def _windows_ending_at_e(spec, u):
+    b, e = u.first_index, u.last_index
+    if not (spec.windowed or spec.window_optional):
+        return [None]
+    starts = [(n, e) for n in range(b + 1 if spec.arity == 1 else b, e + 1)]
+    return ([None] if spec.window_optional else []) + starts
+
+
+@st.composite
+def _profile_inputs(draw, spec):
+    """Mixed sequences (a pair shares u's length and base), or a generator
+    output for spec's profile with up to two of its hypotheses broken by
+    _mutate."""
+    if draw(st.booleans()):
+        u = draw(mixed_sequences())
+        if spec.arity == 1:
+            return u
+        v = draw(mixed_sequences(size=len(u)))
+        return u, IntervalSequence._from_ints(v.D, v.lows, v.highs, u.base_index)
+    names = frozenset(spec.preconditions)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    try:
+        built = oracle._generate_with_rng(names, draw(st.integers(2, 9)), rng, 20,
+                                          draw(st.integers(-4, 4)))
+    except InfeasibleProfile:
+        assume(False)
+    u, v = built if spec.arity == 2 else (built, None)
+    items_u = list(u.items)
+    items_v = None if v is None else list(v.items)
+    for name in draw(st.lists(st.sampled_from(spec.preconditions), max_size=2, unique=True)):
+        oracle._mutate(names, items_u, items_v, name, rng, 20)
+    u2 = IntervalSequence(items_u, u.base_index)
+    return u2 if v is None else (u2, IntervalSequence(items_v, u.base_index))
+
+
+@pytest.mark.parametrize("spec", registry(), ids=lambda s: s.id.value)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_conforms_is_the_engines_in_hypotheses(spec, data):
+    # the generator's re-verification and the engine read one hypothesis
+    # table: at every window ending at the last index they must agree, or
+    # fuzz would draw a different RNG stream or reach the engine off its
+    # hypotheses
+    built = data.draw(_profile_inputs(spec))
+    u = built[0] if spec.arity == 2 else built
+    modes = [(spec.preconditions, False)]
+    if spec.id.value == "T3_10":
+        alt = tuple("first_zero" if p == "second_zero" else p for p in spec.preconditions)
+        modes.append((alt, True))
+    for names, alt_boundary in modes:
+        conforms = oracle._conforms(frozenset(names), built)
+        for window in _windows_ending_at_e(spec, u):
+            verdict = _engine(spec, built, 1, 1, window, alt_boundary)
+            assert conforms == verdict.in_hypotheses, (window, alt_boundary, verdict.preconditions)
 
 
 # the two-name relax sets that a per-name minimum length let collide: at the
