@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .oracle import (
     BudgetExceeded,
@@ -29,7 +30,9 @@ from .oracle import (
     ratio_scan,
     reproduce_examples,
 )
-from .rationals import MAX_DECIMAL_EXPONENT, NonRational, as_rational, rational_from_text
+from .rationals import (
+    MAX_DECIMAL_EXPONENT, NonRational, as_rational, ratio_to_json, rational_from_text,
+)
 from .sequences import IntervalSequence, NotDecomposable, synchronous
 from .theorems import check_pair, check_single, lookup, registry
 
@@ -65,6 +68,26 @@ def _endpoint(value, key, j, side):
         raise SchemaError(f"{key}[{j}][{side}]: {exc}") from None
 
 
+def _ratio(value, key, j, side):
+    """(p, q), q >= 1, of an endpoint in lowest terms. An int, or an ASCII
+    "p" or "p/q" string (p optionally negative, q > 0), goes straight to
+    ints; every other value is read by _endpoint, with its errors."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+            try:
+                p, q = int(num), int(den or 1)
+            except ValueError:   # longer than the interpreter reads as int text
+                q = 0
+            if q:
+                g = math.gcd(p, q)
+                return p // g, q // g
+    exact = _endpoint(value, key, j, side)
+    return exact.numerator, exact.denominator
+
+
 def _parse_items(raw, key, base):
     # straight to the common denominator D and the integer endpoints
     if not isinstance(raw, list):
@@ -73,18 +96,16 @@ def _parse_items(raw, key, base):
     for j, entry in enumerate(raw):
         if not isinstance(entry, list) or len(entry) != 2:
             raise SchemaError(f"{key}[{j}]: expected a two-element [lo, hi] pair")
-        lo = _endpoint(entry[0], key, j, 0)
-        hi = _endpoint(entry[1], key, j, 1)
-        if lo > hi:
-            raise SchemaError(f"{key}[{j}]: lower bound {lo} exceeds upper bound {hi}")
+        lo = _ratio(entry[0], key, j, 0)
+        hi = _ratio(entry[1], key, j, 1)
+        if lo[0] * hi[1] > hi[0] * lo[1]:
+            raise SchemaError(f"{key}[{j}]: lower bound {ratio_to_json(*lo)}"
+                              f" exceeds upper bound {ratio_to_json(*hi)}")
         los.append(lo)
         his.append(hi)
-    D = math.lcm(*[q.denominator for q in los], *[q.denominator for q in his])
+    D = math.lcm(*[q for _, q in los], *[q for _, q in his])
     return IntervalSequence._from_ints(
-        D,
-        [q.numerator * (D // q.denominator) for q in los],
-        [q.numerator * (D // q.denominator) for q in his],
-        base,
+        D, [p * (D // q) for p, q in los], [p * (D // q) for p, q in his], base
     )
 
 
@@ -144,11 +165,45 @@ def _tableize(payload, indent=0):
     return "\n".join(lines)
 
 
+# the text of each scalar a report holds, by exact type, as json.dumps gives it
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(obj, pad="\n"):
+    """``json.dumps(obj, indent=2)``, byte for byte, for exactly the types a
+    report holds: dicts with str keys, lists, str, int, bool and None. Any
+    other value, a subclass of these included, raises TypeError."""
+    scalar = _JSON_SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = pad + "  "
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        parts = []
+        for key, val in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(f"{encode_basestring_ascii(key)}: {_json_text(val, inner)}")
+        return f"{{{inner}{f',{inner}'.join(parts)}{pad}}}"
+    if type(obj) is list:
+        if not obj:
+            return "[]"
+        parts = [_json_text(val, inner) for val in obj]
+        return f"[{inner}{f',{inner}'.join(parts)}{pad}]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(payload, fmt):
     if fmt == "table":
         print(_tableize(payload))
     else:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
 
 
 # -- commands -------------------------------------------------------------

@@ -85,11 +85,25 @@ class _Retry(Exception):
     """Internal: abandon this construction attempt and redraw."""
 
 
+def _randint(rng, a, b):
+    """``rng.randint(a, b)``, the same draw without randrange's argument
+    handling: getrandbits of n's bit length, redrawn while >= n, as
+    Random._randbelow_with_getrandbits draws below n = b - a + 1."""
+    n = b - a + 1
+    if n <= 0:
+        return rng.randint(a, b)   # its error
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
 def _weak_comp(rng, total, parts):
     # non-negative integers summing to total
     if parts == 0:
         return []
-    cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
+    cuts = sorted(_randint(rng, 0, total) for _ in range(parts - 1))
     out, prev = [], 0
     for c in cuts + [total]:
         out.append(c - prev)
@@ -156,8 +170,8 @@ def _ramp_ints(rng, start, end, steps, up, mu_up):
 
 
 def _rand_pair_ints(rng, M):
-    a = rng.randint(-M, M)
-    b = rng.randint(-M, M)
+    a = _randint(rng, -M, M)
+    b = _randint(rng, -M, M)
     return (min(a, b), max(a, b))
 
 
@@ -165,40 +179,40 @@ def _knot_after(rng, cur, up, M):
     # random integer pair componentwise >= cur (if up) or <= cur, within [-M, M]
     clo, chi = cur
     if up:
-        lo = rng.randint(clo, M)
-        hi = rng.randint(max(lo, chi), M)
+        lo = _randint(rng, clo, M)
+        hi = _randint(rng, max(lo, chi), M)
     else:
-        hi = rng.randint(-M, chi)
-        lo = rng.randint(-M, min(hi, clo))
+        hi = _randint(rng, -M, chi)
+        lo = _randint(rng, -M, min(hi, clo))
     return (lo, hi)
 
 
 def _degenerate_nums(names, L, rng, M):
     if "nondecreasing" in names:
         start = 0 if ("first_zero" in names or "nonnegative" in names) \
-            else rng.randint(-M // 2, 0)
+            else _randint(rng, -M // 2, 0)
         step = max(1, (2 * M) // max(1, 3 * L))
         nums = [start]
         for _ in range(L - 1):
-            nums.append(min(nums[-1] + rng.randint(0, step), M))
+            nums.append(min(nums[-1] + _randint(rng, 0, step), M))
     elif "nonnegative" in names:
-        nums = [rng.randint(0, M) for _ in range(L)]
+        nums = [_randint(rng, 0, M) for _ in range(L)]
     else:
         # mix shapes: pure noise rarely stresses the bounds, ramps and
         # small-step walks do
         style = rng.randrange(3)
         if style == 0:
-            nums = [rng.randint(-M, M) for _ in range(L)]
+            nums = [_randint(rng, -M, M) for _ in range(L)]
         elif style == 1:
             step = max(1, M // max(1, L))
             s = rng.choice((1, -1))
             nums = [0]
             for _ in range(L - 1):
-                nums.append(nums[-1] + s * rng.randint(0, step))
+                nums.append(nums[-1] + s * _randint(rng, 0, step))
         else:
-            nums = [rng.randint(-4, 4)]
+            nums = [_randint(rng, -4, 4)]
             for _ in range(L - 1):
-                nums.append(nums[-1] + rng.randint(-3, 3))
+                nums.append(nums[-1] + _randint(rng, -3, 3))
     if "first_zero" in names:
         nums[0] = 0
     if "last_zero" in names or "window_end_zero" in names:
@@ -220,52 +234,52 @@ def _monotone_pairs(names, L, rng, M, force_up=None):
         # the width path must return to zero, so only the constant zero run fits
         return [(0, 0)] * L
     if anchor_start:
-        ew = rng.randint(0, M // 2) if mu_up else 0
+        ew = _randint(rng, 0, M // 2) if mu_up else 0
         if up:
-            elo = rng.randint(0, M - ew)
+            elo = _randint(rng, 0, M - ew)
             end = (elo, elo + ew)
         else:
-            ehi = -rng.randint(0, M - ew)
+            ehi = -_randint(rng, 0, M - ew)
             end = (ehi - ew, ehi)
         return [(0, 0)] + _ramp_ints(rng, (0, 0), end, L - 1, up, mu_up)
     if anchor_end:
         # build away from the zero anchor with both senses flipped, then reverse
         built_mu_up = not mu_up
-        ew = rng.randint(0, M // 2) if built_mu_up else 0
+        ew = _randint(rng, 0, M // 2) if built_mu_up else 0
         if up:
             # final shape rises into the anchor, so the reversed build descends
-            ehi = -rng.randint(0, M - ew)
+            ehi = -_randint(rng, 0, M - ew)
             end = (ehi - ew, ehi)
         else:
-            elo = rng.randint(0, M - ew)
+            elo = _randint(rng, 0, M - ew)
             end = (elo, elo + ew)
         run = [(0, 0)] + _ramp_ints(rng, (0, 0), end, L - 1, not up, built_mu_up)
         return list(reversed(run))
     # unanchored: free start, end picked to keep the ramp feasible within [-M, M]
-    sw = rng.randint(0, M // 2)
-    slo = rng.randint(-M, M - sw)
+    sw = _randint(rng, 0, M // 2)
+    slo = _randint(rng, -M, M - sw)
     start = (slo, slo + sw)
     shi = slo + sw
     if mu_up:
-        ew = rng.randint(sw, max(sw, M // 2))
+        ew = _randint(rng, sw, max(sw, M // 2))
     else:
-        ew = rng.randint(0, sw)
+        ew = _randint(rng, 0, sw)
     if up and mu_up:
         ew = min(ew, M - slo)
         if ew < sw:
             raise _Retry
-        elo = rng.randint(slo, M - ew)
+        elo = _randint(rng, slo, M - ew)
     elif up:
-        ehi = rng.randint(shi, M)
+        ehi = _randint(rng, shi, M)
         elo = ehi - ew
     elif mu_up:
         ew = min(ew, shi + M)
         if ew < sw:
             raise _Retry
-        ehi = rng.randint(ew - M, shi)
+        ehi = _randint(rng, ew - M, shi)
         elo = ehi - ew
     else:
-        elo = rng.randint(-M, slo)
+        elo = _randint(rng, -M, slo)
     if up or not mu_up:
         end = (elo, elo + ew)
     else:
@@ -280,7 +294,7 @@ def _alternate_pairs(names, L, rng, M):
     if L == 1:
         p = (0, 0) if (anchor_start or anchor_end) else _rand_pair_ints(rng, M)
         return [p]
-    k = rng.randint(1, min(3, L - 1))
+    k = _randint(rng, 1, min(3, L - 1))
     parts = _pos_comp(rng, L - 1, k)
     cur = (0, 0) if anchor_start else _rand_pair_ints(rng, M)
     up = rng.random() < 0.5
@@ -300,7 +314,7 @@ def _alternate_pairs(names, L, rng, M):
             nxt = _knot_after(rng, cur, up, M)
             if avoid and nxt == (0, 0):
                 amp = max(1, M // 4)
-                nxt = (0, rng.randint(1, amp)) if up else (-rng.randint(1, amp), 0)
+                nxt = (0, _randint(rng, 1, amp)) if up else (-_randint(rng, 1, amp), 0)
         mu_up = (nxt[1] - nxt[0]) >= (cur[1] - cur[0])
         out.extend(_ramp_ints(rng, cur, nxt, steps, up, mu_up))
         cur = nxt
@@ -330,7 +344,7 @@ def _joint_allowed_positions(names, L):
 
 
 def _build_single(names, L, rng, M, base):
-    D = rng.randint(1, 16)
+    D = _randint(rng, 1, 16)
     if "degenerate" in names:
         nums = _degenerate_nums(names, L, rng, M)
         return _to_sequence([(k, k) for k in nums], D, base)
@@ -347,8 +361,8 @@ def _build_single(names, L, rng, M, base):
 
 
 def _build_pair(names, L, rng, M, base):
-    Du = rng.randint(1, 16)
-    Dv = rng.randint(1, 16)
+    Du = _randint(rng, 1, 16)
+    Dv = _randint(rng, 1, 16)
     if "synchronous" in names:
         sub = frozenset((names - _PAIR_NAMES) | {"monotone"})
         up = rng.random() < 0.5
@@ -359,8 +373,8 @@ def _build_pair(names, L, rng, M, base):
         if L < 2:
             raise _Retry
         tail = _alternate_pairs(frozenset({"first_zero", "last_zero"}), L - 1, rng, M)
-        a = rng.randint(1, max(1, M // 2))
-        b = rng.randint(a, M)
+        a = _randint(rng, 1, max(1, M // 2))
+        b = _randint(rng, a, M)
         head = (a, b) if rng.random() < 0.5 else (-b, -a)
         pu = [head] + tail
     else:
@@ -380,7 +394,7 @@ def _build_pair(names, L, rng, M, base):
     allowed = _joint_allowed_positions(names, L)
     for i in range(L):
         if i not in allowed and pu[i] == (0, 0) and pv[i] == (0, 0):
-            pv[i] = (0, rng.randint(1, max(1, M // 4)))
+            pv[i] = (0, _randint(rng, 1, max(1, M // 4)))
     return (_to_sequence(pu, Du, base), _to_sequence(pv, Dv, base))
 
 
@@ -628,11 +642,11 @@ def _mutate(names, items_u, items_v, name, rng, M):
         return False
     k = sites[0] if name in _ANCHOR_NAMES else rng.choice(sites)
     if name in _ANCHOR_NAMES:
-        a = Fraction(rng.choice((1, -1)) * rng.randint(1, max(1, M // 4)))
+        a = Fraction(rng.choice((1, -1)) * _randint(rng, 1, max(1, M // 4)))
         if "degenerate" in names:
             items_u[k] = Interval(a, a)
         else:
-            w = Fraction(rng.randint(0, 2))
+            w = Fraction(_randint(rng, 0, 2))
             items_u[k] = Interval(a, a + w) if a > 0 else Interval(a - w, a)
         return True
     if name == "degenerate":
@@ -640,7 +654,7 @@ def _mutate(names, items_u, items_v, name, rng, M):
         items_u[k] = Interval(it.lo, it.lo + 1)
         return True
     if name == "nonnegative":
-        x = Fraction(-rng.randint(1, max(1, M // 4)))
+        x = Fraction(-_randint(rng, 1, max(1, M // 4)))
         items_u[k] = Interval(x, x)
         return True
     if name == "no_other_zero":
@@ -652,7 +666,7 @@ def _mutate(names, items_u, items_v, name, rng, M):
         return True
     prev = items_u[k - 1]
     if name == "nondecreasing":
-        x = prev.lo - rng.randint(1, 3)
+        x = prev.lo - _randint(rng, 1, 3)
         items_u[k] = Interval(x, x)
     elif name in ("monotone", "alternate", "alternate_u"):
         items_u[k] = Interval(prev.lo - 1, prev.hi + 1)
@@ -710,14 +724,14 @@ def _fuzz_window(spec, rng, base, L):
     e = base + L - 1
     if spec.arity == 1:
         if spec.windowed:
-            return (rng.randint(base + 1, e), e)
+            return (_randint(rng, base + 1, e), e)
         return None
     if spec.windowed:
-        return (rng.randint(base, e), e)
+        return (_randint(rng, base, e), e)
     if spec.window_optional:
         if rng.random() < 0.3:
             return None
-        return (rng.randint(base, e), e)
+        return (_randint(rng, base, e), e)
     return None
 
 
@@ -759,15 +773,15 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
     bn, bd = 0, 1
     for t in range(config.trials):
         rng = random.Random(f"{config.seed}:{tid.value}:{t}")
-        L = rng.randint(lmin, lmax)
-        base = rng.randint(-4, 4) if rng.random() < 0.25 else 0
+        L = _randint(rng, lmin, lmax)
+        base = _randint(rng, -4, 4) if rng.random() < 0.25 else 0
         if spec.arity == 2:
             l1 = l2 = None
         elif tid is TheoremId.T2_2:
             l1 = l2 = 1
         else:
-            l1 = rng.randint(*config.lambda_range)
-            l2 = rng.randint(*config.lambda_range)
+            l1 = _randint(rng, *config.lambda_range)
+            l2 = _randint(rng, *config.lambda_range)
         built = _generate_with_rng(names, L, rng, config.endpoint_magnitude, base)
         window = _fuzz_window(spec, rng, base, L)
         if config.relax:

@@ -52,10 +52,8 @@ from .sequences import (
     _ends,
     _order_bits,
     _widths,
-    direction_set,
     first_direction_break,
     first_mu_break,
-    mu_direction_set,
 )
 
 class ArityMismatch(TypeError):
@@ -406,8 +404,9 @@ def lookup(theorem) -> TheoremSpec:
 # holds(u, v, lo, hi, allowed) is its test on the integer endpoints, truthy
 # when it passes; v is None for a single sequence, lo..hi the absolute
 # indices it reads (an anchor reads lo = hi), allowed the anchors' indices.
-# detail(name, passed, u, v, lo, hi, allowed) is the text of its reported
-# row, built only for a verdict (_pc_row). _plan gives each name its range.
+# detail(name, got, u, v, lo, hi, allowed) is the text of its reported row,
+# built only for a verdict (_pc_row) from got, the value holds returned (the
+# order or width bits for the order tests). _plan gives each name its range.
 
 
 def _zero(s, i):
@@ -419,6 +418,11 @@ def _elem(s, i):
     """str(s.at(i)), without building the Interval."""
     k = i - s.base_index
     return f"[{ratio_to_json(s.lows[k], s.D)}, {ratio_to_json(s.highs[k], s.D)}]"
+
+
+# the reported label of LU order bits (direction_set's values, sorted)
+_ORDER_TEXT = ("", Direction.INCREASING.value, Direction.DECREASING.value,
+               f"{Direction.DECREASING.value} and {Direction.INCREASING.value}")
 
 
 def _dir_bits(s, lo, hi):
@@ -485,36 +489,36 @@ def _d_element(name, passed, u, v, lo, hi, _):
     return f"u_{lo + k} = {_elem(u, lo + k)} {what}"
 
 
-def _d_nondecreasing(name, passed, u, v, lo, hi, _):
-    if passed:
+def _d_nondecreasing(name, bits, u, v, lo, hi, _):
+    if bits:
         return f"non-decreasing on [{lo}, {hi}]"
     return f"decreases at i={first_direction_break(u, Direction.INCREASING, lo, hi)}"
 
 
-def _d_monotone(name, passed, u, v, lo, hi, _):
-    if passed:
-        label = " and ".join(sorted(d.value for d in direction_set(u, lo, hi)))
-        return f"{label} on [{lo}, {hi}]"
+def _d_monotone(name, bits, u, v, lo, hi, _):
+    if bits:
+        return f"{_ORDER_TEXT[bits]} on [{lo}, {hi}]"
     return f"no single order on [{lo}, {hi}]; both orders broken by i={_no_order_at(u, lo, hi)}"
 
 
-def _d_synchronous(name, passed, u, v, lo, hi, _):
-    if passed:
-        shared = direction_set(u, lo, hi) & direction_set(v, lo, hi)
-        return f"shared order: {' and '.join(sorted(d.value for d in shared))}"
-    if _dir_bits(u, lo, hi) and _dir_bits(v, lo, hi):
+def _d_synchronous(name, shared, u, v, lo, hi, _):
+    if shared:
+        return f"shared order: {_ORDER_TEXT[shared]}"
+    u_bits = _dir_bits(u, lo, hi)
+    if u_bits and _dir_bits(v, lo, hi):
         return "u and v are monotone in opposite directions"
-    sym, s = ("v", v) if _dir_bits(u, lo, hi) else ("u", u)
+    sym, s = ("v", v) if u_bits else ("u", u)
     return f"{sym} admits no single order on [{lo}, {hi}]; broken by i={_no_order_at(s, lo, hi)}"
 
 
-def _d_mu(name, passed, u, v, lo, hi, _):
-    if passed:
+def _d_mu(name, bits, u, v, lo, hi, _):
+    if bits:
         return f"width order holds{'' if v is None else ' for u and v'} on [{lo}, {hi}]"
-    want = MuDirection.MU_INCREASING if name == "mu_increasing" else MuDirection.MU_DECREASING
+    bit, want = ((1, MuDirection.MU_INCREASING) if name == "mu_increasing"
+                 else (2, MuDirection.MU_DECREASING))
     if v is None:
         return f"width order breaks at i={first_mu_break(u, want, lo, hi)}"
-    sym, s = ("v", v) if want in mu_direction_set(u, lo, hi) else ("u", u)
+    sym, s = ("v", v) if bit & _mu_bits(u, lo, hi) else ("u", u)
     return f"{sym} width order breaks at i={first_mu_break(s, want, lo, hi)}"
 
 
@@ -596,14 +600,14 @@ def _holds(names, u, v, m):
     return all(holds(u, v, lo, hi, allowed) for _, holds, _, lo, hi in hyps)
 
 
-def _pc_row(name, passed, detail, u, v, lo, hi, allowed):
-    return PreconditionCheck(name, passed, detail(name, passed, u, v, lo, hi, allowed))
+def _pc_row(name, got, detail, u, v, lo, hi, allowed):
+    return PreconditionCheck(name, bool(got), detail(name, got, u, v, lo, hi, allowed))
 
 
 def _rows(names, u, v, m):
     """The reported row of each hypothesis of names, in order."""
     hyps, allowed = _hypotheses(names, u, v, m)
-    return tuple(_pc_row(name, bool(holds(u, v, lo, hi, allowed)), detail, u, v, lo, hi, allowed)
+    return tuple(_pc_row(name, holds(u, v, lo, hi, allowed), detail, u, v, lo, hi, allowed)
                  for name, holds, detail, lo, hi in hyps)
 
 

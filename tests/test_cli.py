@@ -152,8 +152,37 @@ _values = st.one_of(
 )
 
 
+# endpoint texts the int parse path must read as the Fraction route reads
+# them, or decline so that the Fraction route gives its value or its error:
+# signs, whitespace, underscores, non-ASCII digits, q = 0, decimals,
+# exponents, and digit strings longer than the interpreter reads as ints
+_EDGE_VALUES = [
+    ('"6/4"', Fraction(3, 2)), ('"-6/4"', Fraction(-3, 2)), ('"-0"', Fraction(0)),
+    ('"-0/5"', Fraction(0)), ('"0/7"', Fraction(0)), ('"007/014"', Fraction(1, 2)),
+    ('"+3"', Fraction(3)), ('"+3/4"', Fraction(3, 4)), ('" 3"', Fraction(3)),
+    ('"3 "', Fraction(3)), ('"3/4 "', Fraction(3, 4)), ('"1_000"', Fraction(1000)),
+    ('"1_0/3"', Fraction(10, 3)), ('"\\uff13"', Fraction(3)),
+    ('"\\uff11/\\uff12"', Fraction(1, 2)), ('"\\u0663"', Fraction(3)),
+    ('"1e3"', Fraction(1000)), ('"-2E-2"', Fraction(-1, 50)), ('"2.50"', Fraction(5, 2)),
+    ('"-.5"', Fraction(-1, 2)), ("-0", Fraction(0)), ("-0.0", Fraction(0)),
+    ("1E2", Fraction(100)),
+]
+_EDGE_ERRORS = [
+    '"\\u00b2"', '"1/0"', '"0/0"', '"-1/0"', '"0x10"', '"1/2e1"', '"1/-2"', '"--1"', '"-"',
+    '"3/"', '"/3"', '"1/2/3"', '""', '"' + "7" * 4301 + '"', '"1/' + "3" * 4301 + '"',
+]
+
+
 @st.composite
 def _endpoint(draw):
+    # (value, text); about one endpoint in ten is an edge text with a value,
+    # one in sixty a text the parser refuses (value None)
+    roll = draw(st.integers(0, 59))
+    if roll < 6:
+        text, value = draw(st.sampled_from(_EDGE_VALUES))
+        return value, text
+    if roll == 59:
+        return None, draw(st.sampled_from(_EDGE_ERRORS))
     value = draw(_values)
     return value, draw(st.sampled_from(_endpoint_texts(value)))
 
@@ -161,7 +190,8 @@ def _endpoint(draw):
 @st.composite
 def _items(draw):
     pairs = draw(st.lists(st.tuples(_endpoint(), _endpoint()), max_size=8))
-    return [sorted(pair, key=lambda e: e[0]) for pair in pairs]
+    return [sorted(pair, key=lambda e: e[0]) if None not in (pair[0][0], pair[1][0])
+            else list(pair) for pair in pairs]
 
 
 def _items_json(items):
@@ -170,6 +200,23 @@ def _items_json(items):
 
 def _interval_sequence(items, base):
     return IntervalSequence(tuple(Interval(lo[0], hi[0]) for lo, hi in items), base)
+
+
+def _fraction_parse(text):
+    """The sequences of a document read the Fraction way: every endpoint
+    through cli._endpoint (as_rational) and every element an Interval."""
+    doc = cli._json_loads_exact(text)
+    seqs = []
+    for key in ("u", "v") if "v" in doc else ("u",):
+        items = []
+        for j, (lo_raw, hi_raw) in enumerate(doc[key]):
+            lo = cli._endpoint(lo_raw, key, j, 0)
+            hi = cli._endpoint(hi_raw, key, j, 1)
+            if lo > hi:
+                raise SchemaError(f"{key}[{j}]: lower bound {lo} exceeds upper bound {hi}")
+            items.append(Interval(lo, hi))
+        seqs.append(IntervalSequence(tuple(items), doc["base_index"]))
+    return seqs
 
 
 def _interval_echo(seqs):
@@ -184,12 +231,25 @@ def _interval_echo(seqs):
 @given(u=_items(), v=st.one_of(st.none(), _items()), base=st.integers(-4, 4))
 def test_parse_matches_interval_construction(u, v, base):
     # the int parse path gives the sequences, common denominator included,
-    # and the echo that building Interval elements gives
+    # and the echo that reading every endpoint as a Fraction and building
+    # Interval elements gives, or that route's exception and message
     text = f'{{"u": {_items_json(u)}, "base_index": {base}'
     text += "}" if v is None else f', "v": {_items_json(v)}}}'
+    drawn = [e[0] for items in (u, v) if items is not None for pair in items for e in pair]
+    try:
+        want = _fraction_parse(text)
+    except (SchemaError, NonRational) as exc:
+        assert None in drawn
+        with pytest.raises(type(exc)) as info:
+            parse_sequence(text)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        return
+    assert None not in drawn
+    # the Fraction route and the ints both give the values that were drawn
+    assert want == [_interval_sequence(items, base) for items in (u, v) if items is not None]
     got = parse_sequence(text)
     got_seqs = [got] if v is None else list(got)
-    want = [_interval_sequence(items, base) for items in (u, v) if items is not None]
     assert got_seqs == want
     for g, w in zip(got_seqs, want):
         assert (g.D, g.lows, g.highs, g.base_index) == (w.D, w.lows, w.highs, w.base_index)
@@ -596,6 +656,33 @@ def test_json_output_is_float_free(capsys):
                 walk(v)
 
     walk(json.loads(out))
+
+
+# strings with non-ASCII, control characters, quotes, backslashes and lone
+# surrogates; ints beyond 64 bits
+_json_strings = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff\U0001f600'),
+), max_size=12)
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10**40, 10**40),
+              _json_strings),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_json_strings, inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_json_values,
+       bad=st.sampled_from([1.5, -0.0, Fraction(1, 2), (1, 2), (), {1: "a"}, {None: 0}]),
+       in_dict=st.booleans())
+def test_json_writer_matches_json_dumps(obj, bad, in_dict):
+    # the report writer gives json.dumps(obj, indent=2) byte for byte, and
+    # refuses every type a report does not hold, at any depth
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+    with pytest.raises(TypeError):
+        cli._json_text({"k": [obj, bad]} if in_dict else [obj, {"k": bad}])
 
 
 def test_table_format_smoke(capsys):

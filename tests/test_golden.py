@@ -17,14 +17,25 @@ every grid point; they pin the windowed and pair-windowed statements and
 the T3_10 ``second_zero`` anchor, which the four scan digests above miss.
 
 Digest input: ``json.dumps(report.to_jsonable(), sort_keys=True)``, UTF-8.
+
+The command-line digests pin the printed text itself: the exit code and
+stdout of ``main(argv)`` (``f"{code}\\n{stdout}"``, UTF-8), recorded while
+``check`` and the other commands printed through ``json.dumps(payload,
+indent=2)``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
 from opialcheck import FuzzConfig, fuzz, ratio_scan
+from opialcheck.cli import main
+
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
 
 def _digest(report):
@@ -186,3 +197,56 @@ def test_grid_scan_report_is_unchanged(theorem, length, bound, l1, l2):
 def test_relaxed_fuzz_report_is_unchanged(theorem, name):
     report = fuzz(FuzzConfig(theorem, trials=100, seed=0, relax={name}))
     assert _digest(report) == RELAX_DIGESTS[(theorem, name)]
+
+
+# main(argv) with each *.json argument read from samples/: exit code and stdout
+CLI_DIGESTS = {
+    "check --in ex31_n5.json":
+        "60211da2878df914caaec9fd66049abb0ccbdeb84172ea1f4a0742c5a20494c1",
+    "check --in ex32_n5.json":
+        "e757705a1ebc96fd0e249bbce1746458cd959ab5a1b06e40ae2742afee020636",
+    "check --in ex33.json":
+        "6e73f08f4c71cf0c3808af1d70cfc6952b300c390e6001435d80f4eeaedc9790",
+    "check --in pair_t36.json":
+        "bfe781f00fbc21aa26fc5e99f3da15d43fa1824841b79b98a97cd728e52e2da5",
+    "check --in tent_classical.json":
+        "53a211e7c73105d151613b9203a84df7e4fa0760a791397425b2f76a18391c68",
+    "check --in ex31_n5.json --theorem T3_1":
+        "6e601ad5688daf23929519d15342b84c5c4cb9034c1678dc0333c17d1f86b059",
+    "check --in ex32_n5.json --theorem T3_2 --l2 2 --window 2,5":
+        "5fcfca41bf7b3e839cb004c14b7fe110df85b684ff505f9688842db950d061ea",
+    "check --in ex33.json --theorem T3_5 --l1 2 --l2 3":
+        "30ece2850ba494ed8d695b4e3bd84d290060a6ce6ace28cd060fa6db7ad9b94d",
+    "check --in pair_t36.json --theorem T3_6":
+        "ed70611f8b670451202379063597a9fcc032e85f0cfb0b76786a321c947dce64",
+    "check --in tent_classical.json --theorem T2_2":
+        "f6e2ff901bad1f8e295623434ca2127efe4fa44c43f0320b12e85de069595e0d",
+    "classify --in ex31_n5.json":
+        "5c77f998004608dd81791bf95b27420e1f81930dc6a6a13ec7e92ebdb8f550e3",
+    "classify --in ex32_n5.json":
+        "622379aaac5385124ec0e33833e602e70fc2afde9c2bc1d8da43d23b1b156983",
+    "classify --in ex33.json":
+        "91b02e475ac3a5ae39711282e1358484e11fc1afc8b72db8ee5a51bdf4e83cb0",
+    "classify --in pair_t36.json":
+        "b9156162312dca49c60685d5b6b290be14d2d218d674611111a56cb7fe54f140",
+    "classify --in tent_classical.json":
+        "ed38a5b441ca62dce937a8b49fd70a81303301be8961132a87900f91a324e766",
+    "examples":
+        "b9bc9d7d8f18ffd067fa6c5f286a1784416d1317fa77d792ca94bd5173c66eec",
+    "fuzz --theorem T3_5 --seed 0":
+        "2c218282198de096eb6ebc9a0128374de446552322eb9c27aaf9c0dbbb72adc8",
+    "fuzz --theorem T3_6 --seed 0":
+        "f508b340aa7ad94a46334dd6e319cbf5e6318f17fb91b8db50755ad10d432282",
+    "scan --theorem T2_2 --length 5 --bound 2":
+        "06f430146860033b11a9e18dec3ed4547d48fa6b7b27d4a21dfff50ea2b968b2",
+}
+
+
+@pytest.mark.parametrize("call", list(CLI_DIGESTS))
+def test_printed_output_is_unchanged(call):
+    argv = [str(SAMPLES / a) if a.endswith(".json") else a for a in call.split()]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    text = f"{code}\n{out.getvalue()}"
+    assert hashlib.sha256(text.encode()).hexdigest() == CLI_DIGESTS[call]
