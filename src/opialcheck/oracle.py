@@ -14,6 +14,7 @@ to keep exact arithmetic fast under repeated multiplication.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -36,13 +37,14 @@ from .theorems import (
     check_pair,
     check_single,
     lookup,
+    _ANCHOR_AT,
     _HYPOTHESES,
-    _SHIFTED,
     _check_lambdas,
     _frame,
     _holds,
     _norm,
     _pair_term,
+    _plan,
     _resolve_window_pair,
     _resolve_window_single,
     _sides,
@@ -69,13 +71,28 @@ class PreconditionViolated(ValueError):
 
 class RelaxNotRealized(ValueError):
     """fuzz could not break every relaxed precondition at once: the
-    mutation table does not cover the combination at the drawn length."""
+    mutation sites do not cover the combination at the drawn length."""
 
 
 _PAIR_NAMES = frozenset(
     {"synchronous", "alternate_u", "no_other_joint_zero", "second_zero"}
 )
 _KNOWN_NAMES = frozenset(_HYPOTHESES)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+@functools.lru_cache(maxsize=256)
+def _plan_at(names, pair, L):
+    """theorems._plan of names on the indices 0..L-1 with the window end at
+    the last index: the (name, lo, hi) of each name, and the anchors'
+    indices."""
+    plan, anchors = _plan(names, pair)
+    at = (0, L - 1, L - 1)
+    return (tuple((name, at[lp] + lo, at[hp] + ho) for name, _, _, (lp, lo), (hp, ho) in plan),
+            frozenset(at[p] + o for p, o in anchors))
 
 
 # -- random generation ------------------------------------------------------
@@ -332,17 +349,6 @@ def _to_sequence(pairs, D, base=0):
     return IntervalSequence._from_ints(D, [a for a, _ in pairs], [b for _, b in pairs], base)
 
 
-def _joint_allowed_positions(names, L):
-    allowed = set()
-    if "first_zero" in names:
-        allowed.add(0)
-    if "second_zero" in names:
-        allowed.add(1)
-    if "last_zero" in names or "window_end_zero" in names:
-        allowed.add(L - 1)
-    return allowed
-
-
 def _build_single(names, L, rng, M, base):
     D = _randint(rng, 1, 16)
     if "degenerate" in names:
@@ -370,8 +376,6 @@ def _build_pair(names, L, rng, M, base):
         pv = _monotone_pairs(sub, L, rng, M, force_up=up)
         return (_to_sequence(pu, Du, base), _to_sequence(pv, Dv, base))
     if "second_zero" in names:
-        if L < 2:
-            raise _Retry
         tail = _alternate_pairs(frozenset({"first_zero", "last_zero"}), L - 1, rng, M)
         a = _randint(rng, 1, max(1, M // 2))
         b = _randint(rng, a, M)
@@ -391,7 +395,7 @@ def _build_pair(names, L, rng, M, base):
         pv[1] = (0, 0)
     if "last_zero" in names or "window_end_zero" in names:
         pv[-1] = (0, 0)
-    allowed = _joint_allowed_positions(names, L)
+    allowed = _plan_at(names, True, L)[1]
     for i in range(L):
         if i not in allowed and pu[i] == (0, 0) and pv[i] == (0, 0):
             pv[i] = (0, _randint(rng, 1, max(1, M // 4)))
@@ -439,9 +443,9 @@ def generate(profile, length, seed, magnitude=100) -> SequenceInput:
     unknown = names - _KNOWN_NAMES
     if unknown:
         raise ValueError(f"unknown precondition names: {sorted(unknown)}")
-    if isinstance(length, bool) or not isinstance(length, int) or length < 1:
+    if not _is_int(length) or length < 1:
         raise ValueError(f"length must be a positive integer, got {length!r}")
-    if isinstance(magnitude, bool) or not isinstance(magnitude, int) or magnitude < 1:
+    if not _is_int(magnitude) or magnitude < 1:
         raise ValueError(f"magnitude must be a positive integer, got {magnitude!r}")
     rng = random.Random(seed if isinstance(seed, (int, str, bytes)) else str(seed))
     return _generate_with_rng(names, length, rng, magnitude)
@@ -463,19 +467,19 @@ class FuzzConfig:
     def __post_init__(self):
         spec = lookup(self.theorem)
         object.__setattr__(self, "theorem", spec.id)
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ValueError("trials must be a positive integer")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise ValueError("seed must be an integer")
         lo, hi = self.length_range
-        if not (isinstance(lo, int) and isinstance(hi, int) and 2 <= lo <= hi):
+        if not (_is_int(lo) and _is_int(hi) and 2 <= lo <= hi):
             raise ValueError("length_range must satisfy 2 <= min <= max")
         object.__setattr__(self, "length_range", (lo, hi))
         m = self.endpoint_magnitude
-        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        if not _is_int(m) or m < 1:
             raise ValueError("endpoint_magnitude must be a positive integer")
         a, b = self.lambda_range
-        if not (isinstance(a, int) and isinstance(b, int) and 1 <= a <= b):
+        if not (_is_int(a) and _is_int(b) and 1 <= a <= b):
             raise ValueError("lambda_range must satisfy 1 <= min <= max")
         object.__setattr__(self, "lambda_range", (a, b))
         relax = frozenset(self.relax)
@@ -553,42 +557,36 @@ def input_to_jsonable(built: SequenceInput) -> dict:
     return {"u": pairs(built), "base_index": built.base_index}
 
 
-# names whose mutation writes a nonzero element at a fixed anchor: two of
-# them on one position both hold
-_ANCHOR_NAMES = frozenset({"first_zero", "last_zero", "window_end_zero", "second_zero"})
-# names whose mutation rewrites u_k from u_{k-1}, so it also needs u_{k-1}
-# to stay as it was
-_STEP_NAMES = frozenset(
-    {"nondecreasing", "monotone", "alternate", "alternate_u", "mu_increasing", "mu_decreasing"}
-)
-
-
-def _mutation_sites(names, name, L):
-    """The positions k of u at which _mutate may break name on a length-L
-    input of the profile names (synchronous rewrites v and has none)."""
-    end = "last_zero" in names or "window_end_zero" in names
-    if name == "first_zero":
-        return range(1)
-    if name in ("last_zero", "window_end_zero"):
-        return range(L - 1, L)
-    if name == "second_zero":
-        return range(1, min(2, L))
-    if name == "degenerate":
-        return range(L)
-    if name in ("nonnegative", "nondecreasing", "mu_decreasing"):
-        return range(1, L)
-    if name in ("monotone", "alternate", "alternate_u"):
-        # past the lone first anchor, as the engine checks T3_1, T3_3 and T4_1
-        start_only = name != "alternate_u" and "first_zero" in names and not end
-        return range(2 if start_only else 1, L)
-    if name == "mu_increasing":
-        return range(2 if "first_zero" in names else 1, L)
-    if name == "no_other_zero":
-        return range(1 if "first_zero" in names else 0, L - 1 if end else L)
-    if name == "no_other_joint_zero":
-        allowed = _joint_allowed_positions(names, L)
-        return [k for k in range(L) if k not in allowed]
-    return ()
+@functools.lru_cache(maxsize=256)
+def _mutation_sites(names, L):
+    """name -> (kind, sites) for each hypothesis of the profile names but
+    synchronous (which rewrites v): the positions k of u at which _mutate
+    may break it on a length-L input, from its range lo..hi in
+    theorems._plan. kind is "anchor" (the anchor's own index), "step" (a
+    step test: u_k is rewritten from u_{k-1}, k in lo+1..hi), "zero" (the
+    stray-zero tests: lo..hi off the anchors) or "element" (lo..hi)."""
+    ranges, anchors = _plan_at(names, bool(names & _PAIR_NAMES), L)
+    out = {}
+    for name, lo, hi in ranges:
+        step = _HYPOTHESES[name][2]
+        if name in _ANCHOR_AT:
+            kind, sites = "anchor", (lo,)
+        elif step is None:
+            kind, sites = "element", range(lo, hi + 1)
+        elif step[0] == "zero":
+            kind, sites = "zero", [k for k in range(lo, hi + 1) if k not in anchors]
+        else:
+            kind, sites = "step", range(lo + 1, hi + 1)
+        # L3_1's negative point is kept off its anchor at 0; mu_increasing's
+        # u_k copies u_{k-1}'s upper end, which keeps the width order out of
+        # a zero anchor (T3_6)
+        if name == "nonnegative":
+            sites = [k for k in sites if k not in anchors]
+        elif name == "mu_increasing":
+            sites = [k for k in sites if k - 1 not in anchors]
+        if name != "synchronous":
+            out[name] = kind, tuple(sites)
+    return out
 
 
 def _relax_fits(names, relax, L):
@@ -596,18 +594,20 @@ def _relax_fits(names, relax, L):
     # applied after it (in _mutate's sorted order) rewrites: not its own
     # position, nor the one before it for a step mutation. Anchor writes
     # may share a position.
+    sites = _mutation_sites(names, L)
     order = sorted(relax - {"synchronous"})
-    for ks in itertools.product(*(_mutation_sites(names, n, L) for n in order)):
+    for ks in itertools.product(*(sites[n][1] for n in order)):
         kept = set()
         anchors = set()
         for name, k in zip(order, ks):
-            if k in kept or (k in anchors and name not in _ANCHOR_NAMES):
+            kind = sites[name][0]
+            if k in kept or (k in anchors and kind != "anchor"):
                 break
-            if name in _ANCHOR_NAMES:
+            if kind == "anchor":
                 anchors.add(k)
             else:
                 kept.add(k)
-                if name in _STEP_NAMES:
+                if kind == "step":
                     kept.add(k - 1)
         else:
             return True
@@ -624,56 +624,49 @@ def _relax_min_len(names, relax):
     return L
 
 
-def _mutate(names, items_u, items_v, name, rng, M):
+def _mutate(names, u, v, name, rng, M):
     """Deliberately violate one named precondition in place.
 
-    Returns False when this input offers no way to apply the mutation
-    (the caller regenerates and retries). Side damage to other
-    preconditions is acceptable; the verdict records everything.
+    u and v are (D, lows, highs) with the integer endpoints in lists; v is
+    None for a single sequence. A value c is written as c * D. Returns
+    False when this input offers no way to apply the mutation (the caller
+    regenerates and retries). Side damage to other preconditions is
+    acceptable; the verdict records everything.
     """
     if name == "synchronous":
-        for k in range(len(items_v)):
-            items_v[k] = -items_v[k]
+        _, lows, highs = v
+        lows[:], highs[:] = [-c for c in highs], [-a for a in lows]
         return True
-    sites = _mutation_sites(names, name, len(items_u))
+    D, lows, highs = u
+    kind, sites = _mutation_sites(names, len(lows))[name]
     if name == "mu_increasing":
-        sites = [k for k in sites if items_u[k - 1].width > 0]
+        sites = [k for k in sites if highs[k - 1] > lows[k - 1]]
     if not sites:
         return False
-    k = sites[0] if name in _ANCHOR_NAMES else rng.choice(sites)
-    if name in _ANCHOR_NAMES:
-        a = Fraction(rng.choice((1, -1)) * _randint(rng, 1, max(1, M // 4)))
-        if "degenerate" in names:
-            items_u[k] = Interval(a, a)
-        else:
-            w = Fraction(_randint(rng, 0, 2))
-            items_u[k] = Interval(a, a + w) if a > 0 else Interval(a - w, a)
+    if kind == "anchor":
+        k = sites[0]
+        a = rng.choice((1, -1)) * _randint(rng, 1, max(1, M // 4))
+        w = 0 if "degenerate" in names else _randint(rng, 0, 2)
+        lo, hi = (a, a + w) if a > 0 else (a - w, a)
+        lows[k], highs[k] = lo * D, hi * D
         return True
+    k = rng.choice(sites)
     if name == "degenerate":
-        it = items_u[k]
-        items_u[k] = Interval(it.lo, it.lo + 1)
-        return True
-    if name == "nonnegative":
-        x = Fraction(-_randint(rng, 1, max(1, M // 4)))
-        items_u[k] = Interval(x, x)
-        return True
-    if name == "no_other_zero":
-        items_u[k] = Interval.zero()
-        return True
-    if name == "no_other_joint_zero":
-        items_u[k] = Interval.zero()
-        items_v[k] = Interval.zero()
-        return True
-    prev = items_u[k - 1]
-    if name == "nondecreasing":
-        x = prev.lo - _randint(rng, 1, 3)
-        items_u[k] = Interval(x, x)
+        highs[k] = lows[k] + D
+    elif name == "nonnegative":
+        lows[k] = highs[k] = -_randint(rng, 1, max(1, M // 4)) * D
+    elif name == "no_other_zero":
+        lows[k] = highs[k] = 0
+    elif name == "no_other_joint_zero":
+        lows[k] = highs[k] = v[1][k] = v[2][k] = 0
+    elif name == "nondecreasing":
+        lows[k] = highs[k] = lows[k - 1] - _randint(rng, 1, 3) * D
     elif name in ("monotone", "alternate", "alternate_u"):
-        items_u[k] = Interval(prev.lo - 1, prev.hi + 1)
+        lows[k], highs[k] = lows[k - 1] - D, highs[k - 1] + D
     elif name == "mu_increasing":
-        items_u[k] = Interval(prev.hi, prev.hi)
+        lows[k] = highs[k] = highs[k - 1]
     else:  # mu_decreasing
-        items_u[k] = Interval(prev.lo - 1, prev.hi)
+        lows[k], highs[k] = lows[k - 1] - D, highs[k - 1]
     return True
 
 
@@ -686,21 +679,14 @@ def _run_check(spec, built, l1, l2, window):
 
 def _relax_and_check(spec, names, built, relax, rng, l1, l2, window, L, M):
     for _ in range(_ATTEMPTS):
-        if spec.arity == 1:
-            items_u, items_v = list(built.items), None
-            base = built.base_index
-        else:
-            items_u, items_v = list(built[0].items), list(built[1].items)
-            base = built[0].base_index
-        applied = all(
-            _mutate(names, items_u, items_v, name, rng, M) for name in sorted(relax)
-        )
-        if applied:
-            if spec.arity == 1:
-                cand = IntervalSequence(tuple(items_u), base)
-            else:
-                cand = (IntervalSequence(tuple(items_u), base),
-                        IntervalSequence(tuple(items_v), base))
+        u, v = built if spec.arity == 2 else (built, None)
+        base = u.base_index
+        ends_u = (u.D, list(u.lows), list(u.highs))
+        ends_v = None if v is None else (v.D, list(v.lows), list(v.highs))
+        if all(_mutate(names, ends_u, ends_v, name, rng, M) for name in sorted(relax)):
+            cand = IntervalSequence._from_ints(*ends_u, base)
+            if v is not None:
+                cand = (cand, IntervalSequence._from_ints(*ends_v, base))
             verdict = _run_check(spec, cand, l1, l2, window)
             rows = {p.name: p.passed for p in verdict.preconditions}
             if all(rows.get(name) is False for name in relax):
@@ -886,43 +872,7 @@ class ScanReport:
         }
 
 
-# The scanned hypotheses as tests on a prefix of the grid walk: name ->
-# (test, bits). Each is the engine's own test, read as an AND over the
-# steps (or elements) of its range:
-# - "order": direction_set is the AND, over the range's steps, of the LU
-#   order bits (1 increasing, 2 decreasing) the step keeps on both
-#   endpoints, from 3. A running AND starts at bits and fails once it is 0:
-#   monotone holds exactly when some bit is left, nondecreasing when bit 1
-#   is, synchronous when u and v share one, so one AND runs over u and then
-#   v.
-# - "width": mu_direction_set is the same AND over the width steps; a
-#   width order holds exactly when every step keeps its bit.
-# - "split": alternate_segments raises NotDecomposable exactly at a step
-#   that keeps neither order, and a range of one element passes, so
-#   alternate holds exactly when no step of the range splits.
-# - "zero": no_other_zero (no_other_joint_zero) fails exactly at a zero
-#   (joint zero) off the anchors.
-# The other names hold on every grid point (degenerate, nonnegative) or are
-# the anchors, which are pinned. Every scanned range starts at the first
-# index, or one after it (theorems._SHIFTED), and ends at the last, whatever
-# the window: no hypothesis depends on the window start n, and every window
-# ends at m = e. So a prefix failing a test fails every point below it in
-# every window, and a point whose every step passes is in hypotheses in
-# every window: the walk reaches exactly the admissible points.
-_SCAN_PREFIX_TESTS = {
-    "nondecreasing": ("order", 1),
-    "monotone": ("order", 3),
-    "synchronous": ("order", 3),
-    "mu_increasing": ("width", 1),
-    "mu_decreasing": ("width", 2),
-    "alternate": ("split", 0),
-    "alternate_u": ("split", 0),
-    "no_other_zero": ("zero", 0),
-    "no_other_joint_zero": ("zero", 0),
-}
-
-
-def _scan_rules(spec, L, anchors):
+def _scan_rules(spec, L):
     """The prefix tests at each walk position q (u_0..u_{L-1}, then
     v_0..v_{L-1} for a pair) and the starting order bits.
 
@@ -931,25 +881,35 @@ def _scan_rules(spec, L, anchors):
     (order, split, width): whether it ANDs its order bits into the running
     bits, whether it must keep some order, and the width order bits it must
     keep; whether a zero there (for a pair, a joint zero) fails.
+
+    Each is a hypothesis's step form (theorems._HYPOTHESES) on its range
+    from theorems._plan with the window end m = e. The other names hold on
+    every grid point (degenerate, nonnegative) or are the anchors, which
+    are pinned. No range depends on the window start, so a prefix failing a
+    test fails every point below it in every window, and a point whose every
+    step passes is in hypotheses in every window: the walk reaches exactly
+    the admissible points.
     """
+    ranges, anchors = _plan_at(spec.preconditions, spec.arity == 2, L)
+    # (whether it reads u only, lo, hi, kind, bits) of each step form
+    tests = [(name == "alternate_u", lo, hi, *form) for name, lo, hi in ranges
+             if (form := _HYPOTHESES[name][2]) is not None]
     acc0 = 3
-    shift = 1 if spec.arity == 1 and anchors == {0} else 0
     rules = []
     for s in range(spec.arity):
         for i in range(L):
             order = split = zero = False
             width = 0
-            for name in spec.preconditions:
-                test = _SCAN_PREFIX_TESTS.get(name)
-                if test is None or (name == "alternate_u" and s):
-                    continue
-                kind, bits = test
-                if kind == "zero":
-                    zero = zero or (s == spec.arity - 1 and i not in anchors)
+            for u_only, lo, hi, kind, bits in tests:
+                if u_only and s:
                     continue
                 if kind == "order" and s == i == 0:
                     acc0 &= bits
-                if i - 1 >= (shift if name in _SHIFTED else 0):
+                if not lo <= i <= hi:
+                    continue
+                if kind == "zero":
+                    zero = zero or (s == spec.arity - 1 and i not in anchors)
+                elif i > lo:
                     order = order or kind == "order"
                     split = split or kind == "split"
                     width |= bits if kind == "width" else 0
@@ -987,7 +947,7 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     first over the positions u_0..u_{L-1} (then v_0..v_{L-1}), each taking
     its choices in increasing (lo, hi) order: the lexicographic order of
     the free positions, u before v. A prefix that fails a hypothesis (see
-    _SCAN_PREFIX_TESTS) is cut off, and its points count as checked in
+    _scan_rules) is cut off, and its points count as checked in
     every window. The tests are exact, so every point the walk reaches is
     admissible in every window.
 
@@ -1022,7 +982,7 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     arity = spec.arity
     real_family = spec.sums.shape == "real"
     n_choices = bound + 1 if real_family else (bound + 1) * (bound + 2) // 2
-    anchors = _joint_allowed_positions(spec.preconditions, L)
+    anchors = _plan_at(spec.preconditions, arity == 2, L)[1]
     slots = (L - len(anchors)) * arity
     first_start = 1 if arity == 1 else 0
     windowed = spec.windowed or spec.window_optional
@@ -1044,7 +1004,7 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
         choices = [(k, k) for k in range(bound + 1)]
     else:
         choices = [(lo, hi) for lo in range(bound + 1) for hi in range(lo, bound + 1)]
-    acc0, rules = _scan_rules(spec, L, anchors)
+    acc0, rules = _scan_rules(spec, L)
     free = [q for q, rule in enumerate(rules) if not rule[0]]
     n_free = len(free)
     # rest[k]: the (point, window) checks below one choice at free[k]

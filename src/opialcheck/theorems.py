@@ -400,13 +400,24 @@ def lookup(theorem) -> TheoremSpec:
 
 # -- the hypotheses ---------------------------------------------------------
 #
-# Every precondition is written once, in _HYPOTHESES: name -> (holds, detail).
-# holds(u, v, lo, hi, allowed) is its test on the integer endpoints, truthy
-# when it passes; v is None for a single sequence, lo..hi the absolute
-# indices it reads (an anchor reads lo = hi), allowed the anchors' indices.
-# detail(name, got, u, v, lo, hi, allowed) is the text of its reported row,
-# built only for a verdict (_pc_row) from got, the value holds returned (the
-# order or width bits for the order tests). _plan gives each name its range.
+# Every precondition is written once, in _HYPOTHESES: name -> (holds, detail,
+# step). holds(u, v, lo, hi, allowed) is its test on the integer endpoints,
+# truthy when it passes; v is None for a single sequence, lo..hi the
+# absolute indices it reads (an anchor reads lo = hi), allowed the anchors'
+# indices. detail(name, got, u, v, lo, hi, allowed) is the text of its
+# reported row, built only for a verdict (_pc_row) from got, the value holds
+# returned (the order or width bits for the order tests). step is the same
+# test read one step (or element) of lo..hi at a time, (kind, bits), or None
+# for the anchors and the element tests (degenerate, nonnegative):
+# - "order": direction_set is the AND, over the steps, of the LU order bits
+#   (1 increasing, 2 decreasing) each step keeps on both endpoints; the test
+#   holds exactly when a running AND from bits stays nonzero (for
+#   synchronous, one AND over u and then v);
+# - "width": a width order holds exactly when every width step keeps bits;
+# - "split": alternate_segments raises NotDecomposable exactly at a step that
+#   keeps neither order, so alternate holds exactly when no step splits;
+# - "zero": a stray (joint) zero fails exactly at its index, off the anchors.
+# _plan gives each name its range.
 
 
 def _zero(s, i):
@@ -541,23 +552,26 @@ def _d_stray(name, passed, u, v, lo, hi, allowed):
 
 
 _HYPOTHESES = {
-    "degenerate": (lambda u, v, lo, hi, _: operator.eq(*_ends(u, lo, hi)), _d_element),
-    "first_zero": (_h_zero, _d_zero),
-    "second_zero": (_h_zero, _d_zero),
-    "last_zero": (_h_zero, _d_zero),
-    "window_end_zero": (_h_zero, _d_zero),
-    "nonnegative": (lambda u, v, lo, hi, _: min(_ends(u, lo, hi)[0], default=0) >= 0, _d_element),
-    "nondecreasing": (lambda u, v, lo, hi, _: _dir_bits(u, lo, hi) & 1, _d_nondecreasing),
-    "monotone": (lambda u, v, lo, hi, _: _dir_bits(u, lo, hi), _d_monotone),
+    "degenerate": (lambda u, v, lo, hi, _: operator.eq(*_ends(u, lo, hi)), _d_element, None),
+    "first_zero": (_h_zero, _d_zero, None),
+    "second_zero": (_h_zero, _d_zero, None),
+    "last_zero": (_h_zero, _d_zero, None),
+    "window_end_zero": (_h_zero, _d_zero, None),
+    "nonnegative": (lambda u, v, lo, hi, _: min(_ends(u, lo, hi)[0], default=0) >= 0,
+                    _d_element, None),
+    "nondecreasing": (lambda u, v, lo, hi, _: _dir_bits(u, lo, hi) & 1, _d_nondecreasing,
+                      ("order", 1)),
+    "monotone": (lambda u, v, lo, hi, _: _dir_bits(u, lo, hi), _d_monotone, ("order", 3)),
     "synchronous": (lambda u, v, lo, hi, _: _dir_bits(u, lo, hi) & _dir_bits(v, lo, hi),
-                    _d_synchronous),
-    "mu_increasing": (_h_mu(1), _d_mu),
-    "mu_decreasing": (_h_mu(2), _d_mu),
-    "alternate": (lambda u, v, lo, hi, _: _split_free(u, lo, hi), _d_alternate),
-    "alternate_u": (lambda u, v, lo, hi, _: _split_free(u, lo, hi), _d_alternate),
-    "no_other_zero": (lambda u, v, lo, hi, a: _first_stray(u, None, lo, hi, a) is None, _d_stray),
+                    _d_synchronous, ("order", 3)),
+    "mu_increasing": (_h_mu(1), _d_mu, ("width", 1)),
+    "mu_decreasing": (_h_mu(2), _d_mu, ("width", 2)),
+    "alternate": (lambda u, v, lo, hi, _: _split_free(u, lo, hi), _d_alternate, ("split", 0)),
+    "alternate_u": (lambda u, v, lo, hi, _: _split_free(u, lo, hi), _d_alternate, ("split", 0)),
+    "no_other_zero": (lambda u, v, lo, hi, a: _first_stray(u, None, lo, hi, a) is None,
+                      _d_stray, ("zero", 0)),
     "no_other_joint_zero": (lambda u, v, lo, hi, a: _first_stray(u, v, lo, hi, a) is None,
-                            _d_stray),
+                            _d_stray, ("zero", 0)),
 }
 # an anchor's index as (position in (b, e, m), offset)
 _ANCHOR_AT = {"first_zero": (0, 0), "second_zero": (0, 1), "last_zero": (1, 0),
@@ -580,7 +594,8 @@ def _plan(names, pair):
         lo = hi = _ANCHOR_AT.get(name)
         if lo is None:
             lo, hi = (0, int(start_only and name in _SHIFTED)), (2, 0)
-        plan.append((name, *_HYPOTHESES[name], lo, hi))
+        holds, detail, _ = _HYPOTHESES[name]
+        plan.append((name, holds, detail, lo, hi))
     return tuple(plan), tuple(_ANCHOR_AT[n] for n in names if n in _ANCHOR_AT)
 
 

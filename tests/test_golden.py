@@ -11,6 +11,9 @@ digests and says why.
 The relaxed-fuzz digests were recorded the same way before sequences were
 built from integers; they pin the mutation path, which re-reads the
 generated ``Interval`` elements, and the RNG stream of every relaxed trial.
+The multi-name relaxed digests were recorded while the mutation sites were
+written out name by name and the mutations rewrote ``Interval`` elements;
+they pin the positions several mutations share on one input.
 
 The grid-scan digests were recorded while ``ratio_scan`` still checked
 every grid point; they pin the windowed and pair-windowed statements and
@@ -197,6 +200,199 @@ def test_grid_scan_report_is_unchanged(theorem, length, bound, l1, l2):
 def test_relaxed_fuzz_report_is_unchanged(theorem, name):
     report = fuzz(FuzzConfig(theorem, trials=100, seed=0, relax={name}))
     assert _digest(report) == RELAX_DIGESTS[(theorem, name)]
+
+
+# fuzz(FuzzConfig(theorem, trials=100, seed=0, relax=set(names))) for every
+# set of two or more preconditions of every statement: these pin how the
+# mutations of several names share the positions of one input
+MULTI_RELAX_DIGESTS = {
+    ('T2_2', 'degenerate,first_zero'):
+        "36d31d23297c3058c173458552483dbdcbb11eb1817cbd632421c623b72e321b",
+    ('T2_2', 'degenerate,last_zero'):
+        "16b0ecee6b194615d92b681efeb93f38fb10bb51d9df2a64ef8a0f6161e93fdc",
+    ('T2_2', 'first_zero,last_zero'):
+        "01ea83fbd47633eb3d57169a721007d0cead919f987d5f62ea66b3cc746071a5",
+    ('T2_2', 'degenerate,first_zero,last_zero'):
+        "91ffeeb0eb22d42096b2c13f5cfaa659c19b5ed17da5960eb3cfd101ec0d6f43",
+    ('L3_1', 'degenerate,first_zero'):
+        "3bac89a010378ae2d7c72215adda7b3fcba4a5dc56f1e9009b08a9c6ea9e9737",
+    ('L3_1', 'degenerate,nondecreasing'):
+        "470d12d3ffe3304a35a56abaec270f9e2058e0a41894700ccad0f191205422a2",
+    ('L3_1', 'degenerate,nonnegative'):
+        "91b7f5bc7fdd96c5a1a8febe02f22171d1df119166b3c361182ffdb125e77e75",
+    ('L3_1', 'first_zero,nondecreasing'):
+        "08ab7ca54b5e739b293836f444c61256d73c0ab5bf596fdd68feef48e8e5ea6b",
+    ('L3_1', 'first_zero,nonnegative'):
+        "4deb31f8cbc57f0ded3f08cf30581f1dcf8e2f8397dadc24bad3d6741530d6c2",
+    ('L3_1', 'nondecreasing,nonnegative'):
+        "83a3451374253f11155aedb7cc34f37e1f99e3fa9b60be24797721ff88466c65",
+    ('L3_1', 'degenerate,first_zero,nondecreasing'):
+        "bd591caa636f106bfba84b0e7b84ef11fc22661e069a1f9922b0f13c85fc4a75",
+    ('L3_1', 'degenerate,first_zero,nonnegative'):
+        "6f802e25501087db30f4cef194f2b801a6d93bff2f0a30082b9e478d32fff2eb",
+    ('L3_1', 'degenerate,nondecreasing,nonnegative'):
+        "f7b7f073243c1d9a22d5244979845ee34a67dc839a9a5af3357653ab7af5a2af",
+    ('L3_1', 'first_zero,nondecreasing,nonnegative'):
+        "e6a0bfbec598de2162d17ebf51c8d1e7033b0de08b3eff4044ed3f54ebafe72f",
+    ('L3_1', 'degenerate,first_zero,nondecreasing,nonnegative'):
+        "775029f7fe487c4797b3a592cfd096e6e63cc2269881b7ccb409a681fefc59c6",
+    ('L3_01', 'degenerate,first_zero'):
+        "7ae6f95197abbb2df489d4c471e1cdfde41d73c8f402877a5d41397b86362c02",
+    ('L3_02', 'degenerate,window_end_zero'):
+        "19b5cddd8fe921da028c317be65ddb62df3ec290ccdeb359096a4695c33fc7d1",
+    ('T3_1', 'first_zero,monotone'):
+        "f5aefe5d821d539b9d8bd85efb9459315075387c47b8558f482938d81e4487e2",
+    ('T3_1', 'first_zero,mu_increasing'):
+        "8c6537d6485c6c84ec459c54a572720bf65ff24cd93077420551a003c6cd8f65",
+    ('T3_1', 'monotone,mu_increasing'):
+        "1b14ac56d7eddd43567ce03b6ecf9f43b1e04fac01c071088ad350648981bd3e",
+    ('T3_1', 'first_zero,monotone,mu_increasing'):
+        "7c5754953e0d5b600a4faa6759d29324b42858e6f892d550f85593f6ad356f3c",
+    ('T3_2', 'monotone,mu_decreasing'):
+        "721c9872f329e36800d799afeac8e233a8e9e053e3ca8f429588e0f43a90b423",
+    ('T3_2', 'monotone,window_end_zero'):
+        "85ea508974066a50ae446f94c810080626c23ee14df30e8ebe35df2397b157c6",
+    ('T3_2', 'mu_decreasing,window_end_zero'):
+        "770e22ec314eb5408a47c1f1b74f8b5d7f2f5694e488fde032b2eefe33d15eb3",
+    ('T3_2', 'monotone,mu_decreasing,window_end_zero'):
+        "7c59dbbf42d74b0eb32b1e7657fbe70f80d5501d0fce4feec818215a2b00bc6b",
+    ('T3_3', 'alternate,first_zero'):
+        "a4cee74f62ada4454d8b89da8912a37d70374e17790a2cf5c85293eb0cbd85f1",
+    ('T3_3', 'alternate,no_other_zero'):
+        "ff53a53a909df0fe080dd459a61dff922d86ba117e2cb45f1ecefac1779a6007",
+    ('T3_3', 'first_zero,no_other_zero'):
+        "88527f7fdca9b910d3a04605e911ba3b3f3521c9ce4aa757b86ca24aec498feb",
+    ('T3_3', 'alternate,first_zero,no_other_zero'):
+        "a879691ee81986db780afd952a6ae9d202462db6aedf0f83406e05afbcc27a49",
+    ('T3_4', 'alternate,no_other_zero'):
+        "bd44e9fd8b2e21daa320e10c61f380c517e70b635a0741059ed4459db7f3fac7",
+    ('T3_4', 'alternate,window_end_zero'):
+        "a4e3fe78a182cd7b46cfd45f49f73e418debae6c7bbe4cee55d9d906decf68ba",
+    ('T3_4', 'no_other_zero,window_end_zero'):
+        "3fb16351108f4751915219781cf9bf7cc961f04ae8859a1f512830ac81440b0c",
+    ('T3_4', 'alternate,no_other_zero,window_end_zero'):
+        "6b183360e68365e12219f674e986b9c6fcfb95f351d265b4f357894dd7492f66",
+    ('T3_5', 'alternate,first_zero'):
+        "787c9d070586cb1a62d4ec874fb9b6e7091e8eda118d7a3ad7dbfd268b276a3a",
+    ('T3_5', 'alternate,last_zero'):
+        "515471c5aea40356ab3e26b3d402dc9961ac19c29563cbea00cbaf3e66c88b34",
+    ('T3_5', 'alternate,no_other_zero'):
+        "377c629bc265411d6f1ed5ed5188111d14854656c35ae33ea927f4135c2deab1",
+    ('T3_5', 'first_zero,last_zero'):
+        "3cfd12c263ceb2a5ccb184fe147b9092de8d0de6d55a20dc0e46f2d5b97d05a3",
+    ('T3_5', 'first_zero,no_other_zero'):
+        "bf85e9e3c3862897a3b9d85bc636ff273dd108422b9ff04c7933eb6f88ef7563",
+    ('T3_5', 'last_zero,no_other_zero'):
+        "31211f4c4aca72c51c4f7ad6e5e70acc67f5eb9431b3a55469fb2e111d5fec90",
+    ('T3_5', 'alternate,first_zero,last_zero'):
+        "b145d3268bf654fc749602403c354ef10dce21ee92f8c9638c1c4efdef471da9",
+    ('T3_5', 'alternate,first_zero,no_other_zero'):
+        "cf785a3f66cd8b83213a85b4c8b57ffad5642a0fd9fa9e0f39c9803165502865",
+    ('T3_5', 'alternate,last_zero,no_other_zero'):
+        "a9e8a78175efb4be0d23045862aeeb5bbc39fed134b0e190d9d29523bb863fe5",
+    ('T3_5', 'first_zero,last_zero,no_other_zero'):
+        "6dd09b4f8dd260daf0b8e6d3300acb9ee3df1beeb4c0afba31c93455a83dd010",
+    ('T3_5', 'alternate,first_zero,last_zero,no_other_zero'):
+        "0be72057fb28aeb6b135f6937d2d16b3587c4d9de75f89fd756dc79a49f920e5",
+    ('T3_6', 'first_zero,mu_increasing'):
+        "ffaae25eb75fbe5d4ab6ad349cd93930116707f7cb20a10868b34d74d78712a4",
+    ('T3_6', 'first_zero,synchronous'):
+        "a10f8f5bade38af46ffc36fc092b9cea6dde890e4ee17a1f7e67be707b3e1c1b",
+    ('T3_6', 'mu_increasing,synchronous'):
+        "edfe9cf396475e248591e7d0f24c48991506d1f159d4187f84974adfb6f22452",
+    ('T3_6', 'first_zero,mu_increasing,synchronous'):
+        "b7104740baefe0ca61f0a29588282cb6ded87fc8e2c9a7daa15d23e335a126cb",
+    ('T3_7', 'mu_decreasing,synchronous'):
+        "d13b051b2389f397bc1a8362321b54fef2a663e27901f5a241d234d5ec45ed8c",
+    ('T3_7', 'mu_decreasing,window_end_zero'):
+        "fb199cd068b2da813e522a0b322002def3942faa4c056023076f9c212579383f",
+    ('T3_7', 'synchronous,window_end_zero'):
+        "ecb6db3c92f1198eb8806f93f1a641452328407177fa63d13a028e1ad5d57db7",
+    ('T3_7', 'mu_decreasing,synchronous,window_end_zero'):
+        "c4c4c7aaf2ea6fdd7a6e28d2875126ebe99bd004485b4d209baa589fb560519e",
+    ('T3_8', 'alternate_u,first_zero'):
+        "70fdac6d98bb64e3ab048308820051e5dd1ee89001863ab7b6d7d5498b064203",
+    ('T3_8', 'alternate_u,no_other_joint_zero'):
+        "04b1a9c4a147a0b288669941ede1ea78c18368c9103290af1c163d18e30d47ec",
+    ('T3_8', 'first_zero,no_other_joint_zero'):
+        "4c9e3f222660abb3f89899de53218d86e43c6d0ea77a2322b2dbee825f9a0527",
+    ('T3_8', 'alternate_u,first_zero,no_other_joint_zero'):
+        "16b06f0a23f71c7b2d26933aba18f433328798d17c570f50aebca9e08d3f0ba4",
+    ('T3_9', 'alternate_u,no_other_joint_zero'):
+        "47ce59c1a2600e4e402974bd8da41f89fb6b067c8addc6b978461ea129ffbb3b",
+    ('T3_9', 'alternate_u,window_end_zero'):
+        "dd9537056b303e3dbab2f1c092beabb025c7c4427f50e9fbb3f9e4984e18a9eb",
+    ('T3_9', 'no_other_joint_zero,window_end_zero'):
+        "bf2afa667c5a2c417837db3dd5a7f660194e4f5de0444640b86b684f30934628",
+    ('T3_9', 'alternate_u,no_other_joint_zero,window_end_zero'):
+        "26e6196d852263e217209e27d73d1ea99b566fb56b8def7a141eee0e8dfd7715",
+    ('T3_10', 'alternate_u,last_zero'):
+        "659f7d3146a22268538b138f6a2b6853e192721237bdaf1348f624b7d10bbdf7",
+    ('T3_10', 'alternate_u,no_other_joint_zero'):
+        "742b7ea3b2c43dfdf75332679bd17d4ea20fc812fa72751419bb1abcf2cb9839",
+    ('T3_10', 'alternate_u,second_zero'):
+        "14b9c3cc34519452e5b13da750282172ea0b9397216ef00b5d97f96d86b0e6ef",
+    ('T3_10', 'last_zero,no_other_joint_zero'):
+        "c1a142dc3277660bb69544eaa34044c90de4ccba287827248811975c919742a3",
+    ('T3_10', 'last_zero,second_zero'):
+        "cebddd131ac5df54fd0bc3df63dbc1e3801e65c8fb39329a2f3dd7b3426c3e6d",
+    ('T3_10', 'no_other_joint_zero,second_zero'):
+        "cc827fe662d7c31ff349cb00b6d9f415dab95316fef9f19a1870227fb9461cf6",
+    ('T3_10', 'alternate_u,last_zero,no_other_joint_zero'):
+        "38e9bdea2d2c68272e8802814bd10d2d3c26533706880a2c9821a6c296076cd3",
+    ('T3_10', 'alternate_u,last_zero,second_zero'):
+        "f69dbb2252dadd3dfeb35a397a5e3637d139bf2dfea5999f4b1935c166bc01ef",
+    ('T3_10', 'alternate_u,no_other_joint_zero,second_zero'):
+        "145d69484fe71969b2fa91033977af76aa60b1a97b79bfdf9b5b0ba51c23d903",
+    ('T3_10', 'last_zero,no_other_joint_zero,second_zero'):
+        "141ee911a83865cd6fd0ef117e1aa909507ed9ed5710296b035beb69477a7171",
+    ('T3_10', 'alternate_u,last_zero,no_other_joint_zero,second_zero'):
+        "2ae29ded56dea1a6e314ab425f0c9aa5959c3357153b135c8dea2e142681c9c6",
+    ('T4_1', 'first_zero,monotone'):
+        "4fa535f26968fc334e5fd21e6b96c0ec2ded5d0968d36eae73f5876c88b4df54",
+    ('T4_1', 'first_zero,mu_increasing'):
+        "c116b6e67d7ae87aafeef93c0d2c8f34edb7e897c5bf2ef22fc5053b6bd082ad",
+    ('T4_1', 'monotone,mu_increasing'):
+        "45465d50aa6ceb65e6c2092bd8073812a9f2c76558d50b5afcab0158a7a096e6",
+    ('T4_1', 'first_zero,monotone,mu_increasing'):
+        "0e5fa9be4ab35ff60228365a7b9f25b831714f9180bab35f51b73d6c246b2a6d",
+    ('T4_2', 'monotone,mu_decreasing'):
+        "55b629a5ac8dfdf00f7d0e99b2408fb91abaf6c94bd4c86cd57d988ec4a36410",
+    ('T4_2', 'monotone,window_end_zero'):
+        "d7c9ae20a160abab8920f598bb90f37cb59a4543adb750b7f76318dac4a9d941",
+    ('T4_2', 'mu_decreasing,window_end_zero'):
+        "fb6aba7f7fa35fbbd7a2073b9a7392535e0b40ac67485e65a29fe079ec476ad4",
+    ('T4_2', 'monotone,mu_decreasing,window_end_zero'):
+        "da74c34443c7fb090c7ba7ce8abdd8a2e2b08d2facabfe935b18210aa08ae94e",
+    ('T4_5', 'alternate,first_zero'):
+        "531726ffa4db276aeef29c0dbd07147cb72192b4e4c7df839c8b712385219cb6",
+    ('T4_5', 'alternate,last_zero'):
+        "8ac7f618921b3b1bc57c67b3afd8b6d67157551557ec5693f38aeb48cc76f4a5",
+    ('T4_5', 'alternate,no_other_zero'):
+        "2f2f5d1ac7088a8a71a50587a650c39cd46e4031aec1a93fd6540d1f4fa2fe5d",
+    ('T4_5', 'first_zero,last_zero'):
+        "d87e8d060c3e2e4b13acbffdcc2f2ade057024927adc6707a62d03c52c09c24a",
+    ('T4_5', 'first_zero,no_other_zero'):
+        "1ec48a458d97d4a6f729cd1895f51eb14088d3b622fc1b006326b97bf638fd04",
+    ('T4_5', 'last_zero,no_other_zero'):
+        "bc1448ac44272f4825df4180d78dc0b1fc6e74863ec9836c7d366895c7a5db78",
+    ('T4_5', 'alternate,first_zero,last_zero'):
+        "6b439fa9f7976c9871dbd70cff97bac7087ad8d5b4ad8d15e6094bbffcabbdaf",
+    ('T4_5', 'alternate,first_zero,no_other_zero'):
+        "3807e35ef51c7b19c641005ab5913b0c688c37d48ec735941b35306a7b0c7be2",
+    ('T4_5', 'alternate,last_zero,no_other_zero'):
+        "6a1bae220448a75e765ea2466cf9bdc73a007f3b07db02f8d9b1f48740848509",
+    ('T4_5', 'first_zero,last_zero,no_other_zero'):
+        "b92998b706b7b251d34fef07c47f8e1c854de35e6f88de5d09a1da33b58c2901",
+    ('T4_5', 'alternate,first_zero,last_zero,no_other_zero'):
+        "ec3019f488e240dded79fa83af7bda1930dbc0203c4db40db2255277d2720c04",
+}
+
+
+@pytest.mark.parametrize("theorem,names", sorted(MULTI_RELAX_DIGESTS))
+def test_multi_relaxed_fuzz_report_is_unchanged(theorem, names):
+    report = fuzz(FuzzConfig(theorem, trials=100, seed=0, relax=set(names.split(","))))
+    assert _digest(report) == MULTI_RELAX_DIGESTS[(theorem, names)]
 
 
 # main(argv) with each *.json argument read from samples/: exit code and stdout

@@ -138,6 +138,18 @@ def test_fuzz_config_validation():
         FuzzConfig(theorem="T3_5", trials=10, seed=0, length_range=(5, 2))
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("lambda_range", (True, True), "lambda_range must satisfy 1 <= min <= max"),
+    ("lambda_range", (1, True), "lambda_range must satisfy 1 <= min <= max"),
+    ("length_range", (2, True), "length_range must satisfy 2 <= min <= max"),
+    ("length_range", (True, 5), "length_range must satisfy 2 <= min <= max"),
+])
+def test_fuzz_config_refuses_bool_ranges(field, value, message):
+    # a bool is an int to isinstance, and would be printed as true/false
+    with pytest.raises(ValueError, match=message):
+        FuzzConfig("T3_1", 3, 0, **{field: value})
+
+
 def test_fuzz_clean_run_no_violations():
     rep = fuzz(FuzzConfig(theorem="T2_2", trials=150, seed=7))
     assert rep.trials_run == 150
@@ -270,12 +282,12 @@ def _profile_inputs(draw, spec):
     except InfeasibleProfile:
         assume(False)
     u, v = built if spec.arity == 2 else (built, None)
-    items_u = list(u.items)
-    items_v = None if v is None else list(v.items)
+    ends_u = (u.D, list(u.lows), list(u.highs))
+    ends_v = None if v is None else (v.D, list(v.lows), list(v.highs))
     for name in draw(st.lists(st.sampled_from(spec.preconditions), max_size=2, unique=True)):
-        oracle._mutate(names, items_u, items_v, name, rng, 20)
-    u2 = IntervalSequence(items_u, u.base_index)
-    return u2 if v is None else (u2, IntervalSequence(items_v, u.base_index))
+        oracle._mutate(names, ends_u, ends_v, name, rng, 20)
+    u2 = IntervalSequence._from_ints(*ends_u, u.base_index)
+    return u2 if v is None else (u2, IntervalSequence._from_ints(*ends_v, u.base_index))
 
 
 @pytest.mark.parametrize("spec", registry(), ids=lambda s: s.id.value)
@@ -326,6 +338,71 @@ def test_fuzz_relax_set_runs_to_completion(tid, a, b):
     assert rep.trials_run == 1000
     for rec in rep.violations:
         assert rec.relaxed == tuple(sorted((a, b)))
+
+
+def _forced_site(monkeypatch, name, k):
+    # _mutate draws its site from _mutation_sites; keep only k for name
+    real = oracle._mutation_sites
+
+    def only_k(names, L):
+        sites = dict(real(names, L))
+        sites[name] = (sites[name][0], (k,))
+        return sites
+
+    monkeypatch.setattr(oracle, "_mutation_sites", only_k)
+
+
+@pytest.mark.parametrize("spec", registry(), ids=lambda s: s.id.value)
+def test_every_mutation_site_breaks_its_name(spec, monkeypatch):
+    # a site outside the range the engine tests would leave the name's row
+    # passing: write at every site of every name on a conforming input and
+    # the engine must report that row as failed
+    names = frozenset(spec.preconditions)
+    tried = set()
+    for L, seed in itertools.product(range(2, 9), range(3)):
+        built = oracle._generate_with_rng(names, L, random.Random(f"{L}:{seed}"), 20)
+        u, v = built if spec.arity == 2 else (built, None)
+        for name in spec.preconditions:
+            if name == "synchronous":
+                continue
+            sites = oracle._mutation_sites(names, L)[name][1]
+            if name == "mu_increasing":
+                sites = [k for k in sites if u.highs[k - 1] > u.lows[k - 1]]
+            for k in sites:
+                ends_u = (u.D, list(u.lows), list(u.highs))
+                ends_v = None if v is None else (v.D, list(v.lows), list(v.highs))
+                with monkeypatch.context() as m:
+                    _forced_site(m, name, k)
+                    assert oracle._mutate(names, ends_u, ends_v, name, random.Random(k), 20)
+                cand = IntervalSequence._from_ints(*ends_u, u.base_index)
+                if v is not None:
+                    cand = (cand, IntervalSequence._from_ints(*ends_v, u.base_index))
+                rows = {p.name: p.passed for p in _check_with_full_window(spec, cand).preconditions}
+                assert rows[name] is False, (L, name, k, cand)
+                tried.add((name, L, k))
+    assert {n for n, _, _ in tried} == set(spec.preconditions) - {"synchronous"}
+
+
+def test_relaxed_fuzz_builds_no_interval(monkeypatch):
+    # the mutations rewrite the generated integer endpoints and the
+    # candidate is built from them, on every relax set of every statement
+    built = []
+    init = Interval.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Interval, "__init__", counting_init)
+    runs = 0
+    for spec in registry():
+        for r in range(1, len(spec.preconditions) + 1):
+            for relax in itertools.combinations(spec.preconditions, r):
+                assert fuzz(FuzzConfig(spec.id, trials=20, seed=3, relax=set(relax))).trials_run
+                runs += 1
+    assert built == [] and runs == 143
+    Interval(0, 1)
+    assert built == [1]  # the counter itself works
 
 
 @pytest.mark.parametrize(
@@ -547,13 +624,16 @@ def test_scan_matches_exhaustive_enumeration(spec, monkeypatch):
     assert ran >= 8
 
 
-@pytest.mark.parametrize("name", sorted(oracle._SCAN_PREFIX_TESTS))
+@pytest.mark.parametrize(
+    "name", sorted(n for n, row in theorems._HYPOTHESES.items() if row[2] is not None))
 def test_scan_prefix_tests_have_teeth(name, monkeypatch):
-    # without one prefix test the walk reaches points outside the
-    # hypotheses and the kernel counts them: the differential test above
-    # must see it on some grid of a statement with that hypothesis (or the
-    # engine refuses a point the kernel took as a new maximum)
-    monkeypatch.delitem(oracle._SCAN_PREFIX_TESTS, name)
+    # without one prefix test (the name's step form in the hypothesis table)
+    # the walk reaches points outside the hypotheses and the kernel counts
+    # them: the differential test above must see it on some grid of a
+    # statement with that hypothesis (or the engine refuses a point the
+    # kernel took as a new maximum)
+    holds, detail, _ = theorems._HYPOTHESES[name]
+    monkeypatch.setitem(theorems._HYPOTHESES, name, (holds, detail, None))
     for spec in registry():
         if name not in spec.preconditions:
             continue
