@@ -32,6 +32,7 @@ from .sequences import (
     mu_direction_set,
 )
 from .theorems import (
+    Operator,
     TheoremId,
     Verdict,
     check_pair,
@@ -42,14 +43,12 @@ from .theorems import (
     _check_lambdas,
     _frame,
     _holds,
-    _norm,
     _pair_term,
     _plan,
-    _resolve_window_pair,
-    _resolve_window_single,
+    _resolve_window,
     _sides,
-    _step_norm,
-    _step_shift,
+    _step_term,
+    _window_start,
 )
 
 _ATTEMPTS = 80
@@ -701,24 +700,17 @@ def _relax_and_check(spec, names, built, relax, rng, l1, l2, window, L, M):
 def _conforming_sides(spec, built, l1, l2, window):
     """The engine's integer sides of a conforming input (theorems._sides)."""
     u, v = built if spec.arity == 2 else (built, None)
-    resolve = _resolve_window_single if v is None else _resolve_window_pair
-    n, m = resolve(spec, u.first_index, u.last_index, window)
+    n, m = _resolve_window(spec, u.first_index, u.last_index, window)
     return _sides(spec, u, v, l1, l2, n, m, spec.sums.shape == "real")
 
 
 def _fuzz_window(spec, rng, base, L):
-    e = base + L - 1
-    if spec.arity == 1:
-        if spec.windowed:
-            return (_randint(rng, base + 1, e), e)
+    # an optional window (never on a windowed statement) is omitted 30% of the time
+    if not (spec.windowed or spec.window_optional) or (
+            spec.window_optional and rng.random() < 0.3):
         return None
-    if spec.windowed:
-        return (_randint(rng, base, e), e)
-    if spec.window_optional:
-        if rng.random() < 0.3:
-            return None
-        return (_randint(rng, base, e), e)
-    return None
+    e = base + L - 1
+    return (_randint(rng, _window_start(spec, base), e), e)
 
 
 def fuzz(config: FuzzConfig) -> FuzzReport:
@@ -984,7 +976,7 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     n_choices = bound + 1 if real_family else (bound + 1) * (bound + 2) // 2
     anchors = _plan_at(spec.preconditions, arity == 2, L)[1]
     slots = (L - len(anchors)) * arity
-    first_start = 1 if arity == 1 else 0
+    first_start = _window_start(spec, 0)
     windowed = spec.windowed or spec.window_optional
     n_windows = e - first_start + 1 if windowed else 1
     # planned = n_windows * n_choices ** slots, multiplied no further than
@@ -1014,11 +1006,10 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
 
     # each window's term ranges and constant, on b = 0 and m = e: its sides
     # are lhs_at[el] - lhs_at[sl] and (cn / cd) * (rhs_at[er] - rhs_at[sr])
-    cl1, cl2 = (l1, l2) if arity == 1 else (1, 1)
     frames = []
     for window in windows:
         n, m = window if window is not None else (0, e)
-        lhs_rng, rhs_rng, const = _frame(spec, 0, e, n, m, cl1, cl2)
+        lhs_rng, rhs_rng, const = _frame(spec, 0, e, n, m, l1, l2)
         frames.append((lhs_rng.start, lhs_rng.stop, rhs_rng.start, rhs_rng.stop,
                        const.numerator, const.denominator, window))
     # lhs_at[i], rhs_at[i]: the sums of the lhs and rhs terms of index < i.
@@ -1027,23 +1018,16 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     # term p; positions that complete none hold None.
     lhs_at = [0] * (L + 1)
     rhs_at = [0] * (L + 1)
-    shift = _step_shift(spec)
+    nabla = spec.operator is Operator.NABLA
     if arity == 1:
-        done = [None] + [q - 1 + shift for q in range(1, L)]
+        done = [None] + [q - 1 + nabla for q in range(1, L)]
     else:
         done = [None] * (L + 1) + list(range(1, L))
-    k_pow = l1 + l2
 
     if arity == 1:
         def terms(fills):
-            # nabla reads the norm of u_q, the forward difference of u_{q-1}
-            out = []
-            for q, i in fills:
-                a0, c0 = pairs[q - 1]
-                a1, c1 = pairs[q]
-                s = _step_norm(a0, c0, a1, c1)
-                out.append((i, _norm(*pairs[q - 1 + shift]) ** l1 * s ** l2, s ** k_pow))
-            return out
+            return [(i, *_step_term(*pairs[q - 1], *pairs[q], l1, l2, nabla))
+                    for q, i in fills]
     else:
         def terms(fills):
             return [(i, *_pair_term(*pairs[q - L - 1], *pairs[q - L], *pairs[q - 1], *pairs[q]))

@@ -366,43 +366,21 @@ class IntervalSequence:
         step admits no monotone order at all (endpoints moving strictly
         in opposite ways), naming the first such step.
         """
-        lo, hi = self.lows, self.highs
-        if len(lo) < 2:
+        if len(self.lows) < 2:
             raise TooShort("segmentation needs at least two elements")
-        b = self.base_index
-        breakpoints = [b]
-        segments = []
-        seg_start = 0
-        # order sets as bits (1 increasing, 2 decreasing) surviving the open
-        # segment; they are exactly its non-strict order sets
-        allowed_d = allowed_mu = 3
-        for k in range(1, len(lo)):
-            sd = _step_bits(lo[k - 1], lo[k]) & _step_bits(hi[k - 1], hi[k])
-            if not sd:
-                raise NotDecomposable(
-                    f"no monotone order for the step {b + k - 1} -> {b + k}"
-                )
-            smu = _step_bits(hi[k - 1] - lo[k - 1], hi[k] - lo[k])
-            nd = allowed_d & sd
-            nmu = allowed_mu & smu
-            if nd and nmu:
-                allowed_d, allowed_mu = nd, nmu
-            else:
-                segments.append(self._segment(seg_start, k - 1, allowed_d, allowed_mu))
-                breakpoints.append(b + k - 1)
-                seg_start = k - 1
-                allowed_d, allowed_mu = sd, smu
-        segments.append(self._segment(seg_start, len(lo) - 1, allowed_d, allowed_mu))
-        breakpoints.append(self.last_index)
-        return SegmentDecomposition(tuple(breakpoints), tuple(segments))
+        runs = _alternate_runs(self.lows, self.highs, self.base_index)
+        return SegmentDecomposition(
+            tuple(start for start, *_ in runs) + (self.last_index,),
+            tuple(self._segment(*run) for run in runs),
+        )
 
     def _segment(self, start, end, d, mu) -> Segment:
-        # positions start..end; d and mu are the stretch's order bits
+        # indices start..end; d and mu are the stretch's order bits
         lo, hi = self.lows, self.highs
         b = self.base_index
-        zeros = tuple(b + k for k in range(start, end + 1) if lo[k] == 0 == hi[k])
+        zeros = tuple(i for i in range(start, end + 1) if lo[i - b] == 0 == hi[i - b])
         profile = MonotonicityProfile(_DIRECTION_LABEL[d], _MU_LABEL[mu], False, zeros)
-        return Segment(b + start, b + end, profile)
+        return Segment(start, end, profile)
 
     def __str__(self) -> str:
         inner = ", ".join(str(it) for it in self.items)
@@ -463,6 +441,35 @@ def mu_direction_set(seq, first=None, last=None, strict: bool = False) -> frozen
 def _step_bits(x0, x1):
     # order bits of one step: 1 when it does not fall, 2 when it does not rise
     return (x1 >= x0) | ((x1 <= x0) << 1)
+
+
+def _alternate_runs(lows, highs, base):
+    """The greedy maximal segmentation of the elements lows, highs, indexed
+    from base, as (start, end, d, mu): each segment's first and last index
+    and its order bits (1 increasing, 2 decreasing) and width order bits.
+    Ties extend the open segment, and adjacent segments share an element.
+    Raises NotDecomposable at the first step that keeps no LU order."""
+    runs = []
+    start = base
+    # order bits surviving the open segment: exactly its non-strict order sets
+    allowed_d = allowed_mu = 3
+    for k in range(1, len(lows)):
+        sd = _step_bits(lows[k - 1], lows[k]) & _step_bits(highs[k - 1], highs[k])
+        if not sd:
+            raise NotDecomposable(
+                f"no monotone order for the step {base + k - 1} -> {base + k}"
+            )
+        smu = _step_bits(highs[k - 1] - lows[k - 1], highs[k] - lows[k])
+        nd = allowed_d & sd
+        nmu = allowed_mu & smu
+        if nd and nmu:
+            allowed_d, allowed_mu = nd, nmu
+        else:
+            runs.append((start, base + k - 1, allowed_d, allowed_mu))
+            start = base + k - 1
+            allowed_d, allowed_mu = sd, smu
+    runs.append((start, base + len(lows) - 1, allowed_d, allowed_mu))
+    return runs
 
 
 def _first_break(xss, want, start):

@@ -12,10 +12,11 @@ the detail) and the sides are computed regardless, flagged through
 ``in_hypotheses``. Relaxed-hypothesis experiments depend on reading
 numbers off non-conforming inputs.
 
-The four real-sequence statements (T2_2 and the three lemmas) are
-evaluated with plain signed arithmetic when the input is degenerate. On
-non-degenerate input they fall back to interval norms and flag the
-degeneracy hypothesis.
+The four real-sequence statements (T2_2 and the three lemmas) check a
+degeneracy hypothesis and, off it, add a note. Their absolute-value sums
+are the norm sums of the interval statements, |x_i| = ||u_i|| on
+degenerate input, so only L3_1, a signed bound, sums with signs, and only
+on degenerate input.
 
 Both sides are computed on integers. Every operation a statement uses
 is positively homogeneous: the gH-difference, the set-image product and
@@ -28,6 +29,8 @@ and a side is returned as Fraction(int_sum, D^k) with k = l1 + l2, or
 k = 2 for T2_2 and the pair statements: the same exact rational the
 interval arithmetic gives. The norm is multiplicative on set-image
 products and powers, so a single-sequence term is ||u_i||^l1 * ||Du_i||^l2.
+Each term is written once, on ints (_step_term, _pair_term), and the
+engine's sides, lhs_terms and the scan's walk all read it.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Optional
 
 from .intervals import ExponentOutOfRange
@@ -49,6 +53,7 @@ from .sequences import (
     MuDirection,
     NotDecomposable,
     TooShort,
+    _alternate_runs,
     _ends,
     _order_bits,
     _widths,
@@ -222,9 +227,9 @@ def _c_pair_half(l1, l2, n, m):
 class _Sums:
     """Where a statement's two sums run and what its constant reads.
 
-    shape is the term: "real" (|x_i|^l1 |Dx_i|^l2 on a real sequence, or
-    the interval norms off degenerate input), "interval" (||u_i||^l1
-    ||Du_i||^l2) or "pair" (||u_{i-1} nabla v_i + v_i nabla u_i|| against
+    shape is the term: "real" (|x_i|^l1 |Dx_i|^l2 on a real sequence, the
+    norm terms, signed for L3_1), "interval" (||u_i||^l1 ||Du_i||^l2) or
+    "pair" (||u_{i-1} nabla v_i + v_i nabla u_i|| against
     ||nabla u_i||^2 + ||nabla v_i||^2). D is the statement's operator:
     nabla reads (u_{i-1}, u_i), the forward differences (u_i, u_{i+1}).
     lhs and rhs are the half-open ranges of term indices i, each end a
@@ -266,7 +271,7 @@ def _sums(shape, lhs, rhs, const):
 def _frame(spec, b, e, n, m, l1, l2):
     """The lhs and rhs ranges of term indices and the constant of spec on
     the indices b..e with window (n, m) ((b, e) when there is none); the
-    caller has checked the exponents."""
+    caller has checked the exponents, which a pair's constant ignores."""
     t = spec.sums
     at = (b, e, n, m, 0)
     (ls, lo), (le, lf) = t.lhs
@@ -537,10 +542,10 @@ def _d_alternate(name, passed, u, v, lo, hi, _):
     if hi - lo < 1:
         return f"[{lo}, {hi}] is trivially alternate"
     try:
-        dec = u.window(lo, hi).alternate_segments()
+        runs = _alternate_runs(*_ends(u, lo, hi), lo)
     except NotDecomposable as exc:
         return str(exc)
-    return f"{len(dec.segments)} segment(s), breakpoints {list(dec.breakpoints)}"
+    return f"{len(runs)} segment(s), breakpoints {[start for start, *_ in runs] + [hi]}"
 
 
 def _d_stray(name, passed, u, v, lo, hi, allowed):
@@ -640,31 +645,25 @@ def _window_ints(window):
     return n, m
 
 
-def _resolve_window_single(spec, b, e, window):
-    if spec.windowed:
-        if window is None:
-            raise WindowRequired(f"{spec.id.value} needs a window (n, m)")
-        n, m = _window_ints(window)
-        if not (b + 1 <= n <= m <= e):
-            raise WindowOutOfRange(
-                f"window [{n}, {m}] invalid; need {b + 1} <= n <= m <= {e}"
-            )
-        return n, m
-    if window is not None:
-        raise ValueError(f"{spec.id.value} does not take a window")
-    return b, e
+def _window_start(spec, b):
+    """The first valid window start on a sequence from index b: b + 1 for a
+    single sequence (its windowed sums read u_{n-1}), b for a pair."""
+    return b + (spec.arity == 1)
 
 
-def _resolve_window_pair(spec, b, e, window):
+def _resolve_window(spec, b, e, window):
+    """The window (n, m) of spec on the indices b..e: (b, e) when spec
+    takes none, (e, e) when its optional window is omitted."""
     if spec.windowed or spec.window_optional:
         if window is None:
             if spec.window_optional:
                 return e, e
             raise WindowRequired(f"{spec.id.value} needs a window (n, m)")
         n, m = _window_ints(window)
-        if not (b <= n <= m <= e):
+        first = _window_start(spec, b)
+        if not (first <= n <= m <= e):
             raise WindowOutOfRange(
-                f"window [{n}, {m}] invalid; need {b} <= n <= m <= {e}"
+                f"window [{n}, {m}] invalid; need {first} <= n <= m <= {e}"
             )
         return n, m
     if window is not None:
@@ -672,18 +671,24 @@ def _resolve_window_pair(spec, b, e, window):
     return b, e
 
 
-# -- integer sums -----------------------------------------------------------
+# -- integer terms ----------------------------------------------------------
 
 
-def _norm(a, c):
-    """||[a, c]||: the larger endpoint magnitude."""
-    return max(-a, c)
+def _step_term(a0, c0, a1, c1, l1, l2, nabla):
+    """A single-sequence statement's lhs and rhs terms on the step from
+    [a0, c0] to [a1, c1]: ||u_i||^l1 * ||Du_i||^l2 and ||Du_i||^(l1+l2),
+    where u_i is the step's later element for nabla and its earlier one for
+    the forward differences.
 
-
-def _step_norm(a0, c0, a1, c1):
-    """||[a1, c1] gh- [a0, c0]||: the gH step has the endpoints a1 - a0 and
-    c1 - c0 in some order, so its norm is the larger absolute value."""
-    return max(abs(a1 - a0), abs(c1 - c0))
+    The norm of [a, c] is max(-a, c). The gH step has the endpoints a1 - a0
+    and c1 - c0 in some order, so its norm is the larger absolute value.
+    (Comparisons rather than max(): this runs once per term on every path.)
+    """
+    s, t = abs(a1 - a0), abs(c1 - c0)
+    if t > s:
+        s = t
+    a, c = (a1, c1) if nabla else (a0, c0)
+    return (c if c > -a else -a) ** l1 * s ** l2, s ** (l1 + l2)
 
 
 def _pair_term(ua0, uc0, ua1, uc1, va0, vc0, va1, vc1):
@@ -704,78 +709,49 @@ def _pair_term(ua0, uc0, ua1, uc1, va0, vc0, va1, vc1):
             max(abs(gu0), abs(gu1)) ** 2 + max(abs(gv0), abs(gv1)) ** 2)
 
 
-def _step_shift(spec):
-    # the step read by term i is step i - b - shift: nabla reads u_{i-1} -> u_i
-    return 1 if spec.operator is Operator.NABLA else 0
-
-
-def _opial_sums(seq, l1, l2, lhs_rng, rhs_rng, shift):
-    """Sums of ||u_i^l1 * (Du_i)^l2|| and of ||Du_i||^(l1+l2) over the ranges,
-    as (lhs, rhs, scale): the sides are lhs / scale and rhs / scale.
-
-    Du is nabla for shift 1 (step k is Du at b+k+1) and delta for shift 0.
-    The norm is multiplicative on the set-image product and power, so each
-    term is ||u_i||^l1 * ||Du_i||^l2.
-    """
-    lows, highs = seq.lows, seq.highs
-    un = list(map(_norm, lows, highs))
-    sn = list(map(_step_norm, lows, highs, lows[1:], highs[1:]))
-    b = seq.base_index
-    first = b + shift
-    lhs = sum(un[i - b] ** l1 * sn[i - first] ** l2 for i in lhs_rng)
-    rhs = sum(sn[i - first] ** (l1 + l2) for i in rhs_rng)
-    return lhs, rhs, seq.D ** (l1 + l2)
-
-
-def _real_sums(seq, l1, l2, lhs_rng, rhs_rng, shift, signed):
-    """The real statements' sums of x_i^l1 (Dx_i)^l2 and (Dx_i)^(l1+l2) on a
-    degenerate stretch, signed or of absolute values, as (lhs, rhs, scale)."""
-    # x_i = xs[i - b] / D, Dx_i = steps[i - b - shift]; both sums are
-    # homogeneous of degree k in the x_i
-    xs, b, k = seq.lows, seq.base_index, l1 + l2
-    steps = [x1 - x0 for x0, x1 in zip(xs, xs[1:])]
-    first = b + shift
-    terms = (xs[i - b] ** l1 * steps[i - first] ** l2 for i in lhs_rng)
-    powers = (steps[i - first] ** k for i in rhs_rng)
-    if signed:
-        return sum(terms), sum(powers), seq.D ** k
-    return sum(map(abs, terms)), sum(map(abs, powers)), seq.D ** k
-
-
-def _pair_sums(u, v, terms):
-    """Sums of the _pair_term terms over terms, as (lhs, rhs, scale) on the
-    common denominator D = lcm(Du, Dv); both sums are homogeneous of degree
-    2, so scale = D^2."""
-    Du, ul, uh = u.D, u.lows, u.highs
-    Dv, vl, vh = v.D, v.lows, v.highs
-    D = math.lcm(Du, Dv)
-    su, sv = D // Du, D // Dv
+def _terms(spec, u, v, l1, l2, n, m, real):
+    """(lhs_rng, rhs_rng, const, lo, terms, scale) on u (and v) in the window
+    (n, m): the ranges and constant of _frame, and the integer (lhs, rhs)
+    term of each index lo, lo + 1, ... up to the end of the later range,
+    lo the earlier start. Each term over scale is the exact rational one:
+    scale is D^(l1+l2) for a single sequence, D^2 with D = lcm(Du, Dv) for
+    a pair. real marks a real statement's degenerate input, on which L3_1
+    sums x_i^l1 (nabla x_i)^l2 and (nabla x_i)^(l1+l2) with their signs;
+    the others sum norms."""
     b = u.base_index
-    lhs = rhs = 0
-    for i in terms:
-        k = i - b
-        tl, tr = _pair_term(ul[k - 1] * su, uh[k - 1] * su, ul[k] * su, uh[k] * su,
+    lhs_rng, rhs_rng, const = _frame(spec, b, b + len(u.lows) - 1, n, m, l1, l2)
+    lo, hi = min(lhs_rng.start, rhs_rng.start), max(lhs_rng.stop, rhs_rng.stop)
+    if v is not None:
+        D = math.lcm(u.D, v.D)
+        su, sv = D // u.D, D // v.D
+        ul, uh, vl, vh = u.lows, u.highs, v.lows, v.highs
+        terms = [_pair_term(ul[k - 1] * su, uh[k - 1] * su, ul[k] * su, uh[k] * su,
                             vl[k - 1] * sv, vh[k - 1] * sv, vl[k] * sv, vh[k] * sv)
-        lhs += tl
-        rhs += tr
-    return lhs, rhs, D * D
+                 for k in range(lo - b, hi - b)]
+        return lhs_rng, rhs_rng, const, lo, terms, D * D
+    # term i reads the step from position i - b - nabla
+    nabla = spec.operator is Operator.NABLA
+    first, stop = lo - b - nabla, hi - b - nabla + 1
+    lows, highs = u.lows[first:stop], u.highs[first:stop]
+    k = l1 + l2
+    if real and spec.id is TheoremId.L3_1:
+        terms = [(x1 ** l1 * (x1 - x0) ** l2, (x1 - x0) ** k) for x0, x1 in zip(lows, lows[1:])]
+    else:
+        terms = list(map(_step_term, lows, highs, lows[1:], highs[1:],
+                         repeat(l1), repeat(l2), repeat(nabla)))
+    return lhs_rng, rhs_rng, const, lo, terms, u.D ** k
+
+
+_LHS, _RHS = operator.itemgetter(0), operator.itemgetter(1)
 
 
 def _sides(spec, u, v, l1, l2, n, m, real):
     """(lhs, rhs, scale, const): the sides are lhs / scale and
-    const * rhs / scale on u (and v) in the window (n, m). real picks the
-    real statements' plain sums, which need a degenerate stretch."""
-    b, e = u.base_index, u.base_index + len(u.lows) - 1
-    if v is not None:
-        terms, _, const = _frame(spec, b, e, n, m, 1, 1)
-        return (*_pair_sums(u, v, terms), const)
-    lhs_rng, rhs_rng, const = _frame(spec, b, e, n, m, l1, l2)
-    if real:
-        sums = _real_sums(u, l1, l2, lhs_rng, rhs_rng, _step_shift(spec),
-                          spec.id is TheoremId.L3_1)
-    else:
-        sums = _opial_sums(u, l1, l2, lhs_rng, rhs_rng, _step_shift(spec))
-    return (*sums, const)
+    const * rhs / scale on u (and v) in the window (n, m); real as in
+    _terms."""
+    lhs_rng, rhs_rng, const, lo, terms, scale = _terms(spec, u, v, l1, l2, n, m, real)
+    return (sum(map(_LHS, terms[lhs_rng.start - lo:lhs_rng.stop - lo])),
+            sum(map(_RHS, terms[rhs_rng.start - lo:rhs_rng.stop - lo])), scale, const)
 
 
 # -- checking ---------------------------------------------------------------
@@ -810,6 +786,23 @@ def _verdict(spec, pre, lhs, rhs, const, l1, l2, window, notes):
     )
 
 
+def _window_of(spec, u, v, l1, l2, window):
+    """The window (n, m) of spec on u (and v), after the argument checks
+    that check_single, check_pair and lhs_terms share."""
+    if v is None:
+        _check_lambdas(spec, l1, l2)
+    else:
+        if len(u) != len(v):
+            raise LengthMismatch(f"lengths differ: {len(u)} vs {len(v)}")
+        if u.base_index != v.base_index:
+            raise LengthMismatch(
+                f"base indices differ: {u.base_index} vs {v.base_index}"
+            )
+    if len(u) < 2:
+        raise TooShort(f"{spec.id.value} needs at least two elements")
+    return _resolve_window(spec, u.first_index, u.last_index, window)
+
+
 def check_single(seq: IntervalSequence, l1: int, l2: int, theorem, window=None) -> Verdict:
     """Evaluate a single-sequence statement exactly.
 
@@ -820,12 +813,10 @@ def check_single(seq: IntervalSequence, l1: int, l2: int, theorem, window=None) 
     spec = lookup(theorem)
     if spec.arity != 1:
         raise ArityMismatch(f"{spec.id.value} compares a pair of sequences; use check_pair")
-    _check_lambdas(spec, l1, l2)
-    if len(seq) < 2:
-        raise TooShort(f"{spec.id.value} needs at least two elements")
-    n, m = _resolve_window_single(spec, seq.first_index, seq.last_index, window)
+    n, m = _window_of(spec, seq, None, l1, l2, window)
     pre = _rows(spec.preconditions, seq, None, m)
-    # the real statements' first row is degenerate; off it, interval norms
+    # the real statements' first row is degenerate; off it, a note, and
+    # L3_1 sums norms instead of signed terms
     real = spec.sums.shape == "real"
     notes = ()
     if real and not pre[0].passed:
@@ -857,15 +848,7 @@ def check_pair(u: IntervalSequence, v: IntervalSequence, theorem, window=None,
         raise ArityMismatch(f"{spec.id.value} takes a single sequence; use check_single")
     if alt_boundary and spec.id is not TheoremId.T3_10:
         raise ValueError("alt_boundary applies only to T3_10")
-    if len(u) != len(v):
-        raise LengthMismatch(f"lengths differ: {len(u)} vs {len(v)}")
-    if u.base_index != v.base_index:
-        raise LengthMismatch(
-            f"base indices differ: {u.base_index} vs {v.base_index}"
-        )
-    if len(u) < 2:
-        raise TooShort(f"{spec.id.value} needs at least two elements")
-    n, m = _resolve_window_pair(spec, u.first_index, u.last_index, window)
+    n, m = _window_of(spec, u, v, None, None, window)
     names = spec.preconditions
     notes = []
     if alt_boundary:
@@ -901,25 +884,25 @@ def check_classical(seq) -> Verdict:
     return check_single(s, 1, 1, TheoremId.T2_2)
 
 
-def lhs_terms(seq: IntervalSequence, l1: int, l2: int, theorem, window=None):
-    """Per-index products u_i^l1 (Du_i)^l2 with their norms.
+def lhs_terms(seq, l1, l2, theorem, window=None):
+    """Both sides' per-index terms, as the engine sums them.
 
-    Returns a list of (index, product interval, norm). Summing the norms
-    reproduces Verdict.lhs for every single-sequence statement except
-    L3_1 outside its hypotheses, where the verdict lhs is a signed sum.
+    seq is one IntervalSequence for a single-sequence statement and a pair
+    (u, v) for a pair statement, which ignores l1 and l2. Returns a list of
+    (index, lhs term, rhs term) over the union of the two sides' index
+    ranges, each term an exact Fraction, or None where the index is outside
+    that side's range. The lhs terms sum to Verdict.lhs and the rhs terms,
+    times Verdict.constant, to Verdict.rhs, in or out of the hypotheses.
     """
     spec = lookup(theorem)
-    if spec.arity != 1:
-        raise ArityMismatch(f"{spec.id.value} compares a pair of sequences")
-    _check_lambdas(spec, l1, l2)
-    if len(seq) < 2:
-        raise TooShort(f"{spec.id.value} needs at least two elements")
-    b, e = seq.first_index, seq.last_index
-    n, m = _resolve_window_single(spec, b, e, window)
-    rng, _, _ = _frame(spec, b, e, n, m, l1, l2)
-    diffs = seq.nabla() if _step_shift(spec) else seq.delta()
-    out = []
-    for i in rng:
-        term = (seq.at(i) ** l1) * (diffs.at(i) ** l2)
-        out.append((i, term, term.norm))
-    return out
+    pair = not isinstance(seq, IntervalSequence)
+    if pair != (spec.arity == 2):
+        raise ArityMismatch(f"{spec.id.value} compares a pair of sequences" if spec.arity == 2
+                            else f"{spec.id.value} takes a single sequence")
+    u, v = seq if pair else (seq, None)
+    n, m = _window_of(spec, u, v, l1, l2, window)
+    real = spec.sums.shape == "real" and _holds(("degenerate",), u, None, m)
+    lhs_rng, rhs_rng, _, lo, terms, scale = _terms(spec, u, v, l1, l2, n, m, real)
+    return [(i, Fraction(tl, scale) if i in lhs_rng else None,
+             Fraction(tr, scale) if i in rhs_rng else None)
+            for i, (tl, tr) in enumerate(terms, lo)]

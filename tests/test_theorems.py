@@ -8,6 +8,7 @@ from opialcheck import (
     ArityMismatch,
     BoundaryNotZero,
     ExponentOutOfRange,
+    Interval,
     IntervalSequence,
     LengthMismatch,
     Operator,
@@ -317,21 +318,25 @@ def test_pair_alignment_errors():
 
 def test_lhs_terms_t3_5(ex33):
     terms = lhs_terms(ex33, 2, 3, "T3_5")
-    assert [t[0] for t in terms] == [1, 2, 3, 4]
-    assert [t[2] for t in terms] == [32, 128, 288, 256]
-    assert sum(t[2] for t in terms) == check_single(ex33, 2, 3, "T3_5").lhs
+    assert [t[0] for t in terms] == [1, 2, 3, 4, 5]
+    assert [t[1] for t in terms] == [32, 128, 288, 256, None]
+    v = check_single(ex33, 2, 3, "T3_5")
+    assert sum(t[1] for t in terms[:4]) == v.lhs
+    assert v.constant * sum(t[2] for t in terms) == v.rhs
 
 
 def test_lhs_terms_windowed(ex32_n5):
     terms = lhs_terms(ex32_n5, 1, 2, "T3_2", window=(2, 5))
-    assert [t[0] for t in terms] == [2, 3, 4]
-    assert sum(t[2] for t in terms) == Fraction(235, 216)
+    assert [t[0] for t in terms] == [2, 3, 4, 5]
+    assert terms[-1][1] is None
+    assert sum(t[1] for t in terms[:3]) == Fraction(235, 216)
 
 
 def test_lhs_terms_delta_range(ex33):
     terms = lhs_terms(ex33, 2, 3, "T4_5")
-    assert [t[0] for t in terms] == [1, 2, 3, 4]
-    assert sum(t[2] for t in terms) == 2496
+    assert [t[0] for t in terms] == [0, 1, 2, 3, 4]
+    assert terms[0][1] is None
+    assert sum(t[1] for t in terms[1:]) == 2496
 
 
 # -- differential check against Interval arithmetic ---------------------------------
@@ -426,3 +431,91 @@ def test_pair_sums_match_interval_reference(tid, alt, u, data):
     lhs, rhs = _reference_pair(u, w, terms)
     assert v.lhs == lhs
     assert v.rhs == v.constant * rhs
+
+
+# -- lhs_terms against the verdict and the Interval reference -------------------
+
+
+def _reference_single_term(s, d, l1, l2, i, signed):
+    """The Interval reference's lhs and rhs terms at i (see _reference_single)."""
+    t = (s.at(i) ** l1) * (d.at(i) ** l2)
+    if signed:
+        return t.lo, d.at(i).lo ** (l1 + l2)
+    return t.norm, d.at(i).norm ** (l1 + l2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=mixed_sequences(), lam=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       data=st.data())
+@pytest.mark.parametrize("tid", [s.id.value for s in registry()])
+def test_lhs_terms_sum_to_the_verdict(tid, u, lam, data):
+    spec = lookup(tid)
+    b, e = u.first_index, u.last_index
+    window = None
+    if spec.arity == 1:
+        if spec.sums.shape == "real" and data.draw(st.booleans()):
+            # more degenerate draws, with their signs: L3_1's signed path
+            u = IntervalSequence([Interval.point(x.lo) for x in u.items], b)
+        l1, l2 = (1, 1) if tid == "T2_2" else lam
+        n, m = b, e
+        if spec.windowed:
+            n = data.draw(st.integers(b + 1, e))
+            m = data.draw(st.integers(n, e))
+            window = (n, m)
+        v = check_single(u, l1, l2, tid, window=window)
+        terms = lhs_terms(u, l1, l2, tid, window=window)
+        op, lhs_rng, rhs_rng = _single_ranges(tid, b, e, n, m)
+        d = u.nabla() if op == "nabla" else u.delta()
+        signed = tid == "L3_1" and u.is_degenerate
+
+        def reference(i):
+            return _reference_single_term(u, d, l1, l2, i, signed)
+    else:
+        w = data.draw(mixed_sequences(size=len(u)))
+        w = IntervalSequence(w.items, u.base_index)
+        if spec.windowed or (spec.window_optional and data.draw(st.booleans())):
+            n = data.draw(st.integers(b, e))
+            window = (n, data.draw(st.integers(n, e)))
+        v = check_pair(u, w, tid, window=window)
+        terms = lhs_terms((u, w), None, None, tid, window=window)
+        n, m = v.window if v.window is not None else (b, e)
+        lhs_rng = rhs_rng = {
+            "T3_6": range(b + 1, e + 1),
+            "T3_7": range(n + 1, m + 1),
+            "T3_8": range(b + 1, n + 1),
+            "T3_9": range(n + 1, m + 1),
+            "T3_10": range(b + 1, e + 1),
+        }[tid]
+
+        def reference(i):
+            return _reference_pair(u, w, [i])
+    assert [t[0] for t in terms] == sorted(set(lhs_rng) | set(rhs_rng))
+    for i, tl, tr in terms:
+        ref_l, ref_r = reference(i)
+        assert tl == (ref_l if i in lhs_rng else None)
+        assert tr == (ref_r if i in rhs_rng else None)
+    assert sum(t[1] for t in terms if t[1] is not None) == v.lhs
+    assert v.constant * sum(t[2] for t in terms if t[2] is not None) == v.rhs
+
+
+def test_lhs_terms_l3_1_signed_off_hypotheses():
+    # degenerate, so L3_1 sums with signs; negative, so out of hypotheses
+    s = rseq([0, Fraction(-1, 2), 2, -3])
+    v = check_single(s, 1, 2, "L3_1")
+    assert not v.in_hypotheses
+    terms = lhs_terms(s, 1, 2, "L3_1")
+    # x_i (nabla x_i)^2 and (nabla x_i)^3
+    assert [t[1:] for t in terms] == [
+        (Fraction(-1, 8), Fraction(-1, 8)), (Fraction(25, 2), Fraction(125, 8)), (-75, -125)]
+    assert sum(t[1] for t in terms) == v.lhs
+    assert v.constant * sum(t[2] for t in terms) == v.rhs
+
+
+def test_lhs_terms_arity_errors(ex33):
+    with pytest.raises(ArityMismatch):
+        lhs_terms(ex33, 1, 1, "T3_6")
+    with pytest.raises(ArityMismatch):
+        lhs_terms((ex33, ex33), 1, 1, "T3_1")
+    short = seq([(0, 0), (1, 2)])
+    with pytest.raises(LengthMismatch):
+        lhs_terms((ex33, short), None, None, "T3_6")
