@@ -31,18 +31,17 @@ from .oracle import (
     reproduce_examples,
 )
 from .rationals import (
-    MAX_DECIMAL_EXPONENT, NonRational, as_rational, ratio_to_json, rational_from_text,
+    NonRational, as_rational, ratio_to_json, rational_from_text,
 )
 from .sequences import IntervalSequence, NotDecomposable, synchronous
-from .theorems import check_pair, check_single, lookup, registry
+from .theorems import (
+    OutputTooLarge, _Analysis, _check_exponents, _guard, check_pair, check_single, lookup,
+    registry,
+)
 
 
 class SchemaError(ValueError):
     """Input document does not match the expected schema."""
-
-
-class OutputTooLarge(ValueError):
-    """A check of the document could give a number too long to print."""
 
 
 _ALLOWED_KEYS = {"u", "v", "base_index"}
@@ -214,34 +213,6 @@ def _read_input(path):
         return parse_sequence(fh.read())
 
 
-def _guard_output_size(built, l1, l2):
-    """Refuse a document whose check could print an integer longer than the
-    interpreter prints (Python's default limit where it sets none), before
-    any statement runs. Every integer a check prints (an endpoint, D, the
-    sides, the constant and the ratio, in lowest terms) is bounded from the
-    endpoints' bit length e on the common denominator D, the length n and
-    k = l1 + l2 (2 for a pair): a term has at most k(e + 1) + 1 bits, the
-    constant's numerator at most l2 * n^l1 and its denominator at most k."""
-    seqs = built if isinstance(built, tuple) else (built,)
-    D = math.lcm(*[s.D for s in seqs])
-    e = max(max(map(abs, s.lows + s.highs), default=0).bit_length()
-            + (D // s.D).bit_length() for s in seqs)
-    n = len(seqs[0].lows)
-    if len(seqs) == 2:
-        l1 = l2 = 1
-    k = l1 + l2
-    side = k * (e + 1) + 1 + n.bit_length() + max(l2, 1).bit_length() + l1 * n.bit_length()
-    bits = max(side, k * D.bit_length()) + k.bit_length()
-    digits = bits * 30103 // 100000 + 1   # log10(2) < 0.30103
-    limit = getattr(sys, "get_int_max_str_digits", int)() or MAX_DECIMAL_EXPONENT
-    if digits > limit:
-        raise OutputTooLarge(
-            f"input too large: endpoints of {e} bits (common denominator"
-            f" included) at length {n} and l1 + l2 = {k} can give results of"
-            f" {digits} digits, over the {limit}-digit limit for printing them"
-        )
-
-
 def _parse_window(text):
     parts = text.split(",")
     if len(parts) != 2:
@@ -252,7 +223,7 @@ def _parse_window(text):
         raise ValueError(f"--window expects two integers, got {text!r}") from None
 
 
-def _run_one(spec, built, args, window):
+def _run_one(spec, built, args, window, analysis):
     pair = isinstance(built, tuple)
     if spec.arity == 2 and not pair:
         raise ValueError(f"{spec.id.value} takes a pair; the input has no v")
@@ -261,18 +232,27 @@ def _run_one(spec, built, args, window):
     if spec.arity == 1:
         if args.alt_boundary:
             raise ValueError("--alt-boundary applies only to T3_10")
-        return check_single(built, args.l1, args.l2, spec.id, window=window)
+        return check_single(built, args.l1, args.l2, spec.id, window=window,
+                            _analysis=analysis)
     u, v = built
-    return check_pair(u, v, spec.id, window=window, alt_boundary=args.alt_boundary)
+    return check_pair(u, v, spec.id, window=window, alt_boundary=args.alt_boundary,
+                      _analysis=analysis)
 
 
 def _cmd_check(args):
     built = _read_input(args.path)
     window = _parse_window(args.window) if args.window else None
-    _guard_output_size(built, args.l1, args.l2)
+    pair = isinstance(built, tuple)
+    # one analysis per document: every statement checked reads its terms and rows
+    analysis = _Analysis(*built) if pair else _Analysis(built)
+    if not (args.theorem or pair):
+        # discovery checks the exponents once, as every single statement would
+        _check_exponents(args.l1, args.l2)
+    # refuse an oversized document before any statement runs
+    _guard(analysis, args.l1, args.l2)
     if args.theorem:
         spec = lookup(args.theorem)
-        verdict = _run_one(spec, built, args, window)
+        verdict = _run_one(spec, built, args, window, analysis)
         payload = {
             "input": sequence_to_jsonable(built),
             "verdict": verdict.to_jsonable(),
@@ -292,7 +272,6 @@ def _cmd_check(args):
     # discovery: try everything of matching arity, report all verdicts
     if args.alt_boundary:
         raise ValueError("--alt-boundary needs an explicit --theorem T3_10")
-    pair = isinstance(built, tuple)
     verdicts = []
     skipped = []
     for spec in registry():
@@ -303,7 +282,7 @@ def _cmd_check(args):
             continue
         w = window if (spec.windowed or spec.window_optional) else None
         try:
-            verdicts.append(_run_one(spec, built, args, w))
+            verdicts.append(_run_one(spec, built, args, w, analysis))
         except (ValueError, TypeError, ArithmeticError) as exc:
             skipped.append({"theorem": spec.id.value, "reason": str(exc)})
     conforming = [v for v in verdicts if v.in_hypotheses]

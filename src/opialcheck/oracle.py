@@ -40,6 +40,7 @@ from .theorems import (
     lookup,
     _ANCHOR_AT,
     _HYPOTHESES,
+    _Analysis,
     _check_lambdas,
     _frame,
     _holds,
@@ -47,6 +48,7 @@ from .theorems import (
     _plan,
     _resolve_window,
     _sides,
+    _size_guard,
     _step_term,
     _window_start,
 )
@@ -481,6 +483,12 @@ class FuzzConfig:
         if not (_is_int(a) and _is_int(b) and 1 <= a <= b):
             raise ValueError("lambda_range must satisfy 1 <= min <= max")
         object.__setattr__(self, "lambda_range", (a, b))
+        # the largest trial: endpoints drawn within m on denominators <= 16;
+        # a pair's, on their lcm (<= 240), within 16 m. The exponents apply
+        # only where a trial draws them.
+        pair = spec.arity == 2
+        lam = 1 if pair or spec.id is TheoremId.T2_2 else b
+        _size_guard((16 * m if pair else m).bit_length(), 240 if pair else 16, hi, lam, lam)
         relax = frozenset(self.relax)
         bad = relax - set(spec.preconditions)
         if bad:
@@ -701,7 +709,7 @@ def _conforming_sides(spec, built, l1, l2, window):
     """The engine's integer sides of a conforming input (theorems._sides)."""
     u, v = built if spec.arity == 2 else (built, None)
     n, m = _resolve_window(spec, u.first_index, u.last_index, window)
-    return _sides(spec, u, v, l1, l2, n, m, spec.sums.shape == "real")
+    return _sides(_Analysis(u, v), spec, l1, l2, n, m, spec.sums.shape == "real")
 
 
 def _fuzz_window(spec, rng, base, L):
@@ -954,7 +962,9 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     witness is the first point in the walk's order, with its first window,
     that reaches the maximum.
 
-    Exponent parameters are ignored by the pair statements.
+    Exponent parameters are ignored by the pair statements. A grid whose
+    results could be too long to print raises OutputTooLarge before
+    anything is built.
     """
     spec = lookup(theorem)
     tid = spec.id
@@ -969,6 +979,8 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
         raise ValueError("bound must be non-negative")
     if budget < 1:
         raise ValueError("budget must be positive")
+    # the grid's endpoints are integers 0..bound on D = 1
+    _size_guard(bound.bit_length(), 1, length, *((l1, l2) if spec.arity == 1 else (1, 1)))
     L = length
     e = L - 1
     arity = spec.arity

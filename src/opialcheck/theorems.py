@@ -31,6 +31,12 @@ interval arithmetic gives. The norm is multiplicative on set-image
 products and powers, so a single-sequence term is ||u_i||^l1 * ||Du_i||^l2.
 Each term is written once, on ints (_step_term, _pair_term), and the
 engine's sides, lhs_terms and the scan's walk all read it.
+
+A term depends on the operator's step, the exponents and the signs, and a
+hypothesis row on its name and range, not on the statement. So the engine
+reads both from an _Analysis of its input, which keeps each once: the CLI's
+discovery shares one across every statement it checks on a document, and a
+call on its own makes a fresh one.
 """
 
 from __future__ import annotations
@@ -39,13 +45,14 @@ import enum
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Optional
 
 from .intervals import ExponentOutOfRange
-from .rationals import ratio_to_json, rational_to_json
+from .rationals import MAX_DECIMAL_EXPONENT, ratio_to_json, rational_to_json
 from .sequences import (
     Direction,
     IntervalSequence,
@@ -75,6 +82,10 @@ class WindowOutOfRange(ValueError):
 
 class BoundaryNotZero(ValueError):
     """Strict classical entry point rejected a nonzero boundary."""
+
+
+class OutputTooLarge(ValueError):
+    """A check of the input could give a number too long to print."""
 
 
 class TheoremId(str, enum.Enum):
@@ -403,6 +414,22 @@ def lookup(theorem) -> TheoremSpec:
     return _REGISTRY[tid]
 
 
+class _Analysis:
+    """What the statements read of one input, u or the pair (u, v), each
+    fact computed once for all of them: the integer term lists (_terms),
+    the reported hypothesis rows (_rows) and the size guard's verdict
+    (_guard). check_single and check_pair take one as _analysis, and None
+    gives a fresh one, so a call on its own computes only what it reads."""
+
+    __slots__ = ("u", "v", "terms", "rows", "admitted")
+
+    def __init__(self, u, v=None):
+        self.u, self.v = u, v
+        self.terms = {}   # (nabla, l1, l2, signed) -> (first index, [(lhs, rhs)])
+        self.rows = {}    # (name, lo, hi[, anchors]) -> PreconditionCheck
+        self.admitted = set()  # exponent pairs (l1, l2) the size guard passed
+
+
 # -- the hypotheses ---------------------------------------------------------
 #
 # Every precondition is written once, in _HYPOTHESES: name -> (holds, detail,
@@ -624,11 +651,26 @@ def _pc_row(name, got, detail, u, v, lo, hi, allowed):
     return PreconditionCheck(name, bool(got), detail(name, got, u, v, lo, hi, allowed))
 
 
-def _rows(names, u, v, m):
-    """The reported row of each hypothesis of names, in order."""
+# the only tests, and row texts, that read the anchors' indices
+_READS_ANCHORS = frozenset({"no_other_zero", "no_other_joint_zero"})
+
+
+def _rows(an, names, m):
+    """The reported row of each hypothesis of names on the analysis an's
+    sequences, in order. A row is frozen and depends only on its name, its
+    range and, for a stray-zero test, the anchors, so each is built once
+    per analysis and shared by every statement that reads it."""
+    u, v, cache = an.u, an.v, an.rows
     hyps, allowed = _hypotheses(names, u, v, m)
-    return tuple(_pc_row(name, holds(u, v, lo, hi, allowed), detail, u, v, lo, hi, allowed)
-                 for name, holds, detail, lo, hi in hyps)
+    out = []
+    for name, holds, detail, lo, hi in hyps:
+        key = (name, lo, hi, frozenset(allowed)) if name in _READS_ANCHORS else (name, lo, hi)
+        row = cache.get(key)
+        if row is None:
+            row = cache[key] = _pc_row(name, holds(u, v, lo, hi, allowed), detail,
+                                       u, v, lo, hi, allowed)
+        out.append(row)
+    return tuple(out)
 
 
 # -- window handling --------------------------------------------------------
@@ -709,74 +751,156 @@ def _pair_term(ua0, uc0, ua1, uc1, va0, vc0, va1, vc1):
             max(abs(gu0), abs(gu1)) ** 2 + max(abs(gv0), abs(gv1)) ** 2)
 
 
-def _terms(spec, u, v, l1, l2, n, m, real):
-    """(lhs_rng, rhs_rng, const, lo, terms, scale) on u (and v) in the window
-    (n, m): the ranges and constant of _frame, and the integer (lhs, rhs)
-    term of each index lo, lo + 1, ... up to the end of the later range,
-    lo the earlier start. Each term over scale is the exact rational one:
-    scale is D^(l1+l2) for a single sequence, D^2 with D = lcm(Du, Dv) for
-    a pair. real marks a real statement's degenerate input, on which L3_1
+def _term_list(u, v, nabla, l1, l2, signed, lo, hi):
+    """The integer (lhs, rhs) term of each index lo..hi-1 on u (and v), over
+    the scale _terms gives. signed marks L3_1 on degenerate input, which
     sums x_i^l1 (nabla x_i)^l2 and (nabla x_i)^(l1+l2) with their signs;
     the others sum norms."""
     b = u.base_index
-    lhs_rng, rhs_rng, const = _frame(spec, b, b + len(u.lows) - 1, n, m, l1, l2)
-    lo, hi = min(lhs_rng.start, rhs_rng.start), max(lhs_rng.stop, rhs_rng.stop)
     if v is not None:
         D = math.lcm(u.D, v.D)
         su, sv = D // u.D, D // v.D
         ul, uh, vl, vh = u.lows, u.highs, v.lows, v.highs
-        terms = [_pair_term(ul[k - 1] * su, uh[k - 1] * su, ul[k] * su, uh[k] * su,
-                            vl[k - 1] * sv, vh[k - 1] * sv, vl[k] * sv, vh[k] * sv)
-                 for k in range(lo - b, hi - b)]
-        return lhs_rng, rhs_rng, const, lo, terms, D * D
+        return [_pair_term(ul[k - 1] * su, uh[k - 1] * su, ul[k] * su, uh[k] * su,
+                           vl[k - 1] * sv, vh[k - 1] * sv, vl[k] * sv, vh[k] * sv)
+                for k in range(lo - b, hi - b)]
     # term i reads the step from position i - b - nabla
-    nabla = spec.operator is Operator.NABLA
     first, stop = lo - b - nabla, hi - b - nabla + 1
     lows, highs = u.lows[first:stop], u.highs[first:stop]
-    k = l1 + l2
-    if real and spec.id is TheoremId.L3_1:
-        terms = [(x1 ** l1 * (x1 - x0) ** l2, (x1 - x0) ** k) for x0, x1 in zip(lows, lows[1:])]
+    if signed:
+        k = l1 + l2
+        return [(x1 ** l1 * (x1 - x0) ** l2, (x1 - x0) ** k) for x0, x1 in zip(lows, lows[1:])]
+    return list(map(_step_term, lows, highs, lows[1:], highs[1:],
+                    repeat(l1), repeat(l2), repeat(nabla)))
+
+
+def _terms(an, spec, l1, l2, n, m, real):
+    """(lhs_rng, rhs_rng, const, start, terms, scale) on the analysis an's
+    sequences in the window (n, m): the ranges and constant of _frame, and
+    the integer (lhs, rhs) term of each index start, start + 1, ..., at
+    least up to the end of the later range from the earlier start. Each
+    term over scale is the exact rational one: scale is D^(l1+l2) for a
+    single sequence, D^2 with D = lcm(Du, Dv) for a pair. real marks a
+    real statement's degenerate input, on which L3_1 sums with signs.
+
+    The terms depend only on the operator's step (nabla or forward), the
+    exponents and the signs, not on the statement: an keeps one list per
+    such key and grows it to the union of the indices asked for, so a
+    fresh analysis computes exactly the statement's indices."""
+    u, v = an.u, an.v
+    b = u.base_index
+    lhs_rng, rhs_rng, const = _frame(spec, b, b + len(u.lows) - 1, n, m, l1, l2)
+    lo, hi = min(lhs_rng.start, rhs_rng.start), max(lhs_rng.stop, rhs_rng.stop)
+    nabla = spec.operator is Operator.NABLA
+    signed = real and spec.id is TheoremId.L3_1
+    key = (nabla, l1, l2, signed)
+    have = an.terms.get(key)
+    if have is None:
+        start, terms = lo, _term_list(u, v, nabla, l1, l2, signed, lo, hi)
+        an.terms[key] = start, terms
     else:
-        terms = list(map(_step_term, lows, highs, lows[1:], highs[1:],
-                         repeat(l1), repeat(l2), repeat(nabla)))
-    return lhs_rng, rhs_rng, const, lo, terms, u.D ** k
+        start, terms = have
+        stop = start + len(terms)
+        if lo < start or hi > stop:
+            if lo < start:
+                terms = _term_list(u, v, nabla, l1, l2, signed, lo, start) + terms
+                start = lo
+            if hi > stop:
+                terms = terms + _term_list(u, v, nabla, l1, l2, signed, stop, hi)
+            an.terms[key] = start, terms
+    scale = u.D ** (l1 + l2) if v is None else math.lcm(u.D, v.D) ** 2
+    return lhs_rng, rhs_rng, const, start, terms, scale
 
 
 _LHS, _RHS = operator.itemgetter(0), operator.itemgetter(1)
 
 
-def _sides(spec, u, v, l1, l2, n, m, real):
+def _sides(an, spec, l1, l2, n, m, real):
     """(lhs, rhs, scale, const): the sides are lhs / scale and
-    const * rhs / scale on u (and v) in the window (n, m); real as in
-    _terms."""
-    lhs_rng, rhs_rng, const, lo, terms, scale = _terms(spec, u, v, l1, l2, n, m, real)
-    return (sum(map(_LHS, terms[lhs_rng.start - lo:lhs_rng.stop - lo])),
-            sum(map(_RHS, terms[rhs_rng.start - lo:rhs_rng.stop - lo])), scale, const)
+    const * rhs / scale on the analysis an's sequences in the window
+    (n, m); real as in _terms."""
+    lhs_rng, rhs_rng, const, start, terms, scale = _terms(an, spec, l1, l2, n, m, real)
+    return (sum(map(_LHS, terms[lhs_rng.start - start:lhs_rng.stop - start])),
+            sum(map(_RHS, terms[rhs_rng.start - start:rhs_rng.stop - start])), scale, const)
 
 
 # -- checking ---------------------------------------------------------------
 
 
-def _check_lambdas(spec, l1, l2):
+def _check_exponents(l1, l2):
     for name, val in (("l1", l1), ("l2", l2)):
         if isinstance(val, bool) or not isinstance(val, int):
             raise ExponentOutOfRange(f"{name} must be an integer >= 1, got {val!r}")
         if val < 1:
             raise ExponentOutOfRange(f"{name} must be >= 1, got {val}")
+
+
+def _check_lambdas(spec, l1, l2):
+    _check_exponents(l1, l2)
     if spec.id is TheoremId.T2_2 and (l1, l2) != (1, 1):
         raise ValueError("T2_2 has fixed exponents l1 = l2 = 1")
 
 
-def _verdict(spec, pre, lhs, rhs, const, l1, l2, window, notes):
-    # the ratio is 0 when both sides are 0, none when only rhs is
-    ratio = lhs / rhs if rhs > 0 else (Fraction(0) if lhs == 0 == rhs else None)
+def _size_guard(e, D, n, l1, l2):
+    """Refuse, with OutputTooLarge, a check that could give an integer
+    longer than the interpreter prints (Python's default limit where it
+    sets none), before anything is evaluated. Every integer a check prints
+    (an endpoint, D, the sides, the constant and the ratio, in lowest
+    terms) is bounded from the endpoints' bit length e on the common
+    denominator D, the length n and k = l1 + l2 (2 for a pair, whose
+    caller passes 1, 1): a term has at most k(e + 1) + 1 bits, the
+    constant's numerator at most l2 * n^l1 and its denominator at most k."""
+    k = l1 + l2
+    side = k * (e + 1) + 1 + n.bit_length() + max(l2, 1).bit_length() + l1 * n.bit_length()
+    bits = max(side, k * D.bit_length()) + k.bit_length()
+    digits = bits * 30103 // 100000 + 1   # log10(2) < 0.30103
+    limit = getattr(sys, "get_int_max_str_digits", int)() or MAX_DECIMAL_EXPONENT
+    if digits > limit:
+        raise OutputTooLarge(
+            f"input too large: endpoints of {e} bits (common denominator"
+            f" included) at length {n} and l1 + l2 = {k} can give results of"
+            f" {digits} digits, over the {limit}-digit limit for printing them"
+        )
+
+
+def _end_bits(s, D):
+    # the bit length of s's largest |endpoint| on the common denominator D
+    # (no low exceeds its high)
+    top = max(max(s.highs), -min(s.lows)) if s.lows else 0
+    return top.bit_length() + (D // s.D).bit_length()
+
+
+def _guard(an, l1, l2):
+    """_size_guard on the analysis an's sequences, once per exponent pair
+    it admits; a pair ignores l1 and l2."""
+    u, v = an.u, an.v
+    if v is not None:
+        l1 = l2 = 1
+    if (l1, l2) in an.admitted:
+        return
+    if v is None:
+        D, e = u.D, _end_bits(u, u.D)
+    else:
+        D = math.lcm(u.D, v.D)
+        e = max(_end_bits(u, D), _end_bits(v, D))
+    _size_guard(e, D, len(u.lows), l1, l2)
+    an.admitted.add((l1, l2))
+
+
+def _verdict(spec, pre, lhs, rhs, scale, const, l1, l2, window, notes):
+    # the sides are lhs / scale and const * rhs / scale; compared, and
+    # divided into the ratio, on ints: 0 when both sides are 0, none when
+    # only rhs is
+    cd = const.denominator
+    lcd, crhs = lhs * cd, const.numerator * rhs
+    ratio = Fraction(lcd, crhs) if crhs > 0 else (Fraction(0) if lcd == 0 == crhs else None)
     return Verdict(
         theorem=spec.id,
         preconditions=pre,
-        lhs=lhs,
-        rhs=rhs,
+        lhs=Fraction(lhs, scale),
+        rhs=Fraction(crhs, cd * scale),
         constant=const,
-        holds=lhs <= rhs,
+        holds=lcd <= crhs,
         ratio=ratio,
         in_hypotheses=all(p.passed for p in pre),
         lambda1=l1,
@@ -786,9 +910,11 @@ def _verdict(spec, pre, lhs, rhs, const, l1, l2, window, notes):
     )
 
 
-def _window_of(spec, u, v, l1, l2, window):
-    """The window (n, m) of spec on u (and v), after the argument checks
-    that check_single, check_pair and lhs_terms share."""
+def _window_of(spec, an, l1, l2, window):
+    """The window (n, m) of spec on the analysis an's sequences, after the
+    argument checks and the size guard that check_single, check_pair and
+    lhs_terms share."""
+    u, v = an.u, an.v
     if v is None:
         _check_lambdas(spec, l1, l2)
     else:
@@ -800,31 +926,45 @@ def _window_of(spec, u, v, l1, l2, window):
             )
     if len(u) < 2:
         raise TooShort(f"{spec.id.value} needs at least two elements")
-    return _resolve_window(spec, u.first_index, u.last_index, window)
+    window = _resolve_window(spec, u.first_index, u.last_index, window)
+    _guard(an, l1, l2)
+    return window
 
 
-def check_single(seq: IntervalSequence, l1: int, l2: int, theorem, window=None) -> Verdict:
+def _analysis_of(an, u, v):
+    # the caller's analysis, which must be of u (and v), or a fresh one
+    if an is None:
+        return _Analysis(u, v)
+    if an.u is not u or an.v is not v:
+        raise ValueError("_analysis is of another input")
+    return an
+
+
+def check_single(seq: IntervalSequence, l1: int, l2: int, theorem, window=None,
+                 *, _analysis=None) -> Verdict:
     """Evaluate a single-sequence statement exactly.
 
     window is required for the windowed statements (a pair (n, m) of
     absolute indices with base+1 <= n <= m <= last) and rejected
-    elsewhere. Hypothesis failures are reported, never raised.
+    elsewhere. Hypothesis failures are reported, never raised. A sequence
+    whose results could be too long to print raises OutputTooLarge before
+    anything is evaluated.
     """
     spec = lookup(theorem)
     if spec.arity != 1:
         raise ArityMismatch(f"{spec.id.value} compares a pair of sequences; use check_pair")
-    n, m = _window_of(spec, seq, None, l1, l2, window)
-    pre = _rows(spec.preconditions, seq, None, m)
+    an = _analysis_of(_analysis, seq, None)
+    n, m = _window_of(spec, an, l1, l2, window)
+    pre = _rows(an, spec.preconditions, m)
     # the real statements' first row is degenerate; off it, a note, and
     # L3_1 sums norms instead of signed terms
     real = spec.sums.shape == "real"
     notes = ()
     if real and not pre[0].passed:
         notes, real = ("non-degenerate input: evaluated with interval norms",), False
-    lhs, rhs, scale, const = _sides(spec, seq, None, l1, l2, n, m, real)
+    lhs, rhs, scale, const = _sides(an, spec, l1, l2, n, m, real)
     win_echo = (n, m) if spec.windowed else None
-    return _verdict(spec, pre, Fraction(lhs, scale), const * Fraction(rhs, scale), const,
-                    l1, l2, win_echo, notes)
+    return _verdict(spec, pre, lhs, rhs, scale, const, l1, l2, win_echo, notes)
 
 
 def _v_profile_note(v, first, last):
@@ -836,31 +976,32 @@ def _v_profile_note(v, first, last):
 
 
 def check_pair(u: IntervalSequence, v: IntervalSequence, theorem, window=None,
-               *, alt_boundary: bool = False) -> Verdict:
+               *, alt_boundary: bool = False, _analysis=None) -> Verdict:
     """Evaluate a pair statement exactly.
 
     T3_7 and T3_9 require a window (n, m); T3_8 accepts an optional one
     (default: both ends at the last index). alt_boundary switches T3_10
-    to its first-index anchoring.
+    to its first-index anchoring. A pair whose results could be too long
+    to print raises OutputTooLarge before anything is evaluated.
     """
     spec = lookup(theorem)
     if spec.arity != 2:
         raise ArityMismatch(f"{spec.id.value} takes a single sequence; use check_single")
     if alt_boundary and spec.id is not TheoremId.T3_10:
         raise ValueError("alt_boundary applies only to T3_10")
-    n, m = _window_of(spec, u, v, None, None, window)
+    an = _analysis_of(_analysis, u, v)
+    n, m = _window_of(spec, an, None, None, window)
     names = spec.preconditions
     notes = []
     if alt_boundary:
         names = tuple("first_zero" if p == "second_zero" else p for p in names)
         notes.append("alternate boundary mode: anchors at the first and last index")
-    pre = _rows(names, u, v, m)
+    pre = _rows(an, names, m)
     if "alternate_u" in names:
         notes.append(_v_profile_note(v, u.first_index, m))
-    lhs, rhs, scale, const = _sides(spec, u, v, None, None, n, m, False)
+    lhs, rhs, scale, const = _sides(an, spec, None, None, n, m, False)
     win_echo = (n, m) if (spec.windowed or spec.window_optional) else None
-    return _verdict(spec, pre, Fraction(lhs, scale), const * Fraction(rhs, scale), const,
-                    None, None, win_echo, tuple(notes))
+    return _verdict(spec, pre, lhs, rhs, scale, const, None, None, win_echo, tuple(notes))
 
 
 def check_classical(seq) -> Verdict:
@@ -893,6 +1034,8 @@ def lhs_terms(seq, l1, l2, theorem, window=None):
     ranges, each term an exact Fraction, or None where the index is outside
     that side's range. The lhs terms sum to Verdict.lhs and the rhs terms,
     times Verdict.constant, to Verdict.rhs, in or out of the hypotheses.
+    Input whose results could be too long to print raises OutputTooLarge
+    before anything is evaluated.
     """
     spec = lookup(theorem)
     pair = not isinstance(seq, IntervalSequence)
@@ -900,9 +1043,11 @@ def lhs_terms(seq, l1, l2, theorem, window=None):
         raise ArityMismatch(f"{spec.id.value} compares a pair of sequences" if spec.arity == 2
                             else f"{spec.id.value} takes a single sequence")
     u, v = seq if pair else (seq, None)
-    n, m = _window_of(spec, u, v, l1, l2, window)
+    # a fresh analysis holds exactly the union of the two ranges
+    an = _Analysis(u, v)
+    n, m = _window_of(spec, an, l1, l2, window)
     real = spec.sums.shape == "real" and _holds(("degenerate",), u, None, m)
-    lhs_rng, rhs_rng, _, lo, terms, scale = _terms(spec, u, v, l1, l2, n, m, real)
+    lhs_rng, rhs_rng, _, start, terms, scale = _terms(an, spec, l1, l2, n, m, real)
     return [(i, Fraction(tl, scale) if i in lhs_rng else None,
              Fraction(tr, scale) if i in rhs_rng else None)
-            for i, (tl, tr) in enumerate(terms, lo)]
+            for i, (tl, tr) in enumerate(terms, start)]

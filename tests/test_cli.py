@@ -18,7 +18,7 @@ import opialcheck
 from opialcheck import (
     Interval, IntervalSequence, NonRational, input_to_jsonable, rational_to_json, registry,
 )
-from opialcheck import cli
+from opialcheck import cli, theorems
 from opialcheck.cli import SchemaError, main, parse_sequence
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
@@ -325,10 +325,16 @@ def test_oversized_documents_are_refused_before_checking(capsys, tmp_path, monke
     assert "set_int_max_str_digits" not in err
 
 
+def _guard_output_size(built, l1, l2):
+    # the size guard check runs on a parsed document (theorems._guard)
+    theorems._guard(theorems._Analysis(*built) if isinstance(built, tuple)
+                    else theorems._Analysis(built), l1, l2)
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SAMPLES.glob("*.json")))
 @pytest.mark.parametrize("l1,l2", [(1, 1), (4, 4)])
 def test_every_sample_is_admitted(name, l1, l2):
-    cli._guard_output_size(parse_sequence((SAMPLES / name).read_text()), l1, l2)
+    _guard_output_size(parse_sequence((SAMPLES / name).read_text()), l1, l2)
 
 
 @pytest.mark.parametrize("digits", [1000, 1400, 2100, 2150, 4000])
@@ -342,7 +348,7 @@ def test_admitted_documents_print(capsys, tmp_path, digits, l1, l2, den):
     path.write_text(json.dumps({"u": [[0, 0], [f"{x}/{den}", f"{x + 1}/{den}"],
                                       [f"{x}/{den}", f"{x}/{den}"], [0, 0]]}))
     try:
-        cli._guard_output_size(parse_sequence(path.read_text()), l1, l2)
+        _guard_output_size(parse_sequence(path.read_text()), l1, l2)
     except cli.OutputTooLarge:
         assert digits * (l1 + l2) > 4000
         return
@@ -507,6 +513,52 @@ def test_check_discovery_pair(capsys):
     names = {v["theorem"] for v in doc["verdicts"]}
     assert names == {"T3_6", "T3_8", "T3_10"}
     assert {row["theorem"] for row in doc["skipped"]} == {"T3_7", "T3_9"}
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--l1", "0"], "l1 must be >= 1, got 0"),
+    (["--l1", "-5"], "l1 must be >= 1, got -5"),
+    (["--l2", "0"], "l2 must be >= 1, got 0"),
+])
+def test_check_discovery_refuses_bad_exponents(capsys, flags, message):
+    # a single sequence's exponents are checked once, before any statement,
+    # with the message and exit code a named statement gives them
+    argv = ["check", "--in", sample("ex33.json")] + flags
+    assert run_cli(capsys, argv) == (3, "", f"error: {message}\n")
+    assert run_cli(capsys, argv + ["--theorem", "T3_1"]) == (3, "", f"error: {message}\n")
+
+
+def test_check_discovery_pair_ignores_exponents(capsys):
+    plain = run_cli(capsys, ["check", "--in", sample("pair_t36.json")])
+    assert run_cli(capsys, ["check", "--in", sample("pair_t36.json"), "--l1", "0"]) == plain
+    assert plain[0] == 0
+
+
+def test_check_discovery_skips_t2_2_on_other_exponents(capsys):
+    code, out, _ = run_cli(capsys, ["check", "--in", sample("tent_classical.json"),
+                                    "--l1", "2"])
+    skipped = {row["theorem"]: row["reason"] for row in json.loads(out)["skipped"]}
+    assert skipped["T2_2"] == "T2_2 has fixed exponents l1 = l2 = 1"
+    assert code in (0, 2)
+
+
+def test_check_documents_share_nothing_across_calls(capsys, tmp_path):
+    # two documents of one shape, checked in turn in one process, print what
+    # each prints in a process of its own: no analysis outlives its document
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"u": [[0, 0], [2, 3], [0, 0], [1, 5], [3, 4], [0, 0]]}))
+    runs = [[str(other)], [sample("ex33.json")], [str(other), "--l1", "2", "--l2", "3"],
+            [sample("ex33.json"), "--l1", "2", "--l2", "3", "--window", "2,5"],
+            [sample("pair_t36.json")]]
+    in_turn = [run_cli(capsys, ["check", "--in", *argv]) for argv in runs]
+    pkg_dir = str(Path(opialcheck.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_dir, env.get("PYTHONPATH")) if p)
+    for argv, (code, out, err) in zip(runs, in_turn):
+        proc = subprocess.run([sys.executable, "-m", "opialcheck", "check", "--in", *argv],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
+    assert in_turn[0][1] != in_turn[1][1]
 
 
 def test_check_alt_boundary_guard(capsys):

@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,13 +18,19 @@ from opialcheck import (
     TooShort,
     WindowOutOfRange,
     WindowRequired,
+    FuzzConfig,
     check_classical,
     check_pair,
     check_single,
+    cli,
     lhs_terms,
     lookup,
+    oracle,
+    ratio_scan,
     registry,
+    theorems,
 )
+from opialcheck.theorems import OutputTooLarge
 
 from conftest import mixed_sequences, rseq, seq
 
@@ -519,3 +527,141 @@ def test_lhs_terms_arity_errors(ex33):
     short = seq([(0, 0), (1, 2)])
     with pytest.raises(LengthMismatch):
         lhs_terms((ex33, short), None, None, "T3_6")
+
+
+# -- one shared analysis against standalone calls -------------------------------
+
+
+def _outcome(call):
+    """A verdict's JSON form, or the type and text of what the call raised."""
+    try:
+        return call().to_jsonable()
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _with_zeros(s, positions):
+    items = list(s.items)
+    for k in positions:
+        items[k] = Interval(0, 0)
+    return IntervalSequence(tuple(items), s.base_index)
+
+
+@st.composite
+def _documents(draw):
+    """A single sequence or a pair of one length and base index, with zeros
+    pinned at a few positions (anchors, or stray zeros) on top of the zeros
+    mixed_sequences draws."""
+    u = draw(mixed_sequences())
+    size = len(u)
+    zeros = st.lists(st.integers(0, size - 1), max_size=3)
+    u = _with_zeros(u, draw(zeros))
+    if not draw(st.booleans()):
+        return u, None
+    v = draw(mixed_sequences(size=size))
+    return u, _with_zeros(IntervalSequence(v.items, u.base_index), draw(zeros))
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_documents(), lam=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       data=st.data())
+def test_shared_analysis_gives_the_standalone_verdicts(doc, lam, data):
+    # every statement of matching arity (T3_10 also in its alternate
+    # boundary mode), in a random order, on one analysis: each verdict, or
+    # error, is the one a call on its own gives, whatever ran before it
+    u, v = doc
+    b, e = u.first_index, u.last_index
+    first = b + (v is None)
+    window = data.draw(st.sampled_from(["none", "to end", "inside"]))
+    if window != "none":
+        n = data.draw(st.integers(first, e))
+        window = (n, e if window == "to end" else data.draw(st.integers(n, e)))
+    else:
+        window = None
+    runs = [(spec, False) for spec in registry() if spec.arity == (1 if v is None else 2)]
+    if v is not None:
+        runs.append((lookup("T3_10"), True))
+    analysis = theorems._Analysis(u, v)
+    for spec, alt in data.draw(st.permutations(runs)):
+        w = window if (spec.windowed or spec.window_optional) else None
+        if v is None:
+            def call(**shared):
+                return check_single(u, *lam, spec.id, window=w, **shared)
+        else:
+            def call(**shared):
+                return check_pair(u, v, spec.id, window=w, alt_boundary=alt, **shared)
+        assert _outcome(lambda: call(_analysis=analysis)) == _outcome(call), (spec.id, alt, w)
+
+
+def test_shared_analysis_refuses_another_input(ex33):
+    analysis = theorems._Analysis(ex33)
+    other = seq([(0, 0), (1, 2), (2, 4)])
+    with pytest.raises(ValueError, match="another input"):
+        check_single(other, 1, 1, "T3_1", _analysis=analysis)
+    with pytest.raises(ValueError, match="another input"):
+        check_pair(ex33, ex33, "T3_6", _analysis=analysis)
+
+
+# -- the size guard ---------------------------------------------------------------
+
+
+def _refuses_fast(call, monkeypatch):
+    """call raises OutputTooLarge at once: no term, row or grid is built
+    (those would run far longer than the bound), within a time and memory
+    bound."""
+    def unreachable(*_):
+        raise AssertionError("evaluated past the size guard")
+
+    for name in ("_term_list", "_rows"):
+        monkeypatch.setattr(theorems, name, unreachable)
+    monkeypatch.setattr(oracle, "_scan_rules", unreachable)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(OutputTooLarge, match="^input too large: ") as info:
+            call()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.25 and peak < 1_000_000
+    return info.value
+
+
+_BIG = 10 ** 6
+
+
+@pytest.mark.parametrize("case", [
+    "check_single", "check_single_huge_endpoints", "check_pair", "lhs_terms",
+    "lhs_terms_pair", "ratio_scan", "ratio_scan_bound", "fuzz_lambdas", "fuzz_magnitude",
+])
+def test_library_entry_points_refuse_oversized_input(case, monkeypatch):
+    u = IntervalSequence._from_ints(999983, [0] + [7 * 10 ** 5] * 30 + [0],
+                                    [0] + [9 * 10 ** 5] * 30 + [0], 0)
+    wide = IntervalSequence._from_ints(1, [0, 0], [0, 10 ** 5000], 0)
+    pair = (seq([(0, 0), (1, 2)]), IntervalSequence._from_ints(1, [0, 0], [0, 10 ** 3000], 0))
+    calls = {
+        "check_single": lambda: check_single(u, _BIG, 1, "T3_3"),
+        "check_single_huge_endpoints": lambda: check_single(wide, 1, 1, "T3_1"),
+        "check_pair": lambda: check_pair(*pair, "T3_6"),
+        "lhs_terms": lambda: lhs_terms(u, 1, _BIG, "T4_1"),
+        "lhs_terms_pair": lambda: lhs_terms(pair, None, None, "T3_10"),
+        "ratio_scan": lambda: ratio_scan("T3_1", _BIG, 1, length=3, bound=1),
+        "ratio_scan_bound": lambda: ratio_scan("T3_6", length=3, bound=10 ** 5000),
+        "fuzz_lambdas": lambda: FuzzConfig("T3_5", trials=1, seed=0, lambda_range=(1, _BIG)),
+        "fuzz_magnitude": lambda: FuzzConfig("T3_6", trials=1, seed=0,
+                                             endpoint_magnitude=10 ** 5000),
+    }
+    exc = _refuses_fast(calls[case], monkeypatch)
+    assert isinstance(exc, ValueError) and cli.OutputTooLarge is OutputTooLarge
+
+
+def test_size_guard_admits_what_it_bounds():
+    # the entry points run what the guard admits: the largest exponents the
+    # fuzzer draws by default, a scan at its default grid sizes, and a
+    # pair statement given huge exponents, which it ignores
+    FuzzConfig("T3_5", trials=1, seed=0)
+    assert ratio_scan("T3_1", 4, 4, length=4, bound=3).admissible > 0
+    pair = (seq([(0, 0), (1, 2), (0, 0)]), seq([(0, 0), (2, 3), (0, 0)]))
+    assert lhs_terms(pair, _BIG, _BIG, "T3_6")
+    assert check_pair(*pair, "T3_6").rhs > 0
