@@ -44,6 +44,7 @@ from .theorems import (
     _check_lambdas,
     _frame,
     _holds,
+    _hypotheses,
     _pair_term,
     _plan,
     _resolve_window,
@@ -117,16 +118,9 @@ def _randint(rng, a, b):
     return a + r
 
 
-def _weak_comp(rng, total, parts):
-    # non-negative integers summing to total
-    if parts == 0:
-        return []
-    cuts = sorted(_randint(rng, 0, total) for _ in range(parts - 1))
-    out, prev = [], 0
-    for c in cuts + [total]:
-        out.append(c - prev)
-        prev = c
-    return out
+def _weak_sums(rng, total, parts):
+    # the running sums of `parts` non-negative integers summing to total
+    return sorted(_randint(rng, 0, total) for _ in range(parts - 1)) + [total]
 
 
 def _pos_comp(rng, total, parts):
@@ -145,45 +139,21 @@ def _ramp_ints(rng, start, end, steps, up, mu_up):
     """Integer (lo, hi) chain of `steps` elements after start, ending at end.
 
     Both endpoint coordinates move monotonically (direction `up`) and
-    widths move monotonically (direction `mu_up`). The caller must pick
-    a feasible start/end combination.
+    widths move monotonically (direction `mu_up`). The chain follows lo
+    when the two directions agree and hi otherwise, so that the other
+    endpoint moves by the sum of the two. The caller must pick a feasible
+    start/end combination.
     """
-    slo, shi = start
-    elo, ehi = end
-    sw, ew = shi - slo, ehi - elo
+    follow_hi = up != mu_up
+    s, t = (1 if up else -1), (1 if mu_up else -1)
+    x, w = start[follow_hi], start[1] - start[0]
+    # how far x and w have moved, in their directions, after each step
+    dx = _weak_sums(rng, s * (end[follow_hi] - x), steps)
+    dw = _weak_sums(rng, t * (end[1] - end[0] - w), steps)
     out = []
-    if up and mu_up:
-        dlo = _weak_comp(rng, elo - slo, steps)
-        dw = _weak_comp(rng, ew - sw, steps)
-        lo, w = slo, sw
-        for a, b in zip(dlo, dw):
-            lo += a
-            w += b
-            out.append((lo, lo + w))
-    elif up:
-        dhi = _weak_comp(rng, ehi - shi, steps)
-        dw = _weak_comp(rng, sw - ew, steps)
-        hi, w = shi, sw
-        for a, b in zip(dhi, dw):
-            hi += a
-            w -= b
-            out.append((hi - w, hi))
-    elif mu_up:
-        dhi = _weak_comp(rng, shi - ehi, steps)
-        dw = _weak_comp(rng, ew - sw, steps)
-        hi, w = shi, sw
-        for a, b in zip(dhi, dw):
-            hi -= a
-            w += b
-            out.append((hi - w, hi))
-    else:
-        dlo = _weak_comp(rng, slo - elo, steps)
-        dw = _weak_comp(rng, sw - ew, steps)
-        lo, w = slo, sw
-        for a, b in zip(dlo, dw):
-            lo -= a
-            w -= b
-            out.append((lo, lo + w))
+    for a, b in zip(dx, dw):
+        xi, wi = x + s * a, w + t * b
+        out.append((xi - wi, xi) if follow_hi else (xi, xi + wi))
     return out
 
 
@@ -231,10 +201,8 @@ def _degenerate_nums(names, L, rng, M):
             nums = [_randint(rng, -4, 4)]
             for _ in range(L - 1):
                 nums.append(nums[-1] + _randint(rng, -3, 3))
-    if "first_zero" in names:
-        nums[0] = 0
-    if "last_zero" in names or "window_end_zero" in names:
-        nums[-1] = 0
+    for i in _plan_at(names, False, L)[1]:
+        nums[i] = 0
     return nums
 
 
@@ -251,57 +219,33 @@ def _monotone_pairs(names, L, rng, M, force_up=None):
     if anchor_start and anchor_end:
         # the width path must return to zero, so only the constant zero run fits
         return [(0, 0)] * L
-    if anchor_start:
+    if anchor_start or anchor_end:
+        # build away from the zero anchor; into an end anchor, build with
+        # both senses flipped and reverse
+        flip = not anchor_start
+        up, mu_up = up != flip, mu_up != flip
         ew = _randint(rng, 0, M // 2) if mu_up else 0
-        if up:
-            elo = _randint(rng, 0, M - ew)
-            end = (elo, elo + ew)
-        else:
-            ehi = -_randint(rng, 0, M - ew)
-            end = (ehi - ew, ehi)
-        return [(0, 0)] + _ramp_ints(rng, (0, 0), end, L - 1, up, mu_up)
-    if anchor_end:
-        # build away from the zero anchor with both senses flipped, then reverse
-        built_mu_up = not mu_up
-        ew = _randint(rng, 0, M // 2) if built_mu_up else 0
-        if up:
-            # final shape rises into the anchor, so the reversed build descends
-            ehi = -_randint(rng, 0, M - ew)
-            end = (ehi - ew, ehi)
-        else:
-            elo = _randint(rng, 0, M - ew)
-            end = (elo, elo + ew)
-        run = [(0, 0)] + _ramp_ints(rng, (0, 0), end, L - 1, not up, built_mu_up)
-        return list(reversed(run))
-    # unanchored: free start, end picked to keep the ramp feasible within [-M, M]
+        x = _randint(rng, 0, M - ew)
+        end = (x, x + ew) if up else (-x - ew, -x)
+        run = [(0, 0)] + _ramp_ints(rng, (0, 0), end, L - 1, up, mu_up)
+        return run[::-1] if flip else run
+    # unanchored: free start, end picked to keep the ramp feasible within
+    # [-M, M]; the end moves the endpoint the ramp follows (_ramp_ints)
     sw = _randint(rng, 0, M // 2)
     slo = _randint(rng, -M, M - sw)
     start = (slo, slo + sw)
-    shi = slo + sw
     if mu_up:
-        ew = _randint(rng, sw, max(sw, M // 2))
+        ew = min(_randint(rng, sw, max(sw, M // 2)), M - slo if up else M + slo + sw)
+        if ew < sw:
+            raise _Retry
     else:
         ew = _randint(rng, 0, sw)
-    if up and mu_up:
-        ew = min(ew, M - slo)
-        if ew < sw:
-            raise _Retry
-        elo = _randint(rng, slo, M - ew)
-    elif up:
-        ehi = _randint(rng, shi, M)
-        elo = ehi - ew
-    elif mu_up:
-        ew = min(ew, shi + M)
-        if ew < sw:
-            raise _Retry
-        ehi = _randint(rng, ew - M, shi)
-        elo = ehi - ew
+    follow_hi = up != mu_up
+    if up:
+        x = _randint(rng, start[follow_hi], M if follow_hi else M - ew)
     else:
-        elo = _randint(rng, -M, slo)
-    if up or not mu_up:
-        end = (elo, elo + ew)
-    else:
-        end = (elo, ehi)
+        x = _randint(rng, ew - M if follow_hi else -M, start[follow_hi])
+    end = (x - ew, x) if follow_hi else (x, x + ew)
     return [start] + _ramp_ints(rng, start, end, L - 1, up, mu_up)
 
 
@@ -360,10 +304,8 @@ def _build_single(names, L, rng, M, base):
     if "alternate" in names:
         return _to_sequence(_alternate_pairs(names, L, rng, M), D, base)
     pairs = [_rand_pair_ints(rng, M) for _ in range(L)]
-    if "first_zero" in names:
-        pairs[0] = (0, 0)
-    if "last_zero" in names or "window_end_zero" in names:
-        pairs[-1] = (0, 0)
+    for i in _plan_at(names, False, L)[1]:
+        pairs[i] = (0, 0)
     return _to_sequence(pairs, D, base)
 
 
@@ -390,13 +332,9 @@ def _build_pair(names, L, rng, M, base):
             sub.add("window_end_zero")
         pu = _alternate_pairs(frozenset(sub), L, rng, M)
     pv = [_rand_pair_ints(rng, M) for _ in range(L)]
-    if "first_zero" in names:
-        pv[0] = (0, 0)
-    if "second_zero" in names:
-        pv[1] = (0, 0)
-    if "last_zero" in names or "window_end_zero" in names:
-        pv[-1] = (0, 0)
     allowed = _plan_at(names, True, L)[1]
+    for i in allowed:
+        pv[i] = (0, 0)
     for i in range(L):
         if i not in allowed and pu[i] == (0, 0) and pv[i] == (0, 0):
             pv[i] = (0, _randint(rng, 1, max(1, M // 4)))
@@ -684,20 +622,23 @@ def _run_check(spec, built, l1, l2, window):
     return check_pair(u, v, spec.id, window=window)
 
 
-def _relax_and_check(spec, names, built, relax, rng, l1, l2, window, L, M):
+def _relaxed(spec, names, built, relax, rng, L, M):
+    """A mutation of built (else of a fresh input of spec's profile names)
+    on which every name of relax fails its own test in the hypothesis
+    table (theorems._hypotheses) at the window end, which in fuzz is the
+    last index."""
     for _ in range(_ATTEMPTS):
         u, v = built if spec.arity == 2 else (built, None)
         base = u.base_index
         ends_u = (u.D, list(u.lows), list(u.highs))
         ends_v = None if v is None else (v.D, list(v.lows), list(v.highs))
         if all(_mutate(names, ends_u, ends_v, name, rng, M) for name in sorted(relax)):
-            cand = IntervalSequence._from_ints(*ends_u, base)
-            if v is not None:
-                cand = (cand, IntervalSequence._from_ints(*ends_v, base))
-            verdict = _run_check(spec, cand, l1, l2, window)
-            rows = {p.name: p.passed for p in verdict.preconditions}
-            if all(rows.get(name) is False for name in relax):
-                return cand, verdict
+            u = IntervalSequence._from_ints(*ends_u, base)
+            v = None if v is None else IntervalSequence._from_ints(*ends_v, base)
+            hyps, allowed = _hypotheses(names, u, v, base + L - 1)
+            if not any(holds(u, v, lo, hi, allowed)
+                       for name, holds, _, lo, hi in hyps if name in relax):
+                return u if v is None else (u, v)
         built = _generate_with_rng(names, L, rng, M, base)
     raise RelaxNotRealized(
         f"could not violate {sorted(relax)} for {spec.id.value} "
@@ -705,11 +646,14 @@ def _relax_and_check(spec, names, built, relax, rng, l1, l2, window, L, M):
     )
 
 
-def _conforming_sides(spec, built, l1, l2, window):
-    """The engine's integer sides of a conforming input (theorems._sides)."""
+def _kernel_sides(spec, built, l1, l2, window):
+    """The engine's integer sides of a trial (theorems._sides). Like the
+    engine, L3_1 sums with signs only where its first row, degenerate,
+    holds; the other statements' sums do not depend on it."""
     u, v = built if spec.arity == 2 else (built, None)
     n, m = _resolve_window(spec, u.first_index, u.last_index, window)
-    return _sides(_Analysis(u, v), spec, l1, l2, n, m, spec.sums.shape == "real")
+    real = spec.id is TheoremId.L3_1 and _holds(("degenerate",), u, None, m)
+    return _sides(_Analysis(u, v), spec, l1, l2, n, m, real)
 
 
 def _fuzz_window(spec, rng, base, L):
@@ -726,15 +670,17 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
 
     With an empty relax set every generated input conforms to the
     hypotheses (the generator re-verifies it with the engine's own tests),
-    so a violation is a bug. Each trial's sides are the engine's integer
-    sums, and its ratio is compared with the maximum by integer
-    cross-multiplication; check_single/check_pair judge only what the
-    report shows, every violation and every strict new maximum, and
-    RuntimeError, naming the trial, is raised when they disagree. With
-    relax names the targeted preconditions are deliberately broken and
-    found violations are reported, never asserted: absence of a
-    counterexample proves nothing. RelaxNotRealized is raised when a
-    trial finds no input that breaks every relaxed name at once.
+    so a violation is a bug. With relax names each input is mutated until
+    every targeted precondition fails its test, and found violations are
+    reported, never asserted: absence of a counterexample proves nothing.
+    RelaxNotRealized is raised when a trial finds no input that breaks
+    every relaxed name at once.
+
+    Either way each trial's sides are the engine's integer sums, and its
+    ratio is compared with the maximum by integer cross-multiplication;
+    check_single/check_pair judge only what the report shows, every
+    violation and every strict new maximum, and RuntimeError, naming the
+    trial, is raised when they disagree.
 
     Trials are independent; the maximum-ratio witness breaks ties by
     the lowest trial index, so any execution order yields the same
@@ -744,16 +690,18 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
     tid = spec.id
     names = frozenset(spec.preconditions)
     lmin, lmax = config.length_range
-    if config.relax:
-        need = _relax_min_len(names, config.relax)
+    M = config.endpoint_magnitude
+    relax = config.relax
+    if relax:
+        need = _relax_min_len(names, relax)
         if lmax < need:
             raise ValueError(
-                f"length_range too small to violate {', '.join(sorted(config.relax))}"
+                f"length_range too small to violate {', '.join(sorted(relax))}"
                 f" (needs length >= {need})"
             )
         lmin = max(lmin, need)
     violations = []
-    relaxed = tuple(sorted(config.relax))
+    relaxed = tuple(sorted(relax))
     # the running maximum bn / bd, reached first at best_trial
     best = best_trial = best_input = None
     bn, bd = 0, 1
@@ -768,36 +716,29 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
         else:
             l1 = _randint(rng, *config.lambda_range)
             l2 = _randint(rng, *config.lambda_range)
-        built = _generate_with_rng(names, L, rng, config.endpoint_magnitude, base)
+        built = _generate_with_rng(names, L, rng, M, base)
         window = _fuzz_window(spec, rng, base, L)
-        if config.relax:
-            built, verdict = _relax_and_check(
-                spec, names, built, config.relax, rng, l1, l2, window,
-                L, config.endpoint_magnitude,
-            )
-            better = verdict.ratio is not None and (best is None or verdict.ratio > best)
+        if relax:
+            built = _relaxed(spec, names, built, relax, rng, L, M)
+        # the engine runs only on a violation or a new maximum, and must agree
+        lhs, rhs, scale, const = _kernel_sides(spec, built, l1, l2, window)
+        cd, crhs = const.denominator, const.numerator * rhs
+        lcd = lhs * cd
+        if crhs > 0:
+            better = best is None or lcd * bd > bn * crhs
         else:
-            # built conforms (_conforms runs the engine's hypothesis tests),
-            # so the engine's integer sides decide; it runs only on a
-            # violation or a new maximum, and must agree
-            lhs, rhs, scale, const = _conforming_sides(spec, built, l1, l2, window)
-            cd, crhs = const.denominator, const.numerator * rhs
-            lcd = lhs * cd
-            if crhs > 0:
-                better = best is None or lcd * bd > bn * crhs
-            else:
-                # the ratio is 0 when both sides are 0, none when only rhs is
-                better = lcd == 0 == crhs and (best is None or bn < 0)
-            if not (better or lcd > crhs):
-                continue
-            verdict = _run_check(spec, built, l1, l2, window)
-            kernel = (Fraction(lhs, scale), Fraction(crhs, cd * scale))
-            if not (verdict.in_hypotheses and (verdict.lhs, verdict.rhs) == kernel):
-                raise RuntimeError(
-                    f"fuzz kernel and engine disagree for {tid.value} at trial {t}: kernel"
-                    f" lhs, rhs {kernel[0]}, {kernel[1]}, in hypotheses; engine {verdict.lhs},"
-                    f" {verdict.rhs}, in_hypotheses {verdict.in_hypotheses}"
-                )
+            # the ratio is 0 when both sides are 0, none when only rhs is
+            better = lcd == 0 == crhs and (best is None or bn < 0)
+        if not (better or lcd > crhs):
+            continue
+        verdict = _run_check(spec, built, l1, l2, window)
+        kernel = (Fraction(lhs, scale), Fraction(crhs, cd * scale))
+        if verdict.in_hypotheses == bool(relax) or (verdict.lhs, verdict.rhs) != kernel:
+            raise RuntimeError(
+                f"fuzz kernel and engine disagree for {tid.value} at trial {t}: kernel"
+                f" lhs, rhs {kernel[0]}, {kernel[1]}, {'out of' if relax else 'in'} hypotheses;"
+                f" engine {verdict.lhs}, {verdict.rhs}, in_hypotheses {verdict.in_hypotheses}"
+            )
         if not verdict.holds:
             violations.append(TrialRecord(
                 trial=t, input=built, lambda1=l1, lambda2=l2, window=window,

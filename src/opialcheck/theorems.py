@@ -417,16 +417,18 @@ def lookup(theorem) -> TheoremSpec:
 class _Analysis:
     """What the statements read of one input, u or the pair (u, v), each
     fact computed once for all of them: the integer term lists (_terms),
-    the reported hypothesis rows (_rows) and the size guard's verdict
-    (_guard). check_single and check_pair take one as _analysis, and None
-    gives a fresh one, so a call on its own computes only what it reads."""
+    the reported hypothesis rows (_rows), a pair's notes on v's profile
+    (check_pair) and the size guard's verdict (_guard). check_single and
+    check_pair take one as _analysis, and None gives a fresh one, so a call
+    on its own computes only what it reads."""
 
-    __slots__ = ("u", "v", "terms", "rows", "admitted")
+    __slots__ = ("u", "v", "terms", "rows", "notes", "admitted")
 
     def __init__(self, u, v=None):
         self.u, self.v = u, v
         self.terms = {}   # (nabla, l1, l2, signed) -> (first index, [(lhs, rhs)])
         self.rows = {}    # (name, lo, hi[, anchors]) -> PreconditionCheck
+        self.notes = {}   # (first, last) -> _v_profile_note of v on first..last
         self.admitted = set()  # exponent pairs (l1, l2) the size guard passed
 
 
@@ -998,7 +1000,11 @@ def check_pair(u: IntervalSequence, v: IntervalSequence, theorem, window=None,
         notes.append("alternate boundary mode: anchors at the first and last index")
     pre = _rows(an, names, m)
     if "alternate_u" in names:
-        notes.append(_v_profile_note(v, u.first_index, m))
+        key = (u.first_index, m)
+        note = an.notes.get(key)
+        if note is None:
+            note = an.notes[key] = _v_profile_note(v, *key)
+        notes.append(note)
     lhs, rhs, scale, const = _sides(an, spec, None, None, n, m, False)
     win_echo = (n, m) if (spec.windowed or spec.window_optional) else None
     return _verdict(spec, pre, lhs, rhs, scale, const, None, None, win_echo, tuple(notes))

@@ -542,6 +542,24 @@ def test_check_discovery_skips_t2_2_on_other_exponents(capsys):
     assert code in (0, 2)
 
 
+def test_check_discovery_builds_each_v_profile_note_once(capsys, monkeypatch):
+    # T3_8 (window omitted: m = e) and T3_10 both note v's profile on the
+    # same indices; the shared analysis builds that note once
+    calls = []
+    real = theorems._v_profile_note
+
+    def counted(v, first, last):
+        calls.append((first, last))
+        return real(v, first, last)
+
+    monkeypatch.setattr(theorems, "_v_profile_note", counted)
+    code, out, _ = run_cli(capsys, ["check", "--in", sample("pair_t36.json")])
+    notes = [n for row in json.loads(out)["verdicts"] for n in row["notes"]
+             if n.startswith("v on ")]
+    assert code == 0 and len(notes) == 2 and notes[0] == notes[1]
+    assert calls == [(0, 2)]
+
+
 def test_check_documents_share_nothing_across_calls(capsys, tmp_path):
     # two documents of one shape, checked in turn in one process, print what
     # each prints in a process of its own: no analysis outlives its document

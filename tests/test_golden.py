@@ -21,6 +21,11 @@ the T3_10 ``second_zero`` anchor, which the four scan digests above miss.
 
 Digest input: ``json.dumps(report.to_jsonable(), sort_keys=True)``, UTF-8.
 
+The generator digest pins ``oracle._generate_with_rng`` itself, at lengths,
+magnitudes and profiles no fuzz report reaches: each output (or error)
+and the RNG's next draw, so a rewrite of a shape builder must keep every
+draw. It was recorded before the builders' mirrored branches were merged.
+
 The command-line digests pin the printed text itself: the exit code and
 stdout of ``main(argv)`` (``f"{code}\\n{stdout}"``, UTF-8), recorded while
 ``check`` and the other commands printed through ``json.dumps(payload,
@@ -30,13 +35,17 @@ indent=2)``.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from opialcheck import FuzzConfig, fuzz, ratio_scan
+from opialcheck import FuzzConfig, fuzz, ratio_scan, registry
 from opialcheck.cli import main
+import opialcheck.oracle as oracle
+import opialcheck.theorems as theorems
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -446,3 +455,33 @@ def test_printed_output_is_unchanged(call):
         code = main(argv)
     text = f"{code}\n{out.getvalue()}"
     assert hashlib.sha256(text.encode()).hexdigest() == CLI_DIGESTS[call]
+
+
+# oracle._generate_with_rng on every registry profile and every profile of
+# one or two hypothesis names, at lengths 1-8, magnitudes 1, 2 and 100 and
+# four seeds, base index -2..2 by length and seed: each draw's output (or
+# error) and the RNG's next 32 bits, one line per draw
+GENERATOR_DIGEST = "ac63ea1626b52e747f0a63341ce16eb4aad487440dddf3c08c5357ac732ef4c7"
+
+
+def _generator_draws():
+    names = sorted(theorems._HYPOTHESES)
+    profiles = {frozenset(spec.preconditions) for spec in registry()}
+    profiles |= {frozenset(c) for r in (1, 2) for c in itertools.combinations(names, r)}
+    for profile in sorted(profiles, key=sorted):
+        label = ",".join(sorted(profile))
+        for length, magnitude, seed in itertools.product(range(1, 9), (1, 2, 100), range(4)):
+            rng = random.Random(f"{label}:{length}:{magnitude}:{seed}")
+            try:
+                built = oracle._generate_with_rng(profile, length, rng, magnitude,
+                                                  (length + seed) % 5 - 2)
+                got = [(s.D, s.lows, s.highs, s.base_index)
+                       for s in (built if isinstance(built, tuple) else (built,))]
+            except ValueError as exc:
+                got = f"{type(exc).__name__}: {exc}"
+            yield f"{label} {length} {magnitude} {seed} {got} {rng.getrandbits(32)}\n"
+
+
+def test_generator_draws_are_unchanged():
+    text = "".join(_generator_draws())
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGEST

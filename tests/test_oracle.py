@@ -167,14 +167,14 @@ def test_fuzz_deterministic():
 def _record_kernel(monkeypatch):
     """The kernel sums of every fuzz trial: (spec, built, l1, l2, window, sides)."""
     trials = []
-    real = oracle._conforming_sides
+    real = oracle._kernel_sides
 
     def recording(spec, built, l1, l2, window):
         sides = real(spec, built, l1, l2, window)
         trials.append((spec, built, l1, l2, window, sides))
         return sides
 
-    monkeypatch.setattr(oracle, "_conforming_sides", recording)
+    monkeypatch.setattr(oracle, "_kernel_sides", recording)
     return trials
 
 
@@ -184,52 +184,85 @@ def _engine(spec, built, l1, l2, window, alt_boundary=False):
     return check_pair(*built, spec.id, window=window, alt_boundary=alt_boundary)
 
 
+def _fuzz_against_engine(spec, config, calls, trials):
+    """Run fuzz(config) and judge every trial its kernel summed with the
+    engine: the kernel's integer sides give the engine's lhs, rhs, holds
+    and ratio, each trial is in hypotheses exactly when nothing is relaxed
+    (and then every relaxed name's row fails), the engine ran on exactly the
+    violations and the strict new maxima, and the report is the one judging
+    every trial with the engine gives. Returns the violating trials."""
+    trials.clear()
+    calls.clear()
+    report = fuzz(config)
+    seed = config.seed
+    assert len(trials) == config.trials
+    best = best_trial = best_input = None
+    violations, improvements = [], []
+    for t, (_, built, l1, l2, window, (lhs, rhs, scale, const)) in enumerate(trials):
+        verdict = _engine(spec, built, l1, l2, window)
+        rows = {p.name: p.passed for p in verdict.preconditions}
+        assert verdict.in_hypotheses != bool(config.relax), (seed, t)
+        assert not any(rows[name] for name in config.relax), (seed, t, rows)
+        sides = (Fraction(lhs, scale), const * Fraction(rhs, scale))
+        assert sides == (verdict.lhs, verdict.rhs), (seed, t)
+        lcd, crhs = lhs * const.denominator, rhs * const.numerator
+        assert (lcd <= crhs) == verdict.holds, (seed, t)
+        ratio = (Fraction(lcd, crhs) if crhs > 0
+                 else Fraction(0) if lcd == 0 == crhs else None)
+        assert ratio == verdict.ratio, (seed, t)
+        if not verdict.holds:
+            violations.append(t)
+        if ratio is not None and (best is None or ratio > best):
+            best, best_trial, best_input = ratio, t, built
+            improvements.append(t)
+    assert [r.trial for r in report.violations] == violations
+    assert (report.max_ratio, report.max_ratio_trial) == (best, best_trial)
+    assert report.max_ratio_witness == best_input
+    assert len(calls) == len(set(violations) | set(improvements)), seed
+    return violations
+
+
 @pytest.mark.parametrize("weakened", [False, True], ids=["sharp", "weakened"])
 @pytest.mark.parametrize("spec", registry(), ids=lambda s: s.id.value)
 def test_fuzz_kernel_matches_engine(spec, weakened, monkeypatch):
-    # on every trial (lengths 2-12, exponents 1-4) the kernel's integer
-    # sides give the engine's lhs, rhs, holds and ratio; the engine ran on
-    # exactly the violations and the strict new maxima, and the report is
-    # the one judging every trial with the engine gives. A constant cut to
-    # a quarter, in both, makes violations to find.
+    # on every trial (lengths 2-12, exponents 1-4) of three seeds; a
+    # constant cut to a quarter, in both, makes violations to find
     if weakened:
         quarter = dataclasses.replace(spec, constant_fn=lambda *a: spec.constant_fn(*a) / 4)
         monkeypatch.setitem(theorems._REGISTRY, spec.id, quarter)
     calls = _count_engine_calls(monkeypatch)
     trials = _record_kernel(monkeypatch)
     for seed in (0, 1, 2):
-        trials.clear()
-        calls.clear()
-        report = fuzz(FuzzConfig(spec.id, trials=150, seed=seed))
-        assert len(trials) == 150
-        best = best_trial = best_input = None
-        violations, improvements = [], []
-        for t, (_, built, l1, l2, window, (lhs, rhs, scale, const)) in enumerate(trials):
-            verdict = _engine(spec, built, l1, l2, window)
-            assert verdict.in_hypotheses, (seed, t)
-            sides = (Fraction(lhs, scale), const * Fraction(rhs, scale))
-            assert sides == (verdict.lhs, verdict.rhs), (seed, t)
-            lcd, crhs = lhs * const.denominator, rhs * const.numerator
-            assert (lcd <= crhs) == verdict.holds, (seed, t)
-            ratio = (Fraction(lcd, crhs) if crhs > 0
-                     else Fraction(0) if lcd == 0 == crhs else None)
-            assert ratio == verdict.ratio, (seed, t)
-            if not verdict.holds:
-                violations.append(t)
-            if ratio is not None and (best is None or ratio > best):
-                best, best_trial, best_input = ratio, t, built
-                improvements.append(t)
-        assert [r.trial for r in report.violations] == violations
-        assert (report.max_ratio, report.max_ratio_trial) == (best, best_trial)
-        assert report.max_ratio_witness == best_input
-        assert len(calls) == len(set(violations) | set(improvements)), seed
+        violations = _fuzz_against_engine(spec, FuzzConfig(spec.id, trials=150, seed=seed),
+                                          calls, trials)
         if weakened:
             assert violations, seed
 
 
-@pytest.mark.parametrize("tid", ["T2_2", "L3_1", "T3_1", "T4_2", "T3_6", "T3_8"])
-@pytest.mark.parametrize("side", [0, 1])
-def test_fuzz_raises_when_the_kernel_is_off_by_one(tid, side, monkeypatch):
+# every precondition of every statement alone, and every fifth set of two or
+# more of them
+RELAX_SETS = (
+    [(spec, (name,)) for spec in registry() for name in spec.preconditions]
+    + [(spec, names) for spec in registry()
+       for r in range(2, len(spec.preconditions) + 1)
+       for names in itertools.combinations(spec.preconditions, r)][::5]
+)
+
+
+@pytest.mark.parametrize("spec,relax", RELAX_SETS,
+                         ids=lambda x: ",".join(x) if isinstance(x, tuple) else x.id.value)
+def test_relaxed_fuzz_kernel_matches_engine(spec, relax, monkeypatch):
+    # a relaxed trial takes the same path: the kernel's sides off the
+    # hypotheses (L3_1's signed sums only on degenerate input) are the
+    # engine's, and the engine runs on what the report shows, no more
+    calls = _count_engine_calls(monkeypatch)
+    trials = _record_kernel(monkeypatch)
+    for seed in (1, 2):
+        _fuzz_against_engine(spec, FuzzConfig(spec.id, trials=60, seed=seed, relax=set(relax)),
+                             calls, trials)
+
+
+def _kernel_off_by_one(monkeypatch, side):
     real = oracle._sides
 
     def off_by_one(*args):
@@ -238,8 +271,28 @@ def test_fuzz_raises_when_the_kernel_is_off_by_one(tid, side, monkeypatch):
         return tuple(sides)
 
     monkeypatch.setattr(oracle, "_sides", off_by_one)
+
+
+@pytest.mark.parametrize("tid", ["T2_2", "L3_1", "T3_1", "T4_2", "T3_6", "T3_8"])
+@pytest.mark.parametrize("side", [0, 1])
+def test_fuzz_raises_when_the_kernel_is_off_by_one(tid, side, monkeypatch):
+    _kernel_off_by_one(monkeypatch, side)
     with pytest.raises(RuntimeError, match=rf"disagree for {tid} at trial \d"):
         fuzz(FuzzConfig(tid, trials=5, seed=0))
+
+
+@pytest.mark.parametrize("tid,relax", [
+    ("L3_1", "degenerate"), ("L3_1", "nondecreasing"), ("L3_1", "nonnegative"),
+    ("T2_2", "last_zero"), ("T3_1", "monotone,mu_increasing"), ("T4_2", "window_end_zero"),
+    ("T3_6", "synchronous"), ("T3_8", "no_other_joint_zero"),
+    ("T3_10", "alternate_u,second_zero"),
+])
+@pytest.mark.parametrize("side", [0, 1])
+def test_relaxed_fuzz_raises_when_the_kernel_is_off_by_one(tid, relax, side, monkeypatch):
+    # L3_1 sums norms off degenerate input and signed terms on it
+    _kernel_off_by_one(monkeypatch, side)
+    with pytest.raises(RuntimeError, match=rf"disagree for {tid} at trial \d"):
+        fuzz(FuzzConfig(tid, trials=5, seed=0, relax=set(relax.split(","))))
 
 
 @pytest.mark.parametrize("tid,engine", [("T3_5", "check_single"), ("T3_9", "check_pair")])
