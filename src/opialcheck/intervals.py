@@ -14,9 +14,9 @@ Every operation is exact. Floats are refused at construction time.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._records import record
 from .rationals import as_rational, format_rational
 
 
@@ -60,7 +60,7 @@ def _coerce(value):
     return None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Interval:
     lo: Fraction
     hi: Fraction

@@ -17,10 +17,9 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
+from ._records import record
 from .intervals import ExponentOutOfRange, Interval
 from .rationals import as_rational, ratio_to_json, rational_to_json
 from .sequences import (
@@ -40,7 +39,6 @@ from .theorems import (
     lookup,
     _ANCHOR_AT,
     _HYPOTHESES,
-    _Analysis,
     _check_lambdas,
     _frame,
     _holds,
@@ -56,7 +54,7 @@ from .theorems import (
 
 _ATTEMPTS = 80
 
-SequenceInput = Union[IntervalSequence, tuple[IntervalSequence, IntervalSequence]]
+SequenceInput = IntervalSequence | tuple[IntervalSequence, IntervalSequence]
 
 
 class InfeasibleProfile(ValueError):
@@ -393,7 +391,7 @@ def generate(profile, length, seed, magnitude=100) -> SequenceInput:
 # -- fuzzing ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class FuzzConfig:
     theorem: TheoremId
     trials: int
@@ -448,13 +446,13 @@ class FuzzConfig:
         }
 
 
-@dataclass(frozen=True)
+@record
 class TrialRecord:
     trial: int
     input: SequenceInput
-    lambda1: Optional[int]
-    lambda2: Optional[int]
-    window: Optional[tuple[int, int]]
+    lambda1: int | None
+    lambda2: int | None
+    window: tuple[int, int] | None
     relaxed: tuple[str, ...]
     verdict: Verdict
 
@@ -470,14 +468,14 @@ class TrialRecord:
         }
 
 
-@dataclass(frozen=True)
+@record
 class FuzzReport:
     config: FuzzConfig
     trials_run: int
     violations: tuple[TrialRecord, ...]
     max_ratio: Fraction
-    max_ratio_witness: Optional[SequenceInput]
-    max_ratio_trial: Optional[int]
+    max_ratio_witness: SequenceInput | None
+    max_ratio_trial: int | None
 
     def to_jsonable(self) -> dict:
         return {
@@ -653,7 +651,7 @@ def _kernel_sides(spec, built, l1, l2, window):
     u, v = built if spec.arity == 2 else (built, None)
     n, m = _resolve_window(spec, u.first_index, u.last_index, window)
     real = spec.id is TheoremId.L3_1 and _holds(("degenerate",), u, None, m)
-    return _sides(_Analysis(u, v), spec, l1, l2, n, m, real)
+    return _sides(u, v, None, spec, l1, l2, n, m, real)
 
 
 def _fuzz_window(spec, rng, base, L):
@@ -760,7 +758,7 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
 # -- exhaustive small-grid scan ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ScanReport:
     """Outcome of ratio_scan.
 
@@ -778,8 +776,8 @@ class ScanReport:
     """
 
     theorem: TheoremId
-    lambda1: Optional[int]
-    lambda2: Optional[int]
+    lambda1: int | None
+    lambda2: int | None
     length: int
     bound: int
     planned: int
@@ -787,8 +785,8 @@ class ScanReport:
     admissible: int
     violations: int
     max_ratio: Fraction
-    witness: Optional[SequenceInput]
-    witness_window: Optional[tuple[int, int]]
+    witness: SequenceInput | None
+    witness_window: tuple[int, int] | None
 
     def __iter__(self):
         # unpacks as (max_ratio, witness)
@@ -1198,13 +1196,13 @@ def product_rule_check(u: IntervalSequence, v: IntervalSequence) -> dict:
 # -- worked-example reproduction ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ExampleRow:
     label: str
     engine_lhs: Fraction
     engine_rhs: Fraction
-    reference_lhs: Optional[Fraction]
-    reference_rhs: Optional[Fraction]
+    reference_lhs: Fraction | None
+    reference_rhs: Fraction | None
     match: bool
     note: str = ""
 
@@ -1222,7 +1220,7 @@ class ExampleRow:
         }
 
 
-@dataclass(frozen=True)
+@record
 class ExampleReport:
     example: str
     theorem: TheoremId

@@ -32,9 +32,9 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
+from ._records import record, refuse_delete, refuse_set
 from .intervals import Interval, InvalidBounds
 
 
@@ -72,7 +72,7 @@ class Synchrony(enum.Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MonotonicityProfile:
     direction: Direction
     mu_direction: MuDirection
@@ -88,7 +88,7 @@ class MonotonicityProfile:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Segment:
     start: int
     end: int
@@ -102,7 +102,7 @@ class Segment:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SegmentDecomposition:
     """Greedy maximal segmentation; adjacent segments share an element."""
 
@@ -209,11 +209,8 @@ class IntervalSequence:
             object.__setattr__(self, "_items", items)
         return items
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = refuse_set
+    __delattr__ = refuse_delete
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -46,11 +46,11 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, Optional
 
+from ._records import hidden, record
 from .intervals import ExponentOutOfRange
 from .rationals import MAX_DECIMAL_EXPONENT, ratio_to_json, rational_to_json
 from .sequences import (
@@ -114,7 +114,7 @@ class Operator(enum.Enum):
     CLASSICAL_FORWARD = "classical-forward"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PreconditionCheck:
     name: str
     passed: bool
@@ -124,7 +124,7 @@ class PreconditionCheck:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Verdict:
     theorem: TheoremId
     preconditions: tuple[PreconditionCheck, ...]
@@ -132,11 +132,11 @@ class Verdict:
     rhs: Fraction
     constant: Fraction
     holds: bool
-    ratio: Optional[Fraction]
+    ratio: Fraction | None
     in_hypotheses: bool
-    lambda1: Optional[int]
-    lambda2: Optional[int]
-    window: Optional[tuple[int, int]]
+    lambda1: int | None
+    lambda2: int | None
+    window: tuple[int, int] | None
     notes: tuple[str, ...] = ()
 
     def to_jsonable(self) -> dict:
@@ -156,7 +156,7 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
+@record
 class TheoremSpec:
     id: TheoremId
     operator: Operator
@@ -166,8 +166,10 @@ class TheoremSpec:
     preconditions: tuple[str, ...]
     constant_params: tuple[str, ...]
     summary: str
-    constant_fn: Callable = field(repr=False, compare=False)
-    sums: "_Sums" = field(repr=False, compare=False)
+    # how the statement is computed, not what it states: left out of
+    # equality, hashing and the repr
+    constant_fn: Callable = hidden
+    sums: _Sums = hidden
 
     def constant(self, l1: int = 1, l2: int = 1, n=None, m=None) -> Fraction:
         """Sharp constant for the given exponents and index parameters.
@@ -234,7 +236,7 @@ def _c_pair_half(l1, l2, n, m):
 # -- the sums of each statement ----------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class _Sums:
     """Where a statement's two sums run and what its constant reads.
 
@@ -252,7 +254,7 @@ class _Sums:
     shape: str
     lhs: tuple[tuple[int, int], tuple[int, int]]
     rhs: tuple[tuple[int, int], tuple[int, int]]
-    const: tuple[Optional[tuple[int, int]], Optional[tuple[int, int]]]
+    const: tuple[tuple[int, int] | None, tuple[int, int] | None]
 
 
 _SYMBOLS = "benm0"  # first index, last index, window start, window end, zero
@@ -776,9 +778,9 @@ def _term_list(u, v, nabla, l1, l2, signed, lo, hi):
                     repeat(l1), repeat(l2), repeat(nabla)))
 
 
-def _terms(an, spec, l1, l2, n, m, real):
-    """(lhs_rng, rhs_rng, const, start, terms, scale) on the analysis an's
-    sequences in the window (n, m): the ranges and constant of _frame, and
+def _terms(u, v, cache, spec, l1, l2, n, m, real):
+    """(lhs_rng, rhs_rng, const, start, terms, scale) on u (and v) in the
+    window (n, m): the ranges and constant of _frame, and
     the integer (lhs, rhs) term of each index start, start + 1, ..., at
     least up to the end of the later range from the earlier start. Each
     term over scale is the exact rational one: scale is D^(l1+l2) for a
@@ -786,20 +788,21 @@ def _terms(an, spec, l1, l2, n, m, real):
     real statement's degenerate input, on which L3_1 sums with signs.
 
     The terms depend only on the operator's step (nabla or forward), the
-    exponents and the signs, not on the statement: an keeps one list per
-    such key and grows it to the union of the indices asked for, so a
-    fresh analysis computes exactly the statement's indices."""
-    u, v = an.u, an.v
+    exponents and the signs, not on the statement: cache, an analysis's
+    terms, keeps one list per such key and grows it to the union of the
+    indices asked for. Without a cache (None) the terms are exactly the
+    statement's indices, kept nowhere."""
     b = u.base_index
     lhs_rng, rhs_rng, const = _frame(spec, b, b + len(u.lows) - 1, n, m, l1, l2)
     lo, hi = min(lhs_rng.start, rhs_rng.start), max(lhs_rng.stop, rhs_rng.stop)
     nabla = spec.operator is Operator.NABLA
     signed = real and spec.id is TheoremId.L3_1
     key = (nabla, l1, l2, signed)
-    have = an.terms.get(key)
+    have = None if cache is None else cache.get(key)
     if have is None:
         start, terms = lo, _term_list(u, v, nabla, l1, l2, signed, lo, hi)
-        an.terms[key] = start, terms
+        if cache is not None:
+            cache[key] = start, terms
     else:
         start, terms = have
         stop = start + len(terms)
@@ -809,7 +812,7 @@ def _terms(an, spec, l1, l2, n, m, real):
                 start = lo
             if hi > stop:
                 terms = terms + _term_list(u, v, nabla, l1, l2, signed, stop, hi)
-            an.terms[key] = start, terms
+            cache[key] = start, terms
     scale = u.D ** (l1 + l2) if v is None else math.lcm(u.D, v.D) ** 2
     return lhs_rng, rhs_rng, const, start, terms, scale
 
@@ -817,11 +820,11 @@ def _terms(an, spec, l1, l2, n, m, real):
 _LHS, _RHS = operator.itemgetter(0), operator.itemgetter(1)
 
 
-def _sides(an, spec, l1, l2, n, m, real):
+def _sides(u, v, cache, spec, l1, l2, n, m, real):
     """(lhs, rhs, scale, const): the sides are lhs / scale and
-    const * rhs / scale on the analysis an's sequences in the window
-    (n, m); real as in _terms."""
-    lhs_rng, rhs_rng, const, start, terms, scale = _terms(an, spec, l1, l2, n, m, real)
+    const * rhs / scale on u (and v) in the window (n, m); cache and real
+    as in _terms."""
+    lhs_rng, rhs_rng, const, start, terms, scale = _terms(u, v, cache, spec, l1, l2, n, m, real)
     return (sum(map(_LHS, terms[lhs_rng.start - start:lhs_rng.stop - start])),
             sum(map(_RHS, terms[rhs_rng.start - start:rhs_rng.stop - start])), scale, const)
 
@@ -964,7 +967,7 @@ def check_single(seq: IntervalSequence, l1: int, l2: int, theorem, window=None,
     notes = ()
     if real and not pre[0].passed:
         notes, real = ("non-degenerate input: evaluated with interval norms",), False
-    lhs, rhs, scale, const = _sides(an, spec, l1, l2, n, m, real)
+    lhs, rhs, scale, const = _sides(seq, None, an.terms, spec, l1, l2, n, m, real)
     win_echo = (n, m) if spec.windowed else None
     return _verdict(spec, pre, lhs, rhs, scale, const, l1, l2, win_echo, notes)
 
@@ -1005,7 +1008,7 @@ def check_pair(u: IntervalSequence, v: IntervalSequence, theorem, window=None,
         if note is None:
             note = an.notes[key] = _v_profile_note(v, *key)
         notes.append(note)
-    lhs, rhs, scale, const = _sides(an, spec, None, None, n, m, False)
+    lhs, rhs, scale, const = _sides(u, v, an.terms, spec, None, None, n, m, False)
     win_echo = (n, m) if (spec.windowed or spec.window_optional) else None
     return _verdict(spec, pre, lhs, rhs, scale, const, None, None, win_echo, tuple(notes))
 
@@ -1049,11 +1052,10 @@ def lhs_terms(seq, l1, l2, theorem, window=None):
         raise ArityMismatch(f"{spec.id.value} compares a pair of sequences" if spec.arity == 2
                             else f"{spec.id.value} takes a single sequence")
     u, v = seq if pair else (seq, None)
-    # a fresh analysis holds exactly the union of the two ranges
-    an = _Analysis(u, v)
-    n, m = _window_of(spec, an, l1, l2, window)
+    # without a cache, the terms are exactly the union of the two ranges
+    n, m = _window_of(spec, _Analysis(u, v), l1, l2, window)
     real = spec.sums.shape == "real" and _holds(("degenerate",), u, None, m)
-    lhs_rng, rhs_rng, _, start, terms, scale = _terms(an, spec, l1, l2, n, m, real)
+    lhs_rng, rhs_rng, _, start, terms, scale = _terms(u, v, None, spec, l1, l2, n, m, real)
     return [(i, Fraction(tl, scale) if i in lhs_rng else None,
              Fraction(tr, scale) if i in rhs_rng else None)
             for i, (tl, tr) in enumerate(terms, start)]

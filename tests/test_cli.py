@@ -855,3 +855,31 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120, cwd=root, env=env,
     )
     assert proc.returncode == 0
+
+
+# the stdlib modules whose import once made up most of the package's start-up
+_COLD_START_HEAVY = ("dataclasses", "inspect", "typing", "ast", "dis")
+
+_COLD_START_CHILD = textwrap.dedent("""
+    import contextlib, io, sys
+    sys.path.insert(0, sys.argv[1])
+    import opialcheck
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [opialcheck.main(["check", "--in", sys.argv[2]]),
+                 opialcheck.main(["fuzz", "--theorem", "T3_5", "--trials", "1"]),
+                 opialcheck.main(["scan", "--theorem", "T3_1", "--length", "3",
+                                  "--bound", "1"])]
+    print(codes, sorted(set(sys.argv[3:]) & set(sys.modules)))
+""")
+
+
+def test_cold_start_imports_no_heavy_stdlib_module():
+    # isolated and without site, so nothing but the package imports them
+    pkg_dir = str(Path(opialcheck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _COLD_START_CHILD, pkg_dir,
+         str(SAMPLES / "ex33.json"), *_COLD_START_HEAVY],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0] []\n"

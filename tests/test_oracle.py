@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import random
@@ -30,6 +29,7 @@ from opialcheck import (
     product_rule_check,
     ratio_scan,
     registry,
+    replace,
     reproduce_examples,
     young_check,
 )
@@ -228,7 +228,7 @@ def test_fuzz_kernel_matches_engine(spec, weakened, monkeypatch):
     # on every trial (lengths 2-12, exponents 1-4) of three seeds; a
     # constant cut to a quarter, in both, makes violations to find
     if weakened:
-        quarter = dataclasses.replace(spec, constant_fn=lambda *a: spec.constant_fn(*a) / 4)
+        quarter = replace(spec, constant_fn=lambda *a: spec.constant_fn(*a) / 4)
         monkeypatch.setitem(theorems._REGISTRY, spec.id, quarter)
     calls = _count_engine_calls(monkeypatch)
     trials = _record_kernel(monkeypatch)
@@ -301,7 +301,7 @@ def test_fuzz_raises_when_the_engine_disagrees(tid, engine, monkeypatch):
 
     def off_by_one(*args, **kwargs):
         verdict = real(*args, **kwargs)
-        return dataclasses.replace(verdict, rhs=verdict.rhs + 1)
+        return replace(verdict, rhs=verdict.rhs + 1)
 
     monkeypatch.setattr(oracle, engine, off_by_one)
     with pytest.raises(RuntimeError, match=f"disagree for {tid} at trial 0"):
@@ -710,7 +710,7 @@ def test_scan_raises_when_the_engine_disagrees(tid, engine, monkeypatch):
 
     def off_by_one(*args, **kwargs):
         verdict = real(*args, **kwargs)
-        return dataclasses.replace(verdict, lhs=verdict.lhs + 1)
+        return replace(verdict, lhs=verdict.lhs + 1)
 
     monkeypatch.setattr(oracle, engine, off_by_one)
     with pytest.raises(RuntimeError, match=f"disagree for {tid} at"):

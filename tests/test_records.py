@@ -1,0 +1,285 @@
+"""The package's frozen records keep their behaviour: repr text, equality and
+hashing, defaults and __match_args__, their validation errors, frozenness,
+and copy, deepcopy and pickle round trips, each on instances from real
+calls."""
+
+import copy
+import hashlib
+import inspect
+import pickle
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+
+import pytest
+
+from opialcheck import (
+    FuzzConfig,
+    Interval,
+    InvalidBounds,
+    NonRational,
+    TheoremId,
+    check_pair,
+    check_single,
+    fuzz,
+    lookup,
+    ratio_scan,
+    replace,
+    reproduce_examples,
+)
+
+from conftest import seq
+
+
+def _make():
+    u = seq([(0, 0), (1, 2), (2, 4), (3, 6), (1, 2), (0, 0)])
+    v = seq([(0, 0), (1, 1), (Fraction(3, 2), 2), (0, 0)])
+    verdict = check_single(u, 2, 3, "T3_5")
+    # relaxing L3_01's first_zero at seed 0 gives one violation
+    report = fuzz(FuzzConfig("L3_01", trials=40, seed=0, length_range=(2, 4),
+                             endpoint_magnitude=3, relax={"first_zero"}))
+    examples = reproduce_examples()
+    decomposition = u.alternate_segments()
+    spec = lookup("T3_5")
+    return {
+        "Interval": Interval(Fraction(1, 2), 3),
+        "MonotonicityProfile": u.classify(),
+        "Segment": decomposition.segments[1],
+        "SegmentDecomposition": decomposition,
+        "PreconditionCheck": verdict.preconditions[1],
+        "Verdict": verdict,
+        "pair Verdict": check_pair(v, v, "T3_6"),
+        "TheoremSpec": spec,
+        "_Sums": spec.sums,
+        "FuzzConfig": report.config,
+        "TrialRecord": report.violations[0],
+        "FuzzReport": report,
+        "ScanReport": ratio_scan("T3_1", 1, 2, length=3, bound=1),
+        "ExampleRow": examples[2].rows[0],
+        "ExampleReport": examples[2],
+    }
+
+
+_INSTANCES = _make()
+_NAMES = sorted(_INSTANCES)
+
+
+def _fields(obj):
+    return type(obj).__match_args__
+
+
+# the sha256 of each instance's repr text, recorded before the records
+# stopped being dataclasses
+_REPR_SHA256 = {
+    "ExampleReport": "22e811aaa1fab5e9fa1f4ce6068989a600c26d448cd2a6bb4dd6cb484d7dd6ce",
+    "ExampleRow": "3d19c9de83d43bb81e9e7424bc1bd3712e915a62696367dd6ca4075474308157",
+    "FuzzConfig": "19c4b5efe57af9583be0fa7e022a5d69f777b982ca6192b6979c67f9b4fe03cc",
+    "FuzzReport": "e927054ca7417a7ea752eb87a360577ecbb7cdc4b7432793ac67142696f5536f",
+    "Interval": "8bb86c2eaea8db570e9e3e74ce28a71cdc7204baa3a31001c972fa112f83f7e5",
+    "MonotonicityProfile": "70b91bb312207a0dbe2eef9e57f011c73366670fe27564f8d5e9d616a04c9bdb",
+    "PreconditionCheck": "16e81eeda273b0c2aaef36728af45d57912f41d5ed397faff47c16bee8402128",
+    "ScanReport": "6685652ff6cc9fbda0aa5628f3f973578635b41e68a27678cde0db2ceaccda9b",
+    "Segment": "fa34528ade1774952b8fd9a7dc356d9827038e321844c1c9ce07a8307ebb08dd",
+    "SegmentDecomposition": "b53f0eee01ed9371ae387728159a762881a94f578f85e0e13aa318b5854740c9",
+    "TheoremSpec": "4f6ab6ae42d9a8cb0f643e9d3afc2bdce849211452a171ed37a9ba53799e764e",
+    "TrialRecord": "7a922a983ea0105060d002293e31ab19e207f1c440c112e83cf071d6099f1a98",
+    "Verdict": "fd369eae319005b38d4a4430b1d271b4d2e555cae64f3c9f7588b320b650df07",
+    "_Sums": "67f6256525ab5d86c08e274750e33e4259765ad97e7e76d1660dbd392c214c5a",
+    "pair Verdict": "d7b0d1a788f5a3fdc787c66d5fa83abbc0b72b64b8313205613ea74631ad8174",
+}
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_repr_text_is_unchanged(name):
+    obj = _INSTANCES[name]
+    assert type(obj).__name__ == name.split()[-1]
+    text = repr(obj)
+    assert hashlib.sha256(text.encode()).hexdigest() == _REPR_SHA256[name], text
+
+
+def test_short_reprs_read_as_before():
+    text = {name: repr(obj) for name, obj in _INSTANCES.items()}
+    assert text["Interval"] == "Interval('1/2', '3')"
+    assert text["PreconditionCheck"] == (
+        "PreconditionCheck(name='last_zero', passed=True, detail='u_5 = [0, 0]')")
+    assert text["_Sums"] == (
+        "_Sums(shape='interval', lhs=((0, 1), (1, 0)), rhs=((0, 1), (1, 1)),"
+        " const=(None, (1, 0)))")
+    assert text["Segment"] == (
+        "Segment(start=3, end=5, profile=MonotonicityProfile("
+        "direction=<Direction.DECREASING: 'decreasing'>,"
+        " mu_direction=<MuDirection.MU_DECREASING: 'mu-decreasing'>, strict=False,"
+        " zero_indices=(5,)))")
+    assert text["TheoremSpec"] == (
+        "TheoremSpec(id=<TheoremId.T3_5: 'T3_5'>, operator=<Operator.NABLA: 'nabla'>,"
+        " arity=1, windowed=False, window_optional=False,"
+        " preconditions=('first_zero', 'last_zero', 'alternate', 'no_other_zero'),"
+        " constant_params=('l1', 'l2', 'm'),"
+        " summary='backward-difference bound for alternating sequences vanishing at"
+        " both ends')")
+
+
+# each record's constructor: its parameters' names, kinds and defaults
+_SIGNATURES = {
+    "Interval": "lo hi",
+    "MonotonicityProfile": "direction mu_direction strict zero_indices",
+    "Segment": "start end profile",
+    "SegmentDecomposition": "breakpoints segments",
+    "PreconditionCheck": "name passed detail=''",
+    "Verdict": "theorem preconditions lhs rhs constant holds ratio in_hypotheses lambda1 lambda2 window notes=()",
+    "TheoremSpec": "id operator arity windowed window_optional preconditions constant_params summary constant_fn sums",
+    "_Sums": "shape lhs rhs const",
+    "FuzzConfig": "theorem trials seed length_range=(2, 12) endpoint_magnitude=100 lambda_range=(1, 4) relax=frozenset()",
+    "TrialRecord": "trial input lambda1 lambda2 window relaxed verdict",
+    "FuzzReport": "config trials_run violations max_ratio max_ratio_witness max_ratio_trial",
+    "ScanReport": "theorem lambda1 lambda2 length bound planned checked admissible violations max_ratio witness witness_window",
+    "ExampleRow": "label engine_lhs engine_rhs reference_lhs reference_rhs match note=''",
+    "ExampleReport": "example theorem description rows match note=''",
+}
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_fields_defaults_and_match_args_are_unchanged(name):
+    cls = type(_INSTANCES[name])
+    params = inspect.signature(cls).parameters.values()
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    got = " ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+                   for p in params)
+    assert got == _SIGNATURES[cls.__name__]
+    assert cls.__match_args__ == tuple(p.name for p in params)
+
+
+def _rebuilt(obj, **changes):
+    values = {f: getattr(obj, f) for f in _fields(obj)}
+    values.update(changes)
+    return type(obj)(*values.values())
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_equality_and_hash_read_the_fields(name):
+    obj = _INSTANCES[name]
+    cls = type(obj)
+    twin = _rebuilt(obj)
+    assert twin is not obj and twin == obj and not twin != obj
+    ignored = ("constant_fn", "sums") if cls.__name__ == "TheoremSpec" else ()
+    compared = tuple(getattr(obj, f) for f in _fields(obj) if f not in ignored)
+    try:
+        key = hash(compared)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(obj)
+    else:
+        assert hash(obj) == hash(twin) == key
+    # another class with the same fields never compares equal
+    sub = type("Sub", (cls,), {})
+    other = sub(*(getattr(obj, f) for f in _fields(obj)))
+    assert other != obj and obj != other
+    assert obj != compared and obj != object()
+    # every compared field takes part, and only those
+    for f in _fields(obj):
+        altered = copy.copy(obj)
+        object.__setattr__(altered, f, object())
+        assert (altered == obj) == (f in ignored), f
+
+
+def test_theorem_spec_ignores_its_functions():
+    spec = _INSTANCES["TheoremSpec"]
+    other = _rebuilt(spec, constant_fn=lambda *a: Fraction(0), sums=lookup("T2_2").sums)
+    assert other == spec and hash(other) == hash(spec) and repr(other) == repr(spec)
+    assert other.constant(1, 1, 2, 5) == 0 != spec.constant(1, 1, 2, 5)
+    assert _rebuilt(spec, summary="x") != spec
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Interval(2, 1), InvalidBounds, "lower bound 2 exceeds upper bound 1"),
+    (lambda: Interval(0.5, 1), NonRational,
+     "refusing float 0.5: pass an int, a Fraction, or an exact string"),
+    (lambda: Interval("1/0", 1), NonRational, "not an exact rational: '1/0'"),
+    (lambda: FuzzConfig("T9_9", 1, 0), ValueError, "'T9_9' is not a valid TheoremId"),
+    (lambda: FuzzConfig("T3_1", 0, 0), ValueError, "trials must be a positive integer"),
+    (lambda: FuzzConfig("T3_1", 1, 1.5), ValueError, "seed must be an integer"),
+    (lambda: FuzzConfig("T3_1", 1, 0, (1, 4)), ValueError,
+     "length_range must satisfy 2 <= min <= max"),
+    (lambda: FuzzConfig("T3_1", 1, 0, endpoint_magnitude=0), ValueError,
+     "endpoint_magnitude must be a positive integer"),
+    (lambda: FuzzConfig("T3_1", 1, 0, lambda_range=(2, 1)), ValueError,
+     "lambda_range must satisfy 1 <= min <= max"),
+    (lambda: FuzzConfig("T3_1", 1, 0, relax={"nope"}), ValueError,
+     "relax names ['nope'] are not preconditions of T3_1"
+     " (valid: ['first_zero', 'monotone', 'mu_increasing'])"),
+], ids=["bounds", "float", "zero-denominator", "theorem", "trials", "seed", "length",
+        "magnitude", "lambdas", "relax"])
+def test_validation_errors_are_unchanged(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_validation_normalizes_fields():
+    config = FuzzConfig("T3_1", 3, 0, [2, 5], 7, [1, 2], ["first_zero"])
+    assert config.theorem is TheoremId.T3_1
+    assert config.length_range == (2, 5) and config.lambda_range == (1, 2)
+    assert config.relax == frozenset({"first_zero"})
+    iv = Interval(1, "3/2")
+    assert (iv.lo, iv.hi) == (Fraction(1), Fraction(3, 2))
+    assert type(iv.lo) is Fraction
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_records_are_frozen(name):
+    obj = _INSTANCES[name]
+    for f in _fields(obj):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{f}'"):
+            setattr(obj, f, None)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{f}'"):
+            delattr(obj, f)
+    assert obj == _rebuilt(obj)
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_copy_deepcopy_and_pickle_round_trips(name):
+    obj = _INSTANCES[name]
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is type(obj)
+        assert twin == obj and repr(twin) == repr(obj)
+        assert all(getattr(twin, f) == getattr(obj, f) for f in _fields(obj))
+    assert copy.copy(obj) is not obj
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_records_are_slotted_and_take_no_new_attribute(name):
+    # (a slotted frozen dataclass raised TypeError here on Python 3.11)
+    obj = _INSTANCES[name]
+    assert not hasattr(obj, "__dict__") and type(obj).__slots__ == _fields(obj)
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'extra'"):
+        obj.extra = 1
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_replace_keeps_the_other_fields(name):
+    obj = _INSTANCES[name]
+    last = _fields(obj)[-1]
+    twin = replace(obj, **{last: copy.deepcopy(getattr(obj, last))})
+    assert type(twin) is type(obj) and twin == obj and twin is not obj
+    assert obj.__replace__() == obj
+    if hasattr(copy, "replace"):
+        assert copy.replace(obj) == obj
+    with pytest.raises(TypeError):
+        replace(obj, no_such_field=1)
+
+
+def test_replace_changes_the_given_fields():
+    verdict = _INSTANCES["Verdict"]
+    changed = replace(verdict, rhs=verdict.rhs + 1, notes=("x",))
+    assert (changed.rhs, changed.notes) == (verdict.rhs + 1, ("x",))
+    assert changed != verdict
+    assert all(getattr(changed, f) is getattr(verdict, f)
+               for f in _fields(verdict) if f not in ("rhs", "notes"))
+
+
+def test_replace_validates_again():
+    config = _INSTANCES["FuzzConfig"]
+    assert replace(config, theorem="T3_1", relax=[]).theorem is TheoremId.T3_1
+    with pytest.raises(ValueError, match="trials must be a positive integer"):
+        replace(config, trials=0)
+    with pytest.raises(InvalidBounds):
+        replace(_INSTANCES["Interval"], lo=4)
