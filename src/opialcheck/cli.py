@@ -431,12 +431,7 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 3
     try:
         return _HANDLERS[args.command](args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (SchemaError, NonRational, OutputTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, TypeError, ArithmeticError, OSError) as exc:
+    except (BudgetExceeded, ValueError, TypeError, ArithmeticError, OSError) as exc:
+        # SchemaError, NonRational and OutputTooLarge among them
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -84,15 +84,10 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@functools.lru_cache(maxsize=256)
 def _plan_at(names, pair, L):
     """theorems._plan of names on the indices 0..L-1 with the window end at
-    the last index: the (name, lo, hi) of each name, and the anchors'
-    indices."""
-    plan, anchors = _plan(names, pair)
-    at = (0, L - 1, L - 1)
-    return (tuple((name, at[lp] + lo, at[hp] + ho) for name, _, _, (lp, lo), (hp, ho) in plan),
-            frozenset(at[p] + o for p, o in anchors))
+    the last index."""
+    return _plan(names, pair, 0, L - 1, L - 1)
 
 
 # -- random generation ------------------------------------------------------
@@ -323,12 +318,7 @@ def _build_pair(names, L, rng, M, base):
         head = (a, b) if rng.random() < 0.5 else (-b, -a)
         pu = [head] + tail
     else:
-        sub = set()
-        if "first_zero" in names:
-            sub.add("first_zero")
-        if "window_end_zero" in names or "last_zero" in names:
-            sub.add("window_end_zero")
-        pu = _alternate_pairs(frozenset(sub), L, rng, M)
+        pu = _alternate_pairs(names & {"first_zero", "last_zero", "window_end_zero"}, L, rng, M)
     pv = [_rand_pair_ints(rng, M) for _ in range(L)]
     allowed = _plan_at(names, True, L)[1]
     for i in allowed:
@@ -510,7 +500,7 @@ def _mutation_sites(names, L):
     stray-zero tests: lo..hi off the anchors) or "element" (lo..hi)."""
     ranges, anchors = _plan_at(names, bool(names & _PAIR_NAMES), L)
     out = {}
-    for name, lo, hi in ranges:
+    for name, _, _, lo, hi in ranges:
         step = _HYPOTHESES[name][2]
         if name in _ANCHOR_AT:
             kind, sites = "anchor", (lo,)
@@ -613,13 +603,6 @@ def _mutate(names, u, v, name, rng, M):
     return True
 
 
-def _run_check(spec, built, l1, l2, window):
-    if spec.arity == 1:
-        return check_single(built, l1, l2, spec.id, window=window)
-    u, v = built
-    return check_pair(u, v, spec.id, window=window)
-
-
 def _relaxed(spec, names, built, relax, rng, L, M):
     """A mutation of built (else of a fresh input of spec's profile names)
     on which every name of relax fails its own test in the hypothesis
@@ -645,13 +628,34 @@ def _relaxed(spec, names, built, relax, rng, L, M):
 
 
 def _kernel_sides(spec, built, l1, l2, window):
-    """The engine's integer sides of a trial (theorems._sides). Like the
-    engine, L3_1 sums with signs only where its first row, degenerate,
-    holds; the other statements' sums do not depend on it."""
+    """The engine's integer sides of a trial (theorems._sides)."""
     u, v = built if spec.arity == 2 else (built, None)
     n, m = _resolve_window(spec, u.first_index, u.last_index, window)
-    real = spec.id is TheoremId.L3_1 and _holds(("degenerate",), u, None, m)
-    return _sides(u, v, None, spec, l1, l2, n, m, real)
+    return _sides(u, v, None, spec, l1, l2, n, m)
+
+
+def _beats(lcd, crhs, bn, bd):
+    """Whether the ratio lcd / crhs raises the running maximum bn / bd of
+    fuzz and ratio_scan, which starts at (-1, 0), below every ratio. The
+    ratio is 0 when both sides are 0 and none when crhs is otherwise <= 0;
+    a relaxed L3_1 trial can give a negative one."""
+    return lcd * bd > bn * crhs if crhs > 0 else lcd == 0 == crhs and bn < 0
+
+
+def _cross_check(spec, built, l1, l2, window, lhs, rhs, relaxed, where):
+    """The verdict of check_single or check_pair on built, which must have
+    the kernel's sides lhs and rhs and be in hypotheses exactly when nothing
+    is relaxed; RuntimeError, naming the check by where(), when it does not.
+    fuzz and ratio_scan run it on every check their reports show."""
+    verdict = (check_single(built, l1, l2, spec.id, window=window) if spec.arity == 1
+               else check_pair(*built, spec.id, window=window))
+    if verdict.in_hypotheses == relaxed or (verdict.lhs, verdict.rhs) != (lhs, rhs):
+        raise RuntimeError(
+            f"kernel and engine disagree for {spec.id.value} at {where()}: kernel lhs {lhs},"
+            f" rhs {rhs}, {'out of' if relaxed else 'in'} hypotheses; engine lhs"
+            f" {verdict.lhs}, rhs {verdict.rhs}, in_hypotheses {verdict.in_hypotheses}"
+        )
+    return verdict
 
 
 def _fuzz_window(spec, rng, base, L):
@@ -700,9 +704,9 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
         lmin = max(lmin, need)
     violations = []
     relaxed = tuple(sorted(relax))
-    # the running maximum bn / bd, reached first at best_trial
+    # the running maximum bn / bd (_beats), reached first at best_trial
     best = best_trial = best_input = None
-    bn, bd = 0, 1
+    bn, bd = -1, 0
     for t in range(config.trials):
         rng = random.Random(f"{config.seed}:{tid.value}:{t}")
         L = _randint(rng, lmin, lmax)
@@ -722,21 +726,11 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
         lhs, rhs, scale, const = _kernel_sides(spec, built, l1, l2, window)
         cd, crhs = const.denominator, const.numerator * rhs
         lcd = lhs * cd
-        if crhs > 0:
-            better = best is None or lcd * bd > bn * crhs
-        else:
-            # the ratio is 0 when both sides are 0, none when only rhs is
-            better = lcd == 0 == crhs and (best is None or bn < 0)
+        better = _beats(lcd, crhs, bn, bd)
         if not (better or lcd > crhs):
             continue
-        verdict = _run_check(spec, built, l1, l2, window)
-        kernel = (Fraction(lhs, scale), Fraction(crhs, cd * scale))
-        if verdict.in_hypotheses == bool(relax) or (verdict.lhs, verdict.rhs) != kernel:
-            raise RuntimeError(
-                f"fuzz kernel and engine disagree for {tid.value} at trial {t}: kernel"
-                f" lhs, rhs {kernel[0]}, {kernel[1]}, {'out of' if relax else 'in'} hypotheses;"
-                f" engine {verdict.lhs}, {verdict.rhs}, in_hypotheses {verdict.in_hypotheses}"
-            )
+        verdict = _cross_check(spec, built, l1, l2, window, Fraction(lhs, scale),
+                               Fraction(crhs, cd * scale), bool(relax), lambda t=t: f"trial {t}")
         if not verdict.holds:
             violations.append(TrialRecord(
                 trial=t, input=built, lambda1=l1, lambda2=l2, window=window,
@@ -763,12 +757,12 @@ class ScanReport:
     """Outcome of ratio_scan.
 
     planned is the full grid times the windows per point, computed before
-    any work; it is what the budget is compared with. checked counts the
-    (point, window) checks decided: every point the walk reaches plus every
-    point of a pruned prefix, once per window, so it equals planned.
-    admissible counts the (point, window) checks in hypotheses, which are
-    exactly the points the walk reaches, in every window; violations counts
-    those whose lhs exceeds rhs. The walk decides both from its exact sums;
+    any work; it is what the budget is compared with. checked is the
+    (point, window) checks decided, and equals planned: every grid point is
+    either reached by the walk or cut off with a failing prefix, in every
+    window. admissible counts the (point, window) checks in hypotheses,
+    which are exactly the points the walk reaches, in every window;
+    violations counts those whose lhs exceeds rhs. The walk decides both from its exact sums;
     the engine judges only what is reported: every violation and every
     point that raises the maximum, and must agree. The witness is the first
     point, in the lexicographic order of the free positions (u before v),
@@ -831,7 +825,7 @@ def _scan_rules(spec, L):
     """
     ranges, anchors = _plan_at(spec.preconditions, spec.arity == 2, L)
     # (whether it reads u only, lo, hi, kind, bits) of each step form
-    tests = [(name == "alternate_u", lo, hi, *form) for name, lo, hi in ranges
+    tests = [(name == "alternate_u", lo, hi, *form) for name, _, _, lo, hi in ranges
              if (form := _HYPOTHESES[name][2]) is not None]
     acc0 = 3
     rules = []
@@ -886,7 +880,7 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     first over the positions u_0..u_{L-1} (then v_0..v_{L-1}), each taking
     its choices in increasing (lo, hi) order: the lexicographic order of
     the free positions, u before v. A prefix that fails a hypothesis (see
-    _scan_rules) is cut off, and its points count as checked in
+    _scan_rules) is cut off, and its points are decided with it in
     every window. The tests are exact, so every point the walk reaches is
     admissible in every window.
 
@@ -950,10 +944,7 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     acc0, rules = _scan_rules(spec, L)
     free = [q for q, rule in enumerate(rules) if not rule[0]]
     n_free = len(free)
-    # rest[k]: the (point, window) checks below one choice at free[k]
-    rest = [n_windows * n_choices ** (n_free - 1 - k) for k in range(n_free)]
     pairs = [(0, 0)] * len(rules)
-    checked = 0
 
     # each window's term ranges and constant, on b = 0 and m = e: its sides
     # are lhs_at[el] - lhs_at[sl] and (cn / cd) * (rhs_at[er] - rhs_at[sr])
@@ -1010,9 +1001,7 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
         # running order bits after them and the terms they complete. An
         # anchor right after free[k] has no choice of its own, so the step
         # into it is tested here; a step between two anchors always passes,
-        # and u_{L-1} to v_0 is no step. The points below a cut choice count
-        # as checked.
-        nonlocal checked
+        # and u_{L-1} to v_0 is no step.
         q = free[k]
         key = (pairs[q - 1], acc)
         opts = memo[k].get(key)
@@ -1033,52 +1022,43 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
                     pairs[q] = pt
                     opts.append((pt, a, terms(fills[k])))
             memo[k][key] = opts
-        checked += (n_choices - len(opts)) * rest[k]
         return opts
 
     points = violations = 0
-    # the running maximum bn / bd; bn = -1 while there is none
-    bn, bd = -1, 1
+    # the running maximum bn / bd (_beats)
+    bn, bd = -1, 0
     best = best_input = best_window = None
 
-    def judge(lhs, rhs, cn, cd, window):
-        # the engine's verdict on the current point, which must be in
-        # hypotheses with the sides the kernel summed
-        u = _to_sequence(pairs[:L], 1)
-        built = u if arity == 1 else (u, _to_sequence(pairs[L:], 1))
-        verdict = _run_check(spec, built, l1, l2, window)
-        kernel_rhs = Fraction(cn * rhs, cd)
-        if not (verdict.in_hypotheses and verdict.lhs == lhs and verdict.rhs == kernel_rhs):
-            point = pairs[:L] if arity == 1 else (pairs[:L], pairs[L:])
-            raise RuntimeError(
-                f"scan kernel and engine disagree for {tid.value} at {point}, "
-                f"window {window}: kernel lhs {lhs}, rhs {kernel_rhs}, in hypotheses; "
-                f"engine lhs {verdict.lhs}, rhs {verdict.rhs}, "
-                f"in_hypotheses {verdict.in_hypotheses}"
-            )
-        return built, verdict
-
-    def at_point():
-        # every window of the current point; only a violation or a new
-        # maximum reaches the engine
+    def at_points(q, opts):
+        # every window of each point that a choice of opts at the last free
+        # position q completes; only a violation or a new maximum reaches
+        # the engine
         nonlocal points, violations, bn, bd, best, best_input, best_window
-        points += 1
-        for sl, el, sr, er, cn, cd, window in frames:
-            lhs = lhs_at[el] - lhs_at[sl]
-            rhs = rhs_at[er] - rhs_at[sr]
-            lcd, crhs = lhs * cd, cn * rhs
-            # ratio lcd / crhs; 0 when both sides are 0, none when only rhs is
-            better = lcd * bd > bn * crhs if crhs else (not lhs and bn < 0)
-            if better or lcd > crhs:
-                built, verdict = judge(lhs, rhs, cn, cd, window)
-                violations += not verdict.holds
-                if better:
-                    best, best_input, best_window = verdict.ratio, built, window
-                    bn, bd = best.numerator, best.denominator
+        points += len(opts)
+        for pt, _, completed_terms in opts:
+            pairs[q] = pt
+            add(completed_terms)
+            for sl, el, sr, er, cn, cd, window in frames:
+                lhs = lhs_at[el] - lhs_at[sl]
+                rhs = rhs_at[er] - rhs_at[sr]
+                lcd, crhs = lhs * cd, cn * rhs
+                better = _beats(lcd, crhs, bn, bd)
+                if better or lcd > crhs:
+                    u = _to_sequence(pairs[:L], 1)
+                    built = u if arity == 1 else (u, _to_sequence(pairs[L:], 1))
+                    verdict = _cross_check(
+                        spec, built, l1, l2, window, Fraction(lhs), Fraction(crhs, cd), False,
+                        lambda: f"{pairs[:L] if arity == 1 else (pairs[:L], pairs[L:])},"
+                                f" window {window}")
+                    violations += not verdict.holds
+                    if better:
+                        best, best_input, best_window = verdict.ratio, built, window
+                        bn, bd = best.numerator, best.denominator
 
     if not free:
-        # a single sequence of length 2 anchored at both ends
-        at_point()
+        # a single sequence of length 2 anchored at both ends: one point,
+        # whose terms are added above; u_0 keeps its anchor
+        at_points(0, [((0, 0), acc0, [])])
     else:
         last, q_last = n_free - 1, free[-1]
         stack = []
@@ -1088,10 +1068,7 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
                 stack.append(iter(options(len(stack), acc)))
             else:
                 # the choices left at the last free position complete points
-                for pt, _, completed_terms in options(last, acc):
-                    pairs[q_last] = pt
-                    add(completed_terms)
-                    at_point()
+                at_points(q_last, options(last, acc))
             # take the next choice at the deepest position that has one left
             while stack:
                 step = next(stack[-1], None)
@@ -1115,7 +1092,7 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
         length=L,
         bound=bound,
         planned=planned,
-        checked=checked + points * n_windows,
+        checked=planned,
         admissible=points * n_windows,
         violations=violations,
         max_ratio=best if best is not None else Fraction(0),

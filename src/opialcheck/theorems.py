@@ -34,9 +34,9 @@ engine's sides, lhs_terms and the scan's walk all read it.
 
 A term depends on the operator's step, the exponents and the signs, and a
 hypothesis row on its name and range, not on the statement. So the engine
-reads both from an _Analysis of its input, which keeps each once: the CLI's
-discovery shares one across every statement it checks on a document, and a
-call on its own makes a fresh one.
+reads both from an _Analysis of its input, which keeps each once: the CLI
+shares one across every statement it checks on a document, with each term
+list over the whole input, and a call on its own sums exactly its ranges.
 """
 
 from __future__ import annotations
@@ -295,21 +295,6 @@ def _frame(spec, b, e, n, m, l1, l2):
                              None if cm is None else at[cm[0]] - at[cm[1]]))
 
 
-def _spec(tid, op, arity, windowed, window_optional, pre, params, fn, summary, sums):
-    return TheoremSpec(
-        id=tid,
-        operator=op,
-        arity=arity,
-        windowed=windowed,
-        window_optional=window_optional,
-        preconditions=pre,
-        constant_params=params,
-        summary=summary,
-        constant_fn=fn,
-        sums=sums,
-    )
-
-
 _N = Operator.NABLA
 _D = Operator.DELTA
 _C = Operator.CLASSICAL_FORWARD
@@ -317,91 +302,74 @@ _C = Operator.CLASSICAL_FORWARD
 _REGISTRY = {
     s.id: s
     for s in (
-        _spec(TheoremId.T2_2, _C, 1, False, False,
-              ("degenerate", "first_zero", "last_zero"),
-              ("n",), _c_classical,
-              "classical forward-difference bound for real sequences vanishing at both ends",
-              _sums("real", "b+1:e", "b:e", "n=e-b")),
-        _spec(TheoremId.L3_1, _N, 1, False, False,
-              ("degenerate", "first_zero", "nonnegative", "nondecreasing"),
-              ("l1", "l2", "n"), _c_opial,
-              "signed real bound for non-negative non-decreasing sequences anchored at zero",
-              _sums("real", "b+1:e+1", "b+1:e+1", "n=e-b")),
-        _spec(TheoremId.L3_01, _N, 1, False, False,
-              ("degenerate", "first_zero"),
-              ("l1", "l2", "n"), _c_opial,
-              "absolute-value real bound anchored at zero, no monotonicity required",
-              _sums("real", "b+1:e+1", "b+1:e+1", "n=e-b")),
-        _spec(TheoremId.L3_02, _N, 1, True, False,
-              ("degenerate", "window_end_zero"),
-              ("l1", "l2", "n", "m"), _c_opial_window,
-              "windowed absolute-value real bound vanishing at the window end",
-              _sums("real", "n:m", "n:m+1", "n=n m=m")),
-        _spec(TheoremId.T3_1, _N, 1, False, False,
-              ("first_zero", "monotone", "mu_increasing"),
-              ("l1", "l2", "n"), _c_opial,
-              "backward-difference bound for monotone mu-increasing sequences anchored at zero",
-              _sums("interval", "b+1:e+1", "b+1:e+1", "n=e-b")),
-        _spec(TheoremId.T3_2, _N, 1, True, False,
-              ("window_end_zero", "monotone", "mu_decreasing"),
-              ("l1", "l2", "n", "m"), _c_opial_window,
-              "windowed backward-difference bound for monotone mu-decreasing sequences",
-              _sums("interval", "n:m", "n:m+1", "n=n m=m")),
-        _spec(TheoremId.T3_3, _N, 1, False, False,
-              ("first_zero", "alternate", "no_other_zero"),
-              ("l1", "l2", "n"), _c_opial,
-              "backward-difference bound for piecewise alternating sequences anchored at zero",
-              _sums("interval", "b+1:e+1", "b+1:e+1", "n=e-b")),
-        _spec(TheoremId.T3_4, _N, 1, True, False,
-              ("window_end_zero", "alternate", "no_other_zero"),
-              ("l1", "l2", "n", "m"), _c_opial_window,
-              "windowed backward-difference bound for piecewise alternating sequences",
-              _sums("interval", "n:m", "n:m+1", "n=n m=m")),
-        _spec(TheoremId.T3_5, _N, 1, False, False,
-              ("first_zero", "last_zero", "alternate", "no_other_zero"),
-              ("l1", "l2", "m"), _c_opial_half,
-              "backward-difference bound for alternating sequences vanishing at both ends",
-              _sums("interval", "b+1:e", "b+1:e+1", "m=e-b")),
-        _spec(TheoremId.T3_6, _N, 2, False, False,
-              ("first_zero", "synchronous", "mu_increasing"),
-              ("n",), _c_pair_count,
-              "pair product-rule bound for synchronous mu-increasing sequences anchored at zero",
-              _sums("pair", "b+1:e+1", "b+1:e+1", "n=e-b")),
-        _spec(TheoremId.T3_7, _N, 2, True, False,
-              ("window_end_zero", "synchronous", "mu_decreasing"),
-              ("n", "m"), _c_pair_window,
-              "windowed pair bound for synchronous mu-decreasing sequences",
-              _sums("pair", "n+1:m+1", "n+1:m+1", "n=n m=m")),
-        _spec(TheoremId.T3_8, _N, 2, False, True,
-              ("first_zero", "alternate_u", "no_other_joint_zero"),
-              ("n",), _c_pair_count,
-              "pair bound with alternating first sequence, both anchored at zero",
-              _sums("pair", "b+1:n+1", "b+1:n+1", "n=n-b")),
-        _spec(TheoremId.T3_9, _N, 2, True, False,
-              ("window_end_zero", "alternate_u", "no_other_joint_zero"),
-              ("n", "m"), _c_pair_window,
-              "windowed pair bound with alternating first sequence, vanishing at the window end",
-              _sums("pair", "n+1:m+1", "n+1:m+1", "n=n m=m")),
-        _spec(TheoremId.T3_10, _N, 2, False, False,
-              ("second_zero", "last_zero", "alternate_u", "no_other_joint_zero"),
-              ("m",), _c_pair_half,
-              "pair bound anchored at the second and the last index",
-              _sums("pair", "b+1:e+1", "b+1:e+1", "m=e-b")),
-        _spec(TheoremId.T4_1, _D, 1, False, False,
-              ("first_zero", "monotone", "mu_increasing"),
-              ("l1", "l2", "n"), _c_opial,
-              "forward-difference version of the monotone mu-increasing bound",
-              _sums("interval", "b:e", "b:e", "n=e-b")),
-        _spec(TheoremId.T4_2, _D, 1, True, False,
-              ("window_end_zero", "monotone", "mu_decreasing"),
-              ("l1", "l2", "n", "m"), _c_opial_window,
-              "forward-difference version of the windowed mu-decreasing bound",
-              _sums("interval", "n:m", "n-1:m", "n=n m=m")),
-        _spec(TheoremId.T4_5, _D, 1, False, False,
-              ("first_zero", "last_zero", "alternate", "no_other_zero"),
-              ("l1", "l2", "m"), _c_opial_half,
-              "forward-difference version of the two-end alternating bound",
-              _sums("interval", "b+1:e", "b:e", "m=e-b")),
+        TheoremSpec(TheoremId.T2_2, _C, 1, False, False,
+            ("degenerate", "first_zero", "last_zero"), ("n",),
+            "classical forward-difference bound for real sequences vanishing at both ends",
+            _c_classical, _sums("real", "b+1:e", "b:e", "n=e-b")),
+        TheoremSpec(TheoremId.L3_1, _N, 1, False, False,
+            ("degenerate", "first_zero", "nonnegative", "nondecreasing"), ("l1", "l2", "n"),
+            "signed real bound for non-negative non-decreasing sequences anchored at zero",
+            _c_opial, _sums("real", "b+1:e+1", "b+1:e+1", "n=e-b")),
+        TheoremSpec(TheoremId.L3_01, _N, 1, False, False,
+            ("degenerate", "first_zero"), ("l1", "l2", "n"),
+            "absolute-value real bound anchored at zero, no monotonicity required",
+            _c_opial, _sums("real", "b+1:e+1", "b+1:e+1", "n=e-b")),
+        TheoremSpec(TheoremId.L3_02, _N, 1, True, False,
+            ("degenerate", "window_end_zero"), ("l1", "l2", "n", "m"),
+            "windowed absolute-value real bound vanishing at the window end",
+            _c_opial_window, _sums("real", "n:m", "n:m+1", "n=n m=m")),
+        TheoremSpec(TheoremId.T3_1, _N, 1, False, False,
+            ("first_zero", "monotone", "mu_increasing"), ("l1", "l2", "n"),
+            "backward-difference bound for monotone mu-increasing sequences anchored at zero",
+            _c_opial, _sums("interval", "b+1:e+1", "b+1:e+1", "n=e-b")),
+        TheoremSpec(TheoremId.T3_2, _N, 1, True, False,
+            ("window_end_zero", "monotone", "mu_decreasing"), ("l1", "l2", "n", "m"),
+            "windowed backward-difference bound for monotone mu-decreasing sequences",
+            _c_opial_window, _sums("interval", "n:m", "n:m+1", "n=n m=m")),
+        TheoremSpec(TheoremId.T3_3, _N, 1, False, False,
+            ("first_zero", "alternate", "no_other_zero"), ("l1", "l2", "n"),
+            "backward-difference bound for piecewise alternating sequences anchored at zero",
+            _c_opial, _sums("interval", "b+1:e+1", "b+1:e+1", "n=e-b")),
+        TheoremSpec(TheoremId.T3_4, _N, 1, True, False,
+            ("window_end_zero", "alternate", "no_other_zero"), ("l1", "l2", "n", "m"),
+            "windowed backward-difference bound for piecewise alternating sequences",
+            _c_opial_window, _sums("interval", "n:m", "n:m+1", "n=n m=m")),
+        TheoremSpec(TheoremId.T3_5, _N, 1, False, False,
+            ("first_zero", "last_zero", "alternate", "no_other_zero"), ("l1", "l2", "m"),
+            "backward-difference bound for alternating sequences vanishing at both ends",
+            _c_opial_half, _sums("interval", "b+1:e", "b+1:e+1", "m=e-b")),
+        TheoremSpec(TheoremId.T3_6, _N, 2, False, False,
+            ("first_zero", "synchronous", "mu_increasing"), ("n",),
+            "pair product-rule bound for synchronous mu-increasing sequences anchored at zero",
+            _c_pair_count, _sums("pair", "b+1:e+1", "b+1:e+1", "n=e-b")),
+        TheoremSpec(TheoremId.T3_7, _N, 2, True, False,
+            ("window_end_zero", "synchronous", "mu_decreasing"), ("n", "m"),
+            "windowed pair bound for synchronous mu-decreasing sequences",
+            _c_pair_window, _sums("pair", "n+1:m+1", "n+1:m+1", "n=n m=m")),
+        TheoremSpec(TheoremId.T3_8, _N, 2, False, True,
+            ("first_zero", "alternate_u", "no_other_joint_zero"), ("n",),
+            "pair bound with alternating first sequence, both anchored at zero",
+            _c_pair_count, _sums("pair", "b+1:n+1", "b+1:n+1", "n=n-b")),
+        TheoremSpec(TheoremId.T3_9, _N, 2, True, False,
+            ("window_end_zero", "alternate_u", "no_other_joint_zero"), ("n", "m"),
+            "windowed pair bound with alternating first sequence, vanishing at the window end",
+            _c_pair_window, _sums("pair", "n+1:m+1", "n+1:m+1", "n=n m=m")),
+        TheoremSpec(TheoremId.T3_10, _N, 2, False, False,
+            ("second_zero", "last_zero", "alternate_u", "no_other_joint_zero"), ("m",),
+            "pair bound anchored at the second and the last index",
+            _c_pair_half, _sums("pair", "b+1:e+1", "b+1:e+1", "m=e-b")),
+        TheoremSpec(TheoremId.T4_1, _D, 1, False, False,
+            ("first_zero", "monotone", "mu_increasing"), ("l1", "l2", "n"),
+            "forward-difference version of the monotone mu-increasing bound",
+            _c_opial, _sums("interval", "b:e", "b:e", "n=e-b")),
+        TheoremSpec(TheoremId.T4_2, _D, 1, True, False,
+            ("window_end_zero", "monotone", "mu_decreasing"), ("l1", "l2", "n", "m"),
+            "forward-difference version of the windowed mu-decreasing bound",
+            _c_opial_window, _sums("interval", "n:m", "n-1:m", "n=n m=m")),
+        TheoremSpec(TheoremId.T4_5, _D, 1, False, False,
+            ("first_zero", "last_zero", "alternate", "no_other_zero"), ("l1", "l2", "m"),
+            "forward-difference version of the two-end alternating bound",
+            _c_opial_half, _sums("interval", "b+1:e", "b:e", "m=e-b")),
     )
 }
 
@@ -421,14 +389,14 @@ class _Analysis:
     fact computed once for all of them: the integer term lists (_terms),
     the reported hypothesis rows (_rows), a pair's notes on v's profile
     (check_pair) and the size guard's verdict (_guard). check_single and
-    check_pair take one as _analysis, and None gives a fresh one, so a call
-    on its own computes only what it reads."""
+    check_pair take one as _analysis; without one a call computes only what
+    it reads, and keeps no terms."""
 
     __slots__ = ("u", "v", "terms", "rows", "notes", "admitted")
 
     def __init__(self, u, v=None):
         self.u, self.v = u, v
-        self.terms = {}   # (nabla, l1, l2, signed) -> (first index, [(lhs, rhs)])
+        self.terms = {}   # (nabla, l1, l2, signed) -> [(lhs, rhs)] over the whole input
         self.rows = {}    # (name, lo, hi[, anchors]) -> PreconditionCheck
         self.notes = {}   # (first, last) -> _v_profile_note of v on first..last
         self.admitted = set()  # exponent pairs (l1, l2) the size guard passed
@@ -617,32 +585,33 @@ _ANCHOR_AT = {"first_zero": (0, 0), "second_zero": (0, 1), "last_zero": (1, 0),
 _SHIFTED = frozenset({"monotone", "mu_increasing", "mu_decreasing", "alternate", "no_other_zero"})
 
 
-@functools.cache
-def _plan(names, pair):
-    """(name, holds, detail, lo, hi) for each of names, in order, each end
-    a (position in (b, e, m), offset); and the anchors' positions. An anchor
-    reads its own index, every other name the first index (one later if
-    _SHIFTED applies) to the window end m."""
+# bounded: the inputs in use recur (a fuzzed statement's lengths and bases,
+# a scan's length), and an unbounded cache would grow with every document
+@functools.lru_cache(maxsize=128)
+def _plan(names, pair, b, e, m):
+    """(name, holds, detail, lo, hi) for each of names, in order, on a
+    sequence (a pair if pair) over the indices b..e with the window end m;
+    and the frozenset of the anchors' indices. An anchor reads its own
+    index, every other name the first index (one later if _SHIFTED applies)
+    to m."""
     start_only = (not pair and "first_zero" in names
                   and "last_zero" not in names and "window_end_zero" not in names)
+    at = (b, e, m)
     plan = []
     for name in names:
-        lo = hi = _ANCHOR_AT.get(name)
-        if lo is None:
-            lo, hi = (0, int(start_only and name in _SHIFTED)), (2, 0)
         holds, detail, _ = _HYPOTHESES[name]
+        if name in _ANCHOR_AT:
+            p, o = _ANCHOR_AT[name]
+            lo = hi = at[p] + o
+        else:
+            lo, hi = b + (start_only and name in _SHIFTED), m
         plan.append((name, holds, detail, lo, hi))
-    return tuple(plan), tuple(_ANCHOR_AT[n] for n in names if n in _ANCHOR_AT)
+    return tuple(plan), frozenset(lo for name, _, _, lo, _ in plan if name in _ANCHOR_AT)
 
 
 def _hypotheses(names, u, v, m):
-    """(name, holds, detail, lo, hi) of each of names on u (and v) with the
-    window end m, and the set of anchor indices."""
-    plan, anchors = _plan(names, v is not None)
-    at = (u.base_index, u.base_index + len(u.lows) - 1, m)
-    return ([(name, holds, detail, at[lp] + lo, at[hp] + ho)
-             for name, holds, detail, (lp, lo), (hp, ho) in plan],
-            {at[p] + o for p, o in anchors})
+    """_plan of names on u (and v) with the window end m."""
+    return _plan(names, v is not None, u.base_index, u.base_index + len(u.lows) - 1, m)
 
 
 def _holds(names, u, v, m):
@@ -668,7 +637,7 @@ def _rows(an, names, m):
     hyps, allowed = _hypotheses(names, u, v, m)
     out = []
     for name, holds, detail, lo, hi in hyps:
-        key = (name, lo, hi, frozenset(allowed)) if name in _READS_ANCHORS else (name, lo, hi)
+        key = (name, lo, hi, allowed) if name in _READS_ANCHORS else (name, lo, hi)
         row = cache.get(key)
         if row is None:
             row = cache[key] = _pc_row(name, holds(u, v, lo, hi, allowed), detail,
@@ -778,41 +747,36 @@ def _term_list(u, v, nabla, l1, l2, signed, lo, hi):
                     repeat(l1), repeat(l2), repeat(nabla)))
 
 
-def _terms(u, v, cache, spec, l1, l2, n, m, real):
+def _terms(u, v, cache, spec, l1, l2, n, m, degenerate=None):
     """(lhs_rng, rhs_rng, const, start, terms, scale) on u (and v) in the
-    window (n, m): the ranges and constant of _frame, and
-    the integer (lhs, rhs) term of each index start, start + 1, ..., at
-    least up to the end of the later range from the earlier start. Each
-    term over scale is the exact rational one: scale is D^(l1+l2) for a
-    single sequence, D^2 with D = lcm(Du, Dv) for a pair. real marks a
-    real statement's degenerate input, on which L3_1 sums with signs.
+    window (n, m): the ranges and constant of _frame, and the integer
+    (lhs, rhs) term of each index start, start + 1, ..., up to at least the
+    end of both ranges. Each term over scale is the exact rational one:
+    scale is D^(l1+l2) for a single sequence, D^2 with D = lcm(Du, Dv) for
+    a pair. L3_1 sums with signs exactly on degenerate input; degenerate is
+    its first row's result when the caller has it, and None tests it here.
 
     The terms depend only on the operator's step (nabla or forward), the
     exponents and the signs, not on the statement: cache, an analysis's
-    terms, keeps one list per such key and grows it to the union of the
-    indices asked for. Without a cache (None) the terms are exactly the
-    statement's indices, kept nowhere."""
+    terms, keeps one list per such key over the whole input (nabla indices
+    b+1..e, forward b..e-1), which holds every statement's ranges. Without
+    a cache (None) the terms are exactly the statement's indices, kept
+    nowhere."""
     b = u.base_index
-    lhs_rng, rhs_rng, const = _frame(spec, b, b + len(u.lows) - 1, n, m, l1, l2)
-    lo, hi = min(lhs_rng.start, rhs_rng.start), max(lhs_rng.stop, rhs_rng.stop)
+    e = b + len(u.lows) - 1
+    lhs_rng, rhs_rng, const = _frame(spec, b, e, n, m, l1, l2)
     nabla = spec.operator is Operator.NABLA
-    signed = real and spec.id is TheoremId.L3_1
-    key = (nabla, l1, l2, signed)
-    have = None if cache is None else cache.get(key)
-    if have is None:
-        start, terms = lo, _term_list(u, v, nabla, l1, l2, signed, lo, hi)
-        if cache is not None:
-            cache[key] = start, terms
+    signed = spec.id is TheoremId.L3_1 and (
+        _holds(("degenerate",), u, None, m) if degenerate is None else degenerate)
+    if cache is None:
+        start = min(lhs_rng.start, rhs_rng.start)
+        terms = _term_list(u, v, nabla, l1, l2, signed, start,
+                           max(lhs_rng.stop, rhs_rng.stop))
     else:
-        start, terms = have
-        stop = start + len(terms)
-        if lo < start or hi > stop:
-            if lo < start:
-                terms = _term_list(u, v, nabla, l1, l2, signed, lo, start) + terms
-                start = lo
-            if hi > stop:
-                terms = terms + _term_list(u, v, nabla, l1, l2, signed, stop, hi)
-            cache[key] = start, terms
+        key, start = (nabla, l1, l2, signed), b + nabla
+        terms = cache.get(key)
+        if terms is None:
+            terms = cache[key] = _term_list(u, v, nabla, l1, l2, signed, start, e + nabla)
     scale = u.D ** (l1 + l2) if v is None else math.lcm(u.D, v.D) ** 2
     return lhs_rng, rhs_rng, const, start, terms, scale
 
@@ -820,11 +784,12 @@ def _terms(u, v, cache, spec, l1, l2, n, m, real):
 _LHS, _RHS = operator.itemgetter(0), operator.itemgetter(1)
 
 
-def _sides(u, v, cache, spec, l1, l2, n, m, real):
+def _sides(u, v, cache, spec, l1, l2, n, m, degenerate=None):
     """(lhs, rhs, scale, const): the sides are lhs / scale and
-    const * rhs / scale on u (and v) in the window (n, m); cache and real
-    as in _terms."""
-    lhs_rng, rhs_rng, const, start, terms, scale = _terms(u, v, cache, spec, l1, l2, n, m, real)
+    const * rhs / scale on u (and v) in the window (n, m); cache and
+    degenerate as in _terms."""
+    lhs_rng, rhs_rng, const, start, terms, scale = _terms(u, v, cache, spec, l1, l2, n, m,
+                                                          degenerate)
     return (sum(map(_LHS, terms[lhs_rng.start - start:lhs_rng.stop - start])),
             sum(map(_RHS, terms[rhs_rng.start - start:rhs_rng.stop - start])), scale, const)
 
@@ -892,33 +857,9 @@ def _guard(an, l1, l2):
     an.admitted.add((l1, l2))
 
 
-def _verdict(spec, pre, lhs, rhs, scale, const, l1, l2, window, notes):
-    # the sides are lhs / scale and const * rhs / scale; compared, and
-    # divided into the ratio, on ints: 0 when both sides are 0, none when
-    # only rhs is
-    cd = const.denominator
-    lcd, crhs = lhs * cd, const.numerator * rhs
-    ratio = Fraction(lcd, crhs) if crhs > 0 else (Fraction(0) if lcd == 0 == crhs else None)
-    return Verdict(
-        theorem=spec.id,
-        preconditions=pre,
-        lhs=Fraction(lhs, scale),
-        rhs=Fraction(crhs, cd * scale),
-        constant=const,
-        holds=lcd <= crhs,
-        ratio=ratio,
-        in_hypotheses=all(p.passed for p in pre),
-        lambda1=l1,
-        lambda2=l2,
-        window=window,
-        notes=notes,
-    )
-
-
 def _window_of(spec, an, l1, l2, window):
     """The window (n, m) of spec on the analysis an's sequences, after the
-    argument checks and the size guard that check_single, check_pair and
-    lhs_terms share."""
+    argument checks and the size guard that _check and lhs_terms share."""
     u, v = an.u, an.v
     if v is None:
         _check_lambdas(spec, l1, l2)
@@ -936,13 +877,59 @@ def _window_of(spec, an, l1, l2, window):
     return window
 
 
-def _analysis_of(an, u, v):
-    # the caller's analysis, which must be of u (and v), or a fresh one
+def _v_profile_note(v, first, last):
+    p = v.window(first, last).classify()
+    return (
+        f"v on [{first}, {last}] classifies as {p.direction.value}, "
+        f"{p.mu_direction.value} (recorded, not required)"
+    )
+
+
+def _check(spec, u, v, l1, l2, window, names, notes, an):
+    """The verdict of spec on u (and v, for a pair) with the hypotheses
+    names, after the given notes. an is the caller's analysis, which must
+    be of u (and v); a call without one computes exactly its own terms."""
+    cache = None if an is None else an.terms
     if an is None:
-        return _Analysis(u, v)
-    if an.u is not u or an.v is not v:
+        an = _Analysis(u, v)
+    elif an.u is not u or an.v is not v:
         raise ValueError("_analysis is of another input")
-    return an
+    n, m = _window_of(spec, an, l1, l2, window)
+    pre = _rows(an, names, m)
+    # the real statements' first row is degenerate; off it, a note, and
+    # L3_1 sums norms instead of signed terms
+    degenerate = None
+    if spec.sums.shape == "real":
+        degenerate = pre[0].passed
+        if not degenerate:
+            notes.append("non-degenerate input: evaluated with interval norms")
+    if "alternate_u" in names:
+        key = (u.first_index, m)
+        note = an.notes.get(key)
+        if note is None:
+            note = an.notes[key] = _v_profile_note(v, *key)
+        notes.append(note)
+    lhs, rhs, scale, const = _sides(u, v, cache, spec, l1, l2, n, m, degenerate)
+    # the sides are lhs / scale and const * rhs / scale; compared, and
+    # divided into the ratio, on ints: 0 when both sides are 0, none when
+    # only rhs is
+    cd = const.denominator
+    lcd, crhs = lhs * cd, const.numerator * rhs
+    return Verdict(
+        theorem=spec.id,
+        preconditions=pre,
+        lhs=Fraction(lhs, scale),
+        rhs=Fraction(crhs, cd * scale),
+        constant=const,
+        holds=lcd <= crhs,
+        ratio=(Fraction(lcd, crhs) if crhs > 0
+               else Fraction(0) if lcd == 0 == crhs else None),
+        in_hypotheses=all(p.passed for p in pre),
+        lambda1=l1,
+        lambda2=l2,
+        window=(n, m) if spec.windowed or spec.window_optional else None,
+        notes=tuple(notes),
+    )
 
 
 def check_single(seq: IntervalSequence, l1: int, l2: int, theorem, window=None,
@@ -958,26 +945,7 @@ def check_single(seq: IntervalSequence, l1: int, l2: int, theorem, window=None,
     spec = lookup(theorem)
     if spec.arity != 1:
         raise ArityMismatch(f"{spec.id.value} compares a pair of sequences; use check_pair")
-    an = _analysis_of(_analysis, seq, None)
-    n, m = _window_of(spec, an, l1, l2, window)
-    pre = _rows(an, spec.preconditions, m)
-    # the real statements' first row is degenerate; off it, a note, and
-    # L3_1 sums norms instead of signed terms
-    real = spec.sums.shape == "real"
-    notes = ()
-    if real and not pre[0].passed:
-        notes, real = ("non-degenerate input: evaluated with interval norms",), False
-    lhs, rhs, scale, const = _sides(seq, None, an.terms, spec, l1, l2, n, m, real)
-    win_echo = (n, m) if spec.windowed else None
-    return _verdict(spec, pre, lhs, rhs, scale, const, l1, l2, win_echo, notes)
-
-
-def _v_profile_note(v, first, last):
-    p = v.window(first, last).classify()
-    return (
-        f"v on [{first}, {last}] classifies as {p.direction.value}, "
-        f"{p.mu_direction.value} (recorded, not required)"
-    )
+    return _check(spec, seq, None, l1, l2, window, spec.preconditions, [], _analysis)
 
 
 def check_pair(u: IntervalSequence, v: IntervalSequence, theorem, window=None,
@@ -992,25 +960,13 @@ def check_pair(u: IntervalSequence, v: IntervalSequence, theorem, window=None,
     spec = lookup(theorem)
     if spec.arity != 2:
         raise ArityMismatch(f"{spec.id.value} takes a single sequence; use check_single")
-    if alt_boundary and spec.id is not TheoremId.T3_10:
-        raise ValueError("alt_boundary applies only to T3_10")
-    an = _analysis_of(_analysis, u, v)
-    n, m = _window_of(spec, an, None, None, window)
-    names = spec.preconditions
-    notes = []
+    names, notes = spec.preconditions, []
     if alt_boundary:
+        if spec.id is not TheoremId.T3_10:
+            raise ValueError("alt_boundary applies only to T3_10")
         names = tuple("first_zero" if p == "second_zero" else p for p in names)
         notes.append("alternate boundary mode: anchors at the first and last index")
-    pre = _rows(an, names, m)
-    if "alternate_u" in names:
-        key = (u.first_index, m)
-        note = an.notes.get(key)
-        if note is None:
-            note = an.notes[key] = _v_profile_note(v, *key)
-        notes.append(note)
-    lhs, rhs, scale, const = _sides(u, v, an.terms, spec, None, None, n, m, False)
-    win_echo = (n, m) if (spec.windowed or spec.window_optional) else None
-    return _verdict(spec, pre, lhs, rhs, scale, const, None, None, win_echo, tuple(notes))
+    return _check(spec, u, v, None, None, window, names, notes, _analysis)
 
 
 def check_classical(seq) -> Verdict:
@@ -1054,8 +1010,7 @@ def lhs_terms(seq, l1, l2, theorem, window=None):
     u, v = seq if pair else (seq, None)
     # without a cache, the terms are exactly the union of the two ranges
     n, m = _window_of(spec, _Analysis(u, v), l1, l2, window)
-    real = spec.sums.shape == "real" and _holds(("degenerate",), u, None, m)
-    lhs_rng, rhs_rng, _, start, terms, scale = _terms(u, v, None, spec, l1, l2, n, m, real)
+    lhs_rng, rhs_rng, _, start, terms, scale = _terms(u, v, None, spec, l1, l2, n, m)
     return [(i, Fraction(tl, scale) if i in lhs_rng else None,
              Fraction(tr, scale) if i in rhs_rng else None)
             for i, (tl, tr) in enumerate(terms, start)]

@@ -602,6 +602,49 @@ def test_shared_analysis_refuses_another_input(ex33):
         check_pair(ex33, ex33, "T3_6", _analysis=analysis)
 
 
+def _record_term_lists(monkeypatch):
+    calls = []
+    real = theorems._term_list
+
+    def recording(u, v, nabla, l1, l2, signed, lo, hi):
+        calls.append(((nabla, l1, l2, signed), lo, hi))
+        return real(u, v, nabla, l1, l2, signed, lo, hi)
+
+    monkeypatch.setattr(theorems, "_term_list", recording)
+    return calls
+
+
+def test_shared_analysis_keeps_one_whole_input_term_list(monkeypatch):
+    # a windowed T3_2 check and then T3_1, both nabla at the same exponents,
+    # read one list over every nabla index b+1..e, built once
+    u = seq([(0, 0), (1, 2), (2, 4), (3, 5), (2, 3), (1, 1), (0, 0)], base=2)
+    calls = _record_term_lists(monkeypatch)
+    analysis = theorems._Analysis(u)
+    windowed = check_single(u, 2, 1, "T3_2", window=(5, 8), _analysis=analysis)
+    whole = check_single(u, 2, 1, "T3_1", _analysis=analysis)
+    assert calls == [((True, 2, 1, False), 3, 9)]
+    assert windowed == check_single(u, 2, 1, "T3_2", window=(5, 8))
+    assert whole == check_single(u, 2, 1, "T3_1")
+
+
+def test_standalone_windowed_check_computes_only_its_window(monkeypatch):
+    # T3_2 in the window (50, 63) of 64 elements sums the indices 50..63:
+    # 14 terms, not the 63 of the whole input
+    u = IntervalSequence._from_ints(1, list(range(63, -1, -1)), [2 * k for k in range(63, -1, -1)],
+                                    0)
+    steps = []
+    real = theorems._step_term
+
+    def counted(*args):
+        steps.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(theorems, "_step_term", counted)
+    verdict = check_single(u, 1, 2, "T3_2", window=(50, 63))
+    assert len(steps) == 14
+    assert verdict.window == (50, 63) and verdict.lhs > 0
+
+
 # -- the size guard ---------------------------------------------------------------
 
 
