@@ -13,6 +13,7 @@ has, over its fields in the order the body annotates them:
   ``__hash__``, over the tuple of field values (so a record needs at least
   two fields that take part);
 - the repr ``Name(field=value, ...)``;
+- ``_shown``, the names of the fields the repr shows, in order;
 - ``__match_args__``, ``__slots__``, copy and pickle support, and
   ``__replace__`` (``copy.replace`` on Python 3.13+; ``replace`` below
   on any version);
@@ -106,5 +107,6 @@ def record(cls):
         body.setdefault(name, method)
     body.pop("__dict__", None)
     body.pop("__weakref__", None)
-    body.update(__slots__=names, __match_args__=names, __qualname__=cls.__qualname__)
+    body.update(__slots__=names, __match_args__=names, _shown=shown,
+                __qualname__=cls.__qualname__)
     return type(cls)(cls.__name__, cls.__bases__, body)

@@ -26,14 +26,13 @@ from .oracle import (
     BudgetExceeded,
     FuzzConfig,
     fuzz,
-    input_to_jsonable,
     ratio_scan,
     reproduce_examples,
 )
 from .rationals import (
     NonRational, as_rational, ratio_to_json, rational_from_text,
 )
-from .sequences import IntervalSequence, NotDecomposable, synchronous
+from .sequences import IntervalSequence, NotDecomposable, input_to_jsonable, synchronous
 from .theorems import (
     OutputTooLarge, _Analysis, _check_exponents, _guard, check_pair, check_single, lookup,
     registry,
@@ -250,60 +249,43 @@ def _cmd_check(args):
         _check_exponents(args.l1, args.l2)
     # refuse an oversized document before any statement runs
     _guard(analysis, args.l1, args.l2)
+    payload = {"input": sequence_to_jsonable(built)}
     if args.theorem:
-        spec = lookup(args.theorem)
-        verdict = _run_one(spec, built, args, window, analysis)
-        payload = {
-            "input": sequence_to_jsonable(built),
-            "verdict": verdict.to_jsonable(),
-        }
-        if not verdict.in_hypotheses:
-            payload["summary"] = "preconditions unsatisfied"
-            _emit(payload, args.format)
-            return 2
-        if not verdict.holds:
-            payload["summary"] = "inequality FAILED under satisfied preconditions"
-            payload["witness"] = sequence_to_jsonable(built)
-            _emit(payload, args.format)
-            return 1
-        payload["summary"] = "inequality holds"
-        _emit(payload, args.format)
-        return 0
-    # discovery: try everything of matching arity, report all verdicts
-    if args.alt_boundary:
-        raise ValueError("--alt-boundary needs an explicit --theorem T3_10")
-    verdicts = []
-    skipped = []
-    for spec in registry():
-        if spec.arity != (2 if pair else 1):
-            continue
-        if spec.windowed and window is None:
-            skipped.append({"theorem": spec.id.value, "reason": "needs --window"})
-            continue
-        w = window if (spec.windowed or spec.window_optional) else None
-        try:
-            verdicts.append(_run_one(spec, built, args, w, analysis))
-        except (ValueError, TypeError, ArithmeticError) as exc:
-            skipped.append({"theorem": spec.id.value, "reason": str(exc)})
+        verdicts = [_run_one(lookup(args.theorem), built, args, window, analysis)]
+        payload["verdict"] = verdicts[0].to_jsonable()
+    else:
+        # discovery: try everything of matching arity, report all verdicts
+        if args.alt_boundary:
+            raise ValueError("--alt-boundary needs an explicit --theorem T3_10")
+        verdicts, skipped = [], []
+        for spec in registry():
+            if spec.arity != (2 if pair else 1):
+                continue
+            if spec.windowed and window is None:
+                skipped.append({"theorem": spec.id.value, "reason": "needs --window"})
+                continue
+            w = window if (spec.windowed or spec.window_optional) else None
+            try:
+                verdicts.append(_run_one(spec, built, args, w, analysis))
+            except (ValueError, TypeError, ArithmeticError) as exc:
+                skipped.append({"theorem": spec.id.value, "reason": str(exc)})
+        payload["verdicts"] = [v.to_jsonable() for v in verdicts]
+        payload["skipped"] = skipped
     conforming = [v for v in verdicts if v.in_hypotheses]
     failed = [v for v in conforming if not v.holds]
-    payload = {
-        "input": sequence_to_jsonable(built),
-        "verdicts": [v.to_jsonable() for v in verdicts],
-        "skipped": skipped,
-        "summary": f"{len(conforming)} of {len(verdicts)} applicable, "
-                   f"{len(failed)} failed",
-    }
-    if not conforming:
+    if args.theorem:
+        payload["summary"] = ("preconditions unsatisfied" if not conforming
+                              else "inequality FAILED under satisfied preconditions" if failed
+                              else "inequality holds")
+    elif conforming:
+        payload["summary"] = (f"{len(conforming)} of {len(verdicts)} applicable, "
+                              f"{len(failed)} failed")
+    else:
         payload["summary"] = "no statement's preconditions are satisfied"
-        _emit(payload, args.format)
-        return 2
     if failed:
-        payload["witness"] = sequence_to_jsonable(built)
-        _emit(payload, args.format)
-        return 1
+        payload["witness"] = payload["input"]
     _emit(payload, args.format)
-    return 0
+    return 2 if not conforming else 1 if failed else 0
 
 
 def _cmd_classify(args):

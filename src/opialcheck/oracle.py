@@ -21,14 +21,13 @@ from fractions import Fraction
 
 from ._records import record
 from .intervals import ExponentOutOfRange, Interval
-from .rationals import as_rational, ratio_to_json, rational_to_json
+from .rationals import as_rational
 from .sequences import (
     IntervalSequence,
     LengthMismatch,
-    MuDirection,
     _step_bits,
-    direction_set,
-    mu_direction_set,
+    input_to_jsonable,  # re-exported: oracle.input_to_jsonable
+    record_to_jsonable,
 )
 from .theorems import (
     Operator,
@@ -150,9 +149,11 @@ def _ramp_ints(rng, start, end, steps, up, mu_up):
     return out
 
 
-def _rand_pair_ints(rng, M):
-    a = _randint(rng, -M, M)
-    b = _randint(rng, -M, M)
+def _rand_pair_ints(rng, M, nonnegative=False):
+    # endpoints in [-M, M], or in [0, M] if nonnegative
+    low = 0 if nonnegative else -M
+    a = _randint(rng, low, M)
+    b = _randint(rng, low, M)
     return (min(a, b), max(a, b))
 
 
@@ -296,7 +297,7 @@ def _build_single(names, L, rng, M, base):
         return _to_sequence(_monotone_pairs(names, L, rng, M), D, base)
     if "alternate" in names:
         return _to_sequence(_alternate_pairs(names, L, rng, M), D, base)
-    pairs = [_rand_pair_ints(rng, M) for _ in range(L)]
+    pairs = [_rand_pair_ints(rng, M, "nonnegative" in names) for _ in range(L)]
     for i in _plan_at(names, False, L)[1]:
         pairs[i] = (0, 0)
     return _to_sequence(pairs, D, base)
@@ -312,10 +313,15 @@ def _build_pair(names, L, rng, M, base):
         pv = _monotone_pairs(sub, L, rng, M, force_up=up)
         return (_to_sequence(pu, Du, base), _to_sequence(pv, Dv, base))
     if "second_zero" in names:
-        tail = _alternate_pairs(frozenset({"first_zero", "last_zero"}), L - 1, rng, M)
-        a = _randint(rng, 1, max(1, M // 2))
-        b = _randint(rng, a, M)
-        head = (a, b) if rng.random() < 0.5 else (-b, -a)
+        # u_1 starts the tail; the tail keeps only the anchors the profile names
+        tail_names = {"first_zero"} | (names & {"last_zero", "window_end_zero", "no_other_zero"})
+        tail = _alternate_pairs(tail_names, L - 1, rng, M)
+        if "first_zero" in names:
+            head = (0, 0)
+        else:
+            a = _randint(rng, 1, max(1, M // 2))
+            b = _randint(rng, a, M)
+            head = (a, b) if rng.random() < 0.5 else (-b, -a)
         pu = [head] + tail
     else:
         pu = _alternate_pairs(names & {"first_zero", "last_zero", "window_end_zero"}, L, rng, M)
@@ -424,16 +430,7 @@ class FuzzConfig:
             )
         object.__setattr__(self, "relax", relax)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "theorem": self.theorem.value,
-            "trials": self.trials,
-            "seed": self.seed,
-            "length_range": list(self.length_range),
-            "endpoint_magnitude": self.endpoint_magnitude,
-            "lambda_range": list(self.lambda_range),
-            "relax": sorted(self.relax),
-        }
+    to_jsonable = record_to_jsonable
 
 
 @record
@@ -446,16 +443,7 @@ class TrialRecord:
     relaxed: tuple[str, ...]
     verdict: Verdict
 
-    def to_jsonable(self) -> dict:
-        return {
-            "trial": self.trial,
-            "input": input_to_jsonable(self.input),
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "window": None if self.window is None else list(self.window),
-            "relaxed": list(self.relaxed),
-            "verdict": self.verdict.to_jsonable(),
-        }
+    to_jsonable = record_to_jsonable
 
 
 @record
@@ -467,27 +455,7 @@ class FuzzReport:
     max_ratio_witness: SequenceInput | None
     max_ratio_trial: int | None
 
-    def to_jsonable(self) -> dict:
-        return {
-            "config": self.config.to_jsonable(),
-            "trials_run": self.trials_run,
-            "violations": [r.to_jsonable() for r in self.violations],
-            "max_ratio": rational_to_json(self.max_ratio),
-            "max_ratio_witness": (None if self.max_ratio_witness is None
-                                  else input_to_jsonable(self.max_ratio_witness)),
-            "max_ratio_trial": self.max_ratio_trial,
-        }
-
-
-def input_to_jsonable(built: SequenceInput) -> dict:
-    def pairs(s):
-        D = s.D
-        return [[ratio_to_json(a, D), ratio_to_json(c, D)] for a, c in zip(s.lows, s.highs)]
-
-    if isinstance(built, tuple):
-        u, v = built
-        return {"u": pairs(u), "v": pairs(v), "base_index": u.base_index}
-    return {"u": pairs(built), "base_index": built.base_index}
+    to_jsonable = record_to_jsonable
 
 
 @functools.lru_cache(maxsize=256)
@@ -786,23 +754,7 @@ class ScanReport:
         # unpacks as (max_ratio, witness)
         return iter((self.max_ratio, self.witness))
 
-    def to_jsonable(self) -> dict:
-        return {
-            "theorem": self.theorem.value,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "length": self.length,
-            "bound": self.bound,
-            "planned": self.planned,
-            "checked": self.checked,
-            "admissible": self.admissible,
-            "violations": self.violations,
-            "max_ratio": rational_to_json(self.max_ratio),
-            "witness": (None if self.witness is None
-                        else input_to_jsonable(self.witness)),
-            "witness_window": (None if self.witness_window is None
-                               else list(self.witness_window)),
-        }
+    to_jsonable = record_to_jsonable
 
 
 def _scan_rules(spec, L):
@@ -1147,15 +1099,8 @@ def product_rule_check(u: IntervalSequence, v: IntervalSequence) -> dict:
     if u.base_index != v.base_index:
         raise LengthMismatch(f"base indices differ: {u.base_index} vs {v.base_index}")
     b, e = u.first_index, u.last_index
-    shared = direction_set(u) & direction_set(v)
-    mu_u, mu_v = mu_direction_set(u), mu_direction_set(v)
-    case_up = (u.is_zero_at(b) and v.is_zero_at(b) and shared
-               and MuDirection.MU_INCREASING in mu_u
-               and MuDirection.MU_INCREASING in mu_v)
-    case_down = (u.is_zero_at(e) and v.is_zero_at(e) and shared
-                 and MuDirection.MU_DECREASING in mu_u
-                 and MuDirection.MU_DECREASING in mu_v)
-    if not (case_up or case_down):
+    if not (_holds(("first_zero", "synchronous", "mu_increasing"), u, v, e)
+            or _holds(("last_zero", "synchronous", "mu_decreasing"), u, v, e)):
         raise PreconditionViolated(
             "identity requires a synchronous pair, either mu-increasing from a "
             "zero start or mu-decreasing into a zero end"
@@ -1183,18 +1128,7 @@ class ExampleRow:
     match: bool
     note: str = ""
 
-    def to_jsonable(self) -> dict:
-        return {
-            "label": self.label,
-            "engine_lhs": rational_to_json(self.engine_lhs),
-            "engine_rhs": rational_to_json(self.engine_rhs),
-            "reference_lhs": (None if self.reference_lhs is None
-                              else rational_to_json(self.reference_lhs)),
-            "reference_rhs": (None if self.reference_rhs is None
-                              else rational_to_json(self.reference_rhs)),
-            "match": self.match,
-            "note": self.note,
-        }
+    to_jsonable = record_to_jsonable
 
 
 @record
@@ -1206,15 +1140,7 @@ class ExampleReport:
     match: bool
     note: str = ""
 
-    def to_jsonable(self) -> dict:
-        return {
-            "example": self.example,
-            "theorem": self.theorem.value,
-            "description": self.description,
-            "rows": [r.to_jsonable() for r in self.rows],
-            "match": self.match,
-            "note": self.note,
-        }
+    to_jsonable = record_to_jsonable
 
 
 def _example_31() -> ExampleReport:

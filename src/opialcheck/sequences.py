@@ -36,6 +36,7 @@ from fractions import Fraction
 
 from ._records import record, refuse_delete, refuse_set
 from .intervals import Interval, InvalidBounds
+from .rationals import ratio_to_json, rational_to_json
 
 
 class TooShort(ValueError):
@@ -52,6 +53,53 @@ class IndexOutOfRange(IndexError):
 
 class NotDecomposable(ValueError):
     """No segmentation into monotone, mu-monotone pieces exists."""
+
+
+def input_to_jsonable(built) -> dict:
+    """The JSON form of an input, a sequence or a (u, v) pair: each element
+    as [lo, hi] in lowest terms, and the base index."""
+    def pairs(s):
+        D = s.D
+        return [[ratio_to_json(a, D), ratio_to_json(c, D)] for a, c in zip(s.lows, s.highs)]
+
+    if isinstance(built, tuple):
+        u, v = built
+        return {"u": pairs(u), "v": pairs(v), "base_index": u.base_index}
+    return {"u": pairs(built), "base_index": built.base_index}
+
+
+_PLAIN = frozenset({str, int, bool, type(None)})
+
+
+def _jsonable(value):
+    # the commonest kinds first: a report holds mostly scalars and tuples
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is Fraction:
+        return rational_to_json(value)
+    if kind is tuple or kind is list:
+        if kind is tuple and value and isinstance(value[0], IntervalSequence):
+            return input_to_jsonable(value)   # a (u, v) pair
+        return [_jsonable(x) for x in value]
+    if isinstance(value, enum.Enum):
+        return value.value
+    if hasattr(kind, "_shown"):
+        return value.to_jsonable()
+    if isinstance(value, IntervalSequence):
+        return input_to_jsonable(value)
+    if kind is frozenset:
+        return sorted(map(_jsonable, value))
+    raise TypeError(f"no JSON form for {kind.__name__}")
+
+
+def record_to_jsonable(self) -> dict:
+    """A record's JSON form: its shown fields (``_shown``) in order, each
+    value converted once. str, int, bool and None stay; a Fraction goes
+    through rational_to_json; an enum member becomes its value; a record and
+    an input give their own JSON form; any other tuple or list becomes a
+    list, a frozenset a sorted list; anything else raises TypeError."""
+    return {name: _jsonable(getattr(self, name)) for name in self._shown}
 
 
 class Direction(enum.Enum):
@@ -79,13 +127,7 @@ class MonotonicityProfile:
     strict: bool
     zero_indices: tuple[int, ...]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "direction": self.direction.value,
-            "mu_direction": self.mu_direction.value,
-            "strict": self.strict,
-            "zero_indices": list(self.zero_indices),
-        }
+    to_jsonable = record_to_jsonable
 
 
 @record
@@ -94,12 +136,7 @@ class Segment:
     end: int
     profile: MonotonicityProfile
 
-    def to_jsonable(self) -> dict:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "profile": self.profile.to_jsonable(),
-        }
+    to_jsonable = record_to_jsonable
 
 
 @record
@@ -109,11 +146,7 @@ class SegmentDecomposition:
     breakpoints: tuple[int, ...]
     segments: tuple[Segment, ...]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "breakpoints": list(self.breakpoints),
-            "segments": [s.to_jsonable() for s in self.segments],
-        }
+    to_jsonable = record_to_jsonable
 
 
 # order sets by bit pattern: 1 = the increasing order holds, 2 = the decreasing

@@ -24,7 +24,15 @@ Digest input: ``json.dumps(report.to_jsonable(), sort_keys=True)``, UTF-8.
 The generator digest pins ``oracle._generate_with_rng`` itself, at lengths,
 magnitudes and profiles no fuzz report reaches: each output (or error)
 and the RNG's next draw, so a rewrite of a shape builder must keep every
-draw. It was recorded before the builders' mirrored branches were merged.
+draw. It was recorded before the builders' mirrored branches were merged,
+and re-recorded when the builders learned to realize {first_zero,
+second_zero}, {no_other_zero, second_zero} and {nonnegative}: the draws of
+19 profiles of one or two names moved, none of them a statement's.
+
+The unreached-JSON digest pins JSON that no report above reads: every
+statement's ``TheoremSpec``, a scan with no admissible point (no witness)
+and a worked-example row without a reference value, in key order
+(``json.dumps`` without ``sort_keys``).
 
 The command-line digests pin the printed text itself: the exit code and
 stdout of ``main(argv)`` (``f"{code}\\n{stdout}"``, UTF-8), recorded while
@@ -38,11 +46,12 @@ import io
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from opialcheck import FuzzConfig, fuzz, ratio_scan, registry
+from opialcheck import ExampleRow, FuzzConfig, fuzz, ratio_scan, registry
 from opialcheck.cli import main
 import opialcheck.oracle as oracle
 import opialcheck.theorems as theorems
@@ -461,7 +470,7 @@ def test_printed_output_is_unchanged(call):
 # one or two hypothesis names, at lengths 1-8, magnitudes 1, 2 and 100 and
 # four seeds, base index -2..2 by length and seed: each draw's output (or
 # error) and the RNG's next 32 bits, one line per draw
-GENERATOR_DIGEST = "ac63ea1626b52e747f0a63341ce16eb4aad487440dddf3c08c5357ac732ef4c7"
+GENERATOR_DIGEST = "1d0a60e2661c448f6ef9334243fa90871d4fc92183425906825165a37e6662a7"
 
 
 def _generator_draws():
@@ -485,3 +494,16 @@ def _generator_draws():
 def test_generator_draws_are_unchanged():
     text = "".join(_generator_draws())
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGEST
+
+
+UNREACHED_JSON_DIGEST = "ecffed781640b1298060b8eb9713c3836bd568e477189bcef2b33a50b514fb00"
+
+
+def test_unreached_json_is_unchanged():
+    scan = ratio_scan("T3_3", length=3, bound=0)
+    assert scan.admissible == 0 and scan.witness is None and scan.witness_window is None
+    row = ExampleRow("no reference", Fraction(7, 2), Fraction(4), None, Fraction(-1, 3),
+                     False, "reference not stated")
+    text = json.dumps({"specs": [spec.to_jsonable() for spec in registry()],
+                       "scan": scan.to_jsonable(), "row": row.to_jsonable()})
+    assert hashlib.sha256(text.encode()).hexdigest() == UNREACHED_JSON_DIGEST

@@ -17,15 +17,19 @@ from opialcheck import (
     Interval,
     IntervalSequence,
     LengthMismatch,
+    MuDirection,
     PreconditionViolated,
     ScanReport,
+    TooShort,
     check_pair,
     check_single,
+    direction_set,
     fuzz,
     generate,
     holder_mean_check,
     input_to_jsonable,
     lookup,
+    mu_direction_set,
     product_rule_check,
     ratio_scan,
     registry,
@@ -122,6 +126,19 @@ def test_generate_infeasible_combination():
     profile = ("first_zero", "last_zero", "monotone", "no_other_zero")
     with pytest.raises(InfeasibleProfile):
         generate(profile, 4, 0)
+
+
+@pytest.mark.parametrize("profile", [("first_zero", "second_zero"),
+                                     ("no_other_zero", "second_zero"), ("nonnegative",)],
+                         ids=",".join)
+def test_generate_realizes_anchor_and_sign_profiles(profile):
+    # feasible profiles that no statement uses: a pair with zeros at u_0 and
+    # u_1, one whose u has no zero but u_1, and a non-negative sequence
+    for length, magnitude, seed in itertools.product(range(2, 9), (1, 2, 100), range(4)):
+        built = generate(profile, length, seed, magnitude)
+        u, v = built if isinstance(built, tuple) else (built, None)
+        assert (v is not None) == ("second_zero" in profile)
+        assert theorems._holds(frozenset(profile), u, v, u.last_index)
 
 
 # -- fuzz ---------------------------------------------------------------------
@@ -810,6 +827,54 @@ def test_product_rule_guards():
     b = seq([(0, 0), (1, 2)])
     with pytest.raises(LengthMismatch):
         product_rule_check(a, b)
+
+
+def _hand_written_product_cases(u, v):
+    # the reference for product_rule_check's case test, written out with the
+    # order sets: a synchronous pair, mu-increasing from a joint zero start
+    # or mu-decreasing into a joint zero end
+    b, e = u.first_index, u.last_index
+    shared = direction_set(u) & direction_set(v)
+    mu_u, mu_v = mu_direction_set(u), mu_direction_set(v)
+    case_up = (u.is_zero_at(b) and v.is_zero_at(b) and shared
+               and MuDirection.MU_INCREASING in mu_u
+               and MuDirection.MU_INCREASING in mu_v)
+    case_down = (u.is_zero_at(e) and v.is_zero_at(e) and shared
+                 and MuDirection.MU_DECREASING in mu_u
+                 and MuDirection.MU_DECREASING in mu_v)
+    return bool(case_up or case_down)
+
+
+@st.composite
+def _product_pairs(draw):
+    # lengths 1-5, endpoints in [-2, 2] on halves, zero ends half the time
+    n = draw(st.integers(1, 5))
+    base = draw(st.integers(-2, 2))
+    halves = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
+
+    def side():
+        pairs = [sorted(draw(st.tuples(halves, halves))) for _ in range(n)]
+        for i in draw(st.sampled_from(((), (), (), (0,), (n - 1,), (0, n - 1)))):
+            pairs[i] = (0, 0)
+        return seq(pairs, base)
+
+    return side(), side()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_product_pairs())
+def test_product_rule_cases_match_hand_written_rule(pair):
+    u, v = pair
+    try:
+        product_rule_check(u, v)
+        admitted = True
+    except PreconditionViolated:
+        admitted = False
+    except TooShort:
+        # past the case test, a one-element pair has no differences
+        assert len(u) == 1
+        admitted = True
+    assert admitted == _hand_written_product_cases(u, v)
 
 
 # -- bundled worked examples ---------------------------------------------------

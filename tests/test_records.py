@@ -26,6 +26,7 @@ from opialcheck import (
     replace,
     reproduce_examples,
 )
+from opialcheck.sequences import record_to_jsonable
 
 from conftest import seq
 
@@ -283,3 +284,22 @@ def test_replace_validates_again():
         replace(config, trials=0)
     with pytest.raises(InvalidBounds):
         replace(_INSTANCES["Interval"], lo=4)
+
+
+# Verdict keeps its own key order; both run on every checked document
+_HAND_WRITTEN_JSON = {"PreconditionCheck", "Verdict", "pair Verdict"}
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_json_forms_come_from_one_rule(name):
+    obj = _INSTANCES[name]
+    method = type(obj).__dict__.get("to_jsonable")
+    if name in ("Interval", "_Sums"):
+        assert method is None
+    else:
+        assert (method is record_to_jsonable) == (name not in _HAND_WRITTEN_JSON)
+
+
+def test_json_rule_refuses_a_value_with_no_json_form():
+    with pytest.raises(TypeError, match="no JSON form for float"):
+        replace(_INSTANCES["ExampleRow"], engine_lhs=0.5).to_jsonable()
