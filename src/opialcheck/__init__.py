@@ -3,7 +3,7 @@
 Everything is computed in rational arithmetic; no floats enter or
 leave. The public surface re-exports the interval algebra, sequence
 tools, the statement registry with its checkers, and the randomized
-verification layer.
+verification layer (``oracle``), which is imported on first use.
 """
 
 from ._records import replace
@@ -38,6 +38,7 @@ from .sequences import (
 from .theorems import (
     ArityMismatch,
     BoundaryNotZero,
+    BudgetExceeded,
     Operator,
     PreconditionCheck,
     TheoremId,
@@ -51,25 +52,6 @@ from .theorems import (
     lhs_terms,
     lookup,
     registry,
-)
-from .oracle import (
-    BudgetExceeded,
-    ExampleReport,
-    ExampleRow,
-    FuzzConfig,
-    FuzzReport,
-    InfeasibleProfile,
-    PreconditionViolated,
-    RelaxNotRealized,
-    ScanReport,
-    TrialRecord,
-    fuzz,
-    generate,
-    holder_mean_check,
-    product_rule_check,
-    ratio_scan,
-    reproduce_examples,
-    young_check,
 )
 from .cli import SchemaError, main, parse_sequence, sequence_to_jsonable
 
@@ -143,3 +125,24 @@ __all__ = [
     "young_check",
     "__version__",
 ]
+
+
+# the names of __all__ not bound above belong to the randomized verification
+# layer, oracle, which is imported on first use of one of them (or of
+# opialcheck.oracle itself), so that a plain check never loads it
+_ORACLE_NAMES = frozenset(__all__) - set(globals())
+
+
+def __getattr__(name):
+    if name != "oracle" and name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # importing the submodule binds it here as oracle
+    __import__(f"{__name__}.oracle")
+    if name == "oracle":
+        return oracle
+    value = globals()[name] = getattr(oracle, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_ORACLE_NAMES})

@@ -15,28 +15,42 @@ witness), 2 preconditions unsatisfied, 3 bad input or usage.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import sys
+import types
 from json.encoder import encode_basestring_ascii
 
-from .oracle import (
-    BudgetExceeded,
-    FuzzConfig,
-    fuzz,
-    ratio_scan,
-    reproduce_examples,
-)
 from .rationals import (
     NonRational, as_rational, ratio_to_json, rational_from_text,
 )
 from .sequences import IntervalSequence, NotDecomposable, input_to_jsonable, synchronous
 from .theorems import (
-    OutputTooLarge, _Analysis, _check_exponents, _guard, check_pair, check_single, lookup,
-    registry,
+    BudgetExceeded, OutputTooLarge, _Analysis, _check_exponents, _guard, check_pair,
+    check_single, lookup, registry,
 )
+
+# the oracle names the fuzz, scan and examples handlers call. They are bound
+# in this module on first use, not at import, so a plain check never loads
+# oracle; each stays a module attribute that a caller may replace
+_ORACLE_NAMES = ("FuzzConfig", "fuzz", "ratio_scan", "reproduce_examples")
+
+
+def _load_oracle():
+    from . import oracle
+
+    names = globals()
+    for name in _ORACLE_NAMES:
+        # a name already bound (replaced by a caller) is kept
+        names.setdefault(name, getattr(oracle, name))
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        _load_oracle()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SchemaError(ValueError):
@@ -312,6 +326,7 @@ def _cmd_classify(args):
 
 
 def _cmd_fuzz(args):
+    _load_oracle()
     relax = frozenset(
         part for part in (s.strip() for s in (args.relax or "").split(",")) if part
     )
@@ -324,6 +339,7 @@ def _cmd_fuzz(args):
 
 
 def _cmd_scan(args):
+    _load_oracle()
     report = ratio_scan(
         lookup(args.theorem).id, args.l1, args.l2,
         length=args.length, bound=args.bound, budget=args.budget,
@@ -333,19 +349,85 @@ def _cmd_scan(args):
 
 
 def _cmd_examples(args):
+    _load_oracle()
     _emit([r.to_jsonable() for r in reproduce_examples()], args.format)
     return 0
 
 
-def _add_format(sub):
-    sub.add_argument("--format", choices=("json", "table"), default="json",
-                     help="output rendering (default json)")
+_FORMAT = {"dest": "format", "choices": ("json", "table"), "default": "json",
+           "help": "output rendering (default json)"}
+
+# check's options, in the order its help lists them: the argparse subparser
+# is built from this table and _parse_check reads it, so the two agree on
+# every dest, default, type and choice
+_CHECK_ARGS = (
+    ("--in", {"dest": "path", "required": True,
+              "help": "JSON file with u (and optionally v)"}),
+    ("--theorem", {"dest": "theorem",
+                   "help": "statement id such as T3_5; omit to discover"}),
+    ("--l1", {"dest": "l1", "type": int, "default": 1, "help": "first exponent (default 1)"}),
+    ("--l2", {"dest": "l2", "type": int, "default": 1, "help": "second exponent (default 1)"}),
+    ("--window", {"dest": "window", "help": "window as n,m for the windowed statements"}),
+    ("--alt-boundary", {"dest": "alt_boundary", "action": "store_true", "default": False,
+                        "help": "T3_10 variant anchored at the first element"}),
+    ("--format", _FORMAT),
+)
+
+# the options _parse_check accepts: those that take one value
+_CHECK_VALUED = {flag: spec for flag, spec in _CHECK_ARGS if "action" not in spec}
+
+
+def _parse_check(argv):
+    """The namespace argparse gives a canonical ``check`` argv, without
+    loading argparse, or None for any other argv.
+
+    Canonical: ``check``, then options of _CHECK_VALUED, each at most once
+    and in full, as ``--opt value`` or ``--opt=value``, ``--in`` among them,
+    every value of its option's type and choices. A separate value may not
+    start with "-", where argparse could read an option, and no value may
+    be "--", which argparse versions read differently. None leaves every
+    other argv, with its messages and exit codes, to argparse.
+    """
+    if not argv or argv[0] != "check":
+        return None
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if type(token) is not str:
+            return None
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, None)
+            if type(value) is not str or value.startswith("-"):
+                return None
+        if flag not in _CHECK_VALUED or flag in given or value == "--":
+            return None
+        given[flag] = value
+    names = {"command": "check"}
+    for flag, spec in _CHECK_ARGS:
+        if flag not in given:
+            if spec.get("required"):
+                return None
+            names[spec["dest"]] = spec.get("default")
+            continue
+        value = given[flag]
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        names[spec["dest"]] = value
+    return types.SimpleNamespace(**names)
 
 
 @functools.cache
 def _build_parser():
     # built once per process: parse_args returns a fresh Namespace each
     # call and every default is immutable, so calls share nothing
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="opialcheck",
         description="Exact checking of Opial-type inequalities on interval sequences.",
@@ -353,21 +435,14 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     chk = sub.add_parser("check", help="evaluate one statement, or every applicable one")
-    chk.add_argument("--in", dest="path", required=True,
-                     help="JSON file with u (and optionally v)")
-    chk.add_argument("--theorem", help="statement id such as T3_5; omit to discover")
-    chk.add_argument("--l1", type=int, default=1, help="first exponent (default 1)")
-    chk.add_argument("--l2", type=int, default=1, help="second exponent (default 1)")
-    chk.add_argument("--window", help="window as n,m for the windowed statements")
-    chk.add_argument("--alt-boundary", dest="alt_boundary", action="store_true",
-                     help="T3_10 variant anchored at the first element")
-    _add_format(chk)
+    for flag, spec in _CHECK_ARGS:
+        chk.add_argument(flag, **spec)
 
     cls = sub.add_parser("classify", help="monotonicity profile and segmentation")
     cls.add_argument("--in", dest="path", required=True)
     cls.add_argument("--strict", action="store_true",
                      help="use strict orders instead of the default non-strict ones")
-    _add_format(cls)
+    cls.add_argument("--format", **_FORMAT)
 
     fz = sub.add_parser("fuzz", help="seeded random trials of one statement")
     fz.add_argument("--theorem", required=True)
@@ -375,7 +450,7 @@ def _build_parser():
     fz.add_argument("--seed", type=int, default=0)
     fz.add_argument("--relax", default="",
                     help="comma-separated precondition names to violate on purpose")
-    _add_format(fz)
+    fz.add_argument("--format", **_FORMAT)
 
     sc = sub.add_parser("scan", help="exhaustive small-grid worst-ratio search")
     sc.add_argument("--theorem", required=True)
@@ -386,10 +461,10 @@ def _build_parser():
                     help="endpoints range over integers 0..bound")
     sc.add_argument("--budget", type=int, default=200_000,
                     help="refuse scans needing more checks than this")
-    _add_format(sc)
+    sc.add_argument("--format", **_FORMAT)
 
     ex = sub.add_parser("examples", help="re-run the bundled worked examples")
-    _add_format(ex)
+    ex.add_argument("--format", **_FORMAT)
 
     return parser
 
@@ -404,13 +479,15 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help, 2 for usage errors
-        code = exc.code if isinstance(exc.code, int) else 0
-        return 0 if code == 0 else 3
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_check(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 0 for --help, 2 for usage errors
+            code = exc.code if isinstance(exc.code, int) else 0
+            return 0 if code == 0 else 3
     try:
         return _HANDLERS[args.command](args)
     except (BudgetExceeded, ValueError, TypeError, ArithmeticError, OSError) as exc:

@@ -30,6 +30,7 @@ from .sequences import (
     record_to_jsonable,
 )
 from .theorems import (
+    BudgetExceeded,  # re-exported: oracle.BudgetExceeded
     Operator,
     TheoremId,
     Verdict,
@@ -58,10 +59,6 @@ SequenceInput = IntervalSequence | tuple[IntervalSequence, IntervalSequence]
 
 class InfeasibleProfile(ValueError):
     """No input of the requested length can satisfy the profile."""
-
-
-class BudgetExceeded(RuntimeError):
-    """ratio_scan would need more checks than the configured cap."""
 
 
 class PreconditionViolated(ValueError):

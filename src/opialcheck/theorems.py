@@ -89,6 +89,10 @@ class OutputTooLarge(ValueError):
     """A check of the input could give a number too long to print."""
 
 
+class BudgetExceeded(RuntimeError):
+    """ratio_scan would need more checks than the configured cap."""
+
+
 class TheoremId(str, enum.Enum):
     T2_2 = "T2_2"
     L3_1 = "L3_1"

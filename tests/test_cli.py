@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -829,6 +831,99 @@ def test_help_exits_zero(capsys):
     assert run_cli(capsys, ["check", "--help"])[0] == 0
 
 
+# argv pieces for the check-only parser: its six options, options and
+# abbreviations it must leave to argparse, values of every kind argparse
+# reads differently, and stray tokens
+_OPTION_VALUES = {
+    "--in": (sample("ex33.json"), sample("pair_t36.json"), sample("tent_classical.json"),
+             "/nonexistent.json", ""),
+    "--theorem": ("T3_5", "T2_2", "T3_10", "T99", ""),
+    "--l1": ("1", "2", "-5", " 3", "+3", "3_0", "\u0663", "x"),
+    "--l2": ("1", "2", "-5", " 3", "+3", "3_0", "\u0663", "x"),
+    "--window": ("1,3", "-1,3", "0,2", "x"),
+    "--format": ("json", "table", "xml"),
+}
+_CHECK_VALUES = sorted({v for values in _OPTION_VALUES.values() for v in values}
+                       | {"--", "-", "a=b"})
+_ODD_FLAGS = ("--alt-boundary", "--help", "--bogus", "--the", "--l", "--i", "--form")
+_STRAY_TOKENS = ("--", "-h", "-x", "stray", "")
+
+
+@st.composite
+def _check_argvs(draw):
+    argv = [draw(st.sampled_from(("check",) * 6 + ("classify", "checks", "--help")))]
+    if draw(st.booleans()):
+        argv += ["--in", sample("ex33.json")]
+    # a third of the lists hold only the six options, without repeats, each
+    # with a value drawn for it, which the check parser may accept; a third
+    # are the same with the first option abbreviated; a third hold anything
+    mode = draw(st.sampled_from(("canonical", "abbreviated", "any")))
+    count = draw(st.integers(0, 6))
+    if mode == "any":
+        flags = [draw(st.sampled_from(tuple(_OPTION_VALUES) + _ODD_FLAGS)) for _ in range(count)]
+        forms = ("separate", "attached", "bare", "stray")
+    else:
+        flags = draw(st.permutations(tuple(_OPTION_VALUES)))[:count]
+        forms = ("separate", "attached")
+    for j, flag in enumerate(flags):
+        form = draw(st.sampled_from(forms))
+        value = draw(st.sampled_from(_CHECK_VALUES if mode == "any" else _OPTION_VALUES[flag]))
+        if mode == "abbreviated" and j == 0:
+            flag = flag[:draw(st.integers(3, len(flag) - 1))]
+        if form == "separate":
+            argv += [flag, value]
+        elif form == "attached":
+            argv.append(f"{flag}={value}")
+        elif form == "bare":
+            argv.append(draw(st.sampled_from((flag, f"{flag}="))))
+        else:
+            argv.append(draw(st.sampled_from(_STRAY_TOKENS)))
+    return argv
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=1500, deadline=None)
+@given(argv=_check_argvs())
+def test_check_parser_namespace_matches_argparse(argv):
+    fast = cli._parse_check(argv)
+    if fast is None:
+        return
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            slow = cli._build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv!r}, which the check parser accepts")
+    assert vars(fast) == vars(slow)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_check_argvs())
+def test_check_parser_leaves_output_unchanged(argv):
+    # every argv gives what it gives when argparse parses it
+    fast = _run_captured(argv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_parse_check", lambda argv: None)
+        slow = _run_captured(argv)
+    assert fast == slow
+
+
+def test_check_parser_accepts_canonical_forms():
+    # the forms a plain check is given take the parser without argparse
+    ex33 = sample("ex33.json")
+    for argv in (["check", "--in", ex33],
+                 ["check", "--in", ex33, "--theorem", "T3_5", "--l1", "2", "--l2", "3",
+                  "--format", "table"],
+                 ["check", "--in=" + ex33, "--window=-1,3", "--format=json"]):
+        args = cli._parse_check(argv)
+        assert args is not None and vars(args) == vars(cli._build_parser().parse_args(argv))
+
+
 @pytest.mark.skipif(shutil.which("opialcheck") is None,
                     reason="console script not on PATH (pip install -e .)")
 def test_console_script_installed():
@@ -883,3 +978,87 @@ def test_cold_start_imports_no_heavy_stdlib_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 0, 0] []\n"
+
+
+# what a plain check does not run, so must not load: site preloads random
+# and shutil, hence -S below
+_PLAIN_CHECK_UNUSED = ("opialcheck.oracle", "random", "argparse", "gettext", "locale", "shutil")
+
+_PLAIN_CHECK_CHILD = textwrap.dedent("""
+    import contextlib, io, sys
+    sys.path.insert(0, sys.argv[1])
+    import opialcheck
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = opialcheck.main(["check", "--in", sys.argv[2]])
+    loaded = sorted(set(sys.argv[3:]) & set(sys.modules))
+    submodule = opialcheck.oracle.__name__
+    from opialcheck import fuzz, ratio_scan, BudgetExceeded
+    unresolved = [name for name in opialcheck.__all__ if not hasattr(opialcheck, name)]
+    print(code, loaded, submodule, unresolved)
+""")
+
+
+def test_cold_plain_check_loads_only_what_it_runs():
+    pkg_dir = str(Path(opialcheck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _PLAIN_CHECK_CHILD, pkg_dir,
+         str(SAMPLES / "ex33.json"), *_PLAIN_CHECK_UNUSED],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 [] opialcheck.oracle []\n"
+
+
+def test_lazy_oracle_names_are_the_oracle_names():
+    from opialcheck import oracle
+
+    assert oracle.BudgetExceeded is theorems.BudgetExceeded is opialcheck.BudgetExceeded
+    assert cli.BudgetExceeded is theorems.BudgetExceeded
+    for name in ("fuzz", "ratio_scan", "reproduce_examples", "FuzzConfig"):
+        assert getattr(cli, name) is getattr(oracle, name) is getattr(opialcheck, name)
+    assert set(opialcheck.__all__) <= set(dir(opialcheck))
+    with pytest.raises(AttributeError):
+        opialcheck.no_such_name
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+
+
+_CALL_TIME_CHILD = textwrap.dedent("""
+    import contextlib, io, sys
+    sys.path.insert(0, sys.argv[1])
+    from opialcheck import cli
+
+    class Report:
+        violations = 0
+
+        def to_jsonable(self):
+            return {}
+
+    calls = []
+
+    def fake(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return Report()
+        return call
+
+    loaded = "opialcheck.oracle" in sys.modules
+    cli.ratio_scan = fake("ratio_scan")
+    cli.fuzz = fake("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(["scan", "--theorem", "T3_1", "--length", "3", "--bound", "1"]),
+                 cli.main(["fuzz", "--theorem", "T3_5", "--trials", "1"])]
+    print(loaded, codes, calls)
+""")
+
+
+def test_oracle_names_are_looked_up_at_call_time():
+    # a fresh process, so the patch lands before oracle is imported: the
+    # handlers must call the replacements (perfbench/tracing.py wraps them)
+    pkg_dir = str(Path(opialcheck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _CALL_TIME_CHILD, pkg_dir],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False [0, 0] ['ratio_scan', 'fuzz']\n"
