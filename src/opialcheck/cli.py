@@ -357,54 +357,89 @@ def _cmd_examples(args):
 _FORMAT = {"dest": "format", "choices": ("json", "table"), "default": "json",
            "help": "output rendering (default json)"}
 
-# check's options, in the order its help lists them: the argparse subparser
-# is built from this table and _parse_check reads it, so the two agree on
-# every dest, default, type and choice
-_CHECK_ARGS = (
-    ("--in", {"dest": "path", "required": True,
-              "help": "JSON file with u (and optionally v)"}),
-    ("--theorem", {"dest": "theorem",
-                   "help": "statement id such as T3_5; omit to discover"}),
-    ("--l1", {"dest": "l1", "type": int, "default": 1, "help": "first exponent (default 1)"}),
-    ("--l2", {"dest": "l2", "type": int, "default": 1, "help": "second exponent (default 1)"}),
-    ("--window", {"dest": "window", "help": "window as n,m for the windowed statements"}),
-    ("--alt-boundary", {"dest": "alt_boundary", "action": "store_true", "default": False,
-                        "help": "T3_10 variant anchored at the first element"}),
-    ("--format", _FORMAT),
-)
+# each command's handler, help line and options, in the order its help lists
+# them: the argparse subparsers are built from this table and
+# _parse_canonical reads it, so the two agree on every dest, default, type
+# and choice
+_COMMANDS = {
+    "check": (_cmd_check, "evaluate one statement, or every applicable one", {
+        "--in": {"dest": "path", "required": True,
+                 "help": "JSON file with u (and optionally v)"},
+        "--theorem": {"dest": "theorem", "help": "statement id such as T3_5; omit to discover"},
+        "--l1": {"dest": "l1", "type": int, "default": 1, "help": "first exponent (default 1)"},
+        "--l2": {"dest": "l2", "type": int, "default": 1, "help": "second exponent (default 1)"},
+        "--window": {"dest": "window", "help": "window as n,m for the windowed statements"},
+        "--alt-boundary": {"dest": "alt_boundary", "action": "store_true", "default": False,
+                           "help": "T3_10 variant anchored at the first element"},
+        "--format": _FORMAT,
+    }),
+    "classify": (_cmd_classify, "monotonicity profile and segmentation", {
+        "--in": {"dest": "path", "required": True},
+        "--strict": {"dest": "strict", "action": "store_true", "default": False,
+                     "help": "use strict orders instead of the default non-strict ones"},
+        "--format": _FORMAT,
+    }),
+    "fuzz": (_cmd_fuzz, "seeded random trials of one statement", {
+        "--theorem": {"dest": "theorem", "required": True},
+        "--trials": {"dest": "trials", "type": int, "default": 1000},
+        "--seed": {"dest": "seed", "type": int, "default": 0},
+        "--relax": {"dest": "relax", "default": "",
+                    "help": "comma-separated precondition names to violate on purpose"},
+        "--format": _FORMAT,
+    }),
+    "scan": (_cmd_scan, "exhaustive small-grid worst-ratio search", {
+        "--theorem": {"dest": "theorem", "required": True},
+        "--l1": {"dest": "l1", "type": int, "default": 1},
+        "--l2": {"dest": "l2", "type": int, "default": 1},
+        "--length": {"dest": "length", "type": int, "required": True, "help": "element count"},
+        "--bound": {"dest": "bound", "type": int, "required": True,
+                    "help": "endpoints range over integers 0..bound"},
+        "--budget": {"dest": "budget", "type": int, "default": 200_000,
+                     "help": "refuse scans needing more checks than this"},
+        "--format": _FORMAT,
+    }),
+    "examples": (_cmd_examples, "re-run the bundled worked examples", {"--format": _FORMAT}),
+}
 
-# the options _parse_check accepts: those that take one value
-_CHECK_VALUED = {flag: spec for flag, spec in _CHECK_ARGS if "action" not in spec}
 
+def _parse_canonical(argv):
+    """The namespace argparse gives a canonical argv, without loading
+    argparse, or None for any other argv.
 
-def _parse_check(argv):
-    """The namespace argparse gives a canonical ``check`` argv, without
-    loading argparse, or None for any other argv.
-
-    Canonical: ``check``, then options of _CHECK_VALUED, each at most once
-    and in full, as ``--opt value`` or ``--opt=value``, ``--in`` among them,
-    every value of its option's type and choices. A separate value may not
-    start with "-", where argparse could read an option, and no value may
-    be "--", which argparse versions read differently. None leaves every
-    other argv, with its messages and exit codes, to argparse.
+    Canonical: a command of _COMMANDS, then its options, each at most once
+    and in full, every required one among them. A valued option is given as
+    ``--opt value`` or ``--opt=value``, its value of the option's type and
+    choices; a flag (``store_true``) is given bare. A separate value may not
+    start with "-", where argparse could read an option, and no value may be
+    "--", which argparse versions read differently. None leaves every other
+    argv, with its messages and exit codes, to argparse.
     """
-    if not argv or argv[0] != "check":
+    command = _COMMANDS.get(argv[0]) if argv and type(argv[0]) is str else None
+    if command is None:
         return None
+    options = command[2]
     given = {}
     tokens = iter(argv[1:])
     for token in tokens:
         if type(token) is not str:
             return None
         flag, eq, value = token.partition("=")
-        if not eq:
+        spec = options.get(flag)
+        if spec is None or flag in given:
+            return None
+        if "action" in spec:
+            if eq:
+                return None
+            value = True
+        elif not eq:
             value = next(tokens, None)
             if type(value) is not str or value.startswith("-"):
                 return None
-        if flag not in _CHECK_VALUED or flag in given or value == "--":
+        if value == "--":
             return None
         given[flag] = value
-    names = {"command": "check"}
-    for flag, spec in _CHECK_ARGS:
+    names = {"command": argv[0]}
+    for flag, spec in options.items():
         if flag not in given:
             if spec.get("required"):
                 return None
@@ -433,54 +468,16 @@ def _build_parser():
         description="Exact checking of Opial-type inequalities on interval sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    chk = sub.add_parser("check", help="evaluate one statement, or every applicable one")
-    for flag, spec in _CHECK_ARGS:
-        chk.add_argument(flag, **spec)
-
-    cls = sub.add_parser("classify", help="monotonicity profile and segmentation")
-    cls.add_argument("--in", dest="path", required=True)
-    cls.add_argument("--strict", action="store_true",
-                     help="use strict orders instead of the default non-strict ones")
-    cls.add_argument("--format", **_FORMAT)
-
-    fz = sub.add_parser("fuzz", help="seeded random trials of one statement")
-    fz.add_argument("--theorem", required=True)
-    fz.add_argument("--trials", type=int, default=1000)
-    fz.add_argument("--seed", type=int, default=0)
-    fz.add_argument("--relax", default="",
-                    help="comma-separated precondition names to violate on purpose")
-    fz.add_argument("--format", **_FORMAT)
-
-    sc = sub.add_parser("scan", help="exhaustive small-grid worst-ratio search")
-    sc.add_argument("--theorem", required=True)
-    sc.add_argument("--l1", type=int, default=1)
-    sc.add_argument("--l2", type=int, default=1)
-    sc.add_argument("--length", type=int, required=True, help="element count")
-    sc.add_argument("--bound", type=int, required=True,
-                    help="endpoints range over integers 0..bound")
-    sc.add_argument("--budget", type=int, default=200_000,
-                    help="refuse scans needing more checks than this")
-    sc.add_argument("--format", **_FORMAT)
-
-    ex = sub.add_parser("examples", help="re-run the bundled worked examples")
-    ex.add_argument("--format", **_FORMAT)
-
+    for name, (_, help_line, options) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_line)
+        for flag, spec in options.items():
+            cmd.add_argument(flag, **spec)
     return parser
-
-
-_HANDLERS = {
-    "check": _cmd_check,
-    "classify": _cmd_classify,
-    "fuzz": _cmd_fuzz,
-    "scan": _cmd_scan,
-    "examples": _cmd_examples,
-}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_check(argv)
+    args = _parse_canonical(argv)
     if args is None:
         try:
             args = _build_parser().parse_args(argv)
@@ -489,7 +486,7 @@ def main(argv=None) -> int:
             code = exc.code if isinstance(exc.code, int) else 0
             return 0 if code == 0 else 3
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (BudgetExceeded, ValueError, TypeError, ArithmeticError, OSError) as exc:
         # SchemaError, NonRational and OutputTooLarge among them
         print(f"error: {exc}", file=sys.stderr)

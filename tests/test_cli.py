@@ -811,9 +811,11 @@ REUSE_SEQUENCES = {
 
 
 @pytest.mark.parametrize("calls", REUSE_SEQUENCES.values(), ids=REUSE_SEQUENCES)
-def test_parser_reuse_leaks_no_state(capsys, calls):
+def test_parser_reuse_leaks_no_state(capsys, monkeypatch, calls):
     # each call of the sequence on the one cached parser gives what a
-    # freshly built parser gives it
+    # freshly built parser gives it; the canonical parser declines every
+    # argv, so each call reaches argparse
+    monkeypatch.setattr(cli, "_parse_canonical", lambda argv: None)
     fresh = []
     for argv, _ in calls:
         cli._build_parser.cache_clear()
@@ -831,46 +833,92 @@ def test_help_exits_zero(capsys):
     assert run_cli(capsys, ["check", "--help"])[0] == 0
 
 
-# argv pieces for the check-only parser: its six options, options and
-# abbreviations it must leave to argparse, values of every kind argparse
-# reads differently, and stray tokens
+# argv pieces for the canonical parser: each command's options with values
+# drawn for them (None: a flag given bare; a flag given a value is left to
+# argparse, which refuses it), options and abbreviations it must leave to
+# argparse, values of every kind argparse reads differently, and stray tokens
+_NUMBERS = ("0", "1", "2", "3", "-5", " 3", "+3", "3_0", "\u0663", "", "x")
+_FORMATS = ("json", "table", "xml")
 _OPTION_VALUES = {
-    "--in": (sample("ex33.json"), sample("pair_t36.json"), sample("tent_classical.json"),
-             "/nonexistent.json", ""),
-    "--theorem": ("T3_5", "T2_2", "T3_10", "T99", ""),
-    "--l1": ("1", "2", "-5", " 3", "+3", "3_0", "\u0663", "x"),
-    "--l2": ("1", "2", "-5", " 3", "+3", "3_0", "\u0663", "x"),
-    "--window": ("1,3", "-1,3", "0,2", "x"),
-    "--format": ("json", "table", "xml"),
+    "check": {
+        "--in": (sample("ex33.json"), sample("pair_t36.json"), sample("tent_classical.json"),
+                 "/nonexistent.json", ""),
+        "--theorem": ("T3_5", "T2_2", "T3_10", "T99", ""),
+        "--l1": ("1", "2", "-5", " 3", "+3", "3_0", "\u0663", "x"),
+        "--l2": ("1", "2", "-5", " 3", "+3", "3_0", "\u0663", "x"),
+        "--window": ("1,3", "-1,3", "0,2", "x"),
+        "--alt-boundary": (None, None, "x"),
+        "--format": _FORMATS,
+    },
+    "classify": {
+        "--in": (sample("ex33.json"), sample("pair_t36.json"), "/nonexistent.json", ""),
+        "--strict": (None, None, ""),
+        "--format": _FORMATS,
+    },
+    "fuzz": {
+        "--theorem": ("T3_5", "T2_2", "T99", ""),
+        "--trials": _NUMBERS,
+        "--seed": _NUMBERS,
+        "--relax": ("", "last_zero", "first_zero,last_zero", " last_zero , ", "bogus", "a=b"),
+        "--format": _FORMATS,
+    },
+    "scan": {
+        "--theorem": ("T3_1", "T2_2", "T3_10", "T99", ""),
+        "--l1": _NUMBERS,
+        "--l2": _NUMBERS,
+        "--length": ("1", "2", "3", "-5", " 3", "+3", "\u0663", "", "x"),
+        "--bound": ("0", "1", "-5", " 1", "+1", "1_0", "", "x"),
+        "--budget": ("10", "200000", "-5", " 30", "3_0", "", "x"),
+        "--format": _FORMATS,
+    },
+    "examples": {"--format": _FORMATS},
 }
-_CHECK_VALUES = sorted({v for values in _OPTION_VALUES.values() for v in values}
-                       | {"--", "-", "a=b"})
-_ODD_FLAGS = ("--alt-boundary", "--help", "--bogus", "--the", "--l", "--i", "--form")
+# the options each command requires, with valid values
+_REQUIRED = {
+    "check": ["--in", sample("ex33.json")],
+    "classify": ["--in", sample("ex33.json")],
+    "fuzz": ["--theorem", "T3_5"],
+    "scan": ["--theorem", "T3_1", "--length", "3", "--bound", "1"],
+    "examples": [],
+}
+_ALL_FLAGS = sorted({flag for options in _OPTION_VALUES.values() for flag in options})
+_ANY_VALUES = sorted({v for options in _OPTION_VALUES.values() for values in options.values()
+                        for v in values if v is not None} | {"--", "-", "a=b"})
+_ODD_FLAGS = ("--help", "--bogus", "--the", "--tri", "--l", "--i", "--form")
 _STRAY_TOKENS = ("--", "-h", "-x", "stray", "")
 
 
 @st.composite
 def _check_argvs(draw):
-    argv = [draw(st.sampled_from(("check",) * 6 + ("classify", "checks", "--help")))]
+    command = draw(st.sampled_from(("check",) * 6 + ("classify", "fuzz", "scan", "examples") * 2
+                                   + ("checks", "--help")))
+    options = _OPTION_VALUES.get(command, _OPTION_VALUES["check"])
+    argv = [command]
     if draw(st.booleans()):
-        argv += ["--in", sample("ex33.json")]
-    # a third of the lists hold only the six options, without repeats, each
-    # with a value drawn for it, which the check parser may accept; a third
-    # are the same with the first option abbreviated; a third hold anything
+        argv += _REQUIRED.get(command, _REQUIRED["check"])
+    # a third of the lists hold only the command's options, without
+    # repeats, each with a value drawn for it, which the canonical parser
+    # may accept; a third are the same with the first option abbreviated; a
+    # third hold anything
     mode = draw(st.sampled_from(("canonical", "abbreviated", "any")))
-    count = draw(st.integers(0, 6))
+    count = draw(st.integers(0, len(options)))
     if mode == "any":
-        flags = [draw(st.sampled_from(tuple(_OPTION_VALUES) + _ODD_FLAGS)) for _ in range(count)]
+        flags = [draw(st.sampled_from(_ALL_FLAGS + list(_ODD_FLAGS))) for _ in range(count)]
         forms = ("separate", "attached", "bare", "stray")
     else:
-        flags = draw(st.permutations(tuple(_OPTION_VALUES)))[:count]
+        flags = draw(st.permutations(tuple(options)))[:count]
+        if len(argv) > 1 and draw(st.integers(0, 3)):
+            # mostly no repeat of the required options given above
+            flags = [flag for flag in flags if flag not in argv]
         forms = ("separate", "attached")
     for j, flag in enumerate(flags):
         form = draw(st.sampled_from(forms))
-        value = draw(st.sampled_from(_CHECK_VALUES if mode == "any" else _OPTION_VALUES[flag]))
+        value = draw(st.sampled_from(_ANY_VALUES if mode == "any" else options[flag]))
         if mode == "abbreviated" and j == 0:
             flag = flag[:draw(st.integers(3, len(flag) - 1))]
-        if form == "separate":
+        if value is None:
+            argv.append(flag)
+        elif form == "separate":
             argv += [flag, value]
         elif form == "attached":
             argv.append(f"{flag}={value}")
@@ -891,14 +939,14 @@ def _run_captured(argv):
 @settings(max_examples=1500, deadline=None)
 @given(argv=_check_argvs())
 def test_check_parser_namespace_matches_argparse(argv):
-    fast = cli._parse_check(argv)
+    fast = cli._parse_canonical(argv)
     if fast is None:
         return
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             slow = cli._build_parser().parse_args(argv)
         except SystemExit:
-            pytest.fail(f"argparse refuses {argv!r}, which the check parser accepts")
+            pytest.fail(f"argparse refuses {argv!r}, which the canonical parser accepts")
     assert vars(fast) == vars(slow)
 
 
@@ -908,19 +956,35 @@ def test_check_parser_leaves_output_unchanged(argv):
     # every argv gives what it gives when argparse parses it
     fast = _run_captured(argv)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_parse_check", lambda argv: None)
+        mp.setattr(cli, "_parse_canonical", lambda argv: None)
         slow = _run_captured(argv)
     assert fast == slow
 
 
+# the forms each command is given, which take the parser without argparse
+CANONICAL_FORMS = [
+    ["check", "--in", sample("ex33.json")],
+    ["check", "--in", sample("ex33.json"), "--theorem", "T3_5", "--l1", "2", "--l2", "3",
+     "--format", "table"],
+    ["check", "--in=" + sample("ex33.json"), "--window=-1,3", "--format=json"],
+    ["check", "--alt-boundary", "--in", sample("pair_t36.json"), "--theorem", "T3_10"],
+    ["classify", "--in", sample("ex33.json")],
+    ["classify", "--strict", "--format", "table", "--in=" + sample("ex33.json")],
+    ["fuzz", "--theorem", "T3_5", "--trials", "1"],
+    ["fuzz", "--relax=first_zero,last_zero", "--seed=-3", "--theorem=T2_2", "--trials", "60",
+     "--format", "table"],
+    ["fuzz", "--theorem", "T2_2", "--relax", ""],
+    ["scan", "--theorem", "T3_1", "--length", "3", "--bound", "1"],
+    ["scan", "--bound=1", "--length=3", "--theorem=T3_6", "--l1", "2", "--l2", "3",
+     "--budget", "500", "--format", "json"],
+    ["examples"],
+    ["examples", "--format=table"],
+]
+
+
 def test_check_parser_accepts_canonical_forms():
-    # the forms a plain check is given take the parser without argparse
-    ex33 = sample("ex33.json")
-    for argv in (["check", "--in", ex33],
-                 ["check", "--in", ex33, "--theorem", "T3_5", "--l1", "2", "--l2", "3",
-                  "--format", "table"],
-                 ["check", "--in=" + ex33, "--window=-1,3", "--format=json"]):
-        args = cli._parse_check(argv)
+    for argv in CANONICAL_FORMS:
+        args = cli._parse_canonical(argv)
         assert args is not None and vars(args) == vars(cli._build_parser().parse_args(argv))
 
 
@@ -1007,6 +1071,36 @@ def test_cold_plain_check_loads_only_what_it_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 [] opialcheck.oracle []\n"
+
+
+# what a canonical fuzz or scan does not run, so must not load; random and
+# oracle stay, as both commands use them
+_FUZZ_SCAN_UNUSED = ("argparse", "gettext", "locale")
+
+_FUZZ_SCAN_CHILD = textwrap.dedent("""
+    import contextlib, io, sys
+    sys.path.insert(0, sys.argv[1])
+    import opialcheck
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [opialcheck.main(["fuzz", "--theorem", "T3_5", "--trials", "1"]),
+                 opialcheck.main(["scan", "--theorem", "T3_1", "--length", "3",
+                                  "--bound", "1"])]
+    loaded = sorted(set(sys.argv[2:]) & set(sys.modules))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        argparse_codes = [opialcheck.main(["--help"]),
+                          opialcheck.main(["scan", "--theorem", "T3_1"])]
+    print(codes, loaded, argparse_codes)
+""")
+
+
+def test_cold_fuzz_and_scan_skip_argparse():
+    pkg_dir = str(Path(opialcheck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _FUZZ_SCAN_CHILD, pkg_dir, *_FUZZ_SCAN_UNUSED],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] [] [0, 3]\n"
 
 
 def test_lazy_oracle_names_are_the_oracle_names():

@@ -38,6 +38,10 @@ The command-line digests pin the printed text itself: the exit code and
 stdout of ``main(argv)`` (``f"{code}\\n{stdout}"``, UTF-8), recorded while
 ``check`` and the other commands printed through ``json.dumps(payload,
 indent=2)``.
+
+The help texts pin argparse's help screens and two usage errors, in full
+(exit code, stdout and stderr at ``COLUMNS=80``). They were recorded on
+Python 3.10-3.13 while each subparser was still written out by hand.
 """
 
 import contextlib
@@ -46,6 +50,7 @@ import io
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -507,3 +512,101 @@ def test_unreached_json_is_unchanged():
     text = json.dumps({"specs": [spec.to_jsonable() for spec in registry()],
                        "scan": scan.to_jsonable(), "row": row.to_jsonable()})
     assert hashlib.sha256(text.encode()).hexdigest() == UNREACHED_JSON_DIGEST
+
+
+# argparse's help and usage-error texts at COLUMNS=80: (exit code, stdout,
+# stderr) of main(argv). Python 3.13 wraps the scan usage line one option
+# earlier; the texts are otherwise the same on 3.10-3.13
+_USAGE_CHECK = """\
+usage: opialcheck check [-h] --in PATH [--theorem THEOREM] [--l1 L1] [--l2 L2]
+                        [--window WINDOW] [--alt-boundary]
+                        [--format {json,table}]
+"""
+_USAGE_SCAN = """\
+usage: opialcheck scan [-h] --theorem THEOREM [--l1 L1] [--l2 L2] --length
+                       LENGTH --bound BOUND [--budget BUDGET]
+                       [--format {json,table}]
+""" if sys.version_info < (3, 13) else """\
+usage: opialcheck scan [-h] --theorem THEOREM [--l1 L1] [--l2 L2]
+                       --length LENGTH --bound BOUND [--budget BUDGET]
+                       [--format {json,table}]
+"""
+_HELP_LINE = "  -h, --help            show this help message and exit\n"
+_FORMAT_LINES = """\
+  --format {json,table}
+                        output rendering (default json)
+"""
+
+HELP_TEXTS = {
+    "--help": (0, """\
+usage: opialcheck [-h] {check,classify,fuzz,scan,examples} ...
+
+Exact checking of Opial-type inequalities on interval sequences.
+
+positional arguments:
+  {check,classify,fuzz,scan,examples}
+    check               evaluate one statement, or every applicable one
+    classify            monotonicity profile and segmentation
+    fuzz                seeded random trials of one statement
+    scan                exhaustive small-grid worst-ratio search
+    examples            re-run the bundled worked examples
+
+options:
+""" + _HELP_LINE, ""),
+    "check --help": (0, _USAGE_CHECK + "\noptions:\n" + _HELP_LINE + """\
+  --in PATH             JSON file with u (and optionally v)
+  --theorem THEOREM     statement id such as T3_5; omit to discover
+  --l1 L1               first exponent (default 1)
+  --l2 L2               second exponent (default 1)
+  --window WINDOW       window as n,m for the windowed statements
+  --alt-boundary        T3_10 variant anchored at the first element
+""" + _FORMAT_LINES, ""),
+    "classify --help": (0, """\
+usage: opialcheck classify [-h] --in PATH [--strict] [--format {json,table}]
+
+options:
+""" + _HELP_LINE + """\
+  --in PATH
+  --strict              use strict orders instead of the default non-strict
+                        ones
+""" + _FORMAT_LINES, ""),
+    "fuzz --help": (0, """\
+usage: opialcheck fuzz [-h] --theorem THEOREM [--trials TRIALS] [--seed SEED]
+                       [--relax RELAX] [--format {json,table}]
+
+options:
+""" + _HELP_LINE + """\
+  --theorem THEOREM
+  --trials TRIALS
+  --seed SEED
+  --relax RELAX         comma-separated precondition names to violate on
+                        purpose
+""" + _FORMAT_LINES, ""),
+    "scan --help": (0, _USAGE_SCAN + "\noptions:\n" + _HELP_LINE + """\
+  --theorem THEOREM
+  --l1 L1
+  --l2 L2
+  --length LENGTH       element count
+  --bound BOUND         endpoints range over integers 0..bound
+  --budget BUDGET       refuse scans needing more checks than this
+""" + _FORMAT_LINES, ""),
+    "examples --help": (0, """\
+usage: opialcheck examples [-h] [--format {json,table}]
+
+options:
+""" + _HELP_LINE + _FORMAT_LINES, ""),
+    "check": (3, "", _USAGE_CHECK
+              + "opialcheck check: error: the following arguments are required: --in\n"),
+    "scan --theorem T3_1": (3, "", _USAGE_SCAN + "opialcheck scan: error: the following"
+                            " arguments are required: --length, --bound\n"),
+}
+
+
+@pytest.mark.parametrize("call", list(HELP_TEXTS))
+def test_help_and_usage_texts_are_unchanged(call, monkeypatch):
+    # argparse wraps its texts to the terminal width it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(call.split())
+    assert (code, out.getvalue(), err.getvalue()) == HELP_TEXTS[call]
