@@ -4,8 +4,12 @@
 ``@dataclass(frozen=True, slots=True)`` would make of it. Importing
 ``dataclasses`` (which imports ``inspect``, ``ast`` and ``dis``) and
 building each class's methods with ``exec`` was most of the package's
-start-up; here only ``__init__`` is generated, once per class. A record
-has, over its fields in the order the body annotates them:
+start-up; here only ``__init__`` is generated, once per class, and not at
+import: the class holds a small descriptor until the first lookup of its
+``__init__`` (its first instance, or ``inspect.signature`` of the class),
+which compiles the function and puts it on the class in the descriptor's
+place. A class a run never instantiates costs no ``exec``. A record has,
+over its fields in the order the body annotates them:
 
 - ``__init__(self, <fields>)``, positional or keyword, with the defaults
   the body gives; it calls ``__post_init__`` when the class defines one;
@@ -69,6 +73,33 @@ def _init(cls, names, defaults, post_init):
     return init
 
 
+class _LazyInit:
+    """A record's ``__init__`` until its first lookup, which compiles it
+    with _init and puts the function on the class in this one's place."""
+
+    def __init__(self, names, defaults, post_init):
+        self.fields = names, defaults, post_init
+        self.init = None
+
+    def __set_name__(self, owner, name):
+        self.owner = owner
+
+    def compiled(self):
+        if self.init is None:
+            self.init = _init(self.owner, *self.fields)
+        return self.init
+
+    def __get__(self, obj, objtype=None):
+        init = self.compiled()
+        setattr(self.owner, "__init__", init)
+        return init.__get__(obj, objtype)
+
+    def __call__(self, *args, **kwargs):
+        # for a caller that took this descriptor from the class's __dict__
+        # (to wrap it, say) and calls it in the function's place
+        return self.compiled()(*args, **kwargs)
+
+
 def record(cls):
     """The record made of cls (see the module docstring)."""
     body = dict(cls.__dict__)
@@ -98,7 +129,7 @@ def record(cls):
         return self.__class__, values(self)
 
     methods = {
-        "__init__": _init(cls, names, defaults, "__post_init__" in body),
+        "__init__": _LazyInit(names, defaults, "__post_init__" in body),
         "__eq__": __eq__, "__hash__": __hash__, "__repr__": __repr__,
         "__reduce__": __reduce__, "__replace__": replace,
         "__setattr__": refuse_set, "__delattr__": refuse_delete,

@@ -16,11 +16,16 @@ witness), 2 preconditions unsatisfied, 3 bad input or usage.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
 import types
-from json.encoder import encode_basestring_ascii
+
+try:
+    # the C encoder json.encoder itself uses; json is imported only where a
+    # document is decoded, so fuzz, scan and examples never load it
+    from _json import encode_basestring_ascii
+except ImportError:   # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii
 
 from .rationals import (
     NonRational, as_rational, ratio_to_json, rational_from_text,
@@ -61,6 +66,8 @@ _ALLOWED_KEYS = {"u", "v", "base_index"}
 
 
 def _json_loads_exact(text):
+    import json
+
     def reject(name):
         raise SchemaError(f"non-finite number {name} is not accepted")
 
@@ -463,7 +470,17 @@ def _build_parser():
     # call and every default is immutable, so calls share nothing
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class ArgumentParser(argparse.ArgumentParser):
+        def _get_values(self, action, arg_strings):
+            # Python 3.10-3.12 drop an option's attached value "--" (as in
+            # --in=--) and store []; 3.13 reads the value "--", as here
+            if action.option_strings and arg_strings == ["--"]:
+                value = self._get_value(action, "--")
+                self._check_value(action, value)
+                return value
+            return super()._get_values(action, arg_strings)
+
+    parser = ArgumentParser(
         prog="opialcheck",
         description="Exact checking of Opial-type inequalities on interval sequences.",
     )

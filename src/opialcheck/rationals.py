@@ -17,7 +17,16 @@ Rational = Fraction
 # faster than linearly; a literal whose decimal exponent is larger than this
 # (Python's default digit limit for int text) is refused before that.
 MAX_DECIMAL_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def _exponent(text):
+    """The match of a trailing decimal exponent in text, or None. The first
+    call compiles the pattern and binds its search method to this name, so
+    a later call costs one global lookup, as a pattern compiled at import
+    would."""
+    global _exponent
+    _exponent = re.compile(r"[eE][-+]?([\d_]+)\s*\Z").search
+    return _exponent(text)
 
 
 class NonRational(TypeError):
@@ -27,7 +36,7 @@ class NonRational(TypeError):
 def rational_from_text(text: str) -> Fraction:
     """``Fraction(text)``, refusing a decimal exponent larger than
     MAX_DECIMAL_EXPONENT in magnitude with NonRational."""
-    m = _EXPONENT.search(text)
+    m = _exponent(text)
     if m:
         digits = m.group(1).replace("_", "").lstrip("0")
         if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))

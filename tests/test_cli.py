@@ -433,6 +433,32 @@ def test_hostile_exponents_fail_fast(tmp_path):
         assert peak < 1_000_000, (doc[:40], peak)
 
 
+# the exponent pattern is compiled on the first call of rational_from_text;
+# a refusal must not depend on an earlier call having compiled it
+_FIRST_EXPONENT_CHILD = textwrap.dedent("""
+    import sys
+    sys.path.insert(0, sys.argv[1])
+    from opialcheck.rationals import NonRational, rational_from_text
+    for text in sys.argv[2:]:
+        try:
+            print(repr(rational_from_text(text)))
+        except NonRational as exc:
+            print(exc)
+""")
+
+
+@pytest.mark.parametrize("text", ["1e4301", "-7E-04301", " 2.5e+99999 "])
+def test_exponent_refusal_fires_on_the_first_call(text):
+    pkg_dir = str(Path(opialcheck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _FIRST_EXPONENT_CHILD, pkg_dir, text, "1.5e3", text],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    refusal = f"refusing {text!r}: decimal exponent larger than 4300 in magnitude"
+    assert proc.stdout.splitlines() == [refusal, "Fraction(1500, 1)", refusal]
+
+
 # -- command driver -----------------------------------------------------------------
 
 
@@ -786,6 +812,28 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code4 == 3
 
 
+# "--" attached as an option's value is that value on every Python: argparse
+# on 3.10-3.12 dropped it and handed the command [], where 3.13 kept it
+DASH_DASH_VALUES = {
+    "in": (["check", "--in=--"], "No such file or directory: '--'"),
+    "format": (["scan", "--theorem", "T3_1", "--length", "3", "--bound", "1", "--format=--"],
+               "argument --format: invalid choice: '--'"),
+    "l1": (["check", "--in", sample("ex33.json"), "--l1=--"],
+           "argument --l1: invalid int value: '--'"),
+    "relax": (["fuzz", "--theorem", "T3_5", "--trials", "1", "--relax=--"],
+              "relax names ['--'] are not preconditions of T3_5"),
+}
+
+
+@pytest.mark.parametrize("argv,message", DASH_DASH_VALUES.values(), ids=DASH_DASH_VALUES)
+def test_attached_dash_dash_is_the_value(capsys, argv, message):
+    assert cli._parse_canonical(argv) is None
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == ""
+    assert message in err
+    assert "not list" not in err
+
+
 # call sequences, with their exit codes, in which a parser that kept state
 # from one call would change the next: a flag, --help, a usage error, an
 # option's value
@@ -1073,9 +1121,10 @@ def test_cold_plain_check_loads_only_what_it_runs():
     assert proc.stdout == "0 [] opialcheck.oracle []\n"
 
 
-# what a canonical fuzz or scan does not run, so must not load; random and
-# oracle stay, as both commands use them
-_FUZZ_SCAN_UNUSED = ("argparse", "gettext", "locale")
+# what a canonical fuzz or scan does not run, so must not load: neither
+# decodes JSON; random and oracle stay, as both commands use them
+_FUZZ_SCAN_UNUSED = ("argparse", "gettext", "locale",
+                     "json", "json.decoder", "json.encoder", "json.scanner")
 
 _FUZZ_SCAN_CHILD = textwrap.dedent("""
     import contextlib, io, sys
@@ -1101,6 +1150,34 @@ def test_cold_fuzz_and_scan_skip_argparse():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 0] [] [0, 3]\n"
+
+
+# cli takes encode_basestring_ascii from the C module _json, and from
+# json.encoder on an interpreter without it; reports read the same either way
+_NO_C_JSON_CHILD = textwrap.dedent(r"""
+    import sys
+    sys.path.insert(0, sys.argv[1])
+    sys.modules["_json"] = None
+    from opialcheck import cli
+    import json, json.encoder
+    obj = {"k\u00e9y": ["a\"b\\c/\x00\x1f\x7f\u2028\ud800\U0001f600", 2 ** 70, None, True],
+           "": {}, "l": [[], {"x": False}]}
+    print(cli.encode_basestring_ascii is json.encoder.py_encode_basestring_ascii,
+          cli._json_text(obj) == json.dumps(obj, indent=2))
+""")
+
+
+def test_json_writer_without_the_c_encoder():
+    pkg_dir = str(Path(opialcheck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _NO_C_JSON_CHILD, pkg_dir],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True True\n"
+    import json.encoder
+
+    assert cli.encode_basestring_ascii is json.encoder.encode_basestring_ascii
 
 
 def test_lazy_oracle_names_are_the_oracle_names():

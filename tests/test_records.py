@@ -6,12 +6,18 @@ calls."""
 import copy
 import hashlib
 import inspect
+import json
 import pickle
+import subprocess
+import sys
+import textwrap
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import opialcheck
 from opialcheck import (
     FuzzConfig,
     Interval,
@@ -303,3 +309,141 @@ def test_json_forms_come_from_one_rule(name):
 def test_json_rule_refuses_a_value_with_no_json_form():
     with pytest.raises(TypeError, match="no JSON form for float"):
         replace(_INSTANCES["ExampleRow"], engine_lhs=0.5).to_jsonable()
+
+
+# Each record's __init__ is compiled on the first lookup, so each check runs
+# in a fresh interpreter: the records' classes, their state (a function, or
+# still the deferred __init__) and what the check found
+_FIRST_USE_CHILD = textwrap.dedent("""
+    import contextlib, copy, inspect, io, json, pickle, sys
+    sys.path.insert(0, sys.argv[1])
+    import opialcheck
+    from opialcheck import _records, intervals, oracle, sequences, theorems
+
+    classes = {cls.__name__: cls for mod in (intervals, sequences, theorems, oracle)
+               for cls in vars(mod).values()
+               if isinstance(cls, type) and cls.__module__ == mod.__name__
+               and "_shown" in vars(cls)}
+
+    def deferred():
+        return sorted(name for name, cls in classes.items()
+                      if isinstance(vars(cls)["__init__"], _records._LazyInit))
+
+    def compiled(cls):
+        init = vars(cls)["__init__"]
+        return type(init).__name__ == "function" and init.__qualname__ == (
+            cls.__qualname__ + ".__init__")
+
+    def hashed(obj):
+        try:
+            return hash(obj)
+        except TypeError:
+            return "unhashable"
+
+    mode, result = sys.argv[2], {"before": deferred()}
+    if mode == "signature":
+        result["signatures"] = {
+            name: " ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+                           for p in inspect.signature(cls).parameters.values())
+            for name, cls in classes.items()}
+    elif mode == "fuzz":
+        with contextlib.redirect_stdout(io.StringIO()):
+            result["code"] = opialcheck.main(["fuzz", "--theorem", "T3_5", "--trials", "1"])
+    elif mode == "wrapped":
+        # a wrapper put over the deferred __init__ (as perfbench's tracer does)
+        # calls it in the function's place and stays on the class
+        Interval = classes["Interval"]
+        lazy, calls = vars(Interval)["__init__"], []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return lazy(*args, **kwargs)
+
+        Interval.__init__ = wrapper
+        made = [Interval(1, 2), Interval(0, "1/2")]
+        result["kept"] = vars(Interval)["__init__"] is wrapper
+        Interval.__init__ = lazy
+        made.append(Interval(1, 2))
+        result["compiled once"] = vars(Interval)["__init__"] is lazy.init
+        result["calls"] = len(calls)
+        result["reprs"] = [repr(obj) for obj in made]
+    else:
+        # the first instance of each class comes from pickle.loads, copy.copy
+        # or replace; an original that copy and replace start from is made
+        # without calling __init__
+        result["cases"] = []
+        for name, class_name, fields, blob, shown in pickle.loads(sys.stdin.buffer.read()):
+            cls = classes[class_name]
+            if mode == "pickle":
+                before = name in deferred()
+                original, first = pickle.loads(blob), pickle.loads(blob)
+            else:
+                original = object.__new__(cls)
+                for field, value in zip(cls.__match_args__, pickle.loads(fields)):
+                    object.__setattr__(original, field, value)
+                before = name in deferred()
+                copier = copy.copy if mode == "copy" else opialcheck.replace
+                first = copier(original)
+            result["cases"].append([
+                name, before, compiled(cls), type(first) is cls and first == original,
+                hashed(first) == hashed(original), repr(first) == shown])
+    result["after"] = deferred()
+    print(json.dumps(result))
+""")
+
+
+def _first_use(mode, payload=b""):
+    pkg_dir = str(Path(opialcheck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _FIRST_USE_CHILD, pkg_dir, mode],
+        input=payload, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout)
+
+
+# the records the registry builds at import; every other one waits for its
+# first use
+_BUILT_AT_IMPORT = {"TheoremSpec", "_Sums"}
+
+
+def test_signatures_compile_each_deferred_init():
+    result = _first_use("signature")
+    assert set(result["before"]) == set(_SIGNATURES) - _BUILT_AT_IMPORT
+    assert result["signatures"] == _SIGNATURES
+    assert result["after"] == []
+
+
+def test_cold_fuzz_compiles_only_the_records_it_makes():
+    result = _first_use("fuzz")
+    assert result["code"] == 0
+    deferred = set(result["after"])
+    assert {"ScanReport", "ExampleRow", "ExampleReport", "Segment",
+            "SegmentDecomposition"} <= deferred
+    assert not deferred & {"FuzzConfig", "FuzzReport", "Verdict", "PreconditionCheck"}
+
+
+def test_a_wrapped_deferred_init_is_called_in_its_place():
+    result = _first_use("wrapped")
+    assert result["kept"] and result["calls"] == 2 and result["compiled once"]
+    assert "Interval" in result["before"] and "Interval" not in result["after"]
+    assert result["reprs"] == ["Interval('1', '2')", "Interval('0', '1/2')",
+                               "Interval('1', '2')"]
+
+
+@pytest.mark.parametrize("mode", ["pickle", "copy", "replace"])
+def test_first_instance_by_pickle_copy_or_replace(mode):
+    # _INSTANCES lists each record before any record that holds it, so each
+    # class is still deferred when its own case starts
+    payload = pickle.dumps([
+        (name, type(obj).__name__, pickle.dumps(tuple(getattr(obj, f) for f in _fields(obj))),
+         pickle.dumps(obj), repr(obj))
+        for name, obj in _INSTANCES.items()])
+    result = _first_use(mode, payload)
+    cases = result["cases"]
+    assert [case[0] for case in cases] == list(_INSTANCES)
+    first_uses = {name for name, before, *_ in cases if before}
+    assert first_uses == set(_INSTANCES) - _BUILT_AT_IMPORT - {"pair Verdict"}
+    for name, _, compiled, equal, same_hash, same_repr in cases:
+        assert compiled and equal and same_hash and same_repr, name
+    assert result["after"] == []
