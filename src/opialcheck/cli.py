@@ -28,7 +28,7 @@ except ImportError:   # an interpreter without the C accelerator
     from json.encoder import encode_basestring_ascii
 
 from .rationals import (
-    NonRational, as_rational, ratio_to_json, rational_from_text,
+    NonRational, as_rational, int_digit_limit, ratio_to_json, rational_from_text,
 )
 from .sequences import IntervalSequence, NotDecomposable, input_to_jsonable, synchronous
 from .theorems import (
@@ -76,6 +76,13 @@ def _json_loads_exact(text):
         return json.loads(text, parse_float=rational_from_text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply to decode") from None
+    except SchemaError:
+        raise
+    except ValueError:   # json's only other one: an int literal past the int-text limit
+        raise SchemaError(f"refusing a number literal of more than {int_digit_limit()}"
+                          " digits") from None
 
 
 def _endpoint(value, key, j, side):
@@ -83,8 +90,6 @@ def _endpoint(value, key, j, side):
         return as_rational(value)
     except NonRational as exc:
         raise type(exc)(f"{key}[{j}][{side}]: {exc}") from None
-    except ValueError as exc:
-        raise SchemaError(f"{key}[{j}][{side}]: {exc}") from None
 
 
 def _ratio(value, key, j, side):
@@ -154,15 +159,15 @@ def parse_sequence(document):
     return u
 
 
-def sequence_to_jsonable(built):
-    """Inverse of parse_sequence up to lowest-terms normalization."""
-    return input_to_jsonable(built)
+# the inverse of parse_sequence up to lowest-terms normalization
+sequence_to_jsonable = input_to_jsonable
 
 
 # -- output -------------------------------------------------------------------
 
 
 def _tableize(payload, indent=0):
+    # payload is a dict or a list: _emit passes nothing else, nor does the recursion
     pad = "  " * indent
     lines = []
     if isinstance(payload, dict):
@@ -172,15 +177,13 @@ def _tableize(payload, indent=0):
                 lines.append(_tableize(val, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {val}")
-    elif isinstance(payload, list):
+    else:
         for val in payload:
             if isinstance(val, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.append(_tableize(val, indent + 1))
             else:
                 lines.append(f"{pad}- {val}")
-    else:
-        lines.append(f"{pad}{payload}")
     return "\n".join(lines)
 
 
@@ -270,7 +273,7 @@ def _cmd_check(args):
         _check_exponents(args.l1, args.l2)
     # refuse an oversized document before any statement runs
     _guard(analysis, args.l1, args.l2)
-    payload = {"input": sequence_to_jsonable(built)}
+    payload = {"input": input_to_jsonable(built)}
     if args.theorem:
         verdicts = [_run_one(lookup(args.theorem), built, args, window, analysis)]
         payload["verdict"] = verdicts[0].to_jsonable()

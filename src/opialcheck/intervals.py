@@ -177,11 +177,11 @@ class Interval:
 
     def gh_diff(self, other) -> tuple["Interval", GhCase]:
         """Generalized Hukuhara difference u .gh_diff. v with its case."""
-        other = _coerce(other)
-        if other is None:
+        w = _coerce(other)
+        if w is None:
             raise TypeError(f"cannot subtract {other!r} from an interval")
-        dlo = self.lo - other.lo
-        dhi = self.hi - other.hi
+        dlo = self.lo - w.lo
+        dhi = self.hi - w.hi
         if dlo < dhi:
             return Interval(dlo, dhi), GhCase.A
         if dlo > dhi:
@@ -189,24 +189,20 @@ class Interval:
         return Interval(dlo, dhi), GhCase.BOTH
 
     def h_diff(self, other) -> "Interval":
-        """Hukuhara difference; exists only when width(self) >= width(other)."""
-        other = _coerce(other)
-        if other is None:
-            raise TypeError(f"cannot subtract {other!r} from an interval")
-        dlo = self.lo - other.lo
-        dhi = self.hi - other.hi
-        if dlo > dhi:
-            raise HDiffNotExist(
-                f"width {self.width} is smaller than width {other.width}"
-            )
-        return Interval(dlo, dhi)
+        """Hukuhara difference: gh_diff outside case B, where it does not exist
+        (width(self) < width(other), which is width(self) + width(diff) there)."""
+        diff, case = self.gh_diff(other)
+        if case is GhCase.B:
+            raise HDiffNotExist(f"width {self.width} is smaller than width"
+                                f" {self.width + diff.width}")
+        return diff
 
     def hausdorff(self, other) -> Fraction:
         """Hausdorff distance: max endpoint displacement."""
-        other = _coerce(other)
-        if other is None:
+        w = _coerce(other)
+        if w is None:
             raise TypeError(f"no distance from an interval to {other!r}")
-        return max(abs(self.lo - other.lo), abs(self.hi - other.hi))
+        return max(abs(self.lo - w.lo), abs(self.hi - w.hi))
 
     # -- presentation --------------------------------------------------
 

@@ -24,7 +24,7 @@ from .intervals import ExponentOutOfRange, Interval
 from .rationals import as_rational
 from .sequences import (
     IntervalSequence,
-    LengthMismatch,
+    _check_aligned,
     _step_bits,
     input_to_jsonable,  # re-exported: oracle.input_to_jsonable
     record_to_jsonable,
@@ -53,6 +53,7 @@ from .theorems import (
 )
 
 _ATTEMPTS = 80
+_MAX_DEN = 16   # the largest denominator the generator draws
 
 SequenceInput = IntervalSequence | tuple[IntervalSequence, IntervalSequence]
 
@@ -226,9 +227,8 @@ def _monotone_pairs(names, L, rng, M, force_up=None):
     slo = _randint(rng, -M, M - sw)
     start = (slo, slo + sw)
     if mu_up:
+        # slo lies in [-M, M - sw], so either cap is at least sw
         ew = min(_randint(rng, sw, max(sw, M // 2)), M - slo if up else M + slo + sw)
-        if ew < sw:
-            raise _Retry
     else:
         ew = _randint(rng, 0, sw)
     follow_hi = up != mu_up
@@ -286,7 +286,7 @@ def _to_sequence(pairs, D, base=0):
 
 
 def _build_single(names, L, rng, M, base):
-    D = _randint(rng, 1, 16)
+    D = _randint(rng, 1, _MAX_DEN)
     if "degenerate" in names:
         nums = _degenerate_nums(names, L, rng, M)
         return _to_sequence([(k, k) for k in nums], D, base)
@@ -301,8 +301,8 @@ def _build_single(names, L, rng, M, base):
 
 
 def _build_pair(names, L, rng, M, base):
-    Du = _randint(rng, 1, 16)
-    Dv = _randint(rng, 1, 16)
+    Du = _randint(rng, 1, _MAX_DEN)
+    Dv = _randint(rng, 1, _MAX_DEN)
     if "synchronous" in names:
         sub = frozenset((names - _PAIR_NAMES) | {"monotone"})
         up = rng.random() < 0.5
@@ -412,12 +412,13 @@ class FuzzConfig:
         if not (_is_int(a) and _is_int(b) and 1 <= a <= b):
             raise ValueError("lambda_range must satisfy 1 <= min <= max")
         object.__setattr__(self, "lambda_range", (a, b))
-        # the largest trial: endpoints drawn within m on denominators <= 16;
-        # a pair's, on their lcm (<= 240), within 16 m. The exponents apply
-        # only where a trial draws them.
+        # the largest trial: endpoints drawn within m on denominators <=
+        # _MAX_DEN; a pair's, on their lcm (at most _MAX_DEN * (_MAX_DEN - 1)),
+        # within _MAX_DEN * m. The exponents apply only where a trial draws them.
         pair = spec.arity == 2
         lam = 1 if pair or spec.id is TheoremId.T2_2 else b
-        _size_guard((16 * m if pair else m).bit_length(), 240 if pair else 16, hi, lam, lam)
+        top, D = (_MAX_DEN * m, _MAX_DEN * (_MAX_DEN - 1)) if pair else (m, _MAX_DEN)
+        _size_guard(top.bit_length(), D, hi, lam, lam)
         relax = frozenset(self.relax)
         bad = relax - set(spec.preconditions)
         if bad:
@@ -1091,10 +1092,7 @@ def product_rule_check(u: IntervalSequence, v: IntervalSequence) -> dict:
     joint zero end; anything else raises PreconditionViolated. Returns
     {index: bool} over the difference indices.
     """
-    if len(u) != len(v):
-        raise LengthMismatch(f"lengths differ: {len(u)} vs {len(v)}")
-    if u.base_index != v.base_index:
-        raise LengthMismatch(f"base indices differ: {u.base_index} vs {v.base_index}")
+    _check_aligned(u, v)
     b, e = u.first_index, u.last_index
     if not (_holds(("first_zero", "synchronous", "mu_increasing"), u, v, e)
             or _holds(("last_zero", "synchronous", "mu_decreasing"), u, v, e)):
@@ -1140,6 +1138,13 @@ class ExampleReport:
     to_jsonable = record_to_jsonable
 
 
+def _row(label, v, ref_lhs, ref_rhs, note=""):
+    """An example's row: it matches when the verdict v holds with the reference sides."""
+    return ExampleRow(label=label, engine_lhs=v.lhs, engine_rhs=v.rhs,
+                      reference_lhs=ref_lhs, reference_rhs=ref_rhs,
+                      match=v.lhs == ref_lhs and v.rhs == ref_rhs and v.holds, note=note)
+
+
 def _example_31() -> ExampleReport:
     rows = []
     for n in (3, 5, 8):
@@ -1152,13 +1157,7 @@ def _example_31() -> ExampleReport:
                 (Fraction(i) ** a for i in range(1, n + 1)), Fraction(0)
             )
             ref_rhs = Fraction(c * n * (n + 1) ** a * 2 ** (a + c), a + c)
-            ok = v.lhs == ref_lhs and v.rhs == ref_rhs and v.holds
-            rows.append(ExampleRow(
-                label=f"n={n}, l1={a}, l2={c}",
-                engine_lhs=v.lhs, engine_rhs=v.rhs,
-                reference_lhs=ref_lhs, reference_rhs=ref_rhs,
-                match=ok,
-            ))
+            rows.append(_row(f"n={n}, l1={a}, l2={c}", v, ref_lhs, ref_rhs))
     return ExampleReport(
         example="3.1",
         theorem=TheoremId.T3_1,
@@ -1183,13 +1182,7 @@ def _example_32() -> ExampleReport:
             (Fraction(8, (i * (i - 1)) ** 3) for i in range(2, n)), Fraction(0)
         ) + Fraction(8, (n - 1) ** 3)
         ref_rhs = Fraction(2 * (n - 1), 3) * ref_sum
-        ok = v.lhs == ref_lhs and v.rhs == ref_rhs and v.holds
-        rows.append(ExampleRow(
-            label=f"n={n}, l1=1, l2=2, window=(2,{n})",
-            engine_lhs=v.lhs, engine_rhs=v.rhs,
-            reference_lhs=ref_lhs, reference_rhs=ref_rhs,
-            match=ok,
-        ))
+        rows.append(_row(f"n={n}, l1=1, l2=2, window=(2,{n})", v, ref_lhs, ref_rhs))
     return ExampleReport(
         example="3.2",
         theorem=TheoremId.T3_2,
@@ -1212,8 +1205,6 @@ def _example_33(part: str) -> ExampleReport:
         l1, l2 = 1, 2
         ref_lhs, ref_rhs = Fraction(80), Fraction(184)
     v = check_single(seq, l1, l2, TheoremId.T3_5)
-    lhs_ok = v.lhs == ref_lhs
-    rhs_ok = v.rhs == ref_rhs
     # the published right side drops the final difference term; recompute
     # that truncated variant for the note
     g = seq.nabla()
@@ -1221,18 +1212,12 @@ def _example_33(part: str) -> ExampleReport:
         (g.at(i).norm ** (l1 + l2) for i in range(1, seq.last_index)), Fraction(0)
     )
     note = (
-        f"left side {'matches' if lhs_ok else 'differs from'} the reference; "
+        f"left side {'matches' if v.lhs == ref_lhs else 'differs from'} the reference; "
         f"right side: engine {v.rhs} vs reference {ref_rhs} "
         f"(summing difference norms up to the second-to-last index instead "
         f"gives {trunc})"
     )
-    row = ExampleRow(
-        label=f"l1={l1}, l2={l2}",
-        engine_lhs=v.lhs, engine_rhs=v.rhs,
-        reference_lhs=ref_lhs, reference_rhs=ref_rhs,
-        match=lhs_ok and rhs_ok,
-        note=note,
-    )
+    row = _row(f"l1={l1}, l2={l2}", v, ref_lhs, ref_rhs, note)
     return ExampleReport(
         example=f"3.3{part}",
         theorem=TheoremId.T3_5,

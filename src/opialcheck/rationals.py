@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 Rational = Fraction
@@ -17,6 +18,16 @@ Rational = Fraction
 # faster than linearly; a literal whose decimal exponent is larger than this
 # (Python's default digit limit for int text) is refused before that.
 MAX_DECIMAL_EXPONENT = 4300
+
+
+def int_digit_limit():
+    """The interpreter's digit limit for int text, or Python's default where it sets none."""
+    return getattr(sys, "get_int_max_str_digits", int)() or MAX_DECIMAL_EXPONENT
+
+
+def _shown(text):
+    # a refused text is quoted up to 40 characters
+    return repr(text if len(text) <= 40 else text[:37] + "...")
 
 
 def _exponent(text):
@@ -34,18 +45,20 @@ class NonRational(TypeError):
 
 
 def rational_from_text(text: str) -> Fraction:
-    """``Fraction(text)``, refusing a decimal exponent larger than
-    MAX_DECIMAL_EXPONENT in magnitude with NonRational."""
+    """``Fraction(text)``, refusing with NonRational a decimal exponent larger
+    than MAX_DECIMAL_EXPONENT in magnitude or more digits than int_digit_limit()."""
     m = _exponent(text)
     if m:
         digits = m.group(1).replace("_", "").lstrip("0")
         if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
                 or int(digits or "0") > MAX_DECIMAL_EXPONENT):
-            shown = text if len(text) <= 40 else text[:37] + "..."
             raise NonRational(
-                f"refusing {shown!r}: decimal exponent larger than"
+                f"refusing {_shown(text)}: decimal exponent larger than"
                 f" {MAX_DECIMAL_EXPONENT} in magnitude"
             )
+    limit = int_digit_limit()
+    if len(text) > limit and sum(map(str.isdecimal, text)) > limit:
+        raise NonRational(f"refusing {_shown(text)}: more than {limit} digits")
     return Fraction(text)
 
 
@@ -67,7 +80,7 @@ def as_rational(value: object) -> Fraction:
         try:
             return rational_from_text(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise NonRational(f"not an exact rational: {value!r}") from exc
+            raise NonRational(f"not an exact rational: {_shown(value)}") from exc
     if isinstance(value, float):
         raise NonRational(
             f"refusing float {value!r}: pass an int, a Fraction, or an exact string"

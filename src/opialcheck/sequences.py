@@ -47,6 +47,14 @@ class LengthMismatch(ValueError):
     """Paired sequences do not align."""
 
 
+def _check_aligned(u, v):
+    """Refuse, with LengthMismatch, a pair whose lengths or base indices differ."""
+    if len(u) != len(v):
+        raise LengthMismatch(f"lengths differ: {len(u)} vs {len(v)}")
+    if u.base_index != v.base_index:
+        raise LengthMismatch(f"base indices differ: {u.base_index} vs {v.base_index}")
+
+
 class IndexOutOfRange(IndexError):
     """An index fell outside the sequence."""
 

@@ -45,22 +45,21 @@ import enum
 import functools
 import math
 import operator
-import sys
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import repeat
 
 from ._records import hidden, record
 from .intervals import ExponentOutOfRange
-from .rationals import MAX_DECIMAL_EXPONENT, ratio_to_json, rational_to_json
+from .rationals import int_digit_limit, ratio_to_json, rational_to_json
 from .sequences import (
     Direction,
     IntervalSequence,
-    LengthMismatch,
     MuDirection,
     NotDecomposable,
     TooShort,
     _alternate_runs,
+    _check_aligned,
     _ends,
     _order_bits,
     _widths,
@@ -822,7 +821,7 @@ def _size_guard(e, D, n, l1, l2):
     side = k * (e + 1) + 1 + n.bit_length() + max(l2, 1).bit_length() + l1 * n.bit_length()
     bits = max(side, k * D.bit_length()) + k.bit_length()
     digits = bits * 30103 // 100000 + 1   # log10(2) < 0.30103
-    limit = getattr(sys, "get_int_max_str_digits", int)() or MAX_DECIMAL_EXPONENT
+    limit = int_digit_limit()
     if digits > limit:
         raise OutputTooLarge(
             f"input too large: endpoints of {e} bits (common denominator"
@@ -862,12 +861,7 @@ def _window_of(spec, an, l1, l2, window):
     if v is None:
         _check_lambdas(spec, l1, l2)
     else:
-        if len(u) != len(v):
-            raise LengthMismatch(f"lengths differ: {len(u)} vs {len(v)}")
-        if u.base_index != v.base_index:
-            raise LengthMismatch(
-                f"base indices differ: {u.base_index} vs {v.base_index}"
-            )
+        _check_aligned(u, v)
     if len(u) < 2:
         raise TooShort(f"{spec.id.value} needs at least two elements")
     window = _resolve_window(spec, u.first_index, u.last_index, window)

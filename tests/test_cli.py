@@ -327,6 +327,52 @@ def test_oversized_documents_are_refused_before_checking(capsys, tmp_path, monke
     assert "set_int_max_str_digits" not in err
 
 
+# 4291 digits, within the interpreter's 4300-digit limit for int text: the
+# document is read, and the size guard refuses it
+_X, _D = "1" + "0" * 4290, "1." + "0" * 4289 + "1"
+
+
+@pytest.mark.parametrize("endpoint", ["X", '"X"', '"X/3"', "D", '"D"'])
+def test_endpoints_within_the_digit_limit_reach_the_size_guard(capsys, tmp_path, endpoint):
+    path = tmp_path / "big.json"
+    path.write_text('{"u": [[0, %s]]}' % endpoint.replace("X", _X).replace("D", _D))
+    code, out, err = run_cli(capsys, ["check", "--in", str(path)])
+    assert (code, out) == (3, "") and err.count("\n") == 1
+    assert err.startswith("error: input too large: ")
+
+
+# documents past the decoder's nesting depth or past the 4300-digit limit for
+# int text, with the one line each is refused with
+_BIG, _LONG = "1" + "0" * 5000, "1." + "0" * 4999 + "1"
+_NESTED = "[" * 100_000 + "]" * 100_000
+_UNREADABLE = {
+    "nested-object": ('{"u": %s}' % _NESTED, SchemaError, "invalid JSON: nested too deeply to decode"),
+    "nested-array": (_NESTED, SchemaError, "invalid JSON: nested too deeply to decode"),
+    "int-literal": ('{"u": [[0, %s]]}' % _BIG, SchemaError,
+                    "refusing a number literal of more than 4300 digits"),
+    "decimal-literal": ('{"u": [[0, %s]]}' % _LONG, NonRational,
+                        f"refusing '{_LONG[:37]}...': more than 4300 digits"),
+    "int-string": ('{"u": [[0, "%s"]]}' % _BIG, NonRational,
+                   f"u[0][1]: refusing '{_BIG[:37]}...': more than 4300 digits"),
+    "ratio-string": ('{"u": [["1/%s", 1]]}' % _BIG, NonRational,
+                     f"u[0][0]: refusing '1/{_BIG[:35]}...': more than 4300 digits"),
+    "decimal-string": ('{"u": [[0, "%s"]]}' % _LONG, NonRational,
+                       f"u[0][1]: refusing '{_LONG[:37]}...': more than 4300 digits"),
+}
+
+
+@pytest.mark.parametrize("doc,exc,message", _UNREADABLE.values(), ids=_UNREADABLE)
+def test_unreadable_documents_are_refused_in_one_line(capsys, tmp_path, doc, exc, message):
+    with pytest.raises(exc) as info:
+        parse_sequence(doc)
+    assert type(info.value) is exc and str(info.value) == message
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    for command in ("check", "classify"):
+        assert run_cli(capsys, [command, "--in", str(path)]) == (3, "", f"error: {message}\n")
+    assert len(f"error: {message}\n".encode()) < 200
+
+
 def _guard_output_size(built, l1, l2):
     # the size guard check runs on a parsed document (theorems._guard)
     theorems._guard(theorems._Analysis(*built) if isinstance(built, tuple)
@@ -556,6 +602,17 @@ def test_check_discovery_refuses_bad_exponents(capsys, flags, message):
     assert run_cli(capsys, argv + ["--theorem", "T3_1"]) == (3, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--in", sample("ex32_n5.json"), "--theorem", "T3_2", "--window", "a,b"],
+     "--window expects two integers, got 'a,b'"),
+    (["--in", sample("ex33.json"), "--theorem", "T3_6"], "T3_6 takes a pair; the input has no v"),
+    (["--in", sample("pair_t36.json"), "--theorem", "T3_1"],
+     "T3_1 takes a single sequence; drop v"),
+], ids=["window", "pair-statement", "single-statement"])
+def test_check_usage_errors(capsys, argv, message):
+    assert run_cli(capsys, ["check", *argv]) == (3, "", f"error: {message}\n")
+
+
 def test_check_discovery_pair_ignores_exponents(capsys):
     plain = run_cli(capsys, ["check", "--in", sample("pair_t36.json")])
     assert run_cli(capsys, ["check", "--in", sample("pair_t36.json"), "--l1", "0"]) == plain
@@ -637,6 +694,18 @@ def test_classify_pair(capsys):
     doc = json.loads(out)
     assert set(doc) == {"u", "v", "synchrony"}
     assert doc["synchrony"] == "synchronous"
+
+
+def test_classify_reports_what_it_cannot_decide(capsys, tmp_path):
+    # u's step [0, 3] -> [1, 2] keeps neither LU order, and v is longer
+    path = tmp_path / "doc.json"
+    path.write_text('{"u": [[0, 3], [1, 2]], "v": [[0, 0], [1, 1], [2, 2]]}')
+    code, out, _ = run_cli(capsys, ["classify", "--in", str(path)])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["u"]["segments"] is None
+    assert doc["u"]["segments_error"] == "no monotone order for the step 0 -> 1"
+    assert doc["synchrony"] is None and doc["synchrony_error"] == "lengths differ: 2 vs 3"
 
 
 def test_fuzz_clean_exit_zero(capsys):

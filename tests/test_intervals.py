@@ -108,6 +108,14 @@ def test_div():
             iv(1, 2) / z
 
 
+def test_reflected_and_unsupported_operands():
+    # a scalar on the left embeds as a degenerate interval
+    assert 2 - iv(0, 1) == iv(1, 2)
+    assert 2 / iv(1, 2) == iv(1, 2)
+    with pytest.raises(TypeError):
+        iv(0, 1) + 1.5
+
+
 def test_pow_cases():
     assert iv(-2, 3) ** 2 == iv(0, 9)
     assert iv(-3, 2) ** 2 == iv(0, 9)
@@ -139,6 +147,31 @@ def test_h_diff_existence():
     assert iv(0, 1).h_diff(iv(0, Fraction(1, 2))) == iv(0, Fraction(1, 2))
     with pytest.raises(HDiffNotExist):
         iv(0, 1).h_diff(iv(-1, 1))
+
+
+@given(intervals(), intervals())
+def test_h_diff_is_gh_diff_outside_case_b(u, v):
+    # the Hukuhara difference w (u = v + w) exists exactly when width(u) >=
+    # width(v), and there it is the gH difference
+    d, case = u.gh_diff(v)
+    if u.width < v.width:
+        assert case is GhCase.B
+        with pytest.raises(HDiffNotExist) as info:
+            u.h_diff(v)
+        assert str(info.value) == f"width {u.width} is smaller than width {v.width}"
+    else:
+        assert u.h_diff(v) == d and v + d == u
+
+
+@pytest.mark.parametrize("method,message", [
+    ("gh_diff", "cannot subtract 1.5 from an interval"),
+    ("h_diff", "cannot subtract 1.5 from an interval"),
+    ("hausdorff", "no distance from an interval to 1.5"),
+])
+def test_difference_errors_name_the_operand(method, message):
+    with pytest.raises(TypeError) as info:
+        getattr(iv(0, 1), method)(1.5)
+    assert str(info.value) == message
 
 
 def test_hausdorff_and_norm_values():

@@ -120,6 +120,24 @@ def test_generate_rejects_unknown_names():
         generate(("first_zero", "sorted_by_vibes"), 4, 0)
 
 
+@pytest.mark.parametrize("length,magnitude,message", [
+    (0, 100, "length must be a positive integer, got 0"),
+    (True, 100, "length must be a positive integer, got True"),
+    (3, 0, "magnitude must be a positive integer, got 0"),
+    (3, 1.5, "magnitude must be a positive integer, got 1.5"),
+])
+def test_generate_argument_checks(length, magnitude, message):
+    with pytest.raises(ValueError) as info:
+        generate(("first_zero",), length, 0, magnitude)
+    assert str(info.value) == message
+
+
+def test_generate_monotone_run_between_zero_ends_is_zero():
+    # the width path must return to zero, so only the constant zero run fits
+    built = generate(("first_zero", "last_zero", "monotone"), 3, 0)
+    assert [iv.to_pair() for iv in built] == [(0, 0)] * 3
+
+
 def test_generate_infeasible_combination():
     # zero at both ends plus interior monotone with no other zero cannot
     # coexist once there are interior elements
@@ -165,6 +183,14 @@ def test_fuzz_config_refuses_bool_ranges(field, value, message):
     # a bool is an int to isinstance, and would be printed as true/false
     with pytest.raises(ValueError, match=message):
         FuzzConfig("T3_1", 3, 0, **{field: value})
+
+
+def test_fuzz_refuses_lengths_too_short_for_its_relax_set():
+    config = FuzzConfig("T3_1", 1, 0, length_range=(2, 3), relax={"monotone", "mu_increasing"})
+    with pytest.raises(ValueError) as info:
+        fuzz(config)
+    assert str(info.value) == ("length_range too small to violate monotone, mu_increasing"
+                               " (needs length >= 4)")
 
 
 def test_fuzz_clean_run_no_violations():
@@ -564,6 +590,20 @@ def test_scan_budget_guard():
         ratio_scan("T3_6", length=6, bound=8, budget=1000)
 
 
+@pytest.mark.parametrize("argument,message", [
+    ({"length": 3.0}, "length must be an integer"),
+    ({"bound": True}, "bound must be an integer"),
+    ({"budget": "10"}, "budget must be an integer"),
+    ({"length": 1}, "length must be at least 2"),
+    ({"bound": -1}, "bound must be non-negative"),
+    ({"budget": 0}, "budget must be positive"),
+])
+def test_scan_argument_checks(argument, message):
+    with pytest.raises(ValueError) as info:
+        ratio_scan("T3_1", **{"length": 3, "bound": 1, **argument})
+    assert str(info.value) == message
+
+
 # The exhaustive enumeration ratio_scan ran before it walked admissible
 # prefixes: every grid point, every window, judged by the engine. Kept here
 # as the reference the walk must reproduce byte for byte. Also returns how
@@ -825,8 +865,10 @@ def test_product_rule_guards():
         product_rule_check(u, u)
     a = seq([(0, 0), (1, 2), (2, 4)])
     b = seq([(0, 0), (1, 2)])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LengthMismatch, match="^lengths differ: 3 vs 2$"):
         product_rule_check(a, b)
+    with pytest.raises(LengthMismatch, match="^base indices differ: 0 vs 1$"):
+        product_rule_check(a, seq([(0, 0), (1, 2), (2, 4)], base=1))
 
 
 def _hand_written_product_cases(u, v):

@@ -86,6 +86,8 @@ def test_constants():
 def test_constant_validation():
     with pytest.raises(ValueError, match="n"):
         lookup("T3_1").constant(1, 1)
+    with pytest.raises(ValueError, match="^T3_5 constant needs m$"):
+        lookup("T3_5").constant(2, 3)
     with pytest.raises(ExponentOutOfRange):
         lookup("T3_1").constant(0, 1, n=3)
     with pytest.raises(ExponentOutOfRange):
@@ -153,6 +155,10 @@ def test_window_validation(ex32_n5):
         check_single(ex32_n5, 1, 2, "T3_2", window=(2, 6))
     with pytest.raises(WindowOutOfRange):
         check_single(ex32_n5, 1, 2, "T3_2", window=(4, 3))
+    with pytest.raises(WindowOutOfRange, match=r"^window must be a pair of indices, got \(2,\)$"):
+        check_single(ex32_n5, 1, 2, "T3_2", window=(2,))
+    with pytest.raises(WindowOutOfRange, match=r"^window indices must be ints, got \(2, '5'\)$"):
+        check_single(ex32_n5, 1, 2, "T3_2", window=(2, "5"))
     with pytest.raises(ValueError):
         check_single(ex32_n5, 1, 2, "T3_1", window=(2, 5))
 
@@ -314,10 +320,10 @@ def test_alt_boundary_only_t3_10():
 def test_pair_alignment_errors():
     u = seq([(0, 0), (1, 2), (2, 4)])
     short = seq([(0, 0), (1, 2)])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LengthMismatch, match="^lengths differ: 3 vs 2$"):
         check_pair(u, short, "T3_6")
     shifted = seq([(0, 0), (1, 2), (2, 4)], base=1)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LengthMismatch, match="^base indices differ: 0 vs 1$"):
         check_pair(u, shifted, "T3_6")
 
 
