@@ -28,7 +28,7 @@ except ImportError:   # an interpreter without the C accelerator
     from json.encoder import encode_basestring_ascii
 
 from .rationals import (
-    NonRational, as_rational, int_digit_limit, ratio_to_json, rational_from_text,
+    NonRational, _shown, as_rational, int_digit_limit, ratio_to_json, rational_from_text,
 )
 from .sequences import IntervalSequence, NotDecomposable, input_to_jsonable, synchronous
 from .theorems import (
@@ -142,16 +142,17 @@ def parse_sequence(document):
     doc = _json_loads_exact(document) if isinstance(document, str) else document
     if not isinstance(doc, dict):
         raise SchemaError("top level: expected an object")
-    unknown = set(doc) - _ALLOWED_KEYS
+    unknown = sorted(set(doc) - _ALLOWED_KEYS)
     if unknown:
-        raise SchemaError(
-            f"unknown keys: {sorted(unknown)} (allowed: u, v, base_index)"
-        )
+        # at most two keys are quoted, each up to 40 characters
+        more = f" and {len(unknown) - 2} more" if len(unknown) > 2 else ""
+        raise SchemaError(f"unknown keys: [{', '.join(map(_shown, unknown[:2]))}]{more}"
+                          " (allowed: u, v, base_index)")
     if "u" not in doc:
         raise SchemaError("missing required key: u")
     base = doc.get("base_index", 0)
     if isinstance(base, bool) or not isinstance(base, int):
-        raise SchemaError(f"base_index: expected an integer, got {base!r}")
+        raise SchemaError(f"base_index: expected an integer, got {_shown(base)}")
     u = _parse_items(doc["u"], "u", base)
     if "v" in doc:
         v = _parse_items(doc["v"], "v", base)

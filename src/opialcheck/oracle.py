@@ -290,7 +290,8 @@ def _build_single(names, L, rng, M, base):
     if "degenerate" in names:
         nums = _degenerate_nums(names, L, rng, M)
         return _to_sequence([(k, k) for k in nums], D, base)
-    if "monotone" in names or "nondecreasing" in names:
+    if names & {"monotone", "nondecreasing", "mu_increasing", "mu_decreasing"}:
+        # a monotone run keeps the width order too
         return _to_sequence(_monotone_pairs(names, L, rng, M), D, base)
     if "alternate" in names:
         return _to_sequence(_alternate_pairs(names, L, rng, M), D, base)

@@ -25,9 +25,16 @@ def int_digit_limit():
     return getattr(sys, "get_int_max_str_digits", int)() or MAX_DECIMAL_EXPONENT
 
 
-def _shown(text):
-    # a refused text is quoted up to 40 characters
-    return repr(text if len(text) <= 40 else text[:37] + "...")
+def _shown(value):
+    # a refused value is quoted up to 40 characters: a string is cut before
+    # its repr, so both quotes stay, any other value's repr is cut
+    if isinstance(value, str):
+        return repr(value if len(value) <= 40 else value[:37] + "...")
+    try:
+        text = repr(value)
+    except ValueError:   # it holds an int past the int-text digit limit
+        return f"a {type(value).__name__} too large to show"
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def _exponent(text):

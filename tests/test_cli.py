@@ -342,9 +342,11 @@ def test_endpoints_within_the_digit_limit_reach_the_size_guard(capsys, tmp_path,
 
 
 # documents past the decoder's nesting depth or past the 4300-digit limit for
-# int text, with the one line each is refused with
+# int text, or with a long value or key to echo, with the one line each is
+# refused with
 _BIG, _LONG = "1" + "0" * 5000, "1." + "0" * 4999 + "1"
 _NESTED = "[" * 100_000 + "]" * 100_000
+_KEYS = [f"{k:03}" + "k" * 4997 for k in range(100)]
 _UNREADABLE = {
     "nested-object": ('{"u": %s}' % _NESTED, SchemaError, "invalid JSON: nested too deeply to decode"),
     "nested-array": (_NESTED, SchemaError, "invalid JSON: nested too deeply to decode"),
@@ -358,6 +360,18 @@ _UNREADABLE = {
                      f"u[0][0]: refusing '1/{_BIG[:35]}...': more than 4300 digits"),
     "decimal-string": ('{"u": [[0, "%s"]]}' % _LONG, NonRational,
                        f"u[0][1]: refusing '{_LONG[:37]}...': more than 4300 digits"),
+    "base-index-string": ('{"u": [[0, 0]], "base_index": "%s"}' % ("x" * 5000), SchemaError,
+                          f"base_index: expected an integer, got '{'x' * 37}...'"),
+    "base-index-list": ('{"u": [[0, 0]], "base_index": [%s]}' % ", ".join(["7"] * 2000),
+                        SchemaError, f"base_index: expected an integer, got [{'7, ' * 12}..."),
+    "base-index-past-the-limit": ('{"u": [[0, 0]], "base_index": 1e4300}', SchemaError,
+                                  "base_index: expected an integer,"
+                                  " got a Fraction too large to show"),
+    "unknown-key": ('{"u": [[0, 0]], "%s": 1}' % ("k" * 5000), SchemaError,
+                    f"unknown keys: ['{'k' * 37}...'] (allowed: u, v, base_index)"),
+    "unknown-keys": (json.dumps({"u": [[0, 0]], **dict.fromkeys(_KEYS, 1)}), SchemaError,
+                     f"unknown keys: ['{_KEYS[0][:37]}...', '{_KEYS[1][:37]}...'] and 98 more"
+                     " (allowed: u, v, base_index)"),
 }
 
 
@@ -608,9 +622,40 @@ def test_check_discovery_refuses_bad_exponents(capsys, flags, message):
     (["--in", sample("ex33.json"), "--theorem", "T3_6"], "T3_6 takes a pair; the input has no v"),
     (["--in", sample("pair_t36.json"), "--theorem", "T3_1"],
      "T3_1 takes a single sequence; drop v"),
-], ids=["window", "pair-statement", "single-statement"])
+    (["--in", sample("ex33.json"), "--theorem", "T3_1", "--alt-boundary"],
+     "--alt-boundary applies only to T3_10"),
+    (["--in", sample("ex33.json"), "--alt-boundary"],
+     "--alt-boundary needs an explicit --theorem T3_10"),
+], ids=["window", "pair-statement", "single-statement", "alt-boundary-statement",
+        "alt-boundary-discovery"])
 def test_check_usage_errors(capsys, argv, message):
     assert run_cli(capsys, ["check", *argv]) == (3, "", f"error: {message}\n")
+
+
+def test_check_failed_verdict_exits_1_with_the_witness(capsys, monkeypatch):
+    # no conforming input breaks a statement, so T2_2's in-hypotheses verdict
+    # is turned into a failed one, as a counterexample would give it
+    check = cli.check_single
+
+    def failing(*args, **kwargs):
+        verdict = check(*args, **kwargs)
+        if verdict.theorem.value == "T2_2" and verdict.in_hypotheses:
+            return opialcheck.replace(verdict, holds=False)
+        return verdict
+
+    monkeypatch.setattr(cli, "check_single", failing)
+    code, out, _ = run_cli(capsys, ["check", "--in", sample("tent_classical.json"),
+                                    "--theorem", "T2_2"])
+    doc = json.loads(out)
+    assert code == 1 and doc["verdict"]["holds"] is False
+    assert doc["summary"] == "inequality FAILED under satisfied preconditions"
+    assert doc["witness"] == doc["input"]
+    code, out, _ = run_cli(capsys, ["check", "--in", sample("tent_classical.json")])
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["summary"] == "4 of 8 applicable, 1 failed"
+    assert [v["theorem"] for v in doc["verdicts"] if not v["holds"]] == ["T2_2"]
+    assert doc["witness"] == doc["input"]
 
 
 def test_check_discovery_pair_ignores_exponents(capsys):
@@ -1261,6 +1306,35 @@ def test_lazy_oracle_names_are_the_oracle_names():
         opialcheck.no_such_name
     with pytest.raises(AttributeError):
         cli.no_such_name
+
+
+def test_each_public_name_is_its_owner_modules_name():
+    # every name written once, under the submodule that defines it
+    owners = opialcheck._NAMES
+    assert sum(map(len, owners.values())) == len(opialcheck._OWNER) == 65
+    assert opialcheck.__all__ == [*sorted(opialcheck._OWNER), "__version__"]
+    for module, names in owners.items():
+        assert getattr(opialcheck, module).__name__ == f"opialcheck.{module}"
+        for name in names:
+            assert getattr(opialcheck, name) is getattr(getattr(opialcheck, module), name)
+
+
+_BARE_IMPORT_CHILD = textwrap.dedent("""
+    import sys
+    sys.path.insert(0, sys.argv[1])
+    import opialcheck
+    print(sorted(name for name in sys.modules if name.startswith("opialcheck")))
+""")
+
+
+def test_bare_import_loads_no_submodule():
+    pkg_dir = str(Path(opialcheck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _BARE_IMPORT_CHILD, pkg_dir],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['opialcheck']\n"
 
 
 _CALL_TIME_CHILD = textwrap.dedent("""
