@@ -65,6 +65,12 @@ class SchemaError(ValueError):
 _ALLOWED_KEYS = {"u", "v", "base_index"}
 
 
+def _key_order(key):
+    # strings first, in their own order; any other key after them, by type
+    # name and shown text, so a mixed set sorts alike under every hash seed
+    return ("", key) if isinstance(key, str) else (type(key).__name__, _shown(key))
+
+
 def _json_loads_exact(text):
     import json
 
@@ -142,7 +148,7 @@ def parse_sequence(document):
     doc = _json_loads_exact(document) if isinstance(document, str) else document
     if not isinstance(doc, dict):
         raise SchemaError("top level: expected an object")
-    unknown = sorted(set(doc) - _ALLOWED_KEYS)
+    unknown = sorted(set(doc) - _ALLOWED_KEYS, key=_key_order)
     if unknown:
         # at most two keys are quoted, each up to 40 characters
         more = f" and {len(unknown) - 2} more" if len(unknown) > 2 else ""

@@ -18,6 +18,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 from ._records import record
 from .intervals import ExponentOutOfRange, Interval
@@ -802,15 +803,64 @@ def _scan_rules(spec, L):
     return acc0, rules
 
 
-def _scan_step(tests, prev, pt, acc):
-    """The running order bits after the step prev -> pt under the step
-    tests of _scan_rules, or 0 when the step fails them; acc is nonzero."""
+def _scan_step(tests, prev, pt):
+    """The order bits the step prev -> pt keeps under the step tests of
+    _scan_rules, which the running bits AND in: 0 when the step fails them,
+    3 when the tests read no order."""
     order, split, width = tests
     (plo, phi), (lo, hi) = prev, pt
     d = _step_bits(plo, lo) & _step_bits(phi, hi)
     if (split and not d) or _step_bits(phi - plo, hi - lo) & width != width:
         return 0
-    return acc & d if order else acc
+    return d if order else 3
+
+
+def _scan_automaton(spec, L, choices):
+    """The admissibility automaton of a scan on L elements (per sequence)
+    over choices: (acc0, free, move), the starting order bits, the walk
+    positions that are not anchors (see _scan_rules), and the moves.
+
+    move(k, prev, acc, u_zero) lists the choices at free[k] that keep the
+    prefix admissible, in the order of choices, each as (element, order
+    bits after it): prev is the element before free[k], acc the running
+    order bits and u_zero, for v, whether u is [0, 0] at that index (True
+    for a single sequence). An anchor right after free[k] has no choice of
+    its own, so the step into it is tested here; a step between two anchors
+    always passes, and u_{L-1} to v_0 is no step.
+
+    A move depends only on the position's rule (its step test, the test of
+    the step into a following anchor, its zero test) and on what the rule
+    reads of prev, acc and u_zero, and it is keyed by exactly these: each
+    key, and each step test, is computed once per automaton and shared by
+    every position with the same rule.
+    """
+    acc0, rules = _scan_rules(spec, L)
+    free = [q for q, rule in enumerate(rules) if not rule[0]]
+    step = functools.cache(_scan_step)
+    rule_at = []
+    for q in free:
+        _, into, zero = rules[q]
+        nxt = rules[q + 1] if (q + 1) % L else None
+        rule_at.append((into, nxt[1] if nxt is not None and nxt[0] else None, zero))
+
+    @functools.cache
+    def admitted(into, out, no_zero, prev, acc):
+        moves = []
+        for pt in choices:
+            if no_zero and pt == (0, 0):
+                continue
+            a = acc if into is None else acc & step(into, prev, pt)
+            if a and out is not None:
+                a &= step(out, pt, (0, 0))
+            if a:
+                moves.append((pt, a))
+        return moves
+
+    def move(k, prev, acc, u_zero):
+        into, out, zero = rule_at[k]
+        return admitted(into, out, zero and u_zero, prev if into else None, acc)
+
+    return acc0, free, move
 
 
 def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanReport:
@@ -830,21 +880,26 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     before any work when it exceeds budget. The points are walked depth
     first over the positions u_0..u_{L-1} (then v_0..v_{L-1}), each taking
     its choices in increasing (lo, hi) order: the lexicographic order of
-    the free positions, u before v. A prefix that fails a hypothesis (see
-    _scan_rules) is cut off, and its points are decided with it in
-    every window. The tests are exact, so every point the walk reaches is
-    admissible in every window.
+    the free positions, u before v. The choices at a position are the
+    moves of the scan's admissibility automaton (_scan_automaton), so a
+    prefix that fails a hypothesis (see _scan_rules) is never extended, and
+    its points are decided with it in every window. The tests are exact,
+    so every point the walk reaches is admissible in every window. Each
+    move and each step test is computed once per scan, and shared by every
+    position with the same rule and every prefix that ends alike.
 
     The walk carries the exact integer prefix sums of the lhs and rhs terms
     (see theorems._Sums): each position adds the terms it completes, a
-    pair's while v is walked. At a point, each window's sides are
-    differences of these sums, and the ratio is compared with the running
-    maximum by integer cross-multiplication. The engine judges only what
-    the report shows: each violation and each point that raises the
-    maximum is checked by check_single or check_pair, and RuntimeError is
-    raised, naming the point, when the engine's verdict differs. The
-    witness is the first point in the walk's order, with its first window,
-    that reaches the maximum.
+    pair's while v is walked. Each term comes from a table of the scan
+    that runs its kernel once per distinct step (_step_term) or per
+    distinct (u_{i-1}, u_i, v_{i-1}, v_i) (_pair_term). At a point, each
+    window's sides are differences of these sums, and the ratio is compared
+    with the running maximum by integer cross-multiplication. The engine
+    judges only what the report shows: each violation and each point that
+    raises the maximum is checked by check_single or check_pair, and
+    RuntimeError is raised, naming the point, when the engine's verdict
+    differs. The witness is the first point in the walk's order, with its
+    first window, that reaches the maximum. No table outlives the scan.
 
     Exponent parameters are ignored by the pair statements. A grid whose
     results could be too long to print raises OutputTooLarge before
@@ -892,10 +947,8 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
         choices = [(k, k) for k in range(bound + 1)]
     else:
         choices = [(lo, hi) for lo in range(bound + 1) for hi in range(lo, bound + 1)]
-    acc0, rules = _scan_rules(spec, L)
-    free = [q for q, rule in enumerate(rules) if not rule[0]]
-    n_free = len(free)
-    pairs = [(0, 0)] * len(rules)
+    acc0, free, move = _scan_automaton(spec, L, choices)
+    pairs = [(0, 0)] * (arity * L)
 
     # each window's term ranges and constant, on b = 0 and m = e: its sides
     # are lhs_at[el] - lhs_at[sl] and (cn / cd) * (rhs_at[er] - rhs_at[sr])
@@ -906,73 +959,47 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
         frames.append((lhs_rng.start, lhs_rng.stop, rhs_rng.start, rhs_rng.stop,
                        const.numerator, const.denominator, window))
     # lhs_at[i], rhs_at[i]: the sums of the lhs and rhs terms of index < i.
-    # Walk position q completes the term of index done[q]: u_q completes
-    # the step into it (nabla: term q, forward: term q - 1), v_p the pair
-    # term p; positions that complete none hold None.
+    # done[q] = (i, at): walk position q completes the term of index i, whose
+    # kernel reads the positions at. u_q completes the step into it (nabla:
+    # term q, forward: term q - 1) on (u_{q-1}, u_q), v_p the pair term p on
+    # (u_{p-1}, u_p, v_{p-1}, v_p). The term table runs the kernel once per
+    # distinct key.
     lhs_at = [0] * (L + 1)
     rhs_at = [0] * (L + 1)
     nabla = spec.operator is Operator.NABLA
     if arity == 1:
-        done = [None] + [q - 1 + nabla for q in range(1, L)]
+        term = functools.cache(lambda prev, pt: _step_term(*prev, *pt, l1, l2, nabla))
+        done = {q: (q - 1 + nabla, (q - 1, q)) for q in range(1, L)}
     else:
-        done = [None] * (L + 1) + list(range(1, L))
+        term = functools.cache(lambda u0, u1, v0, v1: _pair_term(*u0, *u1, *v0, *v1))
+        done = {L + p: (p, (p - 1, p, L + p - 1, L + p)) for p in range(1, L)}
 
-    if arity == 1:
-        def terms(fills):
-            return [(i, *_step_term(*pairs[q - 1], *pairs[q], l1, l2, nabla))
-                    for q, i in fills]
-    else:
-        def terms(fills):
-            return [(i, *_pair_term(*pairs[q - L - 1], *pairs[q - L], *pairs[q - 1], *pairs[q]))
-                    for q, i in fills]
+    # fills[k]: (index, key reader) of each term completed once free[k] is
+    # chosen, on the positions up to the next free one (anchors have no
+    # choice); fills[0] starts at position 0, so it also holds the terms of
+    # any anchors before free[0]. context[k] reads the elements before
+    # free[k] that its move and its terms read: the element before it, for
+    # v the element of u at its index, and those its fill reads.
+    starts, stops = [0] + free[1:], free[1:] + [len(pairs)]
+    fills, context = [], []
+    for k, q in enumerate(free):
+        fill = [done[q2] for q2 in range(starts[k], stops[k]) if q2 in done]
+        fills.append([(i, itemgetter(*at)) for i, at in fill])
+        reads = {q - 1, q - L}.union(*(at for _, at in fill))
+        before = sorted(r for r in reads if 0 <= r < q)
+        context.append(itemgetter(*before) if before else lambda pairs: ())
 
-    def add(completed_terms):
-        for i, tl, tr in completed_terms:
-            lhs_at[i + 1] = lhs_at[i] + tl
-            rhs_at[i + 1] = rhs_at[i] + tr
-
-    def completed(first, stop):
-        # the (position, term index) pairs completed on positions first..stop-1
-        return [(q, done[q]) for q in range(first, stop) if done[q] is not None]
-
-    # fills[k]: the terms completed once free[k] is chosen, that is on the
-    # positions from free[k] up to the next free one (anchors have no choice)
-    bounds = free + [len(rules)]
-    fills = [completed(bounds[k], bounds[k + 1]) for k in range(n_free)]
-    add(terms(completed(0, bounds[0])))
-    # options(k, acc) depends only on the element before free[k] and acc
-    # (and, for v, on u, which is fixed while v is walked): memo[k] keeps
-    # its results, and the v entries are dropped when u changes. It holds
-    # at most one entry per (element, order bits) at each position.
-    memo = [{} for _ in range(n_free)]
-    first_v = n_free // 2 if arity == 2 else n_free
-
-    def options(k, acc):
-        # the choices at free[k] that keep the prefix admissible, with the
-        # running order bits after them and the terms they complete. An
-        # anchor right after free[k] has no choice of its own, so the step
-        # into it is tested here; a step between two anchors always passes,
-        # and u_{L-1} to v_0 is no step.
-        q = free[k]
-        key = (pairs[q - 1], acc)
-        opts = memo[k].get(key)
-        if opts is None:
-            _, into, zero = rules[q]
-            nxt = rules[q + 1] if (q + 1) % L else None
-            out = nxt[1] if nxt is not None and nxt[0] else None
-            prev = key[0]
-            no_zero = zero and (arity == 1 or pairs[q - L] == (0, 0))
-            opts = []
-            for pt in choices:
-                if no_zero and pt == (0, 0):
-                    continue
-                a = acc if into is None else _scan_step(into, prev, pt, acc)
-                if a and out is not None:
-                    a = _scan_step(out, pt, (0, 0), a)
-                if a:
-                    pairs[q] = pt
-                    opts.append((pt, a, terms(fills[k])))
-            memo[k][key] = opts
+    @functools.cache
+    def options(k, _context, acc):
+        # the moves at free[k], each with the terms it completes. The list
+        # depends only on k, acc and what context[k] reads (_context), so it
+        # is assembled once per scan: a single sequence's recurs for every
+        # prefix that ends in the same element
+        q, fill = free[k], fills[k]
+        opts = []
+        for pt, a in move(k, pairs[q - 1], acc, arity == 1 or pairs[q - L] == (0, 0)):
+            pairs[q] = pt
+            opts.append((pt, a, [(i, *term(*key(pairs))) for i, key in fill]))
         return opts
 
     points = violations = 0
@@ -980,61 +1007,62 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     bn, bd = -1, 0
     best = best_input = best_window = None
 
-    def at_points(q, opts):
-        # every window of each point that a choice of opts at the last free
-        # position q completes; only a violation or a new maximum reaches
-        # the engine
-        nonlocal points, violations, bn, bd, best, best_input, best_window
-        points += len(opts)
-        for pt, _, completed_terms in opts:
-            pairs[q] = pt
-            add(completed_terms)
-            for sl, el, sr, er, cn, cd, window in frames:
-                lhs = lhs_at[el] - lhs_at[sl]
-                rhs = rhs_at[er] - rhs_at[sr]
-                lcd, crhs = lhs * cd, cn * rhs
-                better = _beats(lcd, crhs, bn, bd)
-                if better or lcd > crhs:
-                    u = _to_sequence(pairs[:L], 1)
-                    built = u if arity == 1 else (u, _to_sequence(pairs[L:], 1))
-                    verdict = _cross_check(
-                        spec, built, l1, l2, window, Fraction(lhs), Fraction(crhs, cd), False,
-                        lambda: f"{pairs[:L] if arity == 1 else (pairs[:L], pairs[L:])},"
-                                f" window {window}")
-                    violations += not verdict.holds
-                    if better:
-                        best, best_input, best_window = verdict.ratio, built, window
-                        bn, bd = best.numerator, best.denominator
-
-    if not free:
-        # a single sequence of length 2 anchored at both ends: one point,
-        # whose terms are added above; u_0 keeps its anchor
-        at_points(0, [((0, 0), acc0, [])])
+    if free:
+        last, q_last = len(free) - 1, free[-1]
     else:
-        last, q_last = n_free - 1, free[-1]
-        stack = []
-        acc = acc0
-        while True:
-            if len(stack) < last:
-                stack.append(iter(options(len(stack), acc)))
-            else:
-                # the choices left at the last free position complete points
-                at_points(q_last, options(last, acc))
-            # take the next choice at the deepest position that has one left
-            while stack:
-                step = next(stack[-1], None)
-                if step is not None:
-                    break
-                stack.pop()
-            if not stack:
+        # a single sequence of length 2 anchored at both ends: one point,
+        # walked as the one choice at u_0, its anchor, which completes
+        # every term
+        last = q_last = 0
+        context = [lambda pairs: ()]
+        point = [((0, 0), acc0, [(i, *term(*(pairs[r] for r in at))) for i, at in done.values()])]
+        options = lambda k, _context, acc: point
+    stack = []
+    acc = acc0
+    while True:
+        k = len(stack)
+        opts = options(k, context[k](pairs), acc)
+        if k < last:
+            stack.append(iter(opts))
+        else:
+            # every window of each point that a choice at the last free
+            # position completes; only a violation or a new maximum reaches
+            # the engine, and only then is the choice written to pairs
+            points += len(opts)
+            for pt, _, completed_terms in opts:
+                for i, tl, tr in completed_terms:
+                    lhs_at[i + 1] = lhs_at[i] + tl
+                    rhs_at[i + 1] = rhs_at[i] + tr
+                for sl, el, sr, er, cn, cd, window in frames:
+                    lhs = lhs_at[el] - lhs_at[sl]
+                    rhs = rhs_at[er] - rhs_at[sr]
+                    lcd, crhs = lhs * cd, cn * rhs
+                    better = _beats(lcd, crhs, bn, bd)
+                    if better or lcd > crhs:
+                        pairs[q_last] = pt
+                        u = _to_sequence(pairs[:L], 1)
+                        built = u if arity == 1 else (u, _to_sequence(pairs[L:], 1))
+                        verdict = _cross_check(
+                            spec, built, l1, l2, window, Fraction(lhs), Fraction(crhs, cd), False,
+                            lambda: f"{pairs[:L] if arity == 1 else (pairs[:L], pairs[L:])},"
+                                    f" window {window}")
+                        violations += not verdict.holds
+                        if better:
+                            best, best_input, best_window = verdict.ratio, built, window
+                            bn, bd = best.numerator, best.denominator
+        # take the next choice at the deepest position that has one left
+        while stack:
+            step = next(stack[-1], None)
+            if step is not None:
                 break
-            pt, acc, completed_terms = step
-            k = len(stack) - 1
-            pairs[free[k]] = pt
-            add(completed_terms)
-            if k < first_v:
-                for m in memo[first_v:]:
-                    m.clear()
+            stack.pop()
+        if not stack:
+            break
+        pt, acc, completed_terms = step
+        pairs[free[len(stack) - 1]] = pt
+        for i, tl, tr in completed_terms:
+            lhs_at[i + 1] = lhs_at[i] + tl
+            rhs_at[i + 1] = rhs_at[i] + tr
 
     return ScanReport(
         theorem=tid,

@@ -73,6 +73,40 @@ def test_schema_errors():
         parse_sequence('[1, 2]')
     with pytest.raises(SchemaError, match="base_index"):
         parse_sequence('{"u": [[0, 0]], "base_index": true}')
+
+
+_MIXED_KEYS_CHILD = textwrap.dedent("""
+    import sys
+    sys.path.insert(0, sys.argv[1])
+    from opialcheck.cli import SchemaError, parse_sequence
+    try:
+        parse_sequence({"u": [[0, 0]], "b": 1, 2: 0, "a": 1, None: 0, 1: 0, (1, "x"): 0})
+    except SchemaError as exc:
+        print(exc)
+""")
+
+
+def test_unknown_keys_of_mixed_types_are_refused_in_a_fixed_order():
+    # a dict built in Python may mix key types, which sorted() cannot
+    # compare: the strings come first, in their own order (so an all-string
+    # message is unchanged), then the other keys by type name and text
+    with pytest.raises(SchemaError) as info:
+        parse_sequence({"u": [[0, 0]], 1: 2, "x": 3})
+    assert str(info.value) == "unknown keys: ['x', 1] (allowed: u, v, base_index)"
+    with pytest.raises(SchemaError) as info:
+        parse_sequence({"u": [[0, 0]], "zeta": 1, "Beta": 2, "alpha": 3})
+    assert str(info.value) == "unknown keys: ['Beta', 'alpha'] and 1 more (allowed: u, v, base_index)"
+    # the same message whatever the hash seed orders the set by
+    pkg_dir = str(Path(opialcheck.__file__).resolve().parents[1])
+    seen = set()
+    for seed in ("0", "1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", _MIXED_KEYS_CHILD, pkg_dir],
+            capture_output=True, text=True, timeout=60, env={"PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen.add(proc.stdout)
+    assert seen == {"unknown keys: ['a', 'b'] and 4 more (allowed: u, v, base_index)\n"}
     with pytest.raises(SchemaError, match="invalid JSON"):
         parse_sequence('not json')
 

@@ -811,6 +811,79 @@ def test_scan_budget_fires_before_building_the_grid(length, bound):
     assert peak < 1_000_000
 
 
+# the four grids of the scan_grids benchmark and a windowed pair grid
+@pytest.mark.parametrize("tid,length,bound", [
+    ("T3_1", 4, 3), ("T3_5", 5, 3), ("T3_6", 3, 2), ("T2_2", 7, 3), ("T3_9", 3, 2),
+])
+def test_scan_does_each_piece_of_work_once(tid, length, bound, monkeypatch):
+    # within one scan, each step test and each term kernel runs at most once
+    # per argument tuple: the automaton shares its moves between positions
+    # and prefixes, and the term tables share the terms
+    calls = {}
+    for name in ("_scan_step", "_step_term", "_pair_term"):
+        def recorded(*args, _real=getattr(oracle, name), _seen=calls.setdefault(name, [])):
+            _seen.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, name, recorded)
+    assert ratio_scan(tid, length=length, bound=bound).admissible > 0
+    kernel = "_pair_term" if lookup(tid).arity == 2 else "_step_term"
+    assert calls[kernel] and (calls["_scan_step"] or tid == "T2_2")
+    for name, seen in calls.items():
+        assert len(seen) == len(set(seen)), (name, len(seen), len(set(seen)))
+
+
+def _grid_points(spec, length, choices):
+    # every grid point with the anchors pinned, as the walk positions'
+    # elements (u, then v), in the lexicographic order of the free ones
+    names = spec.preconditions
+    anchors = {q for name, q in (("first_zero", 0), ("second_zero", 1), ("last_zero", length - 1),
+                                 ("window_end_zero", length - 1)) if name in names}
+    free = [q for q in range(length * spec.arity) if q % length not in anchors]
+    for assign in itertools.product(choices, repeat=len(free)):
+        pairs = [(0, 0)] * (length * spec.arity)
+        for q, pt in zip(free, assign):
+            pairs[q] = pt
+        yield tuple(pairs)
+
+
+@pytest.mark.parametrize("spec", registry(), ids=lambda s: s.id.value)
+def test_scan_automaton_reaches_exactly_the_points_in_hypotheses(spec):
+    # chained from its starting order bits over the free positions, the
+    # automaton's moves reach, in walk order, exactly the grid points on
+    # which the hypothesis table holds at the window end L - 1, in
+    # lexicographic order (the contract a count or a sampler of the
+    # automaton relies on); no sum is read
+    for length in range(2, 5):
+        for bound in range(3):
+            if spec.sums.shape == "real":
+                choices = [(k, k) for k in range(bound + 1)]
+            else:
+                choices = [(lo, hi) for lo in range(bound + 1) for hi in range(lo, bound + 1)]
+            acc0, free, move = oracle._scan_automaton(spec, length, choices)
+            pairs = [(0, 0)] * (length * spec.arity)
+            reached = []
+
+            def walk(k, acc):
+                if k == len(free):
+                    reached.append(tuple(pairs))
+                    return
+                q = free[k]
+                u_zero = spec.arity == 1 or pairs[q - length] == (0, 0)
+                for pt, a in move(k, pairs[q - 1], acc, u_zero):
+                    pairs[q] = pt
+                    walk(k + 1, a)
+
+            walk(0, acc0)
+            want = []
+            for point in _grid_points(spec, length, choices):
+                u = oracle._to_sequence(point[:length], 1)
+                v = oracle._to_sequence(point[length:], 1) if spec.arity == 2 else None
+                if theorems._holds(spec.preconditions, u, v, length - 1):
+                    want.append(point)
+            assert reached == want, (length, bound)
+
+
 # -- inequality helpers -----------------------------------------------------------
 
 
