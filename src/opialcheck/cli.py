@@ -19,6 +19,7 @@ import functools
 import math
 import sys
 import types
+from fractions import Fraction
 
 try:
     # the C encoder json.encoder itself uses; json is imported only where a
@@ -99,11 +100,14 @@ def _endpoint(value, key, j, side):
 
 
 def _ratio(value, key, j, side):
-    """(p, q), q >= 1, of an endpoint in lowest terms. An int, or an ASCII
-    "p" or "p/q" string (p optionally negative, q > 0), goes straight to
-    ints; every other value is read by _endpoint, with its errors."""
+    """(p, q), q >= 1, of an endpoint in lowest terms. An int, a Fraction
+    (a decimal literal as the decoder reads it), or an ASCII "p" or "p/q"
+    string (p optionally negative, q > 0), goes straight to ints; every
+    other value is read by _endpoint, with its errors."""
     if type(value) is int:
         return value, 1
+    if type(value) is Fraction:
+        return value.numerator, value.denominator
     if type(value) is str and value.isascii():
         num, slash, den = value.partition("/")
         if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
@@ -206,8 +210,12 @@ _JSON_SCALARS = {
 def _json_text(obj, pad="\n"):
     """``json.dumps(obj, indent=2)``, byte for byte, for exactly the types a
     report holds: dicts with str keys, lists, str, int, bool and None. Any
-    other value, a subclass of these included, raises TypeError."""
-    scalar = _JSON_SCALARS.get(type(obj))
+    other value, a subclass of these included, raises TypeError.
+
+    A scalar inside a container is written in place, and a list of two
+    scalars inside a list (every echoed [lo, hi]) in one step."""
+    scalars = _JSON_SCALARS
+    scalar = scalars.get(type(obj))
     if scalar is not None:
         return scalar(obj)
     inner = pad + "  "
@@ -218,12 +226,25 @@ def _json_text(obj, pad="\n"):
         for key, val in obj.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(f"{encode_basestring_ascii(key)}: {_json_text(val, inner)}")
+            scalar = scalars.get(type(val))
+            parts.append(f"{encode_basestring_ascii(key)}: "
+                         f"{scalar(val) if scalar else _json_text(val, inner)}")
         return f"{{{inner}{f',{inner}'.join(parts)}{pad}}}"
     if type(obj) is list:
         if not obj:
             return "[]"
-        parts = [_json_text(val, inner) for val in obj]
+        deeper = inner + "  "
+        parts = []
+        for val in obj:
+            scalar = scalars.get(type(val))
+            if scalar is not None:
+                parts.append(scalar(val))
+            elif (type(val) is list and len(val) == 2
+                  and (first := scalars.get(type(val[0])))
+                  and (second := scalars.get(type(val[1])))):
+                parts.append(f"[{deeper}{first(val[0])},{deeper}{second(val[1])}{inner}]")
+            else:
+                parts.append(_json_text(val, inner))
         return f"[{inner}{f',{inner}'.join(parts)}{pad}]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

@@ -203,6 +203,8 @@ def _monotone_pairs(names, L, rng, M, force_up=None):
     anchor_start = "first_zero" in names
     anchor_end = ("last_zero" in names) or ("window_end_zero" in names)
     mu_up = "mu_decreasing" not in names
+    # both width orders: the widths stay constant
+    pinned = {"mu_decreasing", "mu_increasing"} <= names
     up = force_up if force_up is not None else (rng.random() < 0.5)
     if "nondecreasing" in names:
         up = True
@@ -217,7 +219,7 @@ def _monotone_pairs(names, L, rng, M, force_up=None):
         # both senses flipped and reverse
         flip = not anchor_start
         up, mu_up = up != flip, mu_up != flip
-        ew = _randint(rng, 0, M // 2) if mu_up else 0
+        ew = _randint(rng, 0, M // 2) if mu_up and not pinned else 0
         x = _randint(rng, 0, M - ew)
         end = (x, x + ew) if up else (-x - ew, -x)
         run = [(0, 0)] + _ramp_ints(rng, (0, 0), end, L - 1, up, mu_up)
@@ -227,7 +229,9 @@ def _monotone_pairs(names, L, rng, M, force_up=None):
     sw = _randint(rng, 0, M // 2)
     slo = _randint(rng, -M, M - sw)
     start = (slo, slo + sw)
-    if mu_up:
+    if pinned:
+        ew = sw
+    elif mu_up:
         # slo lies in [-M, M - sw], so either cap is at least sw
         ew = min(_randint(rng, sw, max(sw, M // 2)), M - slo if up else M + slo + sw)
     else:

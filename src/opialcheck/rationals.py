@@ -53,19 +53,29 @@ class NonRational(TypeError):
 
 def rational_from_text(text: str) -> Fraction:
     """``Fraction(text)``, refusing with NonRational a decimal exponent larger
-    than MAX_DECIMAL_EXPONENT in magnitude or more digits than int_digit_limit()."""
-    m = _exponent(text)
-    if m:
-        digits = m.group(1).replace("_", "").lstrip("0")
-        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
-                or int(digits or "0") > MAX_DECIMAL_EXPONENT):
-            raise NonRational(
-                f"refusing {_shown(text)}: decimal exponent larger than"
-                f" {MAX_DECIMAL_EXPONENT} in magnitude"
-            )
+    than MAX_DECIMAL_EXPONENT in magnitude or more digits than int_digit_limit().
+
+    A plain decimal ``-?digits.digits`` in ASCII, the form json hands over
+    for a literal without an exponent, is read from its digits; it has no
+    exponent, so only the digit limit applies to it."""
+    head, dot, tail = text.partition(".")
+    plain = (dot and text.isascii() and tail.isdigit()
+             and (head[1:] if head[:1] == "-" else head).isdigit())
+    if not plain:
+        m = _exponent(text)
+        if m:
+            digits = m.group(1).replace("_", "").lstrip("0")
+            if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                    or int(digits or "0") > MAX_DECIMAL_EXPONENT):
+                raise NonRational(
+                    f"refusing {_shown(text)}: decimal exponent larger than"
+                    f" {MAX_DECIMAL_EXPONENT} in magnitude"
+                )
     limit = int_digit_limit()
     if len(text) > limit and sum(map(str.isdecimal, text)) > limit:
         raise NonRational(f"refusing {_shown(text)}: more than {limit} digits")
+    if plain:
+        return Fraction(int(head + tail), 10 ** len(tail))
     return Fraction(text)
 
 

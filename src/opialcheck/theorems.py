@@ -712,13 +712,28 @@ def _pair_term(ua0, uc0, ua1, uc1, va0, vc0, va1, vc1):
     A four-product does not depend on the order of the factors' endpoints,
     so the gH steps enter as unsorted endpoint differences. The squares
     are [>= 0, ||.||^2], so the norm of their sum is the sum of norms.
+    Each four-product is bounded by comparisons: order the two products
+    of each left endpoint, then take the smaller low and the larger high.
     """
     gu0, gu1 = ua1 - ua0, uc1 - uc0
     gv0, gv1 = va1 - va0, vc1 - vc0
-    p = (ua0 * gv0, ua0 * gv1, uc0 * gv0, uc0 * gv1)
-    q = (va1 * gu0, va1 * gu1, vc1 * gu0, vc1 * gu1)
-    return (max(-(min(p) + min(q)), max(p) + max(q)),
-            max(abs(gu0), abs(gu1)) ** 2 + max(abs(gv0), abs(gv1)) ** 2)
+    a, b, c, d = ua0 * gv0, ua0 * gv1, uc0 * gv0, uc0 * gv1
+    if a > b:
+        a, b = b, a
+    if c > d:
+        c, d = d, c
+    lo, hi = (a if a < c else c), (b if b > d else d)
+    a, b, c, d = va1 * gu0, va1 * gu1, vc1 * gu0, vc1 * gu1
+    if a > b:
+        a, b = b, a
+    if c > d:
+        c, d = d, c
+    lo += a if a < c else c
+    hi += b if b > d else d
+    # max(|x|, |y|)^2 is max(x^2, y^2)
+    gu0, gu1, gv0, gv1 = gu0 * gu0, gu1 * gu1, gv0 * gv0, gv1 * gv1
+    return (-lo if -lo > hi else hi,
+            (gu0 if gu0 > gu1 else gu1) + (gv0 if gv0 > gv1 else gv1))
 
 
 def _term_list(u, v, nabla, l1, l2, signed, lo, hi):

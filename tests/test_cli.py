@@ -553,6 +553,124 @@ def test_exponent_refusal_fires_on_the_first_call(text):
     assert proc.stdout.splitlines() == [refusal, "Fraction(1500, 1)", refusal]
 
 
+# the digits of another script a Fraction string may hold
+_SCRIPT_ZEROS = (0x660, 0x966, 0xFF10)
+
+
+@st.composite
+def _number_texts(draw):
+    """(literal, string, exponent): a JSON number text with a sign, an
+    integer part with or without leading zeros (or long enough to straddle
+    the 4300-digit limit), 1-60 fraction digits and an optional exponent
+    near +-4300; the same text as a string may add whitespace, "+", "_"
+    between digits and digits of another script. exponent is the
+    magnitude of the decimal exponent, 0 without one."""
+    sign = draw(st.sampled_from(["", "-"]))
+    head = draw(st.one_of(
+        st.just("0"), st.integers(1, 10**20).map(str), st.integers(0, 999).map(lambda k: f"0{k}"),
+        st.integers(4230, 4320).map(lambda n: "9" * n),
+    ))
+    tail = draw(st.text("0123456789", min_size=1, max_size=60))
+    exponent = draw(st.one_of(st.none(), st.integers(-4310, -4290), st.integers(4290, 4310),
+                              st.integers(-20, 20)))
+    mark = ""
+    if exponent is not None:
+        mark = draw(st.sampled_from("eE")) + ("-" if exponent < 0 else draw(st.sampled_from(["", "+"])))
+        mark += "0" * draw(st.integers(0, 2)) + str(abs(exponent))
+    body = f"{head}.{tail}{mark}"
+    literal = sign + body
+    # the string form: maybe "+" for no sign, "_" between two digits, some
+    # digits of another script, whitespace around
+    text = ("+" if not sign and draw(st.booleans()) else sign) + body
+    if draw(st.booleans()):
+        spots = [k for k in range(1, len(text)) if text[k - 1].isdigit() and text[k].isdigit()]
+        if spots:
+            k = draw(st.sampled_from(spots))
+            text = f"{text[:k]}_{text[k:]}"
+    if draw(st.booleans()):
+        # the digits at the positions a 16-bit mask marks, repeating
+        zero, mask = draw(st.sampled_from(_SCRIPT_ZEROS)), draw(st.integers(1, 2**16 - 1))
+        text = "".join(chr(zero + int(c)) if c.isdigit() and mask >> k % 16 & 1 else c
+                       for k, c in enumerate(text))
+    space = st.text(" \t\n", max_size=2)
+    text = draw(space) + text + draw(space)
+    return literal, text, abs(exponent or 0)
+
+
+def _decoded(text, exponent, where):
+    """Fraction(text), or the refusal the decoder gives it: an exponent past
+    4300 first, then more than 4300 digits, then any text Fraction does not
+    read. An exponent also counts as past 4300 when it is written with more
+    than four digits after its leading ASCII zeros: a zero of another script
+    is not stripped. where prefixes the message, as for a string endpoint."""
+    shown = repr(text if len(text) <= 40 else text[:37] + "...")
+    written = text.rpartition("e" if "e" in text else "E")[2].strip(" \t\n+-")
+    if exponent > 4300 or (exponent and len(written.replace("_", "").lstrip("0")) > 4):
+        return NonRational, f"{where}refusing {shown}: decimal exponent larger than 4300 in magnitude"
+    if sum(map(str.isdecimal, text)) > 4300:
+        return NonRational, f"{where}refusing {shown}: more than 4300 digits"
+    try:
+        return Fraction(text)
+    except ValueError:
+        return NonRational, f"{where}not an exact rational: {shown}"
+
+
+def _parsed(doc):
+    # the one endpoint of the document, or the refusal it gets
+    try:
+        item = parse_sequence(doc).at(0)
+    except (SchemaError, NonRational) as exc:
+        return type(exc), str(exc)
+    assert item.lo == item.hi
+    return item.lo
+
+
+@settings(max_examples=300, deadline=None)
+@given(number=_number_texts())
+def test_number_texts_decode_as_fraction_reads_them(number):
+    # a number text as a JSON literal and as a string reads exactly as
+    # Fraction(text), or is refused with the decoder's message
+    literal, text, exponent = number
+    doc = '{"u": [[%s, %s]]}' % (literal, literal)
+    try:
+        json.loads(doc)
+    except json.JSONDecodeError as exc:   # a leading zero
+        expected = (SchemaError, f"invalid JSON: {exc}")
+    else:
+        expected = _decoded(literal, exponent, "")
+    assert _parsed(doc) == expected
+    quoted = json.dumps(text)
+    assert _parsed('{"u": [[%s, %s]]}' % (quoted, quoted)) == _decoded(text, exponent, "u[0][0]: ")
+
+
+_PLAIN_DECIMALS_CHILD = textwrap.dedent("""
+    import sys
+    sys.path.insert(0, sys.argv[1])
+    from opialcheck import cli, rationals
+    code = cli.main(["check", "--in", sys.argv[2]])
+    print(code, rationals._exponent.__name__)
+    rationals.rational_from_text("1e3")
+    print(rationals._exponent.__name__)
+""")
+
+
+def test_plain_decimals_leave_the_exponent_pattern_uncompiled(tmp_path):
+    # a document whose endpoints are plain decimals, as literals and as
+    # strings, is checked without compiling the exponent pattern
+    path = tmp_path / "decimals.json"
+    path.write_text('{"u": [[0.0, 0.25], ["0.5", 1.75], [-0.125, "2.5"], [0.0, 0.0]]}')
+    pkg_dir = str(Path(opialcheck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _PLAIN_DECIMALS_CHILD, pkg_dir, str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the pattern's search method replaces the function on the first call
+    # that reads an exponent
+    (code, name), compiled = (line.split() for line in proc.stdout.splitlines()[-2:])
+    assert code in {"0", "1", "2"} and name == "_exponent" and compiled == ["search"]
+
+
 # -- command driver -----------------------------------------------------------------
 
 
@@ -910,25 +1028,49 @@ _json_strings = st.text(st.one_of(
     st.characters(exclude_categories=()),
     st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff\U0001f600'),
 ), max_size=12)
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.integers(-10**40, 10**40), _json_strings)
+# two-element lists of scalars, which the writer writes in one step inside a
+# list (an echoed [lo, hi]), beside lists and dicts of any size
+_json_pairs = st.lists(_json_scalars, min_size=2, max_size=2)
 _json_values = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10**40, 10**40),
-              _json_strings),
+    st.one_of(_json_scalars, _json_pairs),
     lambda inner: st.one_of(st.lists(inner, max_size=4),
                             st.dictionaries(_json_strings, inner, max_size=4)),
     max_leaves=30,
 )
 
 
+class _Int(int):
+    pass
+
+
+# values a report never holds: floats, a Fraction, tuples, an int subclass,
+# dicts with keys other than str
+_REFUSED = [1.5, -0.0, Fraction(1, 2), (1, 2), (), _Int(3), {1: "a"}, {None: 0}]
+
+
 @settings(max_examples=300, deadline=None)
-@given(obj=_json_values,
-       bad=st.sampled_from([1.5, -0.0, Fraction(1, 2), (1, 2), (), {1: "a"}, {None: 0}]),
-       in_dict=st.booleans())
-def test_json_writer_matches_json_dumps(obj, bad, in_dict):
+@given(obj=_json_values, bad=st.sampled_from(_REFUSED), in_dict=st.booleans(),
+       pair=_json_pairs, scalar=_json_scalars,
+       container=st.one_of(st.lists(_json_values, max_size=3),
+                           st.dictionaries(_json_strings, _json_values, max_size=3)),
+       first=st.booleans())
+def test_json_writer_matches_json_dumps(obj, bad, in_dict, pair, scalar, container, first):
     # the report writer gives json.dumps(obj, indent=2) byte for byte, and
     # refuses every type a report does not hold, at any depth
     assert cli._json_text(obj) == json.dumps(obj, indent=2)
     with pytest.raises(TypeError):
         cli._json_text({"k": [obj, bad]} if in_dict else [obj, {"k": bad}])
+    # a pair of scalars, a pair holding a container and a pair holding a
+    # refused value, in either slot, in a list below a dict, a list and a dict
+    mixed = [scalar, container] if first else [container, scalar]
+    doc = {"a": [{"pair": pair, "mixed": mixed, "more": [pair, obj, mixed]}]}
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+    refused = [scalar, bad] if first else [bad, scalar]
+    with pytest.raises(TypeError):
+        cli._json_text({"a": [{"more": [pair, refused]}]} if in_dict
+                       else [{"a": [refused, pair]}])
 
 
 def test_table_format_smoke(capsys):

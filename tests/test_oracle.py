@@ -149,12 +149,14 @@ def test_generate_infeasible_combination():
 @pytest.mark.parametrize("profile", [("first_zero", "second_zero"),
                                      ("no_other_zero", "second_zero"), ("nonnegative",),
                                      ("mu_increasing",), ("mu_decreasing",),
-                                     ("last_zero", "mu_increasing")],
+                                     ("last_zero", "mu_increasing"),
+                                     ("mu_decreasing", "mu_increasing"),
+                                     ("last_zero", "mu_decreasing", "mu_increasing")],
                          ids=",".join)
 def test_generate_realizes_anchor_and_sign_profiles(profile):
     # feasible profiles that no statement uses: a pair with zeros at u_0 and
     # u_1, one whose u has no zero but u_1, a non-negative sequence, and
-    # width orders without a monotone run
+    # width orders without a monotone run, constant widths among them
     for length, magnitude, seed in itertools.product(range(2, 9), (1, 2, 100), range(4)):
         built = generate(profile, length, seed, magnitude)
         u, v = built if isinstance(built, tuple) else (built, None)

@@ -447,6 +447,29 @@ def test_pair_sums_match_interval_reference(tid, alt, u, data):
     assert v.rhs == v.constant * rhs
 
 
+# integer endpoints small, mid-sized and up to 10^30 in magnitude, so that
+# signs change within and between intervals; one interval in four has zero width
+_kernel_ends = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6),
+                         st.integers(-10**30, 10**30))
+
+
+@st.composite
+def _kernel_interval(draw):
+    lo, hi = sorted((draw(_kernel_ends), draw(_kernel_ends)))
+    return (lo, lo) if draw(st.integers(0, 3)) == 0 else (lo, hi)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ends=st.lists(_kernel_interval(), min_size=4, max_size=4))
+def test_pair_term_matches_interval_reference(ends):
+    # the pair kernel on u_0, u_1, v_0, v_1 gives the Interval reference's
+    # lhs and rhs terms at index 1
+    u0, u1, v0, v1 = ends
+    u = IntervalSequence((Interval(*u0), Interval(*u1)), 0)
+    w = IntervalSequence((Interval(*v0), Interval(*v1)), 0)
+    assert theorems._pair_term(*u0, *u1, *v0, *v1) == _reference_pair(u, w, [1])
+
+
 # -- lhs_terms against the verdict and the Interval reference -------------------
 
 
