@@ -28,13 +28,16 @@ try:
 except ImportError:   # an interpreter without the C accelerator
     from json.encoder import encode_basestring_ascii
 
+from .intervals import _check_exponent
 from .rationals import (
     NonRational, _shown, as_rational, int_digit_limit, ratio_to_json, rational_from_text,
 )
-from .sequences import IntervalSequence, NotDecomposable, input_to_jsonable, synchronous
+from .sequences import (
+    IntervalSequence, NotDecomposable, _check_aligned, input_to_jsonable, synchronous,
+)
 from .theorems import (
-    BudgetExceeded, OutputTooLarge, _Analysis, _check_exponents, _guard, check_pair,
-    check_single, lookup, registry,
+    BudgetExceeded, OutputTooLarge, _Analysis, _guard, check_pair, check_single, lookup,
+    registry,
 )
 
 # the oracle names the fuzz, scan and examples handlers call. They are bound
@@ -298,9 +301,13 @@ def _cmd_check(args):
     analysis = _Analysis(*built) if pair else _Analysis(built)
     if not (args.theorem or pair):
         # discovery checks the exponents once, as every single statement would
-        _check_exponents(args.l1, args.l2)
-    # refuse an oversized document before any statement runs
+        _check_exponent("l1", args.l1)
+        _check_exponent("l2", args.l2)
+    # refuse an oversized document, or a misaligned pair, before any
+    # statement runs
     _guard(analysis, args.l1, args.l2)
+    if pair:
+        _check_aligned(*built)
     payload = {"input": input_to_jsonable(built)}
     if args.theorem:
         verdicts = [_run_one(lookup(args.theorem), built, args, window, analysis)]

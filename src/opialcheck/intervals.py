@@ -36,6 +36,14 @@ class ExponentOutOfRange(ValueError):
     """Integer power with an exponent below one (or not an integer)."""
 
 
+def _check_exponent(name, value):
+    """Refuse, with ExponentOutOfRange, an exponent that is not an int >= 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ExponentOutOfRange(f"{name} must be an integer >= 1, got {value!r}")
+    if value < 1:
+        raise ExponentOutOfRange(f"{name} must be >= 1, got {value}")
+
+
 class GhCase(enum.Enum):
     """Which decomposition realizes a generalized Hukuhara difference.
 
@@ -162,10 +170,7 @@ class Interval:
 
     def __pow__(self, k):
         """Set image of t**k for integer k >= 1."""
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise ExponentOutOfRange(f"exponent must be an integer >= 1, got {k!r}")
-        if k < 1:
-            raise ExponentOutOfRange(f"exponent must be >= 1, got {k}")
+        _check_exponent("exponent", k)
         if k % 2 == 1 or self.lo >= 0:
             return Interval(self.lo**k, self.hi**k)
         if self.hi <= 0:

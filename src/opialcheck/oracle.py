@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from ._records import record
-from .intervals import ExponentOutOfRange, Interval
+from .intervals import ExponentOutOfRange, Interval, _check_exponent
 from .rationals import as_rational
 from .sequences import (
     IntervalSequence,
@@ -38,6 +38,7 @@ from .theorems import (
     check_pair,
     check_single,
     lookup,
+    registry,
     _ANCHOR_AT,
     _HYPOTHESES,
     _check_lambdas,
@@ -72,9 +73,10 @@ class RelaxNotRealized(ValueError):
     mutation sites do not cover the combination at the drawn length."""
 
 
-_PAIR_NAMES = frozenset(
-    {"synchronous", "alternate_u", "no_other_joint_zero", "second_zero"}
-)
+# the names only the pair statements carry
+_PAIR_NAMES = frozenset().union(
+    *(s.preconditions for s in registry() if s.arity == 2)
+).difference(*(s.preconditions for s in registry() if s.arity == 1))
 _KNOWN_NAMES = frozenset(_HYPOTHESES)
 
 
@@ -822,7 +824,9 @@ def _scan_step(tests, prev, pt):
 def _scan_automaton(spec, L, choices):
     """The admissibility automaton of a scan on L elements (per sequence)
     over choices: (acc0, free, move), the starting order bits, the walk
-    positions that are not anchors (see _scan_rules), and the moves.
+    positions that are not anchors (see _scan_rules), and the moves. A grid
+    anchored everywhere (a single sequence of length 2 anchored at both
+    ends) is walked as its first position, whose one choice is [0, 0].
 
     move(k, prev, acc, u_zero) lists the choices at free[k] that keep the
     prefix admissible, in the order of choices, each as (element, order
@@ -832,25 +836,25 @@ def _scan_automaton(spec, L, choices):
     its own, so the step into it is tested here; a step between two anchors
     always passes, and u_{L-1} to v_0 is no step.
 
-    A move depends only on the position's rule (its step test, the test of
-    the step into a following anchor, its zero test) and on what the rule
-    reads of prev, acc and u_zero, and it is keyed by exactly these: each
-    key, and each step test, is computed once per automaton and shared by
-    every position with the same rule.
+    A move depends only on the position's rule (whether it is an anchor,
+    its step test, the test of the step into a following anchor, its zero
+    test) and on what the rule reads of prev, acc and u_zero, and it is
+    keyed by exactly these: each key, and each step test, is computed once
+    per automaton and shared by every position with the same rule.
     """
     acc0, rules = _scan_rules(spec, L)
-    free = [q for q, rule in enumerate(rules) if not rule[0]]
+    free = [q for q, rule in enumerate(rules) if not rule[0]] or [0]
     step = functools.cache(_scan_step)
     rule_at = []
     for q in free:
-        _, into, zero = rules[q]
+        anchor, into, zero = rules[q]
         nxt = rules[q + 1] if (q + 1) % L else None
-        rule_at.append((into, nxt[1] if nxt is not None and nxt[0] else None, zero))
+        rule_at.append((anchor, into, nxt[1] if nxt is not None and nxt[0] else None, zero))
 
     @functools.cache
-    def admitted(into, out, no_zero, prev, acc):
+    def admitted(anchor, into, out, no_zero, prev, acc):
         moves = []
-        for pt in choices:
+        for pt in ((0, 0),) if anchor else choices:
             if no_zero and pt == (0, 0):
                 continue
             a = acc if into is None else acc & step(into, prev, pt)
@@ -861,8 +865,8 @@ def _scan_automaton(spec, L, choices):
         return moves
 
     def move(k, prev, acc, u_zero):
-        into, out, zero = rule_at[k]
-        return admitted(into, out, zero and u_zero, prev if into else None, acc)
+        anchor, into, out, zero = rule_at[k]
+        return admitted(anchor, into, out, zero and u_zero, prev if into else None, acc)
 
     return acc0, free, move
 
@@ -1011,16 +1015,7 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     bn, bd = -1, 0
     best = best_input = best_window = None
 
-    if free:
-        last, q_last = len(free) - 1, free[-1]
-    else:
-        # a single sequence of length 2 anchored at both ends: one point,
-        # walked as the one choice at u_0, its anchor, which completes
-        # every term
-        last = q_last = 0
-        context = [lambda pairs: ()]
-        point = [((0, 0), acc0, [(i, *term(*(pairs[r] for r in at))) for i, at in done.values()])]
-        options = lambda k, _context, acc: point
+    last, q_last = len(free) - 1, free[-1]
     stack = []
     acc = acc0
     while True:
@@ -1093,9 +1088,8 @@ def young_check(a, b, l1, l2) -> bool:
     b = as_rational(b)
     if a < 0 or b < 0:
         raise ValueError("young_check needs non-negative inputs")
-    for name, val in (("l1", l1), ("l2", l2)):
-        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-            raise ExponentOutOfRange(f"{name} must be an integer >= 1, got {val!r}")
+    _check_exponent("l1", l1)
+    _check_exponent("l2", l2)
     s = l1 + l2
     return a ** l1 * b ** l2 <= Fraction(l1, s) * a ** s + Fraction(l2, s) * b ** s
 

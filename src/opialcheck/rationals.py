@@ -64,7 +64,10 @@ def rational_from_text(text: str) -> Fraction:
     if not plain:
         m = _exponent(text)
         if m:
-            digits = m.group(1).replace("_", "").lstrip("0")
+            # Fraction reads a digit of any script, so leading zeros of any
+            # script are stripped
+            digits = m.group(1).replace("_", "")
+            digits = digits.lstrip("".join(c for c in set(digits) if not int(c)))
             if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
                     or int(digits or "0") > MAX_DECIMAL_EXPONENT):
                 raise NonRational(

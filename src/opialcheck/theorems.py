@@ -50,7 +50,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from ._records import hidden, record
-from .intervals import ExponentOutOfRange
+from .intervals import _check_exponent
 from .rationals import int_digit_limit, ratio_to_json, rational_to_json
 from .sequences import (
     Direction,
@@ -58,6 +58,8 @@ from .sequences import (
     MuDirection,
     NotDecomposable,
     TooShort,
+    _DIRECTION_LABEL,
+    _MU_LABEL,
     _alternate_runs,
     _check_aligned,
     _ends,
@@ -186,9 +188,8 @@ class TheoremSpec:
         m the window end. Only the parameters named in constant_params
         are read.
         """
-        for name, val in (("l1", l1), ("l2", l2)):
-            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-                raise ExponentOutOfRange(f"{name} must be an integer >= 1, got {val!r}")
+        _check_exponent("l1", l1)
+        _check_exponent("l2", l2)
         for p in self.constant_params:
             if p == "n" and n is None:
                 raise ValueError(f"{self.id.value} constant needs n")
@@ -384,18 +385,16 @@ def lookup(theorem) -> TheoremSpec:
 class _Analysis:
     """What the statements read of one input, u or the pair (u, v), each
     fact computed once for all of them: the integer term lists (_terms),
-    the reported hypothesis rows (_rows), a pair's notes on v's profile
-    (check_pair) and the size guard's verdict (_guard). check_single and
-    check_pair take one as _analysis; without one a call computes only what
-    it reads, and keeps no terms."""
+    the reported hypothesis rows (_rows) and the size guard's verdict
+    (_guard). check_single and check_pair take one as _analysis; without one
+    a call computes only what it reads, and keeps no terms."""
 
-    __slots__ = ("u", "v", "terms", "rows", "notes", "admitted")
+    __slots__ = ("u", "v", "terms", "rows", "admitted")
 
     def __init__(self, u, v=None):
         self.u, self.v = u, v
         self.terms = {}   # (nabla, l1, l2, signed) -> [(lhs, rhs)] over the whole input
         self.rows = {}    # (name, lo, hi[, anchors]) -> PreconditionCheck
-        self.notes = {}   # (first, last) -> _v_profile_note of v on first..last
         self.admitted = set()  # exponent pairs (l1, l2) the size guard passed
 
 
@@ -621,8 +620,10 @@ def _pc_row(name, got, detail, u, v, lo, hi, allowed):
     return PreconditionCheck(name, bool(got), detail(name, got, u, v, lo, hi, allowed))
 
 
-# the only tests, and row texts, that read the anchors' indices
-_READS_ANCHORS = frozenset({"no_other_zero", "no_other_joint_zero"})
+# the only tests, and row texts, that read the anchors' indices: the stray
+# zero tests
+_READS_ANCHORS = frozenset(name for name, (_, _, step) in _HYPOTHESES.items()
+                           if step == ("zero", 0))
 
 
 def _rows(an, names, m):
@@ -809,16 +810,9 @@ def _sides(u, v, cache, spec, l1, l2, n, m, degenerate=None):
 # -- checking ---------------------------------------------------------------
 
 
-def _check_exponents(l1, l2):
-    for name, val in (("l1", l1), ("l2", l2)):
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ExponentOutOfRange(f"{name} must be an integer >= 1, got {val!r}")
-        if val < 1:
-            raise ExponentOutOfRange(f"{name} must be >= 1, got {val}")
-
-
 def _check_lambdas(spec, l1, l2):
-    _check_exponents(l1, l2)
+    _check_exponent("l1", l1)
+    _check_exponent("l2", l2)
     if spec.id is TheoremId.T2_2 and (l1, l2) != (1, 1):
         raise ValueError("T2_2 has fixed exponents l1 = l2 = 1")
 
@@ -885,11 +879,9 @@ def _window_of(spec, an, l1, l2, window):
 
 
 def _v_profile_note(v, first, last):
-    p = v.window(first, last).classify()
-    return (
-        f"v on [{first}, {last}] classifies as {p.direction.value}, "
-        f"{p.mu_direction.value} (recorded, not required)"
-    )
+    # the labels v.window(first, last).classify() reports
+    d, mu = _DIRECTION_LABEL[_dir_bits(v, first, last)], _MU_LABEL[_mu_bits(v, first, last)]
+    return f"v on [{first}, {last}] classifies as {d.value}, {mu.value} (recorded, not required)"
 
 
 def _check(spec, u, v, l1, l2, window, names, notes, an):
@@ -911,11 +903,7 @@ def _check(spec, u, v, l1, l2, window, names, notes, an):
         if not degenerate:
             notes.append("non-degenerate input: evaluated with interval norms")
     if "alternate_u" in names:
-        key = (u.first_index, m)
-        note = an.notes.get(key)
-        if note is None:
-            note = an.notes[key] = _v_profile_note(v, *key)
-        notes.append(note)
+        notes.append(_v_profile_note(v, u.first_index, m))
     lhs, rhs, scale, const = _sides(u, v, cache, spec, l1, l2, n, m, degenerate)
     # the sides are lhs / scale and const * rhs / scale; compared, and
     # divided into the ratio, on ints: 0 when both sides are 0, none when

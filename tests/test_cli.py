@@ -541,7 +541,7 @@ _FIRST_EXPONENT_CHILD = textwrap.dedent("""
 """)
 
 
-@pytest.mark.parametrize("text", ["1e4301", "-7E-04301", " 2.5e+99999 "])
+@pytest.mark.parametrize("text", ["1e4301", "-7E-04301", " 2.5e+99999 ", "1e\u0660\u06604301"])
 def test_exponent_refusal_fires_on_the_first_call(text):
     pkg_dir = str(Path(opialcheck.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -555,6 +555,17 @@ def test_exponent_refusal_fires_on_the_first_call(text):
 
 # the digits of another script a Fraction string may hold
 _SCRIPT_ZEROS = (0x660, 0x966, 0xFF10)
+
+
+@pytest.mark.parametrize("zero", _SCRIPT_ZEROS)
+def test_exponent_padded_with_zeros_of_any_script_reads_as_fraction(zero):
+    # the cap is on the exponent's value: leading zeros of another script,
+    # which Fraction reads, count no more than ASCII ones
+    z = chr(zero)
+    for text, value in ((f"-0.0e-{z}4290", Fraction(0)), (f"3e{z}{z}0{z}1_2", Fraction(3 * 10**12)),
+                        (f"5E+{z * 9}4290", Fraction(5 * 10**4290))):
+        assert parse_sequence(json.dumps({"u": [[text, text]]}, ensure_ascii=False)).at(0) == \
+            Interval(value, value), text
 
 
 @st.composite
@@ -600,12 +611,11 @@ def _number_texts(draw):
 def _decoded(text, exponent, where):
     """Fraction(text), or the refusal the decoder gives it: an exponent past
     4300 first, then more than 4300 digits, then any text Fraction does not
-    read. An exponent also counts as past 4300 when it is written with more
-    than four digits after its leading ASCII zeros: a zero of another script
-    is not stripped. where prefixes the message, as for a string endpoint."""
+    read. An exponent counts as past 4300 by its value alone: its leading
+    zeros, of any script, are not counted. where prefixes the message, as for
+    a string endpoint."""
     shown = repr(text if len(text) <= 40 else text[:37] + "...")
-    written = text.rpartition("e" if "e" in text else "E")[2].strip(" \t\n+-")
-    if exponent > 4300 or (exponent and len(written.replace("_", "").lstrip("0")) > 4):
+    if exponent > 4300:
         return NonRational, f"{where}refusing {shown}: decimal exponent larger than 4300 in magnitude"
     if sum(map(str.isdecimal, text)) > 4300:
         return NonRational, f"{where}refusing {shown}: more than 4300 digits"
@@ -824,22 +834,23 @@ def test_check_discovery_skips_t2_2_on_other_exponents(capsys):
     assert code in (0, 2)
 
 
-def test_check_discovery_builds_each_v_profile_note_once(capsys, monkeypatch):
+def test_check_discovery_notes_v_profile_alike_for_each_statement(capsys):
     # T3_8 (window omitted: m = e) and T3_10 both note v's profile on the
-    # same indices; the shared analysis builds that note once
-    calls = []
-    real = theorems._v_profile_note
-
-    def counted(v, first, last):
-        calls.append((first, last))
-        return real(v, first, last)
-
-    monkeypatch.setattr(theorems, "_v_profile_note", counted)
+    # same indices, in the same words
     code, out, _ = run_cli(capsys, ["check", "--in", sample("pair_t36.json")])
     notes = [n for row in json.loads(out)["verdicts"] for n in row["notes"]
              if n.startswith("v on ")]
     assert code == 0 and len(notes) == 2 and notes[0] == notes[1]
-    assert calls == [(0, 2)]
+
+
+def test_check_refuses_a_misaligned_pair_before_any_statement(capsys, tmp_path):
+    # a pair whose lengths differ is an input error (exit 3) in discovery as
+    # for a named statement, never a list of skipped statements
+    path = tmp_path / "doc.json"
+    path.write_text('{"u": [[0, 0], [1, 1]], "v": [[0, 0]]}')
+    for extra in ([], ["--window", "0,1"], ["--theorem", "T3_6"]):
+        code, out, err = run_cli(capsys, ["check", "--in", str(path), *extra])
+        assert (code, out, err) == (3, "", "error: lengths differ: 2 vs 1\n"), extra
 
 
 def test_check_documents_share_nothing_across_calls(capsys, tmp_path):

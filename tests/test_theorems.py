@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -620,6 +621,54 @@ def test_shared_analysis_gives_the_standalone_verdicts(doc, lam, data):
             def call(**shared):
                 return check_pair(u, v, spec.id, window=w, alt_boundary=alt, **shared)
         assert _outcome(lambda: call(_analysis=analysis)) == _outcome(call), (spec.id, alt, w)
+
+
+def test_v_profile_note_reads_the_labels_classify_reports():
+    # the note reads v's order bits on first..last through classify's own
+    # labels; classify on the window is the reference
+    rng = random.Random(8872)
+    for _ in range(1500):
+        L, D, b = rng.randint(1, 8), rng.randint(1, 4), rng.randint(-2, 2)
+        ends = [sorted((rng.randint(-3, 3), rng.randint(-3, 3))) for _ in range(L)]
+        v = IntervalSequence._from_ints(D, [a for a, _ in ends], [c for _, c in ends], b)
+        for first in range(b, b + L):
+            for last in range(first, b + L):
+                p = v.window(first, last).classify()
+                assert theorems._v_profile_note(v, first, last) == (
+                    f"v on [{first}, {last}] classifies as {p.direction.value},"
+                    f" {p.mu_direction.value} (recorded, not required)"), (v, first, last)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_documents(), data=st.data())
+def test_rows_off_the_stray_zero_tests_do_not_read_the_anchors(doc, data):
+    # _rows keys a row by its name and range alone unless the name is in
+    # _READS_ANCHORS, so every other test, and its row text, must give the
+    # same with no anchors as with the plan's
+    u, v = doc
+    b, e = u.first_index, u.last_index
+    m = data.draw(st.integers(b + 1, e))
+    for spec in registry():
+        if spec.arity != (1 if v is None else 2):
+            continue
+        hyps, anchors = theorems._plan(spec.preconditions, v is not None, b, e, m)
+        for name, holds, detail, lo, hi in hyps:
+            if name not in theorems._READS_ANCHORS:
+                without, with_anchors = (
+                    theorems._pc_row(name, holds(u, v, lo, hi, allowed), detail,
+                                     u, v, lo, hi, allowed)
+                    for allowed in (frozenset(), anchors))
+                assert without == with_anchors, (spec.id, name)
+
+
+def test_the_stray_zero_tests_read_the_anchors():
+    # u_0 and u_2 are stray zeros off the anchors {0, 2} and allowed on them
+    u = seq([(0, 0), (1, 1), (0, 0)])
+    assert theorems._READS_ANCHORS
+    for name in theorems._READS_ANCHORS:
+        holds = theorems._HYPOTHESES[name][0]
+        assert [bool(holds(u, u, 0, 2, a)) for a in (frozenset(), frozenset({0, 2}))] == \
+            [False, True], name
 
 
 def test_shared_analysis_refuses_another_input(ex33):
