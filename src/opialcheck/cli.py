@@ -183,21 +183,15 @@ sequence_to_jsonable = input_to_jsonable
 def _tableize(payload, indent=0):
     # payload is a dict or a list: _emit passes nothing else, nor does the recursion
     pad = "  " * indent
+    items = (((f"{key}:", val) for key, val in payload.items()) if isinstance(payload, dict)
+             else (("-", val) for val in payload))
     lines = []
-    if isinstance(payload, dict):
-        for key, val in payload.items():
-            if isinstance(val, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.append(_tableize(val, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {val}")
-    else:
-        for val in payload:
-            if isinstance(val, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.append(_tableize(val, indent + 1))
-            else:
-                lines.append(f"{pad}- {val}")
+    for head, val in items:
+        if isinstance(val, (dict, list)):
+            lines.append(f"{pad}{head}")
+            lines.append(_tableize(val, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {val}")
     return "\n".join(lines)
 
 
@@ -448,8 +442,8 @@ _COMMANDS = {
 
 
 def _parse_canonical(argv):
-    """The namespace argparse gives a canonical argv, without loading
-    argparse, or None for any other argv.
+    """The namespace argparse gives a canonical argv (a list of str),
+    without loading argparse, or None for any other argv.
 
     Canonical: a command of _COMMANDS, then its options, each at most once
     and in full, every required one among them. A valued option is given as
@@ -459,15 +453,13 @@ def _parse_canonical(argv):
     "--", which argparse versions read differently. None leaves every other
     argv, with its messages and exit codes, to argparse.
     """
-    command = _COMMANDS.get(argv[0]) if argv and type(argv[0]) is str else None
+    command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
     options = command[2]
     given = {}
     tokens = iter(argv[1:])
     for token in tokens:
-        if type(token) is not str:
-            return None
         flag, eq, value = token.partition("=")
         spec = options.get(flag)
         if spec is None or flag in given:
@@ -478,7 +470,7 @@ def _parse_canonical(argv):
             value = True
         elif not eq:
             value = next(tokens, None)
-            if type(value) is not str or value.startswith("-"):
+            if value is None or value.startswith("-"):
                 return None
         if value == "--":
             return None
@@ -532,6 +524,10 @@ def _build_parser():
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    for token in argv:
+        if not isinstance(token, str):
+            print(f"error: argument {token!r} is not a string", file=sys.stderr)
+            return 3
     args = _parse_canonical(argv)
     if args is None:
         try:

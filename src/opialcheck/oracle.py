@@ -1172,6 +1172,12 @@ def _row(label, v, ref_lhs, ref_rhs, note=""):
                       match=v.lhs == ref_lhs and v.rhs == ref_rhs and v.holds, note=note)
 
 
+def _report(example, theorem, description, rows, note=""):
+    """An example's report: it matches when every row does."""
+    return ExampleReport(example=example, theorem=theorem, description=description,
+                         rows=tuple(rows), match=all(r.match for r in rows), note=note)
+
+
 def _example_31() -> ExampleReport:
     rows = []
     for n in (3, 5, 8):
@@ -1185,14 +1191,9 @@ def _example_31() -> ExampleReport:
             )
             ref_rhs = Fraction(c * n * (n + 1) ** a * 2 ** (a + c), a + c)
             rows.append(_row(f"n={n}, l1={a}, l2={c}", v, ref_lhs, ref_rhs))
-    return ExampleReport(
-        example="3.1",
-        theorem=TheoremId.T3_1,
-        description="u_i = [i, 2i]: closed form 2^(l1+l2) * sum(i^l1) for the "
-                    "left side, against the chain bound on the right",
-        rows=tuple(rows),
-        match=all(r.match for r in rows),
-    )
+    return _report("3.1", TheoremId.T3_1,
+                   "u_i = [i, 2i]: closed form 2^(l1+l2) * sum(i^l1) for the "
+                   "left side, against the chain bound on the right", rows)
 
 
 def _example_32() -> ExampleReport:
@@ -1210,14 +1211,9 @@ def _example_32() -> ExampleReport:
         ) + Fraction(8, (n - 1) ** 3)
         ref_rhs = Fraction(2 * (n - 1), 3) * ref_sum
         rows.append(_row(f"n={n}, l1=1, l2=2, window=(2,{n})", v, ref_lhs, ref_rhs))
-    return ExampleReport(
-        example="3.2",
-        theorem=TheoremId.T3_2,
-        description="u_i = [1/i, 2/i] with a zero tail element: term-by-term "
-                    "closed form 8/(i^3 (i-1)^2) on the window [2, n]",
-        rows=tuple(rows),
-        match=all(r.match for r in rows),
-    )
+    return _report("3.2", TheoremId.T3_2,
+                   "u_i = [1/i, 2/i] with a zero tail element: term-by-term "
+                   "closed form 8/(i^3 (i-1)^2) on the window [2, n]", rows)
 
 
 _EX33_PAIRS = ((0, 0), (1, 2), (2, 4), (3, 6), (1, 2), (0, 0))
@@ -1245,17 +1241,14 @@ def _example_33(part: str) -> ExampleReport:
         f"gives {trunc})"
     )
     row = _row(f"l1={l1}, l2={l2}", v, ref_lhs, ref_rhs, note)
-    return ExampleReport(
-        example=f"3.3{part}",
-        theorem=TheoremId.T3_5,
-        description="the up-then-down sequence {[0,0],[1,2],[2,4],[3,6],[1,2],[0,0]}",
-        rows=(row,),
-        match=row.match,
-        note=("" if row.match else
-              "engine sums difference norms over every difference in the range; "
-              "the reference value corresponds to a shorter sum, a reading under "
-              "which the bound fails on other inputs, so the engine keeps the "
-              "full range"),
+    return _report(
+        f"3.3{part}", TheoremId.T3_5,
+        "the up-then-down sequence {[0,0],[1,2],[2,4],[3,6],[1,2],[0,0]}", (row,),
+        "" if row.match else
+        "engine sums difference norms over every difference in the range; "
+        "the reference value corresponds to a shorter sum, a reading under "
+        "which the bound fails on other inputs, so the engine keeps the "
+        "full range",
     )
 
 

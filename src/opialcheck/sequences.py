@@ -157,23 +157,14 @@ class SegmentDecomposition:
     to_jsonable = record_to_jsonable
 
 
-# order sets by bit pattern: 1 = the increasing order holds, 2 = the decreasing
-_DIRECTION_SETS = (
-    frozenset(),
-    frozenset({Direction.INCREASING}),
-    frozenset({Direction.DECREASING}),
-    frozenset({Direction.INCREASING, Direction.DECREASING}),
-)
-_MU_SETS = (
-    frozenset(),
-    frozenset({MuDirection.MU_INCREASING}),
-    frozenset({MuDirection.MU_DECREASING}),
-    frozenset({MuDirection.MU_INCREASING, MuDirection.MU_DECREASING}),
-)
-# the bit of a single order, and the reported label of a bit pattern (ties
-# read as increasing)
+# the bit of a single order: 1 = the increasing order holds, 2 = the decreasing
 _ORDER_BIT = {Direction.INCREASING: 1, Direction.DECREASING: 2,
               MuDirection.MU_INCREASING: 1, MuDirection.MU_DECREASING: 2}
+# order sets by bit pattern, and the reported label of a bit pattern (ties
+# read as increasing)
+_DIRECTION_SETS, _MU_SETS = (
+    tuple(frozenset(o for o in kind if _ORDER_BIT.get(o, 0) & bits) for bits in range(4))
+    for kind in (Direction, MuDirection))
 _DIRECTION_LABEL = (Direction.NON_MONOTONE, Direction.INCREASING,
                     Direction.DECREASING, Direction.INCREASING)
 _MU_LABEL = (MuDirection.MU_NON_MONOTONE, MuDirection.MU_INCREASING,
@@ -390,11 +381,9 @@ class IntervalSequence:
         Ties collapse to the increasing label; use direction_set and
         mu_direction_set when the distinction matters.
         """
-        lows, highs = self.lows, self.highs
-        d = _order_bits(lows, strict) & _order_bits(highs, strict)
-        mu = _order_bits(_widths(lows, highs), strict)
         return MonotonicityProfile(
-            _DIRECTION_LABEL[d], _MU_LABEL[mu], strict, self.zero_indices()
+            _DIRECTION_LABEL[_dir_bits(self, strict=strict)],
+            _MU_LABEL[_mu_bits(self, strict=strict)], strict, self.zero_indices()
         )
 
     def alternate_segments(self) -> SegmentDecomposition:
@@ -464,16 +453,26 @@ def _ends(seq, first, last):
     return seq.lows[first - b : last - b + 1], seq.highs[first - b : last - b + 1]
 
 
+def _dir_bits(seq, first=None, last=None, strict=False):
+    """LU order bits of u_first..u_last, whole sequence by default: 1 when
+    both endpoint sequences increase, 2 when both decrease."""
+    lows, highs = _ends(seq, first, last)
+    return _order_bits(lows, strict) & _order_bits(highs, strict)
+
+
+def _mu_bits(seq, first=None, last=None, strict=False):
+    """Width order bits of u_first..u_last, as _dir_bits."""
+    return _order_bits(_widths(*_ends(seq, first, last)), strict)
+
+
 def direction_set(seq, first=None, last=None, strict: bool = False) -> frozenset:
     """Every LU order the stretch satisfies (empty when neither holds)."""
-    lows, highs = _ends(seq, first, last)
-    return _DIRECTION_SETS[_order_bits(lows, strict) & _order_bits(highs, strict)]
+    return _DIRECTION_SETS[_dir_bits(seq, first, last, strict)]
 
 
 def mu_direction_set(seq, first=None, last=None, strict: bool = False) -> frozenset:
     """Every width order the stretch satisfies."""
-    lows, highs = _ends(seq, first, last)
-    return _MU_SETS[_order_bits(_widths(lows, highs), strict)]
+    return _MU_SETS[_mu_bits(seq, first, last, strict)]
 
 
 def _step_bits(x0, x1):

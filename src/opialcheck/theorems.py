@@ -55,16 +55,16 @@ from .rationals import int_digit_limit, ratio_to_json, rational_to_json
 from .sequences import (
     Direction,
     IntervalSequence,
-    MuDirection,
     NotDecomposable,
     TooShort,
     _DIRECTION_LABEL,
+    _DIRECTION_SETS,
     _MU_LABEL,
     _alternate_runs,
     _check_aligned,
+    _dir_bits,
     _ends,
-    _order_bits,
-    _widths,
+    _mu_bits,
     first_direction_break,
     first_mu_break,
     record_to_jsonable,
@@ -432,18 +432,7 @@ def _elem(s, i):
 
 
 # the reported label of LU order bits (direction_set's values, sorted)
-_ORDER_TEXT = ("", Direction.INCREASING.value, Direction.DECREASING.value,
-               f"{Direction.DECREASING.value} and {Direction.INCREASING.value}")
-
-
-def _dir_bits(s, lo, hi):
-    # LU order bits of s_lo..s_hi: 1 increasing, 2 decreasing (direction_set)
-    lows, highs = _ends(s, lo, hi)
-    return _order_bits(lows) & _order_bits(highs)
-
-
-def _mu_bits(s, lo, hi):
-    return _order_bits(_widths(*_ends(s, lo, hi)))
+_ORDER_TEXT = tuple(" and ".join(sorted(d.value for d in ds)) for ds in _DIRECTION_SETS)
 
 
 def _split_free(s, lo, hi):
@@ -525,8 +514,8 @@ def _d_synchronous(name, shared, u, v, lo, hi, _):
 def _d_mu(name, bits, u, v, lo, hi, _):
     if bits:
         return f"width order holds{'' if v is None else ' for u and v'} on [{lo}, {hi}]"
-    bit, want = ((1, MuDirection.MU_INCREASING) if name == "mu_increasing"
-                 else (2, MuDirection.MU_DECREASING))
+    bit = 1 if name == "mu_increasing" else 2
+    want = _MU_LABEL[bit]
     if v is None:
         return f"width order breaks at i={first_mu_break(u, want, lo, hi)}"
     sym, s = ("v", v) if bit & _mu_bits(u, lo, hi) else ("u", u)
@@ -760,14 +749,13 @@ def _term_list(u, v, nabla, l1, l2, signed, lo, hi):
                     repeat(l1), repeat(l2), repeat(nabla)))
 
 
-def _terms(u, v, cache, spec, l1, l2, n, m, degenerate=None):
+def _terms(u, v, cache, spec, l1, l2, n, m):
     """(lhs_rng, rhs_rng, const, start, terms, scale) on u (and v) in the
     window (n, m): the ranges and constant of _frame, and the integer
     (lhs, rhs) term of each index start, start + 1, ..., up to at least the
     end of both ranges. Each term over scale is the exact rational one:
     scale is D^(l1+l2) for a single sequence, D^2 with D = lcm(Du, Dv) for
-    a pair. L3_1 sums with signs exactly on degenerate input; degenerate is
-    its first row's result when the caller has it, and None tests it here.
+    a pair. L3_1 sums with signs exactly on degenerate input.
 
     The terms depend only on the operator's step (nabla or forward), the
     exponents and the signs, not on the statement: cache, an analysis's
@@ -779,8 +767,7 @@ def _terms(u, v, cache, spec, l1, l2, n, m, degenerate=None):
     e = b + len(u.lows) - 1
     lhs_rng, rhs_rng, const = _frame(spec, b, e, n, m, l1, l2)
     nabla = spec.operator is Operator.NABLA
-    signed = spec.id is TheoremId.L3_1 and (
-        _holds(("degenerate",), u, None, m) if degenerate is None else degenerate)
+    signed = spec.id is TheoremId.L3_1 and _holds(("degenerate",), u, None, m)
     if cache is None:
         start = min(lhs_rng.start, rhs_rng.start)
         terms = _term_list(u, v, nabla, l1, l2, signed, start,
@@ -797,12 +784,11 @@ def _terms(u, v, cache, spec, l1, l2, n, m, degenerate=None):
 _LHS, _RHS = operator.itemgetter(0), operator.itemgetter(1)
 
 
-def _sides(u, v, cache, spec, l1, l2, n, m, degenerate=None):
+def _sides(u, v, cache, spec, l1, l2, n, m):
     """(lhs, rhs, scale, const): the sides are lhs / scale and
-    const * rhs / scale on u (and v) in the window (n, m); cache and
-    degenerate as in _terms."""
-    lhs_rng, rhs_rng, const, start, terms, scale = _terms(u, v, cache, spec, l1, l2, n, m,
-                                                          degenerate)
+    const * rhs / scale on u (and v) in the window (n, m); cache as in
+    _terms."""
+    lhs_rng, rhs_rng, const, start, terms, scale = _terms(u, v, cache, spec, l1, l2, n, m)
     return (sum(map(_LHS, terms[lhs_rng.start - start:lhs_rng.stop - start])),
             sum(map(_RHS, terms[rhs_rng.start - start:rhs_rng.stop - start])), scale, const)
 
@@ -895,16 +881,13 @@ def _check(spec, u, v, l1, l2, window, names, notes, an):
         raise ValueError("_analysis is of another input")
     n, m = _window_of(spec, an, l1, l2, window)
     pre = _rows(an, names, m)
-    # the real statements' first row is degenerate; off it, a note, and
-    # L3_1 sums norms instead of signed terms
-    degenerate = None
-    if spec.sums.shape == "real":
-        degenerate = pre[0].passed
-        if not degenerate:
-            notes.append("non-degenerate input: evaluated with interval norms")
+    # the real statements' first row is degenerate; off it, a note (and
+    # L3_1 sums norms instead of signed terms)
+    if spec.sums.shape == "real" and not pre[0].passed:
+        notes.append("non-degenerate input: evaluated with interval norms")
     if "alternate_u" in names:
         notes.append(_v_profile_note(v, u.first_index, m))
-    lhs, rhs, scale, const = _sides(u, v, cache, spec, l1, l2, n, m, degenerate)
+    lhs, rhs, scale, const = _sides(u, v, cache, spec, l1, l2, n, m)
     # the sides are lhs / scale and const * rhs / scale; compared, and
     # divided into the ratio, on ints: 0 when both sides are 0, none when
     # only rhs is

@@ -1563,3 +1563,39 @@ def test_oracle_names_are_looked_up_at_call_time():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False [0, 0] ['ratio_scan', 'fuzz']\n"
+
+
+NON_STRING_ARGVS = {
+    "int_value": ["scan", "--theorem", "T3_1", "--length", 3, "--bound", "1"],
+    "int_command": [3],
+    "none_flag": ["check", None],
+    "path_value": ["check", "--in", SAMPLES / "ex33.json"],
+}
+
+
+@pytest.mark.parametrize("argv", NON_STRING_ARGVS.values(), ids=NON_STRING_ARGVS)
+def test_non_string_token_exits_3(capsys, argv):
+    # refused once, before either parser reads the argv
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not a string" in err
+
+
+def test_window_without_comma_exits_3(capsys):
+    code, out, err = run_cli(capsys, [
+        "check", "--in", sample("ex32_n5.json"), "--theorem", "T3_2", "--window", "1",
+    ])
+    assert code == 3 and out == ""
+    assert "--window expects n,m" in err
+
+
+def test_oracle_names_bind_on_first_read(monkeypatch):
+    from opialcheck import oracle
+
+    for name in cli._ORACLE_NAMES:
+        monkeypatch.delitem(vars(cli), name, raising=False)
+    assert cli.fuzz is oracle.fuzz
+    assert all(vars(cli)[name] is getattr(oracle, name) for name in cli._ORACLE_NAMES)
+    with pytest.raises(AttributeError, match="no attribute 'nowhere'"):
+        cli.nowhere

@@ -39,6 +39,11 @@ stdout of ``main(argv)`` (``f"{code}\\n{stdout}"``, UTF-8), recorded while
 ``check`` and the other commands printed through ``json.dumps(payload,
 indent=2)``.
 
+The table digests pin ``--format table`` the same way, on those calls and
+a few more (relaxed fuzzes that find violations, a pair scan, a strict
+classify), recorded while ``cli._tableize`` wrote dicts and lists in two
+branches.
+
 The help texts pin argparse's help screens and two usage errors, in full
 (exit code, stdout and stderr at ``COLUMNS=80``). They were recorded on
 Python 3.10-3.13 while each subparser was still written out by hand.
@@ -469,6 +474,70 @@ def test_printed_output_is_unchanged(call):
         code = main(argv)
     text = f"{code}\n{out.getvalue()}"
     assert hashlib.sha256(text.encode()).hexdigest() == CLI_DIGESTS[call]
+
+
+# main(argv + ["--format", "table"]), digested as CLI_DIGESTS are, on every
+# call there, on a relaxed fuzz of each arity that finds violations, a pair
+# scan and a strict classify; recorded while cli._tableize wrote dicts and
+# lists in separate branches
+TABLE_DIGESTS = {
+    "check --in ex31_n5.json":
+        "61b16a8a9bf8357e90c1cbd8a1ec9045515847719c03ce9f7f5276d49bd63ef8",
+    "check --in ex32_n5.json":
+        "fc0206c574cd74c8949a3171186401681ef9ef58798e692f5c2d742776723d67",
+    "check --in ex33.json":
+        "2bce05fdfb3509c2636de16c8728b3e9bbfd9a24c6e3b80e48af9af5db7d84c7",
+    "check --in pair_t36.json":
+        "420b47125f235a535c2f28753d56f71d515c528a56854f336cb74042e3e1a952",
+    "check --in tent_classical.json":
+        "ab1b22a9ed759491efa4ee54f10773fccded8349c272798d79a16817bd30eaff",
+    "check --in ex31_n5.json --theorem T3_1":
+        "1fa8a703d72302876d2c29bce78940c48cefe5e286b3e58267a869f95e3b9616",
+    "check --in ex32_n5.json --theorem T3_2 --l2 2 --window 2,5":
+        "9071dd29a07a4d758a7c78870649119e58a7d5fefa65d9e436a57ef3efcafa5f",
+    "check --in ex33.json --theorem T3_5 --l1 2 --l2 3":
+        "af14abd2efa0796909450828b5b4f000639c4e309969cb3ea9660ebba8d733ea",
+    "check --in pair_t36.json --theorem T3_6":
+        "9bf4c96269b140f4f34dbadb4981daf537d955835fdf5c82daf2d6e0e14124e7",
+    "check --in tent_classical.json --theorem T2_2":
+        "0a4af4017468b2a38042f67bfc970dd6693340c463d11509620a7f8a9c1c66b5",
+    "classify --in ex31_n5.json":
+        "d4c08c3625b9c041855c39a719fbc7c13594d042b376561911f0c0b9bda95b1f",
+    "classify --in ex32_n5.json":
+        "6214d89904b8cad815a5b9767e2e5880c827580cea8a636892ca91e2e27584d4",
+    "classify --in ex33.json":
+        "7cb97e61372284efc5b6d653ac06e3a354be1516383fdce5579a3d2a7ab39ee4",
+    "classify --in pair_t36.json":
+        "64263e23c01adcbd6e715991f1ab4a062c2cbbd657fd5125354cd33702d04b77",
+    "classify --in tent_classical.json":
+        "0d14c80d60cbdb7aab44a86b7270baef7065c0aba9d9f60583fbc3939ef5b280",
+    "examples":
+        "e7f4499abc925ad423f6286e99037078c7e8771214b0353c7bb21df9b23ef0d4",
+    "fuzz --theorem T3_5 --seed 0":
+        "edbfe39a3494b95640893e91da5e2a35c5b0187c6e54c68e0725b6977bb28f10",
+    "fuzz --theorem T3_6 --seed 0":
+        "65505fb270ca897bf825e734dee05c80d67b8f79ad4c0ff0a3addf3ce95c9259",
+    "scan --theorem T2_2 --length 5 --bound 2":
+        "51b4ba697ffb214455431d26caaea5ada48551abc9f0961dde1da7e1eef1b8b0",
+    "fuzz --theorem T3_6 --trials 40 --seed 0 --relax first_zero":
+        "7e51d90c8293ced5ddad8b001d3b4597badd72285438cada218f08058d3063ad",
+    "fuzz --theorem L3_1 --trials 40 --seed 0 --relax nondecreasing":
+        "d2599d4dea8350165be88769c900eca18d67f60242b50c58410ff394a93c0df4",
+    "scan --theorem T3_6 --length 3 --bound 2":
+        "3f0d3daed90ef3ebc4ae44132c4ddd0880fda39d4b28ed8159dd386871622168",
+    "classify --in ex33.json --strict":
+        "6fd668800806a24332912c66bcc6201b141b079a0b80f133bc0674a8be63d9bb",
+}
+
+
+@pytest.mark.parametrize("call", list(TABLE_DIGESTS))
+def test_table_output_is_unchanged(call):
+    argv = [str(SAMPLES / a) if a.endswith(".json") else a for a in call.split()]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--format", "table"])
+    text = f"{code}\n{out.getvalue()}"
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[call]
 
 
 # oracle._generate_with_rng on every registry profile and every profile of

@@ -228,3 +228,15 @@ def test_norm_absolute_homogeneity(u, lam):
 def test_squares_sum_norms(a, b):
     # squares are non-negative intervals, so their norms add under Minkowski sum
     assert (a ** 2 + b ** 2).norm == a.norm ** 2 + b.norm ** 2
+
+
+@pytest.mark.parametrize("other", [True, 1.5, object(), [1]], ids=["bool", "float", "object", "list"])
+def test_foreign_operand_raises_type_error(other):
+    # _coerce refuses the operand, so both sides return NotImplemented
+    x = iv(1, 2)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)

@@ -447,3 +447,18 @@ def test_first_instance_by_pickle_copy_or_replace(mode):
     for name, _, compiled, equal, same_hash, same_repr in cases:
         assert compiled and equal and same_hash and same_repr, name
     assert result["after"] == []
+
+
+def test_record_needs_two_shown_fields():
+    from opialcheck._records import hidden, record
+
+    with pytest.raises(TypeError, match="needs at least two shown fields"):
+        @record
+        class One:
+            x: int
+
+    with pytest.raises(TypeError, match="needs at least two shown fields"):
+        @record
+        class OneShown:
+            x: int
+            y: int = hidden

@@ -442,3 +442,56 @@ def test_from_ints_keeps_value_checks():
     assert t == seq([(0, Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 2))])
     with pytest.raises(FrozenInstanceError):
         t.D = 2
+
+
+def test_order_sets_are_the_listed_sets():
+    from opialcheck import sequences
+
+    inc, dec = Direction.INCREASING, Direction.DECREASING
+    mu_inc, mu_dec = MuDirection.MU_INCREASING, MuDirection.MU_DECREASING
+    assert sequences._DIRECTION_SETS == (
+        frozenset(), frozenset({inc}), frozenset({dec}), frozenset({inc, dec}))
+    assert sequences._MU_SETS == (
+        frozenset(), frozenset({mu_inc}), frozenset({mu_dec}), frozenset({mu_inc, mu_dec}))
+
+
+def _reference_bits(xss, strict):
+    # bit 1 when every sequence of xss rises (strict) or does not fall at
+    # every step, bit 2 when every one falls or does not rise; read step by step
+    bits = 3
+    for xs in xss:
+        for x0, x1 in zip(xs, xs[1:]):
+            up = x1 > x0 if strict else x1 >= x0
+            down = x1 < x0 if strict else x1 <= x0
+            bits &= up | (down << 1)
+    return bits
+
+
+def test_order_bits_match_a_per_step_reference():
+    import random
+
+    from opialcheck.sequences import _dir_bits, _mu_bits
+
+    rng = random.Random(2502)
+    for _ in range(200):
+        n, base = rng.randint(1, 7), rng.randint(-2, 2)
+        lows = [rng.randint(-2, 2) for _ in range(n)]
+        highs = [a + rng.randint(0, 2) for a in lows]
+        s = IntervalSequence._from_ints(rng.randint(1, 3), lows, highs, base)
+        for strict in (False, True):
+            assert _dir_bits(s, strict=strict) == _reference_bits((lows, highs), strict)
+            for first in range(base, base + n):
+                for last in range(first, base + n):
+                    k, j = first - base, last - base + 1
+                    stretch = (lows[k:j], highs[k:j])
+                    assert _dir_bits(s, first, last, strict) == _reference_bits(stretch, strict)
+                    widths = [c - a for a, c in zip(*stretch)]
+                    assert _mu_bits(s, first, last, strict) == _reference_bits((widths,), strict)
+
+
+def test_direction_set_outside_the_sequence_raises():
+    s = seq([(0, 1), (1, 2), (2, 3)], base=1)
+    with pytest.raises(IndexOutOfRange, match=r"range \[0, 2\] outside \[1, 3\]"):
+        direction_set(s, 0, 2)
+    with pytest.raises(IndexOutOfRange):
+        mu_direction_set(s, 2, 4)

@@ -786,3 +786,12 @@ def test_size_guard_admits_what_it_bounds():
     pair = (seq([(0, 0), (1, 2), (0, 0)]), seq([(0, 0), (2, 3), (0, 0)]))
     assert lhs_terms(pair, _BIG, _BIG, "T3_6")
     assert check_pair(*pair, "T3_6").rhs > 0
+
+
+def test_order_text_is_the_listed_text():
+    from opialcheck import sequences, theorems
+
+    assert theorems._ORDER_TEXT == ("", "increasing", "decreasing", "decreasing and increasing")
+    # the order bits are computed in sequences alone
+    assert theorems._dir_bits is sequences._dir_bits
+    assert theorems._mu_bits is sequences._mu_bits
