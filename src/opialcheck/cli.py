@@ -22,11 +22,12 @@ import types
 from fractions import Fraction
 
 try:
-    # the C encoder json.encoder itself uses; json is imported only where a
-    # document is decoded, so fuzz, scan and examples never load it
-    from _json import encode_basestring_ascii
+    # the C encoder and scanner json itself uses: a command that succeeds
+    # never imports json, which only a decoding error loads
+    from _json import encode_basestring_ascii, make_scanner
 except ImportError:   # an interpreter without the C accelerator
     from json.encoder import encode_basestring_ascii
+    make_scanner = None
 
 from .intervals import _check_exponent
 from .rationals import (
@@ -75,24 +76,69 @@ def _key_order(key):
     return ("", key) if isinstance(key, str) else (type(key).__name__, _shown(key))
 
 
-def _json_loads_exact(text):
-    import json
+def _reject(name):
+    raise SchemaError(f"non-finite number {name} is not accepted")
 
-    def reject(name):
-        raise SchemaError(f"non-finite number {name} is not accepted")
 
+# json.loads(text, parse_float=rational_from_text, parse_constant=_reject),
+# split as json.JSONDecoder.decode splits it: the scanner reads one value at
+# an index, and decode skips the whitespace " \t\n\r" around it. parse_float
+# sees the literal digits, so decimal notation stays exact
+if make_scanner is None:
+    from json import JSONDecoder
+
+    _scan_once = JSONDecoder(parse_float=rational_from_text, parse_constant=_reject).scan_once
+else:
+    _scan_once = make_scanner(types.SimpleNamespace(
+        strict=True, object_hook=None, object_pairs_hook=None,
+        parse_float=rational_from_text, parse_int=int, parse_constant=_reject,
+    ))
+
+_JSON_SPACE = " \t\n\r"
+
+
+def _scan(text, start):
     try:
-        # parse_float sees the literal digits, so decimal notation stays exact
-        return json.loads(text, parse_float=rational_from_text, parse_constant=reject)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from None
+        return _scan_once(text, start)
+    except SystemError:
+        # the C scanner of Python 3.10 and 3.11 takes JSONDecodeError from a
+        # json.decoder already imported, and without one fails this way;
+        # with it imported, the same scan raises the error json.loads gives
+        import json.decoder
+
+        return _scan_once(text, start)
+
+
+def _invalid_json(message, text, pos):
+    # the text json.loads gives the error; json is loaded only here
+    from json.decoder import JSONDecodeError
+
+    return SchemaError(f"invalid JSON: {JSONDecodeError(message, text, pos)}")
+
+
+def _json_loads_exact(text):
+    if text.startswith("\ufeff"):
+        raise _invalid_json("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    try:
+        value, end = _scan(text, len(text) - len(text.lstrip(_JSON_SPACE)))
+    except StopIteration as exc:
+        raise _invalid_json("Expecting value", text, exc.value) from None
     except RecursionError:
         raise SchemaError("invalid JSON: nested too deeply to decode") from None
     except SchemaError:
         raise
-    except ValueError:   # json's only other one: an int literal past the int-text limit
+    except ValueError as exc:
+        # the scanner's JSONDecodeError, or an int literal past the int-text limit
+        from json.decoder import JSONDecodeError
+
+        if isinstance(exc, JSONDecodeError):
+            raise SchemaError(f"invalid JSON: {exc}") from None
         raise SchemaError(f"refusing a number literal of more than {int_digit_limit()}"
                           " digits") from None
+    extra = text[end:].lstrip(_JSON_SPACE)
+    if extra:
+        raise _invalid_json("Extra data", text, len(text) - len(extra))
+    return value
 
 
 def _endpoint(value, key, j, side):
@@ -187,10 +233,11 @@ def _tableize(payload, indent=0):
              else (("-", val) for val in payload))
     lines = []
     for head, val in items:
-        if isinstance(val, (dict, list)):
+        if isinstance(val, (dict, list)) and val:
             lines.append(f"{pad}{head}")
             lines.append(_tableize(val, indent + 1))
         else:
+            # a scalar, or an empty list or dict as [] or {}
             lines.append(f"{pad}{head} {val}")
     return "\n".join(lines)
 

@@ -876,9 +876,12 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
 
     Covers every sequence of the given element count whose endpoints are
     integers 0 <= lo <= hi <= bound (scalars for the real-sequence
-    statements), with the profile's zero anchors pinned to [0, 0];
-    non-negative grids lose no generality because both sides are
-    invariant under joint negation. Windowed statements run every valid
+    statements), with the profile's zero anchors pinned to [0, 0]. Both
+    sides are invariant under joint negation, which maps the grid onto
+    its non-positive mirror only: sign-changing inputs, where the gH
+    difference takes its other cases, are not covered, and can exceed the
+    grid's maximum (T4_1 at length 5 reaches 12/35 with endpoints in
+    [-2, 2], against 4/15 at bound 2). Windowed statements run every valid
     window start with the end at the last index. Only in-hypotheses
     verdicts compete for the ratio. The report unpacks as
     (max_ratio, witness).

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from opialcheck import (
 )
 from opialcheck import cli, theorems
 from opialcheck.cli import SchemaError, main, parse_sequence
+from opialcheck.rationals import rational_from_text
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -681,6 +683,108 @@ def test_plain_decimals_leave_the_exponent_pattern_uncompiled(tmp_path):
     assert code in {"0", "1", "2"} and name == "_exponent" and compiled == ["search"]
 
 
+def _json_loads_outcome(text):
+    """What json.loads(text), with the decoder's hooks, gives: the value, or
+    the error type and text that cli._json_loads_exact must give for it."""
+    try:
+        return json.loads(text, parse_float=rational_from_text, parse_constant=cli._reject)
+    except json.JSONDecodeError as exc:
+        return SchemaError, f"invalid JSON: {exc}"
+    except RecursionError:
+        return SchemaError, "invalid JSON: nested too deeply to decode"
+    except (SchemaError, NonRational) as exc:
+        return type(exc), str(exc)
+    except ValueError:   # an int literal past the int-text limit
+        return SchemaError, "refusing a number literal of more than 4300 digits"
+
+
+def _decoder_outcome(text):
+    try:
+        return cli._json_loads_exact(text)
+    except (SchemaError, NonRational) as exc:
+        return type(exc), str(exc)
+
+
+# documents at the edges of the decoder: a BOM, characters that are not JSON
+# whitespace around a document, extra data, nothing at all, the non-finite
+# constants, a leading zero, a raw control character, a bad escape, a trailing
+# comma, duplicate keys, nesting past the recursion limit and an int literal
+# past the digit limit
+_DECODER_EDGES = {
+    "bom": "\ufeff{}", "bom-only": "\ufeff", "form-feed-before": "\f{}",
+    "form-feed-after": "{}\f", "no-break-space-before": "\u00a0{}",
+    "no-break-space-after": "{}\u00a0", "line-separator-before": "\u2028{}",
+    "line-separator-after": "{}\u2028", "json-whitespace": " \t\n\r{} \t\n\r",
+    "extra-word": "{} x", "extra-object": "{}{}", "extra-after-lines": "{}\n\n]",
+    "empty": "", "whitespace-only": " \n", "nan": "NaN", "minus-infinity": "-Infinity",
+    "infinity-inside": '{"u": [[0, Infinity]]}', "leading-zero": "01",
+    "leading-zero-inside": "[1, 01]", "control-character": '"a\x01b"',
+    "bad-escape": '"\\q"', "lone-surrogate-escape": '"\\ud800"', "trailing-comma": "[1,]",
+    "trailing-comma-in-object": '{"a": 1,}', "duplicate-keys": '{"a": 1, "a": 2}',
+    "open-brackets": "[" * 100_000, "nested-brackets": "[" * 100_000 + "]" * 100_000,
+    "long-int": "1" * 5000, "long-int-inside": "[%s]" % ("1" * 5000),
+    "decimals": "[1.5, -0.25e3, 1E-2, 1e4301]", "bare-point-after": "1.",
+    "bare-point-before": ".5", "cut-literal": "tru", "missing-colon": '{"u" 1}',
+    "document": '{"u": [[0, 1]]}',
+}
+
+
+# scalar tokens json reads (its non-finite constants among them), and tokens
+# it refuses
+_JSON_TOKENS = st.sampled_from([
+    "0", "-1", "12", "-0", "1.5", "-0.25e3", "1E-2", "2e+1", "true", "false", "null",
+    '"a"', '"\\u00e9"', '""', '"\\ud800"', '"\\/"', "NaN", "Infinity", "-Infinity",
+])
+_BAD_TOKENS = st.sampled_from(["01", "1.", ".5", "1e", "tru", '"\\q"', '"\x01"', '"a'])
+
+
+@st.composite
+def _json_documents(draw):
+    """A JSON text, with whitespace between its tokens (in one document of
+    four, also spaces that JSON does not skip) and a token JSON refuses at
+    about one place in ten, then up to two characters dropped, put in or
+    replaced."""
+    odd = draw(st.integers(0, 3)) == 0
+    spaces = st.text(" \t\n\r\f\u00a0\u2028" if odd else " \t\n\r", max_size=2)
+
+    def value(depth):
+        kind = draw(st.integers(0, 2 if depth < 3 else 0))
+        if kind == 0:
+            return draw(_BAD_TOKENS if draw(st.integers(0, 9)) == 0 else _JSON_TOKENS)
+        items = [value(depth + 1) for _ in range(draw(st.integers(0, 3)))]
+        if kind == 1:
+            return "[%s]" % ",".join(draw(spaces) + item + draw(spaces) for item in items)
+        return "{%s}" % ",".join(f'{draw(spaces)}"{draw(st.sampled_from("abu"))}"'
+                                 f"{draw(spaces)}:{item}" for item in items)
+
+    text = draw(spaces) + value(0) + draw(spaces)
+    for _ in range(draw(st.integers(0, 2))):
+        if not text:
+            break
+        k = draw(st.integers(0, len(text) - 1))
+        edit = draw(st.sampled_from(("drop", "insert", "replace")))
+        char = "" if edit == "drop" else draw(st.sampled_from(',:[]{}" x0\ufeff\t'))
+        text = text[:k] + char + text[k + (edit != "insert"):]
+    return text
+
+
+def _same_outcome(text):
+    got, want = _decoder_outcome(text), _json_loads_outcome(text)
+    # repr tells True from 1 and Fraction(1) from 1, and shows dict order
+    assert repr(got) == repr(want), text[:80]
+
+
+@pytest.mark.parametrize("text", _DECODER_EDGES.values(), ids=_DECODER_EDGES)
+def test_decoder_matches_json_loads_at_its_edges(text):
+    _same_outcome(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_json_documents())
+def test_decoder_matches_json_loads(text):
+    _same_outcome(text)
+
+
 # -- command driver -----------------------------------------------------------------
 
 
@@ -1095,6 +1199,14 @@ def test_table_format_smoke(capsys):
     assert "31104/5" in out
 
 
+def test_table_prints_an_empty_value_on_its_key_line(capsys):
+    assert cli._tableize({"a": [], "b": {}, "c": [[], {"d": []}], "e": 1}) == (
+        "a: []\nb: {}\nc:\n  - []\n  -\n    d: []\ne: 1")
+    code, out, _ = run_cli(capsys, ["check", "--in", sample("ex33.json"), "--theorem", "T3_5",
+                                    "--format", "table"])
+    assert code == 0 and "  notes: []\n" in out and "\n\n" not in out
+
+
 def test_error_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["check", "--in", "/nonexistent.json"])
     assert code == 3 and "error:" in err
@@ -1395,7 +1507,8 @@ def test_cold_start_imports_no_heavy_stdlib_module():
 
 # what a plain check does not run, so must not load: site preloads random
 # and shutil, hence -S below
-_PLAIN_CHECK_UNUSED = ("opialcheck.oracle", "random", "argparse", "gettext", "locale", "shutil")
+_PLAIN_CHECK_UNUSED = ("opialcheck.oracle", "random", "argparse", "gettext", "locale", "shutil",
+                       "json", "json.decoder", "json.encoder", "json.scanner")
 
 _PLAIN_CHECK_CHILD = textwrap.dedent("""
     import contextlib, io, sys
@@ -1420,6 +1533,42 @@ def test_cold_plain_check_loads_only_what_it_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 [] opialcheck.oracle []\n"
+
+
+_COLD_INVALID_CHILD = textwrap.dedent("""
+    import contextlib, io, sys
+    sys.path.insert(0, sys.argv[1])
+    import opialcheck
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = opialcheck.main(["check", "--in", sys.argv[2]])
+    print(code, err.getvalue(), end="")
+""")
+
+
+# a document for each error the decoder gives
+_INVALID_JSON = {
+    "empty": "", "bom": "\ufeff{}", "not-json-space": "\f{}", "extra-data": '{"u": []} x',
+    "trailing-comma": '{"u": [[0, 1],]}', "trailing-comma-in-object": '{"u": [],}',
+    "bad-escape": '"\\q"', "bad-unicode-escape": '"\\u12"', "control-character": '"a\x01"',
+    "unterminated-string": '"abc', "unquoted-key": "{u: []}", "missing-colon": '{"u" []}',
+    "missing-comma": '{"u": [] "v": []}', "missing-comma-in-array": "[1 2]",
+}
+
+
+@pytest.mark.parametrize("doc", _INVALID_JSON.values(), ids=_INVALID_JSON)
+def test_cold_check_refuses_invalid_json_with_its_text(tmp_path, doc):
+    # json is first imported on the error path, and gives the error its text
+    path = tmp_path / "doc.json"
+    path.write_text(doc, encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as info:
+        json.loads(doc)
+    pkg_dir = str(Path(opialcheck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _COLD_INVALID_CHILD, pkg_dir, str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"3 error: invalid JSON: {info.value}\n"
 
 
 # what a canonical fuzz or scan does not run, so must not load: neither
@@ -1453,18 +1602,43 @@ def test_cold_fuzz_and_scan_skip_argparse():
     assert proc.stdout == "[0, 0] [] [0, 3]\n"
 
 
-# cli takes encode_basestring_ascii from the C module _json, and from
-# json.encoder on an interpreter without it; reports read the same either way
+# cli takes encode_basestring_ascii and its scanner from the C module _json,
+# and from json on an interpreter without it; reports read the same either
+# way, and each edge document decodes as with the C scanner, or is refused
+# with the text json.loads gives it there (json's Python scanner words two
+# errors apart from the C one)
 _NO_C_JSON_CHILD = textwrap.dedent(r"""
-    import sys
+    import pickle, sys
     sys.path.insert(0, sys.argv[1])
     sys.modules["_json"] = None
     from opialcheck import cli
+    from opialcheck.rationals import NonRational, rational_from_text
     import json, json.encoder
     obj = {"k\u00e9y": ["a\"b\\c/\x00\x1f\x7f\u2028\ud800\U0001f600", 2 ** 70, None, True],
            "": {}, "l": [[], {"x": False}]}
     print(cli.encode_basestring_ascii is json.encoder.py_encode_basestring_ascii,
-          cli._json_text(obj) == json.dumps(obj, indent=2))
+          cli._json_text(obj) == json.dumps(obj, indent=2), cli.make_scanner)
+    values, unlike = [], []
+    for name, text in pickle.loads(sys.stdin.buffer.read()).items():
+        try:
+            got = cli._json_loads_exact(text)
+            values.append(got)
+        except (cli.SchemaError, NonRational) as exc:
+            got = type(exc), str(exc)
+        try:
+            want = json.loads(text, parse_float=rational_from_text, parse_constant=cli._reject)
+        except json.JSONDecodeError as exc:
+            want = cli.SchemaError, f"invalid JSON: {exc}"
+        except RecursionError:
+            want = cli.SchemaError, "invalid JSON: nested too deeply to decode"
+        except (cli.SchemaError, NonRational) as exc:
+            want = type(exc), str(exc)
+        except ValueError:
+            want = cli.SchemaError, "refusing a number literal of more than 4300 digits"
+        if repr(got) != repr(want):
+            unlike.append(name)
+    print(unlike)
+    print(repr(values))
 """)
 
 
@@ -1472,10 +1646,14 @@ def test_json_writer_without_the_c_encoder():
     pkg_dir = str(Path(opialcheck.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", _NO_C_JSON_CHILD, pkg_dir],
-        capture_output=True, text=True, timeout=60,
+        input=pickle.dumps(_DECODER_EDGES), capture_output=True, timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True True\n"
+    assert proc.returncode == 0, proc.stderr.decode()
+    written, unlike, values = proc.stdout.decode().splitlines()
+    assert (written, unlike) == ("True True None", "[]")
+    decoded = [out for out in map(_decoder_outcome, _DECODER_EDGES.values())
+               if type(out) is not tuple]
+    assert values == repr(decoded)
     import json.encoder
 
     assert cli.encode_basestring_ascii is json.encoder.encode_basestring_ascii

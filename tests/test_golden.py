@@ -42,7 +42,9 @@ indent=2)``.
 The table digests pin ``--format table`` the same way, on those calls and
 a few more (relaxed fuzzes that find violations, a pair scan, a strict
 classify), recorded while ``cli._tableize`` wrote dicts and lists in two
-branches.
+branches. The 14 that hold an empty list or dict value were re-recorded
+when ``_tableize`` came to print it as ``[]`` or ``{}`` on its key's line,
+where it had printed the key and then a blank line.
 
 The help texts pin argparse's help screens and two usage errors, in full
 (exit code, stdout and stderr at ``COLUMNS=80``). They were recorded on
@@ -479,28 +481,29 @@ def test_printed_output_is_unchanged(call):
 # main(argv + ["--format", "table"]), digested as CLI_DIGESTS are, on every
 # call there, on a relaxed fuzz of each arity that finds violations, a pair
 # scan and a strict classify; recorded while cli._tableize wrote dicts and
-# lists in separate branches
+# lists in separate branches, and re-recorded where an empty value came to
+# print as [] or {} on its key's line
 TABLE_DIGESTS = {
     "check --in ex31_n5.json":
-        "61b16a8a9bf8357e90c1cbd8a1ec9045515847719c03ce9f7f5276d49bd63ef8",
+        "61c8a102b3f2daf7817a17c9e9547e289d8fc63aa9f38f30073c9b520f1f7b4e",
     "check --in ex32_n5.json":
-        "fc0206c574cd74c8949a3171186401681ef9ef58798e692f5c2d742776723d67",
+        "069bc0d5ef1d9bfaac2d33f348b56e4ffc68b7eec6547563904adc9005e31ad1",
     "check --in ex33.json":
-        "2bce05fdfb3509c2636de16c8728b3e9bbfd9a24c6e3b80e48af9af5db7d84c7",
+        "1d5bfaa829412ddbef226e8ffcfddd53d8dfda5f6cfda73b2ea65055f884db59",
     "check --in pair_t36.json":
-        "420b47125f235a535c2f28753d56f71d515c528a56854f336cb74042e3e1a952",
+        "1fa4f9820b41fe2fe6787ac283edba575fc58440a91992cf9325fef360ba1a78",
     "check --in tent_classical.json":
-        "ab1b22a9ed759491efa4ee54f10773fccded8349c272798d79a16817bd30eaff",
+        "adeec606889021da997b61e50ce2c092f4f1e7ae6c92f537a973fb9190a5fb14",
     "check --in ex31_n5.json --theorem T3_1":
-        "1fa8a703d72302876d2c29bce78940c48cefe5e286b3e58267a869f95e3b9616",
+        "e682e34377ff1f858fcb70c7e83c5a43bf502242019bedd936e5840118718881",
     "check --in ex32_n5.json --theorem T3_2 --l2 2 --window 2,5":
-        "9071dd29a07a4d758a7c78870649119e58a7d5fefa65d9e436a57ef3efcafa5f",
+        "eef8bd1b72a047b608a6099d534ff83fbb04ee3cebf7dc27e2c77b15469d98aa",
     "check --in ex33.json --theorem T3_5 --l1 2 --l2 3":
-        "af14abd2efa0796909450828b5b4f000639c4e309969cb3ea9660ebba8d733ea",
+        "d7b6fc5c15424a31f0514647cf8d227c84cc1c3762b043fdb362ced9912d4d84",
     "check --in pair_t36.json --theorem T3_6":
-        "9bf4c96269b140f4f34dbadb4981daf537d955835fdf5c82daf2d6e0e14124e7",
+        "2b74a6871af3429589e4f9b5c47378c2e78f519840febed6aa6f4b2b4a948625",
     "check --in tent_classical.json --theorem T2_2":
-        "0a4af4017468b2a38042f67bfc970dd6693340c463d11509620a7f8a9c1c66b5",
+        "1d02e64af81d5cd61a4fae470f2b15ff6b4c5c7b2e103890e24fef815ecef715",
     "classify --in ex31_n5.json":
         "d4c08c3625b9c041855c39a719fbc7c13594d042b376561911f0c0b9bda95b1f",
     "classify --in ex32_n5.json":
@@ -514,15 +517,15 @@ TABLE_DIGESTS = {
     "examples":
         "e7f4499abc925ad423f6286e99037078c7e8771214b0353c7bb21df9b23ef0d4",
     "fuzz --theorem T3_5 --seed 0":
-        "edbfe39a3494b95640893e91da5e2a35c5b0187c6e54c68e0725b6977bb28f10",
+        "4050a7a0ed83580532af26b97ae9f7cec1bad51fc594416ef3e1254597fb284e",
     "fuzz --theorem T3_6 --seed 0":
-        "65505fb270ca897bf825e734dee05c80d67b8f79ad4c0ff0a3addf3ce95c9259",
+        "e4c7a07f08c666c41c841c25b1b7eb31df2c328a0da62af57d5b2e7a468cdf80",
     "scan --theorem T2_2 --length 5 --bound 2":
         "51b4ba697ffb214455431d26caaea5ada48551abc9f0961dde1da7e1eef1b8b0",
     "fuzz --theorem T3_6 --trials 40 --seed 0 --relax first_zero":
-        "7e51d90c8293ced5ddad8b001d3b4597badd72285438cada218f08058d3063ad",
+        "845b78d81e2d4c3638025dc91a91071442082cc7c2affc23bca64c1db0fd165b",
     "fuzz --theorem L3_1 --trials 40 --seed 0 --relax nondecreasing":
-        "d2599d4dea8350165be88769c900eca18d67f60242b50c58410ff394a93c0df4",
+        "8e5f53fda6c01e91a74f74c77ae8275349ca81a15e74c63466a202cfbf72df7e",
     "scan --theorem T3_6 --length 3 --bound 2":
         "3f0d3daed90ef3ebc4ae44132c4ddd0880fda39d4b28ed8159dd386871622168",
     "classify --in ex33.json --strict":
