@@ -733,14 +733,15 @@ class ScanReport:
     planned is the full grid times the windows per point, computed before
     any work; it is what the budget is compared with. checked is the
     (point, window) checks decided, and equals planned: every grid point is
-    either reached by the walk or cut off with a failing prefix, in every
-    window. admissible counts the (point, window) checks in hypotheses,
-    which are exactly the points the walk reaches, in every window;
-    violations counts those whose lhs exceeds rhs. The walk decides both from its exact sums;
-    the engine judges only what is reported: every violation and every
-    point that raises the maximum, and must agree. The witness is the first
-    point, in the lexicographic order of the free positions (u before v),
-    whose first window reaching max_ratio does so.
+    either admissible or cut off with a failing prefix, in every window.
+    admissible counts the (point, window) checks in hypotheses, which are
+    exactly the points the walk reaches, in every window; violations counts
+    those whose lhs exceeds rhs. Both are exact, whether the walk visits the
+    points or the DP over the admissibility automaton counts them without
+    visiting them (see ratio_scan); the engine judges only what is reported:
+    every violation and every point that raises the maximum, and must agree.
+    The witness is the first point, in the lexicographic order of the free
+    positions (u before v), whose first window reaching max_ratio does so.
     """
 
     theorem: TheoremId
@@ -840,179 +841,197 @@ def _scan_automaton(spec, L, choices):
     its step test, the test of the step into a following anchor, its zero
     test) and on what the rule reads of prev, acc and u_zero, and it is
     keyed by exactly these: each key, and each step test, is computed once
-    per automaton and shared by every position with the same rule.
+    per automaton, memoized in a plain dict, and shared by every position
+    with the same rule.
     """
     acc0, rules = _scan_rules(spec, L)
     free = [q for q, rule in enumerate(rules) if not rule[0]] or [0]
-    step = functools.cache(_scan_step)
     rule_at = []
     for q in free:
         anchor, into, zero = rules[q]
         nxt = rules[q + 1] if (q + 1) % L else None
         rule_at.append((anchor, into, nxt[1] if nxt is not None and nxt[0] else None, zero))
+    steps, moves = {}, {}
 
-    @functools.cache
     def admitted(anchor, into, out, no_zero, prev, acc):
-        moves = []
+        found = []
         for pt in ((0, 0),) if anchor else choices:
             if no_zero and pt == (0, 0):
                 continue
-            a = acc if into is None else acc & step(into, prev, pt)
+            a = acc
+            if into is not None:
+                key = (into, prev, pt)
+                bits = steps.get(key)
+                a &= bits if bits is not None else steps.setdefault(key, _scan_step(*key))
             if a and out is not None:
-                a &= step(out, pt, (0, 0))
+                key = (out, pt, (0, 0))
+                bits = steps.get(key)
+                a &= bits if bits is not None else steps.setdefault(key, _scan_step(*key))
             if a:
-                moves.append((pt, a))
-        return moves
+                found.append((pt, a))
+        return found
 
     def move(k, prev, acc, u_zero):
         anchor, into, out, zero = rule_at[k]
-        return admitted(anchor, into, out, zero and u_zero, prev if into else None, acc)
+        key = (anchor, into, out, zero and u_zero, prev if into else None, acc)
+        found = moves.get(key)
+        if found is None:
+            found = moves[key] = admitted(*key)
+        return found
 
     return acc0, free, move
 
 
-def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanReport:
-    """Exhaust all grid sequences and report the worst lhs/rhs ratio.
+class _ScanGrid:
+    """A grid of ratio_scan, validated, and what its walk and its DP share:
+    the statement and its exponents, planned, the admissibility automaton
+    (_scan_automaton), one frame per window and the term table (terms).
+    Nothing is built before planned is known to be within budget:
+    BudgetExceeded is raised first."""
 
-    Covers every sequence of the given element count whose endpoints are
-    integers 0 <= lo <= hi <= bound (scalars for the real-sequence
-    statements), with the profile's zero anchors pinned to [0, 0]. Both
-    sides are invariant under joint negation, which maps the grid onto
-    its non-positive mirror only: sign-changing inputs, where the gH
-    difference takes its other cases, are not covered, and can exceed the
-    grid's maximum (T4_1 at length 5 reaches 12/35 with endpoints in
-    [-2, 2], against 4/15 at bound 2). Windowed statements run every valid
-    window start with the end at the last index. Only in-hypotheses
-    verdicts compete for the ratio. The report unpacks as
-    (max_ratio, witness).
+    __slots__ = ("spec", "l1", "l2", "length", "bound", "planned", "choices",
+                 "automaton", "frames", "nabla", "kernel", "terms")
 
-    planned, the grid size times the windows per point, is counted
-    arithmetically before anything is built, and BudgetExceeded is raised
-    before any work when it exceeds budget. The points are walked depth
-    first over the positions u_0..u_{L-1} (then v_0..v_{L-1}), each taking
-    its choices in increasing (lo, hi) order: the lexicographic order of
-    the free positions, u before v. The choices at a position are the
-    moves of the scan's admissibility automaton (_scan_automaton), so a
-    prefix that fails a hypothesis (see _scan_rules) is never extended, and
-    its points are decided with it in every window. The tests are exact,
-    so every point the walk reaches is admissible in every window. Each
-    move and each step test is computed once per scan, and shared by every
-    position with the same rule and every prefix that ends alike.
-
-    The walk carries the exact integer prefix sums of the lhs and rhs terms
-    (see theorems._Sums): each position adds the terms it completes, a
-    pair's while v is walked. Each term comes from a table of the scan
-    that runs its kernel once per distinct step (_step_term) or per
-    distinct (u_{i-1}, u_i, v_{i-1}, v_i) (_pair_term). At a point, each
-    window's sides are differences of these sums, and the ratio is compared
-    with the running maximum by integer cross-multiplication. The engine
-    judges only what the report shows: each violation and each point that
-    raises the maximum is checked by check_single or check_pair, and
-    RuntimeError is raised, naming the point, when the engine's verdict
-    differs. The witness is the first point in the walk's order, with its
-    first window, that reaches the maximum. No table outlives the scan.
-
-    Exponent parameters are ignored by the pair statements. A grid whose
-    results could be too long to print raises OutputTooLarge before
-    anything is built.
-    """
-    spec = lookup(theorem)
-    tid = spec.id
-    if spec.arity == 1:
-        _check_lambdas(spec, l1, l2)
-    for label, val in (("length", length), ("bound", bound), ("budget", budget)):
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ValueError(f"{label} must be an integer")
-    if length < 2:
-        raise ValueError("length must be at least 2")
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    # the grid's endpoints are integers 0..bound on D = 1
-    _size_guard(bound.bit_length(), 1, length, *((l1, l2) if spec.arity == 1 else (1, 1)))
-    L = length
-    e = L - 1
-    arity = spec.arity
-    real_family = spec.sums.shape == "real"
-    n_choices = bound + 1 if real_family else (bound + 1) * (bound + 2) // 2
-    anchors = _plan_at(spec.preconditions, arity == 2, L)[1]
-    slots = (L - len(anchors)) * arity
-    first_start = _window_start(spec, 0)
-    windowed = spec.windowed or spec.window_optional
-    n_windows = e - first_start + 1 if windowed else 1
-    # planned = n_windows * n_choices ** slots, multiplied no further than
-    # past the budget
-    planned = n_windows
-    for _ in range(slots if n_choices > 1 else 0):
+    def __init__(self, theorem, l1, l2, length, bound, budget):
+        spec = lookup(theorem)
+        if spec.arity == 1:
+            _check_lambdas(spec, l1, l2)
+        for label, val in (("length", length), ("bound", bound), ("budget", budget)):
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ValueError(f"{label} must be an integer")
+        if length < 2:
+            raise ValueError("length must be at least 2")
+        if bound < 0:
+            raise ValueError("bound must be non-negative")
+        if budget < 1:
+            raise ValueError("budget must be positive")
+        # the grid's endpoints are integers 0..bound on D = 1
+        _size_guard(bound.bit_length(), 1, length, *((l1, l2) if spec.arity == 1 else (1, 1)))
+        L = length
+        e = L - 1
+        real_family = spec.sums.shape == "real"
+        n_choices = bound + 1 if real_family else (bound + 1) * (bound + 2) // 2
+        anchors = _plan_at(spec.preconditions, spec.arity == 2, L)[1]
+        slots = (L - len(anchors)) * spec.arity
+        first_start = _window_start(spec, 0)
+        windowed = spec.windowed or spec.window_optional
+        n_windows = e - first_start + 1 if windowed else 1
+        # planned = n_windows * n_choices ** slots, multiplied no further than
+        # past the budget
+        planned = n_windows
+        for _ in range(slots if n_choices > 1 else 0):
+            if planned > budget:
+                break
+            planned *= n_choices
         if planned > budget:
-            break
-        planned *= n_choices
-    if planned > budget:
-        raise BudgetExceeded(
-            f"scan needs {n_choices}^{slots} points in {n_windows} window(s) each,"
-            f" over the budget of {budget} checks"
-        )
-    windows = [(n, e) for n in range(first_start, e + 1)] if windowed else [None]
-    if real_family:
-        choices = [(k, k) for k in range(bound + 1)]
-    else:
-        choices = [(lo, hi) for lo in range(bound + 1) for hi in range(lo, bound + 1)]
-    acc0, free, move = _scan_automaton(spec, L, choices)
-    pairs = [(0, 0)] * (arity * L)
+            raise BudgetExceeded(
+                f"scan needs {n_choices}^{slots} points in {n_windows} window(s) each,"
+                f" over the budget of {budget} checks"
+            )
+        self.spec, self.l1, self.l2, self.length, self.bound = spec, l1, l2, L, bound
+        self.planned = planned
+        if real_family:
+            self.choices = [(k, k) for k in range(bound + 1)]
+        else:
+            self.choices = [(lo, hi) for lo in range(bound + 1) for hi in range(lo, bound + 1)]
+        self.automaton = _scan_automaton(spec, L, self.choices)
+        # each window's term ranges and constant, on b = 0 and m = e: its
+        # sides are lhs_at[el] - lhs_at[sl] and (cn / cd) * (rhs_at[er] -
+        # rhs_at[sr]), with lhs_at[i] the sum of the lhs terms of index < i
+        self.frames = []
+        for window in [(n, e) for n in range(first_start, e + 1)] if windowed else [None]:
+            n, m = window if window is not None else (0, e)
+            lhs_rng, rhs_rng, const = _frame(spec, 0, e, n, m, l1, l2)
+            self.frames.append((lhs_rng.start, lhs_rng.stop, rhs_rng.start, rhs_rng.stop,
+                                const.numerator, const.denominator, window))
+        # terms: the integer (lhs, rhs) term on the elements a key holds,
+        # (u_{i-1}, u_i) or (u_{i-1}, u_i, v_{i-1}, v_i) for a pair, memoized
+        # by the paths, which call kernel(*key) once per distinct key
+        nabla = self.nabla = spec.operator is Operator.NABLA
+        if spec.arity == 1:
+            self.kernel = lambda prev, pt: _step_term(*prev, *pt, l1, l2, nabla)
+        else:
+            self.kernel = lambda u0, u1, v0, v1: _pair_term(*u0, *u1, *v0, *v1)
+        self.terms = {}
 
-    # each window's term ranges and constant, on b = 0 and m = e: its sides
-    # are lhs_at[el] - lhs_at[sl] and (cn / cd) * (rhs_at[er] - rhs_at[sr])
-    frames = []
-    for window in windows:
-        n, m = window if window is not None else (0, e)
-        lhs_rng, rhs_rng, const = _frame(spec, 0, e, n, m, l1, l2)
-        frames.append((lhs_rng.start, lhs_rng.stop, rhs_rng.start, rhs_rng.stop,
-                       const.numerator, const.denominator, window))
-    # lhs_at[i], rhs_at[i]: the sums of the lhs and rhs terms of index < i.
-    # done[q] = (i, at): walk position q completes the term of index i, whose
-    # kernel reads the positions at. u_q completes the step into it (nabla:
-    # term q, forward: term q - 1) on (u_{q-1}, u_q), v_p the pair term p on
-    # (u_{p-1}, u_p, v_{p-1}, v_p). The term table runs the kernel once per
-    # distinct key.
+    def fills(self):
+        """For each free position free[k], (i, at) for each term that
+        choosing it completes: the term's index and the walk positions its
+        kernel reads. A fill runs up to the next free position (anchors have
+        no choice), and the first one starts at position 0, so it also holds
+        the terms of any anchors before free[0]. u_q completes the step into
+        it (nabla: term q, forward: term q - 1) on (u_{q-1}, u_q), v_p the
+        pair term p on (u_{p-1}, u_p, v_{p-1}, v_p)."""
+        L, free = self.length, self.automaton[1]
+        if self.spec.arity == 1:
+            done = {q: (q - 1 + self.nabla, (q - 1, q)) for q in range(1, L)}
+        else:
+            done = {L + p: (p, (p - 1, p, L + p - 1, L + p)) for p in range(1, L)}
+        stops = free[1:] + [L * self.spec.arity]
+        return [[done[q] for q in range(start, stop) if q in done]
+                for start, stop in zip([0] + free[1:], stops)]
+
+    def report(self, points, violations, best, witness, window):
+        """The ScanReport of points admissible points (in every window)."""
+        single = self.spec.arity == 1
+        return ScanReport(
+            theorem=self.spec.id,
+            lambda1=self.l1 if single else None,
+            lambda2=self.l2 if single else None,
+            length=self.length,
+            bound=self.bound,
+            planned=self.planned,
+            checked=self.planned,
+            admissible=points * len(self.frames),
+            violations=violations,
+            max_ratio=best if best is not None else Fraction(0),
+            witness=witness,
+            witness_window=window,
+        )
+
+
+def _scan_walk(grid):
+    """ratio_scan's report on grid from the walk, which visits every
+    admissible point and counts violations exactly (see ratio_scan)."""
+    spec, l1, l2, L = grid.spec, grid.l1, grid.l2, grid.length
+    arity = spec.arity
+    acc0, free, move = grid.automaton
+    frames, terms, kernel = grid.frames, grid.terms, grid.kernel
+    pairs = [(0, 0)] * (arity * L)
     lhs_at = [0] * (L + 1)
     rhs_at = [0] * (L + 1)
-    nabla = spec.operator is Operator.NABLA
-    if arity == 1:
-        term = functools.cache(lambda prev, pt: _step_term(*prev, *pt, l1, l2, nabla))
-        done = {q: (q - 1 + nabla, (q - 1, q)) for q in range(1, L)}
-    else:
-        term = functools.cache(lambda u0, u1, v0, v1: _pair_term(*u0, *u1, *v0, *v1))
-        done = {L + p: (p, (p - 1, p, L + p - 1, L + p)) for p in range(1, L)}
 
     # fills[k]: (index, key reader) of each term completed once free[k] is
-    # chosen, on the positions up to the next free one (anchors have no
-    # choice); fills[0] starts at position 0, so it also holds the terms of
-    # any anchors before free[0]. context[k] reads the elements before
-    # free[k] that its move and its terms read: the element before it, for
-    # v the element of u at its index, and those its fill reads.
-    starts, stops = [0] + free[1:], free[1:] + [len(pairs)]
+    # chosen. context[k] reads the elements before free[k] that its move and
+    # its terms read: the element before it, for v the element of u at its
+    # index, and those its fill reads.
     fills, context = [], []
-    for k, q in enumerate(free):
-        fill = [done[q2] for q2 in range(starts[k], stops[k]) if q2 in done]
+    for q, fill in zip(free, grid.fills()):
         fills.append([(i, itemgetter(*at)) for i, at in fill])
         reads = {q - 1, q - L}.union(*(at for _, at in fill))
         before = sorted(r for r in reads if 0 <= r < q)
         context.append(itemgetter(*before) if before else lambda pairs: ())
 
-    @functools.cache
-    def options(k, _context, acc):
+    def assemble(k, acc):
         # the moves at free[k], each with the terms it completes. The list
-        # depends only on k, acc and what context[k] reads (_context), so it
-        # is assembled once per scan: a single sequence's recurs for every
-        # prefix that ends in the same element
+        # depends only on k, acc and what context[k] reads, so it is
+        # assembled once per scan (in options): a single sequence's recurs
+        # for every prefix that ends in the same element
         q, fill = free[k], fills[k]
         opts = []
         for pt, a in move(k, pairs[q - 1], acc, arity == 1 or pairs[q - L] == (0, 0)):
             pairs[q] = pt
-            opts.append((pt, a, [(i, *term(*key(pairs))) for i, key in fill]))
+            completed = []
+            for i, key in fill:
+                at = key(pairs)
+                t = terms.get(at)
+                if t is None:
+                    t = terms[at] = kernel(*at)
+                completed.append((i, *t))
+            opts.append((pt, a, completed))
         return opts
 
+    options = {}
     points = violations = 0
     # the running maximum bn / bd (_beats)
     bn, bd = -1, 0
@@ -1023,7 +1042,10 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     acc = acc0
     while True:
         k = len(stack)
-        opts = options(k, context[k](pairs), acc)
+        key = (k, context[k](pairs), acc)
+        opts = options.get(key)
+        if opts is None:
+            opts = options[key] = assemble(k, acc)
         if k < last:
             stack.append(iter(opts))
         else:
@@ -1066,20 +1088,233 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
             lhs_at[i + 1] = lhs_at[i] + tl
             rhs_at[i + 1] = rhs_at[i] + tr
 
-    return ScanReport(
-        theorem=tid,
-        lambda1=l1 if arity == 1 else None,
-        lambda2=l2 if arity == 1 else None,
-        length=L,
-        bound=bound,
-        planned=planned,
-        checked=planned,
-        admissible=points * n_windows,
-        violations=violations,
-        max_ratio=best if best is not None else Fraction(0),
-        witness=best_input,
-        witness_window=best_window,
-    )
+    return grid.report(points, violations, best, best_input, best_window)
+
+
+def _scan_dp(grid):
+    """ratio_scan's report on grid, a single sequence without windows,
+    decided on the layered graph of its automaton without visiting the
+    admissible points; or None when the walk must decide it, because some
+    point violates the inequality (rhs = 0 < lhs among them) and the walk
+    counts violations.
+
+    Layer k holds the states (element before free[k], running order bits)
+    that the moves reach from the start; an edge is a move, carrying the
+    lhs and rhs terms in the frame that it completes. Each distinct step's
+    term is computed once per scan (_ScanGrid.terms). One counting pass gives
+    admissible and drops the edges into states that no admissible point
+    completes from.
+    The walk's running maxima, its records, then follow one from another.
+    The first is the first admissible point in walk order. Each next one is
+    the first point after the current record, in walk order, whose weight
+    bd*cd*lhs - bn*cn*rhs at the record's ratio bn/bd is above 0: one
+    backward max-plus pass gives each state's best completion (Dinkelbach's
+    parametric step, Management Science 13(7), 1967), and a search from the
+    record's deepest position up finds the successor. The chain ends when
+    no point is above 0. The engine then judges every record in order, as
+    the walk judges each new maximum, and the last one is the witness.
+    """
+    acc0, free, move = grid.automaton
+    (ls, le, rs, re_, cn, cd, _), = grid.frames
+    terms, kernel = grid.terms, grid.kernel
+    K = len(free)
+    zero = (0, 0)
+    # edges[k][s]: the moves from state s of layer k, in walk order, as
+    # (element, lhs, rhs, index of the state it reaches in layer k + 1);
+    # layer K holds one state, the end of every point
+    edges = []
+    states = [(zero, acc0)]
+    for k, fill in enumerate(grid.fills()):
+        q = free[k]
+        last = k + 1 == K
+        # the next state reads this element when the next position follows
+        carry = not last and free[k + 1] == q + 1
+        # each term a move completes reads two of (the element before
+        # free[k], the element chosen, an anchor's [0, 0]), by position here
+        at = {q - 1: 0, q: 1}
+        parts = [(at.get(r0, 2), at.get(r1, 2), ls <= i < le, rs <= i < re_)
+                 for i, (r0, r1) in fill]
+        index, weights, layer = {}, {}, []
+        for prev, acc in states:
+            row = weights.get(prev)
+            if row is None:
+                row = weights[prev] = {}
+            out = []
+            for pt, a in move(k, prev, acc, True):
+                w = row.get(pt)
+                if w is None:
+                    elements = (prev, pt, zero)
+                    lhs = rhs = 0
+                    for s0, s1, in_lhs, in_rhs in parts:
+                        at = (elements[s0], elements[s1])
+                        t = terms.get(at)
+                        if t is None:
+                            t = terms[at] = kernel(*at)
+                        if in_lhs:
+                            lhs += t[0]
+                        if in_rhs:
+                            rhs += t[1]
+                    w = row[pt] = (lhs, rhs)
+                nxt = None if last else (pt if carry else zero, a)
+                out.append((pt, *w, index.setdefault(nxt, len(index))))
+            layer.append(out)
+        edges.append(layer)
+        states = list(index)
+
+    # the number of admissible completions of each state, from the end back
+    counts = [1]
+    for layer in reversed(edges):
+        for out in layer:
+            out[:] = [edge for edge in out if counts[edge[3]]]
+        counts = [sum(counts[edge[3]] for edge in out) for out in layer]
+    if not counts[0]:
+        return grid.report(0, 0, None, None, None)
+
+    def after(path, a, b):
+        # the first point after path, in walk order, whose weight a*lhs -
+        # b*rhs is above 0, as its move indices; None when there is none.
+        # best[k][s]: the largest weight of a completion from state s of
+        # layer k (no edge reaches a state without one)
+        best = [[0]]
+        for layer in reversed(edges):
+            nxt = best[-1]
+            best.append([max([a * l - b * r + nxt[t] for _, l, r, t in out], default=0)
+                         for out in layer])
+        best.reverse()
+        on = []   # the state and the weight before each move of path
+        s = w = 0
+        for k, j in enumerate(path):
+            on.append((s, w))
+            _, l, r, s = edges[k][s][j]
+            w += a * l - b * r
+        # the deepest position with a later move that can end above 0, then
+        # the first move at each later position that still can
+        for d in reversed(range(K)):
+            s, w = on[d]
+            new, start = path[:d], path[d] + 1
+            for k in range(d, K):
+                out, nxt = edges[k][s], best[k + 1]
+                for j in range(start, len(out)):
+                    _, l, r, t = out[j]
+                    v = w + a * l - b * r
+                    if v + nxt[t] > 0:
+                        break
+                else:
+                    break   # no later move at d
+                new.append(j)
+                s, w, start = t, v, 0
+            else:
+                return new
+        return None
+
+    records = []
+    path = [0] * K   # each state's first move: the first admissible point
+    while path is not None:
+        elements, s, lhs, rhs = [], 0, 0, 0
+        for k, j in enumerate(path):
+            pt, l, r, s = edges[k][s][j]
+            elements.append(pt)
+            lhs += l
+            rhs += r
+        lcd, crhs = lhs * cd, cn * rhs
+        if not 0 <= lcd <= crhs:
+            return None
+        records.append((elements, lhs, crhs))
+        ratio = Fraction(lcd, crhs) if crhs else Fraction(0)
+        path = after(path, ratio.denominator * cd, ratio.numerator * cn)
+
+    for elements, lhs, crhs in records:
+        pairs = [zero] * grid.length
+        for q, pt in zip(free, elements):
+            pairs[q] = pt
+        u = _to_sequence(pairs, 1)
+        verdict = _cross_check(grid.spec, u, grid.l1, grid.l2, None, Fraction(lhs),
+                               Fraction(crhs, cd), False, lambda: f"{pairs}, window None")
+    return grid.report(counts[0], 0, verdict.ratio, u, None)
+
+
+# what one edge of the DP's size bound costs, in walk visits: the DP passes
+# over its edges to count and once per record, the walk visits each
+# admissible point once, and planned bounds those. Timed both ways on the
+# 132 grids of the 8 statements with lengths 3-8, bounds 1-5 and planned
+# >= 50, 1.5 came within about 2% (geometric mean) of always taking the
+# faster path, closer than 1, 2 or 4
+_DP_PASS_FACTOR = 1.5
+
+
+def _dp_decides(grid):
+    """Whether ratio_scan takes _scan_dp for grid: a single sequence without
+    windows whose planned points outnumber _DP_PASS_FACTOR times a bound on the
+    DP's edges, L * choices**2 * the order states its tests can reach
+    (three when they keep both orders, else one). All of it is known before
+    any table is built."""
+    spec = grid.spec
+    if spec.arity == 2 or spec.windowed or spec.window_optional:
+        return False
+    orders = {form[1] for name in spec.preconditions
+              if (form := _HYPOTHESES[name][2]) is not None and form[0] == "order"}
+    states = 3 if orders == {3} else 1
+    return grid.planned > _DP_PASS_FACTOR * grid.length * len(grid.choices) ** 2 * states
+
+
+def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanReport:
+    """Exhaust all grid sequences and report the worst lhs/rhs ratio.
+
+    Covers every sequence of the given element count whose endpoints are
+    integers 0 <= lo <= hi <= bound (scalars for the real-sequence
+    statements), with the profile's zero anchors pinned to [0, 0]. Both
+    sides are invariant under joint negation, which maps the grid onto
+    its non-positive mirror only: sign-changing inputs, where the gH
+    difference takes its other cases, are not covered, and can exceed the
+    grid's maximum (T4_1 at length 5 reaches 12/35 with endpoints in
+    [-2, 2], against 4/15 at bound 2). Windowed statements run every valid
+    window start with the end at the last index. Only in-hypotheses
+    verdicts compete for the ratio. The report unpacks as
+    (max_ratio, witness).
+
+    planned, the grid size times the windows per point, is counted
+    arithmetically before anything is built, and BudgetExceeded is raised
+    before any work when it exceeds budget. The grid's points are ordered
+    lexicographically over the positions u_0..u_{L-1} (then v_0..v_{L-1}),
+    each taking its choices in increasing (lo, hi) order: the walk order.
+    The admissible points are those the moves of the scan's admissibility
+    automaton (_scan_automaton) reach, so a prefix that fails a hypothesis
+    (see _scan_rules) is never extended, and its points are decided with it
+    in every window. The tests are exact, so every point reached is
+    admissible in every window. Each move, each step test and each term is
+    computed once per scan.
+
+    A grid is decided on one of two paths, with the same report:
+    - The walk (_scan_walk) visits the admissible points depth first in
+      walk order. It carries the exact integer prefix sums of the lhs and
+      rhs terms (see theorems._Sums): each position adds the terms it
+      completes, a pair's while v is walked. At a point, each window's
+      sides are differences of these sums, and the ratio is compared with
+      the running maximum by integer cross-multiplication.
+    - The DP (_scan_dp) counts the admissible points on the automaton's
+      layered graph without visiting them, and finds each point at which
+      the walk's running maximum rises with one max-plus pass per such
+      point. It takes non-windowed single-sequence statements, when
+      planned exceeds _DP_PASS_FACTOR times the DP's size bound (_dp_decides),
+      and hands the grid to the walk when some point violates the
+      inequality, so violations stay exact.
+    The engine judges only what the report shows: each violation and each
+    point that raises the maximum is checked by check_single or
+    check_pair, and RuntimeError is raised, naming the point, when the
+    engine's verdict differs. The witness is the first point in walk
+    order, with its first window, that reaches the maximum. No table
+    outlives the scan.
+
+    Exponent parameters are ignored by the pair statements. A grid whose
+    results could be too long to print raises OutputTooLarge before
+    anything is built.
+    """
+    grid = _ScanGrid(theorem, l1, l2, length, bound, budget)
+    if _dp_decides(grid):
+        report = _scan_dp(grid)
+        if report is not None:
+            return report
+    return _scan_walk(grid)
 
 
 # -- scalar proof-step checks -------------------------------------------------

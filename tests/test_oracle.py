@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -884,6 +885,87 @@ def test_scan_automaton_reaches_exactly_the_points_in_hypotheses(spec):
                 if theorems._holds(spec.preconditions, u, v, length - 1):
                     want.append(point)
             assert reached == want, (length, bound)
+
+
+# the statements whose grids the DP can decide: one sequence, no window
+_DP_STATEMENTS = [s for s in registry()
+                  if s.arity == 1 and not (s.windowed or s.window_optional)]
+
+
+@pytest.mark.parametrize("spec", _DP_STATEMENTS, ids=lambda s: s.id.value)
+def test_scan_dp_matches_the_walk(spec, monkeypatch):
+    # on every grid of _scan_grids with at most 20000 checks, whichever path
+    # the cost rule picks, the DP gives the walk's report, its count pass
+    # the walk's admissible, and it runs the engine on the same records
+    calls = _count_engine_calls(monkeypatch)
+    ran = 0
+    for length, bound, l1, l2 in _scan_grids(spec):
+        args = (spec.id, l1, l2, length, bound, 20_000)
+        try:
+            walked = oracle._scan_walk(oracle._ScanGrid(*args))
+        except BudgetExceeded:
+            continue
+        walk_calls = len(calls)
+        calls.clear()
+        decided = oracle._scan_dp(oracle._ScanGrid(*args))
+        assert decided is not None, args
+        assert decided.admissible == walked.admissible, args
+        assert decided.to_jsonable() == walked.to_jsonable(), args
+        assert len(calls) == walk_calls, args
+        calls.clear()
+        ran += 1
+    assert ran >= 20
+
+
+@pytest.mark.parametrize("tid,length,bound,path,other", [
+    ("T3_5", 5, 3, "_scan_dp", "_scan_walk"),    # planned 1000 > 1.5 * 5 * 10**2
+    ("T3_1", 4, 3, "_scan_walk", "_scan_dp"),    # planned 1000 <= 1.5 * 4 * 10**2 * 3
+])
+def test_scan_cost_rule_picks_one_path(tid, length, bound, path, other, monkeypatch):
+    # a grid on each side of the cost rule is decided on its side only
+    grid = oracle._ScanGrid(tid, 2, 3, length, bound, 200_000)
+    assert oracle._dp_decides(grid) == (path == "_scan_dp")
+    want = getattr(oracle, path)(grid).to_jsonable()
+
+    def refused(grid):
+        raise AssertionError(f"{other} ran")
+
+    monkeypatch.setattr(oracle, other, refused)
+    assert ratio_scan(tid, 2, 3, length=length, bound=bound).to_jsonable() == want
+
+
+def test_scan_dp_leaves_violating_grids_to_the_walk(monkeypatch):
+    # with a quarter of T3_5's constant (for the kernel and the engine alike)
+    # the grid has violations: the DP finds a record above 1 before it runs
+    # the engine, and the walk counts them
+    spec = lookup("T3_5")
+    monkeypatch.setitem(theorems._REGISTRY, spec.id, replace(
+        spec, constant_fn=lambda *args: spec.constant_fn(*args) / 4))
+    calls = _count_engine_calls(monkeypatch)
+    grid = oracle._ScanGrid(spec.id, 1, 1, 5, 3, 20_000)
+    assert oracle._dp_decides(grid)
+    assert oracle._scan_dp(grid) is None
+    assert calls == []
+    report = ratio_scan(spec.id, length=5, bound=3)
+    scan_calls = len(calls)
+    calls.clear()
+    walked = oracle._scan_walk(oracle._ScanGrid(spec.id, 1, 1, 5, 3, 20_000))
+    assert report.violations > 0 and report.max_ratio > 1
+    assert report.to_jsonable() == walked.to_jsonable()
+    assert scan_calls == len(calls)
+
+
+def test_scan_dp_reaches_a_grid_the_walk_cannot():
+    # 146,116,825 admissible points: the walk, which visits each, took about
+    # 106 s on a 2-core x86_64 VM; the DP counts them and follows the
+    # records without visiting them
+    start = time.perf_counter()
+    rep = ratio_scan("T3_5", 1, 1, length=8, bound=6, budget=10**9)
+    assert time.perf_counter() - start < 10
+    assert rep.max_ratio == Fraction(6, 7)
+    assert rep.admissible == 146_116_825 and rep.violations == 0
+    verdict = check_single(rep.witness, 1, 1, "T3_5")
+    assert verdict.in_hypotheses and verdict.ratio == Fraction(6, 7)
 
 
 # -- inequality helpers -----------------------------------------------------------
