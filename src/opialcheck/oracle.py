@@ -1172,24 +1172,25 @@ def _scan_dp(grid):
 
     def after(path, a, b):
         # the first point after path, in walk order, whose weight a*lhs -
-        # b*rhs is above 0, as its move indices; None when there is none.
-        # best[k][s]: the largest weight of a completion from state s of
-        # layer k (no edge reaches a state without one)
-        best = [[0]]
-        for layer in reversed(edges):
-            nxt = best[-1]
-            best.append([max([a * l - b * r + nxt[t] for _, l, r, t in out], default=0)
-                         for out in layer])
-        best.reverse()
+        # b*rhs is above 0, as its move indices; None when there is none
         on = []   # the state and the weight before each move of path
         s = w = 0
         for k, j in enumerate(path):
             on.append((s, w))
             _, l, r, s = edges[k][s][j]
             w += a * l - b * r
+        # best[k][s]: the largest weight of a completion from state s of
+        # layer k (no edge reaches a state without one), one layer more for
+        # each position the search below moves up, so a successor close to
+        # path costs a few layers and not the whole pass
+        best = [None] * K + [[0]]
         # the deepest position with a later move that can end above 0, then
         # the first move at each later position that still can
         for d in reversed(range(K)):
+            if best[d + 1] is None:
+                nxt = best[d + 2]
+                best[d + 1] = [max([a * l - b * r + nxt[t] for _, l, r, t in out], default=0)
+                               for out in edges[d + 1]]
             s, w = on[d]
             new, start = path[:d], path[d] + 1
             for k in range(d, K):
