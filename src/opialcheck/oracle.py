@@ -1107,10 +1107,11 @@ def _scan_dp(grid):
     The walk's running maxima, its records, then follow one from another.
     The first is the first admissible point in walk order. Each next one is
     the first point after the current record, in walk order, whose weight
-    bd*cd*lhs - bn*cn*rhs at the record's ratio bn/bd is above 0: one
+    bd*cd*lhs - bn*cn*rhs at the record's ratio bn/bd is above 0: a
     backward max-plus pass gives each state's best completion (Dinkelbach's
     parametric step, Management Science 13(7), 1967), and a search from the
-    record's deepest position up finds the successor. The chain ends when
+    record's deepest position up finds the successor, the pass growing one
+    layer ahead of the search. The chain ends when
     no point is above 0. The engine then judges every record in order, as
     the walk judges each new maximum, and the last one is the witness.
     """
