@@ -882,15 +882,85 @@ def _scan_automaton(spec, L, choices):
     return acc0, free, move
 
 
+def _scan_graph(spec, L, l1, l2, automaton):
+    """The scan's layered graph on its automaton (_scan_automaton), the one
+    copy that the walk and the DP read: options(k, pairs, acc) lists the
+    moves at free[k] after the prefix in pairs (the walk positions'
+    elements, u then v) with running order bits acc, in walk order, each as
+    (element, order bits after it, completed). completed holds (i, lhs,
+    rhs) for each term that choosing the element completes: its index and
+    its integer terms. Those run up to the next free position (anchors have
+    no choice), and the first position's from position 0, so they also hold
+    the terms of any anchors before free[0]. u_q completes the step into it
+    (nabla: term q, forward: term q - 1) on (u_{q-1}, u_q), v_p the pair
+    term p on (u_{p-1}, u_p, v_{p-1}, v_p).
+
+    A list depends only on k, acc and the elements before free[k] that its
+    moves and terms read: the element before it, for v the element of u at
+    its index, and those its terms read. It is keyed by exactly these, so a
+    single sequence's key (k, element before free[k], acc) is a state of the
+    DP's layer k, and its moves are the state's edges. Each list, and each
+    distinct term (_step_term, _pair_term), is computed once per grid and
+    memoized in a plain dict; options writes the elements it tries to
+    pairs[free[k]].
+    """
+    _, free, move = automaton
+    single = spec.arity == 1
+    nabla = spec.operator is Operator.NABLA
+    # done[r]: the index of the term that position r completes and the
+    # positions it reads, None when r completes none
+    if single:
+        done = [None] + [(q - 1 + nabla, (q - 1, q)) for q in range(1, L)]
+    else:
+        done = [None] * (L + 1) + [(p, (p - 1, p, L + p - 1, L + p)) for p in range(1, L)]
+    # fills[k]: (index, reader of the elements) of each term free[k]
+    # completes; context[k] reads the elements before free[k] its list reads,
+    # in any fixed order, since only context[k] builds the keys of free[k]
+    fills, context = [], []
+    for start, q, stop in zip([0] + free[1:], free, free[1:] + [len(done)]):
+        fill, reads = [], {q - 1, q - L}
+        for d in done[start:stop]:
+            if d:
+                fill.append((d[0], itemgetter(*d[1])))
+                reads.update(d[1])
+        before = [r for r in reads if 0 <= r < q]
+        fills.append(fill)
+        context.append(itemgetter(*before) if before else lambda pairs: ())
+    graph, terms = {}, {}
+
+    def options(k, pairs, acc):
+        key = (k, context[k](pairs), acc)
+        opts = graph.get(key)
+        if opts is not None:
+            return opts
+        q = free[k]
+        opts = graph[key] = []
+        for pt, a in move(k, pairs[q - 1], acc, single or pairs[q - L] == (0, 0)):
+            pairs[q] = pt
+            completed = []
+            for i, read in fills[k]:
+                at = read(pairs)
+                t = terms.get(at)
+                if t is None:
+                    t = terms[at] = (_step_term(*at[0], *at[1], l1, l2, nabla) if single
+                                     else _pair_term(*at[0], *at[1], *at[2], *at[3]))
+                completed.append((i, t[0], t[1]))
+            opts.append((pt, a, completed))
+        return opts
+
+    return options
+
+
 class _ScanGrid:
     """A grid of ratio_scan, validated, and what its walk and its DP share:
     the statement and its exponents, planned, the admissibility automaton
-    (_scan_automaton), one frame per window and the term table (terms).
-    Nothing is built before planned is known to be within budget:
-    BudgetExceeded is raised first."""
+    (_scan_automaton), one frame per window, the layered graph (options,
+    _scan_graph) and the engine's check of a point (judge). Nothing is
+    built before planned is known to be within budget: BudgetExceeded is
+    raised first."""
 
     __slots__ = ("spec", "l1", "l2", "length", "bound", "planned", "choices",
-                 "automaton", "frames", "nabla", "kernel", "terms")
+                 "automaton", "frames", "options")
 
     def __init__(self, theorem, l1, l2, length, bound, budget):
         spec = lookup(theorem)
@@ -944,32 +1014,18 @@ class _ScanGrid:
             lhs_rng, rhs_rng, const = _frame(spec, 0, e, n, m, l1, l2)
             self.frames.append((lhs_rng.start, lhs_rng.stop, rhs_rng.start, rhs_rng.stop,
                                 const.numerator, const.denominator, window))
-        # terms: the integer (lhs, rhs) term on the elements a key holds,
-        # (u_{i-1}, u_i) or (u_{i-1}, u_i, v_{i-1}, v_i) for a pair, memoized
-        # by the paths, which call kernel(*key) once per distinct key
-        nabla = self.nabla = spec.operator is Operator.NABLA
-        if spec.arity == 1:
-            self.kernel = lambda prev, pt: _step_term(*prev, *pt, l1, l2, nabla)
-        else:
-            self.kernel = lambda u0, u1, v0, v1: _pair_term(*u0, *u1, *v0, *v1)
-        self.terms = {}
+        self.options = _scan_graph(spec, L, l1, l2, self.automaton)
 
-    def fills(self):
-        """For each free position free[k], (i, at) for each term that
-        choosing it completes: the term's index and the walk positions its
-        kernel reads. A fill runs up to the next free position (anchors have
-        no choice), and the first one starts at position 0, so it also holds
-        the terms of any anchors before free[0]. u_q completes the step into
-        it (nabla: term q, forward: term q - 1) on (u_{q-1}, u_q), v_p the
-        pair term p on (u_{p-1}, u_p, v_{p-1}, v_p)."""
-        L, free = self.length, self.automaton[1]
-        if self.spec.arity == 1:
-            done = {q: (q - 1 + self.nabla, (q - 1, q)) for q in range(1, L)}
-        else:
-            done = {L + p: (p, (p - 1, p, L + p - 1, L + p)) for p in range(1, L)}
-        stops = free[1:] + [L * self.spec.arity]
-        return [[done[q] for q in range(start, stop) if q in done]
-                for start, stop in zip([0] + free[1:], stops)]
+    def judge(self, pairs, lhs, crhs, cd, window):
+        """(input, verdict): the point whose walk positions hold pairs, and
+        the engine's verdict on it in window, which must have the sides lhs
+        and crhs / cd (_cross_check)."""
+        L = self.length
+        u = _to_sequence(pairs[:L], 1)
+        built = u if self.spec.arity == 1 else (u, _to_sequence(pairs[L:], 1))
+        return built, _cross_check(
+            self.spec, built, self.l1, self.l2, window, Fraction(lhs), Fraction(crhs, cd), False,
+            lambda: f"{pairs[:L] if built is u else (pairs[:L], pairs[L:])}, window {window}")
 
     def report(self, points, violations, best, witness, window):
         """The ScanReport of points admissible points (in every window)."""
@@ -992,46 +1048,14 @@ class _ScanGrid:
 
 def _scan_walk(grid):
     """ratio_scan's report on grid from the walk, which visits every
-    admissible point and counts violations exactly (see ratio_scan)."""
-    spec, l1, l2, L = grid.spec, grid.l1, grid.l2, grid.length
-    arity = spec.arity
-    acc0, free, move = grid.automaton
-    frames, terms, kernel = grid.frames, grid.terms, grid.kernel
-    pairs = [(0, 0)] * (arity * L)
+    admissible point depth first along the grid's layered graph (options)
+    and counts violations exactly (see ratio_scan)."""
+    L = grid.length
+    acc0, free, _ = grid.automaton
+    options, frames = grid.options, grid.frames
+    pairs = [(0, 0)] * (grid.spec.arity * L)
     lhs_at = [0] * (L + 1)
     rhs_at = [0] * (L + 1)
-
-    # fills[k]: (index, key reader) of each term completed once free[k] is
-    # chosen. context[k] reads the elements before free[k] that its move and
-    # its terms read: the element before it, for v the element of u at its
-    # index, and those its fill reads.
-    fills, context = [], []
-    for q, fill in zip(free, grid.fills()):
-        fills.append([(i, itemgetter(*at)) for i, at in fill])
-        reads = {q - 1, q - L}.union(*(at for _, at in fill))
-        before = sorted(r for r in reads if 0 <= r < q)
-        context.append(itemgetter(*before) if before else lambda pairs: ())
-
-    def assemble(k, acc):
-        # the moves at free[k], each with the terms it completes. The list
-        # depends only on k, acc and what context[k] reads, so it is
-        # assembled once per scan (in options): a single sequence's recurs
-        # for every prefix that ends in the same element
-        q, fill = free[k], fills[k]
-        opts = []
-        for pt, a in move(k, pairs[q - 1], acc, arity == 1 or pairs[q - L] == (0, 0)):
-            pairs[q] = pt
-            completed = []
-            for i, key in fill:
-                at = key(pairs)
-                t = terms.get(at)
-                if t is None:
-                    t = terms[at] = kernel(*at)
-                completed.append((i, *t))
-            opts.append((pt, a, completed))
-        return opts
-
-    options = {}
     points = violations = 0
     # the running maximum bn / bd (_beats)
     bn, bd = -1, 0
@@ -1042,10 +1066,7 @@ def _scan_walk(grid):
     acc = acc0
     while True:
         k = len(stack)
-        key = (k, context[k](pairs), acc)
-        opts = options.get(key)
-        if opts is None:
-            opts = options[key] = assemble(k, acc)
+        opts = options(k, pairs, acc)
         if k < last:
             stack.append(iter(opts))
         else:
@@ -1064,12 +1085,7 @@ def _scan_walk(grid):
                     better = _beats(lcd, crhs, bn, bd)
                     if better or lcd > crhs:
                         pairs[q_last] = pt
-                        u = _to_sequence(pairs[:L], 1)
-                        built = u if arity == 1 else (u, _to_sequence(pairs[L:], 1))
-                        verdict = _cross_check(
-                            spec, built, l1, l2, window, Fraction(lhs), Fraction(crhs, cd), False,
-                            lambda: f"{pairs[:L] if arity == 1 else (pairs[:L], pairs[L:])},"
-                                    f" window {window}")
+                        built, verdict = grid.judge(pairs, lhs, crhs, cd, window)
                         violations += not verdict.holds
                         if better:
                             best, best_input, best_window = verdict.ratio, built, window
@@ -1093,15 +1109,16 @@ def _scan_walk(grid):
 
 def _scan_dp(grid):
     """ratio_scan's report on grid, a single sequence without windows,
-    decided on the layered graph of its automaton without visiting the
-    admissible points; or None when the walk must decide it, because some
-    point violates the inequality (rhs = 0 < lhs among them) and the walk
-    counts violations.
+    decided on the grid's layered graph without visiting the admissible
+    points; or None when the walk must decide it, because some point
+    violates the inequality (rhs = 0 < lhs among them) and the walk counts
+    violations.
 
     Layer k holds the states (element before free[k], running order bits)
-    that the moves reach from the start; an edge is a move, carrying the
-    lhs and rhs terms in the frame that it completes. Each distinct step's
-    term is computed once per scan (_ScanGrid.terms). One counting pass gives
+    that the moves reach from the start, and a state's edges are its moves
+    (options), each carrying the lhs and rhs terms in the frame that it
+    completes. Every options list the DP builds stays in the graph, so a
+    walk that takes the grid over reads them again. One counting pass gives
     admissible and drops the edges into states that no admissible point
     completes from.
     The walk's running maxima, its records, then follow one from another.
@@ -1115,49 +1132,34 @@ def _scan_dp(grid):
     no point is above 0. The engine then judges every record in order, as
     the walk judges each new maximum, and the last one is the witness.
     """
-    acc0, free, move = grid.automaton
+    acc0, free, _ = grid.automaton
     (ls, le, rs, re_, cn, cd, _), = grid.frames
-    terms, kernel = grid.terms, grid.kernel
-    K = len(free)
-    zero = (0, 0)
+    options, K, zero = grid.options, len(free), (0, 0)
     # edges[k][s]: the moves from state s of layer k, in walk order, as
     # (element, lhs, rhs, index of the state it reaches in layer k + 1);
     # layer K holds one state, the end of every point
     edges = []
     states = [(zero, acc0)]
-    for k, fill in enumerate(grid.fills()):
-        q = free[k]
+    # a state's options read only the element before free[k] of pairs (its
+    # anchors stay [0, 0]), so they are the walk's at any prefix in it
+    pairs = [zero] * grid.length
+    for k, q in enumerate(free):
         last = k + 1 == K
         # the next state reads this element when the next position follows
         carry = not last and free[k + 1] == q + 1
-        # each term a move completes reads two of (the element before
-        # free[k], the element chosen, an anchor's [0, 0]), by position here
-        at = {q - 1: 0, q: 1}
-        parts = [(at.get(r0, 2), at.get(r1, 2), ls <= i < le, rs <= i < re_)
-                 for i, (r0, r1) in fill]
-        index, weights, layer = {}, {}, []
+        index, layer = {}, []
         for prev, acc in states:
-            row = weights.get(prev)
-            if row is None:
-                row = weights[prev] = {}
+            pairs[q - 1] = prev
             out = []
-            for pt, a in move(k, prev, acc, True):
-                w = row.get(pt)
-                if w is None:
-                    elements = (prev, pt, zero)
-                    lhs = rhs = 0
-                    for s0, s1, in_lhs, in_rhs in parts:
-                        at = (elements[s0], elements[s1])
-                        t = terms.get(at)
-                        if t is None:
-                            t = terms[at] = kernel(*at)
-                        if in_lhs:
-                            lhs += t[0]
-                        if in_rhs:
-                            rhs += t[1]
-                    w = row[pt] = (lhs, rhs)
+            for pt, a, completed in options(k, pairs, acc):
+                lhs = rhs = 0
+                for i, tl, tr in completed:
+                    if ls <= i < le:
+                        lhs += tl
+                    if rs <= i < re_:
+                        rhs += tr
                 nxt = None if last else (pt if carry else zero, a)
-                out.append((pt, *w, index.setdefault(nxt, len(index))))
+                out.append((pt, lhs, rhs, index.setdefault(nxt, len(index))))
             layer.append(out)
         edges.append(layer)
         states = list(index)
@@ -1212,26 +1214,20 @@ def _scan_dp(grid):
     records = []
     path = [0] * K   # each state's first move: the first admissible point
     while path is not None:
-        elements, s, lhs, rhs = [], 0, 0, 0
-        for k, j in enumerate(path):
-            pt, l, r, s = edges[k][s][j]
-            elements.append(pt)
+        pairs, s, lhs, rhs = [zero] * grid.length, 0, 0, 0
+        for q, j, layer in zip(free, path, edges):
+            pairs[q], l, r, s = layer[s][j]
             lhs += l
             rhs += r
         lcd, crhs = lhs * cd, cn * rhs
         if not 0 <= lcd <= crhs:
             return None
-        records.append((elements, lhs, crhs))
+        records.append((pairs, lhs, crhs))
         ratio = Fraction(lcd, crhs) if crhs else Fraction(0)
         path = after(path, ratio.denominator * cd, ratio.numerator * cn)
 
-    for elements, lhs, crhs in records:
-        pairs = [zero] * grid.length
-        for q, pt in zip(free, elements):
-            pairs[q] = pt
-        u = _to_sequence(pairs, 1)
-        verdict = _cross_check(grid.spec, u, grid.l1, grid.l2, None, Fraction(lhs),
-                               Fraction(crhs, cd), False, lambda: f"{pairs}, window None")
+    for pairs, lhs, crhs in records:
+        u, verdict = grid.judge(pairs, lhs, crhs, cd, None)
     return grid.report(counts[0], 0, verdict.ratio, u, None)
 
 
@@ -1283,29 +1279,33 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     automaton (_scan_automaton) reach, so a prefix that fails a hypothesis
     (see _scan_rules) is never extended, and its points are decided with it
     in every window. The tests are exact, so every point reached is
-    admissible in every window. Each move, each step test and each term is
+    admissible in every window. The moves at each free position, each with
+    the terms it completes, are the grid's one layered graph (_scan_graph),
+    built once per grid and read by both paths below; it is also the
+    walk's per-scan term table. Each move, each step test and each term is
     computed once per scan.
 
     A grid is decided on one of two paths, with the same report:
     - The walk (_scan_walk) visits the admissible points depth first in
-      walk order. It carries the exact integer prefix sums of the lhs and
-      rhs terms (see theorems._Sums): each position adds the terms it
-      completes, a pair's while v is walked. At a point, each window's
-      sides are differences of these sums, and the ratio is compared with
-      the running maximum by integer cross-multiplication.
-    - The DP (_scan_dp) counts the admissible points on the automaton's
-      layered graph without visiting them, and finds each point at which
-      the walk's running maximum rises with one max-plus pass per such
-      point. It takes non-windowed single-sequence statements, when
-      planned exceeds _DP_PASS_FACTOR times the DP's size bound (_dp_decides),
-      and hands the grid to the walk when some point violates the
-      inequality, so violations stay exact.
+      walk order, along the graph. It carries the exact integer prefix
+      sums of the lhs and rhs terms (see theorems._Sums): each position
+      adds the terms it completes, a pair's while v is walked. At a point,
+      each window's sides are differences of these sums, and the ratio is
+      compared with the running maximum by integer cross-multiplication.
+    - The DP (_scan_dp) counts the admissible points on the same graph,
+      whose options are its layers' edges, without visiting them, and
+      finds each point at which the walk's running maximum rises with one
+      max-plus pass per such point. It takes non-windowed single-sequence
+      statements, when planned exceeds _DP_PASS_FACTOR times the DP's size
+      bound (_dp_decides), and hands the grid to the walk when some point
+      violates the inequality, so violations stay exact; the walk reads
+      every options list the DP has built again.
     The engine judges only what the report shows: each violation and each
     point that raises the maximum is checked by check_single or
-    check_pair, and RuntimeError is raised, naming the point, when the
-    engine's verdict differs. The witness is the first point in walk
-    order, with its first window, that reaches the maximum. No table
-    outlives the scan.
+    check_pair (_ScanGrid.judge, on both paths), and RuntimeError is
+    raised, naming the point, when the engine's verdict differs. The
+    witness is the first point in walk order, with its first window, that
+    reaches the maximum. No table outlives the scan.
 
     Exponent parameters are ignored by the pair statements. A grid whose
     results could be too long to print raises OutputTooLarge before

@@ -814,26 +814,38 @@ def test_scan_budget_fires_before_building_the_grid(length, bound):
     assert peak < 1_000_000
 
 
-# the four grids of the scan_grids benchmark and a windowed pair grid
-@pytest.mark.parametrize("tid,length,bound", [
-    ("T3_1", 4, 3), ("T3_5", 5, 3), ("T3_6", 3, 2), ("T2_2", 7, 3), ("T3_9", 3, 2),
-])
-def test_scan_does_each_piece_of_work_once(tid, length, bound, monkeypatch):
-    # within one scan, each step test and each term kernel runs at most once
-    # per argument tuple: the automaton shares its moves between positions
-    # and prefixes, and the term tables share the terms
+def _record_calls(monkeypatch, names):
+    # name -> the argument tuple of each call of oracle.<name> from now on
     calls = {}
-    for name in ("_scan_step", "_step_term", "_pair_term"):
+    for name in names:
         def recorded(*args, _real=getattr(oracle, name), _seen=calls.setdefault(name, [])):
             _seen.append(args)
             return _real(*args)
 
         monkeypatch.setattr(oracle, name, recorded)
+    return calls
+
+
+def _assert_each_once(calls):
+    for name, seen in calls.items():
+        assert len(seen) == len(set(seen)), (name, len(seen), len(set(seen)))
+
+
+# the four grids of the scan_grids benchmark, a windowed pair grid and a
+# windowed single-sequence grid
+@pytest.mark.parametrize("tid,length,bound", [
+    ("T3_1", 4, 3), ("T3_5", 5, 3), ("T3_6", 3, 2), ("T2_2", 7, 3), ("T3_9", 3, 2),
+    ("T4_2", 4, 2),
+])
+def test_scan_does_each_piece_of_work_once(tid, length, bound, monkeypatch):
+    # within one scan, each step test and each term kernel runs at most once
+    # per argument tuple: the automaton shares its moves between positions
+    # and prefixes, and the grid's layered graph shares the terms
+    calls = _record_calls(monkeypatch, ("_scan_step", "_step_term", "_pair_term"))
     assert ratio_scan(tid, length=length, bound=bound).admissible > 0
     kernel = "_pair_term" if lookup(tid).arity == 2 else "_step_term"
     assert calls[kernel] and (calls["_scan_step"] or tid == "T2_2")
-    for name, seen in calls.items():
-        assert len(seen) == len(set(seen)), (name, len(seen), len(set(seen)))
+    _assert_each_once(calls)
 
 
 def _grid_points(spec, length, choices):
@@ -946,7 +958,12 @@ def test_scan_dp_leaves_violating_grids_to_the_walk(monkeypatch):
     assert oracle._dp_decides(grid)
     assert oracle._scan_dp(grid) is None
     assert calls == []
+    # the DP's attempt and the walk that takes over read one graph: no step
+    # test and no term is computed twice in the whole scan
+    work = _record_calls(monkeypatch, ("_step_term", "_scan_step"))
     report = ratio_scan(spec.id, length=5, bound=3)
+    assert work["_step_term"] and work["_scan_step"]
+    _assert_each_once(work)
     scan_calls = len(calls)
     calls.clear()
     walked = oracle._scan_walk(oracle._ScanGrid(spec.id, 1, 1, 5, 3, 20_000))
