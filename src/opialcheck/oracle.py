@@ -822,6 +822,25 @@ def _scan_step(tests, prev, pt):
     return d if order else 3
 
 
+# how many choice lists keep their scan tables (_scan_tables), and how many
+# position layouts their graph readers (_scan_readers), between ratio_scan
+# calls: a sweep over statements, lengths and exponents at one bound reuses
+# one or two choice lists (the real and the interval ones)
+_SCAN_KEPT = 4
+
+
+@functools.lru_cache(maxsize=_SCAN_KEPT)
+def _scan_tables(choices):
+    """The scan tables over the tuple choices that read no exponent, kept
+    across ratio_scan calls: (steps, moves, pair_terms), the memos of the
+    automaton's step tests and moves (_scan_automaton) and of the pair
+    statements' terms (_scan_graph). Each dict is keyed by all that its
+    entries read besides choices: a step test by (tests, prev, pt), a move
+    by its rule and what the rule reads, a pair term by (u_{p-1}, u_p,
+    v_{p-1}, v_p). None reads a statement, a length or an exponent."""
+    return {}, {}, {}
+
+
 def _scan_automaton(spec, L, choices):
     """The admissibility automaton of a scan on L elements (per sequence)
     over choices: (acc0, free, move), the starting order bits, the walk
@@ -839,19 +858,21 @@ def _scan_automaton(spec, L, choices):
 
     A move depends only on the position's rule (whether it is an anchor,
     its step test, the test of the step into a following anchor, its zero
-    test) and on what the rule reads of prev, acc and u_zero, and it is
-    keyed by exactly these: each key, and each step test, is computed once
-    per automaton, memoized in a plain dict, and shared by every position
-    with the same rule.
+    test), on what the rule reads of prev, acc and u_zero, and on choices,
+    and it is keyed by exactly these: each key, and each step test, is
+    computed once per choice list, memoized in the choice list's dicts
+    (_scan_tables), which outlive the scan, and shared by every position,
+    statement, length and exponent pair with the same rule. The rules are
+    read afresh from the hypothesis table on every call.
     """
     acc0, rules = _scan_rules(spec, L)
-    free = [q for q, rule in enumerate(rules) if not rule[0]] or [0]
+    free = tuple(q for q, rule in enumerate(rules) if not rule[0]) or (0,)
     rule_at = []
     for q in free:
         anchor, into, zero = rules[q]
         nxt = rules[q + 1] if (q + 1) % L else None
         rule_at.append((anchor, into, nxt[1] if nxt is not None and nxt[0] else None, zero))
-    steps, moves = {}, {}
+    steps, moves, _ = _scan_tables(tuple(choices))
 
     def admitted(anchor, into, out, no_zero, prev, acc):
         found = []
@@ -882,51 +903,67 @@ def _scan_automaton(spec, L, choices):
     return acc0, free, move
 
 
-def _scan_graph(spec, L, l1, l2, automaton):
-    """The scan's layered graph on its automaton (_scan_automaton), the one
-    copy that the walk and the DP read: options(k, pairs, acc) lists the
-    moves at free[k] after the prefix in pairs (the walk positions'
-    elements, u then v) with running order bits acc, in walk order, each as
-    (element, order bits after it, completed). completed holds (i, lhs,
-    rhs) for each term that choosing the element completes: its index and
-    its integer terms. Those run up to the next free position (anchors have
-    no choice), and the first position's from position 0, so they also hold
-    the terms of any anchors before free[0]. u_q completes the step into it
-    (nabla: term q, forward: term q - 1) on (u_{q-1}, u_q), v_p the pair
-    term p on (u_{p-1}, u_p, v_{p-1}, v_p).
-
-    A list depends only on k, acc and the elements before free[k] that its
-    moves and terms read: the element before it, for v the element of u at
-    its index, and those its terms read. It is keyed by exactly these, so a
-    single sequence's key (k, element before free[k], acc) is a state of the
-    DP's layer k, and its moves are the state's edges. Each list, and each
-    distinct term (_step_term, _pair_term), is computed once per grid and
-    memoized in a plain dict; options writes the elements it tries to
-    pairs[free[k]].
-    """
-    _, free, move = automaton
-    single = spec.arity == 1
-    nabla = spec.operator is Operator.NABLA
+@functools.lru_cache(maxsize=_SCAN_KEPT)
+def _scan_readers(single, nabla, L, free):
+    """(fills, context), the readers of the layered graph (_scan_graph)
+    over the free positions free of a grid of L elements per sequence, kept
+    across ratio_scan calls: fills[k] holds (index, reader of the elements)
+    of each term that the choice at free[k] completes, and context[k] reads
+    the elements before free[k] that its options list reads. A term is the
+    step into u_q (nabla: term q, forward: term q - 1) on (u_{q-1}, u_q), for
+    a pair the pair term p on (u_{p-1}, u_p, v_{p-1}, v_p), so the readers
+    read nothing else of the statement: no rule, bound or exponent."""
     # done[r]: the index of the term that position r completes and the
     # positions it reads, None when r completes none
     if single:
         done = [None] + [(q - 1 + nabla, (q - 1, q)) for q in range(1, L)]
     else:
         done = [None] * (L + 1) + [(p, (p - 1, p, L + p - 1, L + p)) for p in range(1, L)]
-    # fills[k]: (index, reader of the elements) of each term free[k]
-    # completes; context[k] reads the elements before free[k] its list reads,
-    # in any fixed order, since only context[k] builds the keys of free[k]
+    # a position's terms run up to the next free position (anchors have no
+    # choice), and the first one's from position 0; context[k] reads the
+    # elements in any fixed order, since only context[k] builds the keys of
+    # free[k]
     fills, context = [], []
-    for start, q, stop in zip([0] + free[1:], free, free[1:] + [len(done)]):
+    for start, q, stop in zip((0, *free[1:]), free, (*free[1:], len(done))):
         fill, reads = [], {q - 1, q - L}
         for d in done[start:stop]:
             if d:
                 fill.append((d[0], itemgetter(*d[1])))
                 reads.update(d[1])
         before = [r for r in reads if 0 <= r < q]
-        fills.append(fill)
+        fills.append(tuple(fill))
         context.append(itemgetter(*before) if before else lambda pairs: ())
-    graph, terms = {}, {}
+    return tuple(fills), tuple(context)
+
+
+def _scan_graph(spec, L, l1, l2, choices, automaton):
+    """The scan's layered graph on its automaton (_scan_automaton) over
+    choices, the one copy that the walk and the DP read: options(k, pairs,
+    acc) lists the moves at free[k] after the prefix in pairs (the walk
+    positions' elements, u then v) with running order bits acc, in walk
+    order, each as (element, order bits after it, completed). completed
+    holds (i, lhs, rhs) for each term that choosing the element completes:
+    its index and its integer terms, as read by _scan_readers. Those run up
+    to the next free position, so they also hold the terms of any anchors
+    before free[0].
+
+    A list depends only on k, acc and the elements before free[k] that its
+    moves and terms read: the element before it, for v the element of u at
+    its index, and those its terms read. It is keyed by exactly these, so a
+    single sequence's key (k, element before free[k], acc) is a state of the
+    DP's layer k, and its moves are the state's edges. Each list is
+    computed once per grid and memoized in a plain dict; options writes the
+    elements it tries to pairs[free[k]]. Each distinct term is computed
+    once per grid for a single sequence (_step_term reads l1 and l2), and
+    once per choice list for a pair (_pair_term reads no exponent), in the
+    choice list's table (_scan_tables), which outlives the scan.
+    """
+    _, free, move = automaton
+    single = spec.arity == 1
+    nabla = spec.operator is Operator.NABLA
+    fills, context = _scan_readers(single, nabla, L, free)
+    graph = {}
+    terms = {} if single else _scan_tables(tuple(choices))[2]
 
     def options(k, pairs, acc):
         key = (k, context[k](pairs), acc)
@@ -1001,9 +1038,9 @@ class _ScanGrid:
         self.spec, self.l1, self.l2, self.length, self.bound = spec, l1, l2, L, bound
         self.planned = planned
         if real_family:
-            self.choices = [(k, k) for k in range(bound + 1)]
+            self.choices = tuple((k, k) for k in range(bound + 1))
         else:
-            self.choices = [(lo, hi) for lo in range(bound + 1) for hi in range(lo, bound + 1)]
+            self.choices = tuple((lo, hi) for lo in range(bound + 1) for hi in range(lo, bound + 1))
         self.automaton = _scan_automaton(spec, L, self.choices)
         # each window's term ranges and constant, on b = 0 and m = e: its
         # sides are lhs_at[el] - lhs_at[sl] and (cn / cd) * (rhs_at[er] -
@@ -1014,7 +1051,7 @@ class _ScanGrid:
             lhs_rng, rhs_rng, const = _frame(spec, 0, e, n, m, l1, l2)
             self.frames.append((lhs_rng.start, lhs_rng.stop, rhs_rng.start, rhs_rng.stop,
                                 const.numerator, const.denominator, window))
-        self.options = _scan_graph(spec, L, l1, l2, self.automaton)
+        self.options = _scan_graph(spec, L, l1, l2, self.choices, self.automaton)
 
     def judge(self, pairs, lhs, crhs, cd, window):
         """(input, verdict): the point whose walk positions hold pairs, and
@@ -1281,9 +1318,21 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     in every window. The tests are exact, so every point reached is
     admissible in every window. The moves at each free position, each with
     the terms it completes, are the grid's one layered graph (_scan_graph),
-    built once per grid and read by both paths below; it is also the
-    walk's per-scan term table. Each move, each step test and each term is
-    computed once per scan.
+    built once per grid and read by both paths below.
+
+    What reads no exponent outlives the scan, keyed by exactly what it
+    reads: the step tests, the moves and the pair terms per choice list
+    (_scan_tables, keyed by the choices, which the bound and the
+    statement's family fix), and the graph's readers per (arity, operator,
+    length, free positions) (_scan_readers). Each cache keeps the
+    _SCAN_KEPT = 4 most recently used entries. So a sweep over statements,
+    lengths and exponents at one bound computes each step test, move and
+    pair term once. The options lists, the single-sequence terms (which
+    read l1 and l2), the frames and the paths' own state are built anew
+    for each scan. What a scan leaves behind grows with the distinct
+    elements it reached: after one scan of T3_6 at length 3 and bound 5
+    from empty caches, tracemalloc counts 2.7 MB retained (its peak is
+    7.0 MB), after T3_5 at length 8 and bound 6 0.18 MB.
 
     A grid is decided on one of two paths, with the same report:
     - The walk (_scan_walk) visits the admissible points depth first in
@@ -1305,7 +1354,7 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     check_pair (_ScanGrid.judge, on both paths), and RuntimeError is
     raised, naming the point, when the engine's verdict differs. The
     witness is the first point in walk order, with its first window, that
-    reaches the maximum. No table outlives the scan.
+    reaches the maximum.
 
     Exponent parameters are ignored by the pair statements. A grid whose
     results could be too long to print raises OutputTooLarge before

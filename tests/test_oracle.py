@@ -826,6 +826,13 @@ def _record_calls(monkeypatch, names):
     return calls
 
 
+def _cold_scan_caches():
+    # empty the tables that ratio_scan keeps across calls, so that the next
+    # scan computes every step test, move, term and reader it reads
+    oracle._scan_tables.cache_clear()
+    oracle._scan_readers.cache_clear()
+
+
 def _assert_each_once(calls):
     for name, seen in calls.items():
         assert len(seen) == len(set(seen)), (name, len(seen), len(set(seen)))
@@ -841,11 +848,82 @@ def test_scan_does_each_piece_of_work_once(tid, length, bound, monkeypatch):
     # within one scan, each step test and each term kernel runs at most once
     # per argument tuple: the automaton shares its moves between positions
     # and prefixes, and the grid's layered graph shares the terms
+    _cold_scan_caches()
     calls = _record_calls(monkeypatch, ("_scan_step", "_step_term", "_pair_term"))
     assert ratio_scan(tid, length=length, bound=bound).admissible > 0
     kernel = "_pair_term" if lookup(tid).arity == 2 else "_step_term"
     assert calls[kernel] and (calls["_scan_step"] or tid == "T2_2")
     _assert_each_once(calls)
+
+
+@pytest.mark.parametrize("spec", registry(), ids=lambda s: s.id.value)
+def test_scan_warm_tables_give_the_cold_reports(spec, monkeypatch):
+    # every grid of _scan_grids with at most 20000 checks, scanned after its
+    # bound was scanned with the other statements and with this one at
+    # other lengths and exponents, gives the report of the same scan from
+    # empty tables and runs the engine as often
+    calls = _count_engine_calls(monkeypatch)
+
+    def scan(tid, length, bound, l1, l2, budget=20_000):
+        calls.clear()
+        report = ratio_scan(tid, l1, l2, length=length, bound=bound, budget=budget)
+        return report.to_jsonable(), len(calls)
+
+    cold = {}
+    for grid in _scan_grids(spec):
+        _cold_scan_caches()
+        try:
+            cold[grid] = scan(spec.id, *grid)
+        except BudgetExceeded:
+            pass
+    ran = 0
+    for bound in range(4):
+        _cold_scan_caches()
+        for other in registry():
+            if other is spec:
+                continue
+            for length in (3, 4):
+                try:
+                    scan(other.id, length, bound, *_scan_exponents(other)[-1], budget=2_000)
+                except BudgetExceeded:
+                    pass
+        for grid in _scan_grids(spec):
+            if grid[1] == bound and grid in cold:
+                assert scan(spec.id, *grid) == cold[grid], grid
+                ran += 1
+    assert ran == len(cold) >= 8
+
+
+@pytest.mark.parametrize("tid,length,bound", [("T3_1", 4, 3), ("T3_6", 3, 2)])
+def test_a_second_scan_reuses_the_exponent_free_tables(tid, length, bound, monkeypatch):
+    # after a scan of the same grid at (1, 1), the scan at (2, 3) runs no
+    # step test again, and for a pair (which takes no exponents) no pair
+    # term; a single sequence's terms read the exponents and are computed
+    # again. The report is the one from empty tables
+    args = {"length": length, "bound": bound}
+    _cold_scan_caches()
+    want = ratio_scan(tid, 2, 3, **args).to_jsonable()
+    _cold_scan_caches()
+    ratio_scan(tid, 1, 1, **args)
+    calls = _record_calls(monkeypatch, ("_scan_step", "_step_term", "_pair_term"))
+    assert ratio_scan(tid, 2, 3, **args).to_jsonable() == want
+    assert calls["_scan_step"] == [] and calls["_pair_term"] == []
+    assert bool(calls["_step_term"]) == (lookup(tid).arity == 1)
+
+
+def test_scan_caches_stay_bounded():
+    # more distinct bounds (choice lists) and lengths (reader layouts) than
+    # the caches keep: each holds at most _SCAN_KEPT entries
+    _cold_scan_caches()
+    kept = oracle._SCAN_KEPT
+    for n in range(kept + 2):
+        ratio_scan("T3_1", length=3, bound=n)
+        ratio_scan("T3_1", length=2 + n, bound=1)
+        for cache in (oracle._scan_tables, oracle._scan_readers):
+            info = cache.cache_info()
+            assert info.maxsize == kept and info.currsize <= kept
+    assert oracle._scan_tables.cache_info().currsize == kept
+    assert oracle._scan_readers.cache_info().currsize == kept
 
 
 def _grid_points(spec, length, choices):
@@ -960,6 +1038,7 @@ def test_scan_dp_leaves_violating_grids_to_the_walk(monkeypatch):
     assert calls == []
     # the DP's attempt and the walk that takes over read one graph: no step
     # test and no term is computed twice in the whole scan
+    _cold_scan_caches()
     work = _record_calls(monkeypatch, ("_step_term", "_scan_step"))
     report = ratio_scan(spec.id, length=5, bound=3)
     assert work["_step_term"] and work["_scan_step"]
