@@ -823,48 +823,62 @@ def _scan_step(tests, prev, pt):
 
 
 # how many choice lists keep their scan tables (_scan_tables), and how many
-# position layouts their graph readers (_scan_readers), between ratio_scan
-# calls: a sweep over statements, lengths and exponents at one bound reuses
-# one or two choice lists (the real and the interval ones)
+# grids their layered graph (_scan_kept), between ratio_scan calls: a sweep
+# over exponents reuses one graph, and one over statements and lengths at
+# one bound one or two choice lists (the real and the interval ones)
 _SCAN_KEPT = 4
+# the most entries a kept table holds: a layered graph's free positions,
+# options lists and edges, or a pair-term table's terms. A table that passes
+# it leaves its cache's slot, so the scan that filled it keeps it alone and
+# the next one starts a new table. Of the scan_grids grids, T3_6 L3 B2 has
+# the largest graph, 396 entries (4 positions, 104 lists, 288 edges), and
+# 225 pair terms; T3_5 L8 B6 has 3,114 and T3_6 L3 B5 19,179
+_SCAN_CAP = 1024
+
+
+class _Terms(dict):
+    """A term table: terms[at] is the pair of integer terms (lhs, rhs) of
+    the elements at that a term reads, term(*at), computed on first read.
+    slot, when not None, is the one-element list of a cache that keeps the
+    table; once the table holds more than _SCAN_CAP terms, it leaves the
+    slot to a new, empty table."""
+
+    __slots__ = ("term", "slot")
+
+    def __init__(self, term, slot=None):
+        self.term, self.slot = term, slot
+
+    def __missing__(self, at):
+        t = self[at] = self.term(*at)
+        if self.slot is not None and len(self) > _SCAN_CAP:
+            self.slot[0] = _Terms(self.term, self.slot)
+            self.slot = None
+        return t
 
 
 @functools.lru_cache(maxsize=_SCAN_KEPT)
 def _scan_tables(choices):
     """The scan tables over the tuple choices that read no exponent, kept
-    across ratio_scan calls: (steps, moves, pair_terms), the memos of the
-    automaton's step tests and moves (_scan_automaton) and of the pair
-    statements' terms (_scan_graph). Each dict is keyed by all that its
-    entries read besides choices: a step test by (tests, prev, pt), a move
-    by its rule and what the rule reads, a pair term by (u_{p-1}, u_p,
-    v_{p-1}, v_p). None reads a statement, a length or an exponent."""
-    return {}, {}, {}
+    across ratio_scan calls: (steps, moves, pair_slot), the memos of the
+    automaton's step tests and moves (_scan_moves) and a one-element list
+    holding the pair statements' term table (_Terms). A step test is keyed
+    by (tests, prev, pt), a move by its rule and what the rule reads, a
+    pair term by (u_{p-1}, u_p, v_{p-1}, v_p). None reads a statement, a
+    length or an exponent."""
+    pair_slot = [None]
+    pair_slot[0] = _Terms(lambda a, b, c, d: _pair_term(*a, *b, *c, *d), pair_slot)
+    return {}, {}, pair_slot
 
 
-def _scan_automaton(spec, L, choices):
-    """The admissibility automaton of a scan on L elements (per sequence)
-    over choices: (acc0, free, move), the starting order bits, the walk
-    positions that are not anchors (see _scan_rules), and the moves. A grid
-    anchored everywhere (a single sequence of length 2 anchored at both
-    ends) is walked as its first position, whose one choice is [0, 0].
-
-    move(k, prev, acc, u_zero) lists the choices at free[k] that keep the
-    prefix admissible, in the order of choices, each as (element, order
-    bits after it): prev is the element before free[k], acc the running
-    order bits and u_zero, for v, whether u is [0, 0] at that index (True
-    for a single sequence). An anchor right after free[k] has no choice of
-    its own, so the step into it is tested here; a step between two anchors
-    always passes, and u_{L-1} to v_0 is no step.
-
-    A move depends only on the position's rule (whether it is an anchor,
-    its step test, the test of the step into a following anchor, its zero
-    test), on what the rule reads of prev, acc and u_zero, and on choices,
-    and it is keyed by exactly these: each key, and each step test, is
-    computed once per choice list, memoized in the choice list's dicts
-    (_scan_tables), which outlive the scan, and shared by every position,
-    statement, length and exponent pair with the same rule. The rules are
-    read afresh from the hypothesis table on every call.
-    """
+def _scan_layout(spec, L):
+    """(acc0, free, rule_at): the starting order bits of a scan on L
+    elements (per sequence), the walk positions that are not anchors (see
+    _scan_rules), and the rule that the move at each of them reads:
+    (anchor, the test of the step into it, the test of the step into a
+    following anchor, zero). A grid anchored everywhere (a single sequence
+    of length 2 anchored at both ends) is walked as its first position,
+    whose one choice is [0, 0]. The rules are read afresh from the
+    hypothesis table on every call."""
     acc0, rules = _scan_rules(spec, L)
     free = tuple(q for q, rule in enumerate(rules) if not rule[0]) or (0,)
     rule_at = []
@@ -872,7 +886,13 @@ def _scan_automaton(spec, L, choices):
         anchor, into, zero = rules[q]
         nxt = rules[q + 1] if (q + 1) % L else None
         rule_at.append((anchor, into, nxt[1] if nxt is not None and nxt[0] else None, zero))
-    steps, moves, _ = _scan_tables(tuple(choices))
+    return acc0, free, tuple(rule_at)
+
+
+def _scan_moves(rule_at, choices):
+    """move(k, prev, acc, u_zero), the moves at the k-th free position of
+    a layout (_scan_layout) over the tuple choices; see _scan_automaton."""
+    steps, moves, _ = _scan_tables(choices)
 
     def admitted(anchor, into, out, no_zero, prev, acc):
         found = []
@@ -890,7 +910,7 @@ def _scan_automaton(spec, L, choices):
                 a &= bits if bits is not None else steps.setdefault(key, _scan_step(*key))
             if a:
                 found.append((pt, a))
-        return found
+        return tuple(found)
 
     def move(k, prev, acc, u_zero):
         anchor, into, out, zero = rule_at[k]
@@ -900,19 +920,43 @@ def _scan_automaton(spec, L, choices):
             found = moves[key] = admitted(*key)
         return found
 
-    return acc0, free, move
+    return move
 
 
-@functools.lru_cache(maxsize=_SCAN_KEPT)
+def _scan_automaton(spec, L, choices):
+    """The admissibility automaton of a scan on L elements (per sequence)
+    over choices: (acc0, free, move), the starting order bits, the walk
+    positions that are not anchors and the moves (_scan_layout).
+
+    move(k, prev, acc, u_zero) lists the choices at free[k] that keep the
+    prefix admissible, in the order of choices, each as (element, order
+    bits after it): prev is the element before free[k], acc the running
+    order bits and u_zero, for v, whether u is [0, 0] at that index (True
+    for a single sequence). An anchor right after free[k] has no choice of
+    its own, so the step into it is tested here; a step between two anchors
+    always passes, and u_{L-1} to v_0 is no step.
+
+    A move depends only on the position's rule (whether it is an anchor,
+    its step test, the test of the step into a following anchor, its zero
+    test), on what the rule reads of prev, acc and u_zero, and on choices,
+    and it is keyed by exactly these: each key, and each step test, is
+    computed once per choice list, memoized in the choice list's dicts
+    (_scan_tables), which outlive the scan, and shared by every position,
+    statement, length and exponent pair with the same rule.
+    """
+    acc0, free, rule_at = _scan_layout(spec, L)
+    return acc0, free, _scan_moves(rule_at, tuple(choices))
+
+
 def _scan_readers(single, nabla, L, free):
     """(fills, context), the readers of the layered graph (_scan_graph)
-    over the free positions free of a grid of L elements per sequence, kept
-    across ratio_scan calls: fills[k] holds (index, reader of the elements)
-    of each term that the choice at free[k] completes, and context[k] reads
-    the elements before free[k] that its options list reads. A term is the
-    step into u_q (nabla: term q, forward: term q - 1) on (u_{q-1}, u_q), for
-    a pair the pair term p on (u_{p-1}, u_p, v_{p-1}, v_p), so the readers
-    read nothing else of the statement: no rule, bound or exponent."""
+    over the free positions free of a grid of L elements per sequence:
+    fills[k] holds (index, reader of the elements) of each term that the
+    choice at free[k] completes, and context[k] reads the elements before
+    free[k] that its options list reads. A term is the step into u_q
+    (nabla: term q, forward: term q - 1) on (u_{q-1}, u_q), for a pair the
+    pair term p on (u_{p-1}, u_p, v_{p-1}, v_p), so the readers read
+    nothing else of the statement: no rule, bound or exponent."""
     # done[r]: the index of the term that position r completes and the
     # positions it reads, None when r completes none
     if single:
@@ -936,36 +980,51 @@ def _scan_readers(single, nabla, L, free):
     return tuple(fills), tuple(context)
 
 
-def _scan_graph(spec, L, l1, l2, choices, automaton):
-    """The scan's layered graph on its automaton (_scan_automaton) over
-    choices, the one copy that the walk and the DP read: options(k, pairs,
-    acc) lists the moves at free[k] after the prefix in pairs (the walk
-    positions' elements, u then v) with running order bits acc, in walk
-    order, each as (element, order bits after it, completed). completed
-    holds (i, lhs, rhs) for each term that choosing the element completes:
-    its index and its integer terms, as read by _scan_readers. Those run up
-    to the next free position, so they also hold the terms of any anchors
-    before free[0].
+@functools.lru_cache(maxsize=_SCAN_KEPT)
+def _scan_kept(rule_at, L, free, single, nabla, choices):
+    """The slot of the layered graph (_scan_graph) of a grid, kept across
+    ratio_scan calls: a one-element list holding its options function, or
+    None for the next scan to build it. The graph is keyed by all it reads:
+    the layout's rules and free positions (_scan_layout), L, the arity, the
+    operator (which sets each term's index) and the choices."""
+    return [None]
+
+
+def _scan_graph(rule_at, L, free, single, nabla, choices):
+    """The layered graph of a grid on the layout (_scan_layout) rule_at,
+    free over the tuple choices, the one copy that the walk and the DP
+    read: options(k, pairs, acc) lists the moves (_scan_moves) at free[k]
+    after the prefix in pairs (the walk positions' elements, u then v) with
+    running order bits acc, in walk order, each as (element, order bits
+    after it, completed). completed holds (i, at) for each term that
+    choosing the element completes: its index and the elements it reads
+    (_scan_readers), the key of the scan's term table (_ScanGrid.terms).
+    Those run up to the next free position, so they also hold the terms of
+    any anchors before free[0].
 
     A list depends only on k, acc and the elements before free[k] that its
     moves and terms read: the element before it, for v the element of u at
     its index, and those its terms read. It is keyed by exactly these, so a
     single sequence's key (k, element before free[k], acc) is a state of the
-    DP's layer k, and its moves are the state's edges. Each list is
-    computed once per grid and memoized in a plain dict; options writes the
-    elements it tries to pairs[free[k]]. Each distinct term is computed
-    once per grid for a single sequence (_step_term reads l1 and l2), and
-    once per choice list for a pair (_pair_term reads no exponent), in the
-    choice list's table (_scan_tables), which outlives the scan.
+    DP's layer k, and its moves are the state's edges; options writes the
+    elements it tries to pairs[free[k]]. Nothing in it reads an exponent or
+    a sum, so the graph is built once and kept (_scan_kept) while it holds
+    at most _SCAN_CAP entries; no scan changes a list once built.
     """
-    _, free, move = automaton
-    single = spec.arity == 1
-    nabla = spec.operator is Operator.NABLA
+    # a graph with more free positions than the cap is not looked up, so
+    # that its key is not kept either
+    slot = [None]
+    if len(free) <= _SCAN_CAP:
+        slot = _scan_kept(rule_at, L, free, single, nabla, choices)
+    if slot[0] is not None:
+        return slot[0]
     fills, context = _scan_readers(single, nabla, L, free)
+    move = _scan_moves(rule_at, choices)
     graph = {}
-    terms = {} if single else _scan_tables(tuple(choices))[2]
+    entries = len(free)
 
     def options(k, pairs, acc):
+        nonlocal entries
         key = (k, context[k](pairs), acc)
         opts = graph.get(key)
         if opts is not None:
@@ -974,30 +1033,31 @@ def _scan_graph(spec, L, l1, l2, choices, automaton):
         opts = graph[key] = []
         for pt, a in move(k, pairs[q - 1], acc, single or pairs[q - L] == (0, 0)):
             pairs[q] = pt
-            completed = []
-            for i, read in fills[k]:
-                at = read(pairs)
-                t = terms.get(at)
-                if t is None:
-                    t = terms[at] = (_step_term(*at[0], *at[1], l1, l2, nabla) if single
-                                     else _pair_term(*at[0], *at[1], *at[2], *at[3]))
-                completed.append((i, t[0], t[1]))
-            opts.append((pt, a, completed))
+            opts.append((pt, a, tuple((i, read(pairs)) for i, read in fills[k])))
+        entries += 1 + len(opts)
+        if entries > _SCAN_CAP and slot[0] is options:
+            slot[0] = None
         return opts
 
+    if entries <= _SCAN_CAP:
+        slot[0] = options
     return options
 
 
 class _ScanGrid:
     """A grid of ratio_scan, validated, and what its walk and its DP share:
-    the statement and its exponents, planned, the admissibility automaton
-    (_scan_automaton), one frame per window, the layered graph (options,
-    _scan_graph) and the engine's check of a point (judge). Nothing is
-    built before planned is known to be within budget: BudgetExceeded is
-    raised first."""
+    the statement and its exponents, planned, the starting order bits and
+    free positions of its admissibility automaton (_scan_layout), one frame
+    per window, the layered graph (options, _scan_graph), the term table
+    that binds the graph's terms to this scan (terms) and the engine's
+    check of a point (judge). The terms of a single sequence read l1 and
+    l2, so each scan fills its own table; a pair's read no exponent and
+    come from the choice list's table (_scan_tables). Nothing is built
+    before planned is known to be within budget: BudgetExceeded is raised
+    first."""
 
     __slots__ = ("spec", "l1", "l2", "length", "bound", "planned", "choices",
-                 "automaton", "frames", "options")
+                 "acc0", "free", "frames", "options", "terms")
 
     def __init__(self, theorem, l1, l2, length, bound, budget):
         spec = lookup(theorem)
@@ -1041,7 +1101,7 @@ class _ScanGrid:
             self.choices = tuple((k, k) for k in range(bound + 1))
         else:
             self.choices = tuple((lo, hi) for lo in range(bound + 1) for hi in range(lo, bound + 1))
-        self.automaton = _scan_automaton(spec, L, self.choices)
+        self.acc0, self.free, rule_at = _scan_layout(spec, L)
         # each window's term ranges and constant, on b = 0 and m = e: its
         # sides are lhs_at[el] - lhs_at[sl] and (cn / cd) * (rhs_at[er] -
         # rhs_at[sr]), with lhs_at[i] the sum of the lhs terms of index < i
@@ -1051,7 +1111,11 @@ class _ScanGrid:
             lhs_rng, rhs_rng, const = _frame(spec, 0, e, n, m, l1, l2)
             self.frames.append((lhs_rng.start, lhs_rng.stop, rhs_rng.start, rhs_rng.stop,
                                 const.numerator, const.denominator, window))
-        self.options = _scan_graph(spec, L, l1, l2, self.choices, self.automaton)
+        single = spec.arity == 1
+        nabla = spec.operator is Operator.NABLA
+        self.options = _scan_graph(rule_at, L, self.free, single, nabla, self.choices)
+        self.terms = (_Terms(lambda a, b: _step_term(*a, *b, l1, l2, nabla)) if single
+                      else _scan_tables(self.choices)[2][0])
 
     def judge(self, pairs, lhs, crhs, cd, window):
         """(input, verdict): the point whose walk positions hold pairs, and
@@ -1088,8 +1152,8 @@ def _scan_walk(grid):
     admissible point depth first along the grid's layered graph (options)
     and counts violations exactly (see ratio_scan)."""
     L = grid.length
-    acc0, free, _ = grid.automaton
-    options, frames = grid.options, grid.frames
+    acc0, free = grid.acc0, grid.free
+    options, terms, frames = grid.options, grid.terms, grid.frames
     pairs = [(0, 0)] * (grid.spec.arity * L)
     lhs_at = [0] * (L + 1)
     rhs_at = [0] * (L + 1)
@@ -1111,8 +1175,9 @@ def _scan_walk(grid):
             # position completes; only a violation or a new maximum reaches
             # the engine, and only then is the choice written to pairs
             points += len(opts)
-            for pt, _, completed_terms in opts:
-                for i, tl, tr in completed_terms:
+            for pt, _, completed in opts:
+                for i, at in completed:
+                    tl, tr = terms[at]
                     lhs_at[i + 1] = lhs_at[i] + tl
                     rhs_at[i + 1] = rhs_at[i] + tr
                 for sl, el, sr, er, cn, cd, window in frames:
@@ -1135,9 +1200,10 @@ def _scan_walk(grid):
             stack.pop()
         if not stack:
             break
-        pt, acc, completed_terms = step
+        pt, acc, completed = step
         pairs[free[len(stack) - 1]] = pt
-        for i, tl, tr in completed_terms:
+        for i, at in completed:
+            tl, tr = terms[at]
             lhs_at[i + 1] = lhs_at[i] + tl
             rhs_at[i + 1] = rhs_at[i] + tr
 
@@ -1169,9 +1235,9 @@ def _scan_dp(grid):
     no point is above 0. The engine then judges every record in order, as
     the walk judges each new maximum, and the last one is the witness.
     """
-    acc0, free, _ = grid.automaton
+    acc0, free = grid.acc0, grid.free
     (ls, le, rs, re_, cn, cd, _), = grid.frames
-    options, K, zero = grid.options, len(free), (0, 0)
+    options, terms, K, zero = grid.options, grid.terms, len(free), (0, 0)
     # edges[k][s]: the moves from state s of layer k, in walk order, as
     # (element, lhs, rhs, index of the state it reaches in layer k + 1);
     # layer K holds one state, the end of every point
@@ -1190,7 +1256,8 @@ def _scan_dp(grid):
             out = []
             for pt, a, completed in options(k, pairs, acc):
                 lhs = rhs = 0
-                for i, tl, tr in completed:
+                for i, at in completed:
+                    tl, tr = terms[at]
                     if ls <= i < le:
                         lhs += tl
                     if rs <= i < re_:
@@ -1270,10 +1337,13 @@ def _scan_dp(grid):
 
 # what one edge of the DP's size bound costs, in walk visits: the DP passes
 # over its edges to count and once per record, the walk visits each
-# admissible point once, and planned bounds those. Timed both ways on the
-# 132 grids of the 8 statements with lengths 3-8, bounds 1-5 and planned
-# >= 50, 1.5 came within about 2% (geometric mean) of always taking the
-# faster path, closer than 1, 2 or 4
+# admissible point once, and planned bounds those. Timed both ways on kept
+# graphs, on the 144 grids of the 8 statements with lengths 3-8, bounds 1-5
+# and 50 <= planned <= 200,000 (exponents (2, 2), T2_2 (1, 1)), 1.5 came
+# within 2.9% (geometric mean) of always taking the faster path, closer
+# than 0.5, 1, 2, 3, 4 or 6 (4.9%, 3.8%, 3.4%, 4.9%, 5.4%, 11.1%); 26 of
+# the 104 grids it gives the DP ran faster walked, T4_1 L7 B1 and L8 B1
+# the most (the DP took 1.45 times as long)
 _DP_PASS_FACTOR = 1.5
 
 
@@ -1317,22 +1387,25 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     (see _scan_rules) is never extended, and its points are decided with it
     in every window. The tests are exact, so every point reached is
     admissible in every window. The moves at each free position, each with
-    the terms it completes, are the grid's one layered graph (_scan_graph),
-    built once per grid and read by both paths below.
+    the elements of the terms it completes, are the grid's one layered
+    graph (_scan_graph), read by both paths below, which take each term's
+    value from the scan's term table (_ScanGrid.terms).
 
     What reads no exponent outlives the scan, keyed by exactly what it
-    reads: the step tests, the moves and the pair terms per choice list
-    (_scan_tables, keyed by the choices, which the bound and the
-    statement's family fix), and the graph's readers per (arity, operator,
-    length, free positions) (_scan_readers). Each cache keeps the
-    _SCAN_KEPT = 4 most recently used entries. So a sweep over statements,
-    lengths and exponents at one bound computes each step test, move and
-    pair term once. The options lists, the single-sequence terms (which
-    read l1 and l2), the frames and the paths' own state are built anew
-    for each scan. What a scan leaves behind grows with the distinct
-    elements it reached: after one scan of T3_6 at length 3 and bound 5
-    from empty caches, tracemalloc counts 2.7 MB retained (its peak is
-    7.0 MB), after T3_5 at length 8 and bound 6 0.18 MB.
+    reads: the grid's layered graph per (rules, length, free positions,
+    arity, operator, choices) (_scan_kept), and the step tests, the moves
+    and the pair terms per choice list (_scan_tables, keyed by the choices,
+    which the bound and the statement's family fix). Each cache keeps the
+    _SCAN_KEPT = 4 most recently used entries, and a graph or pair-term
+    table that passes _SCAN_CAP entries is left to the scan that filled
+    it. So a sweep over exponents builds a kept grid's graph once, and one
+    over statements and lengths at one bound computes each step test, move
+    and pair term once. The single-sequence terms (which read l1 and l2),
+    the frames and the paths' own state are built anew for each scan. What
+    a scan leaves behind is bounded by the cap and by its step tests and
+    moves: after one scan of T3_6 at length 3 and bound 5 from empty
+    caches, tracemalloc counts 0.06 MB retained (its peak is 6.2 MB), after
+    T3_5 at length 8 and bound 6 0.18 MB, nearly all step tests and moves.
 
     A grid is decided on one of two paths, with the same report:
     - The walk (_scan_walk) visits the admissible points depth first in
@@ -1348,7 +1421,8 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
       statements, when planned exceeds _DP_PASS_FACTOR times the DP's size
       bound (_dp_decides), and hands the grid to the walk when some point
       violates the inequality, so violations stay exact; the walk reads
-      every options list the DP has built again.
+      every options list the DP has built again, since the DP prunes only
+      its own copies of them.
     The engine judges only what the report shows: each violation and each
     point that raises the maximum is checked by check_single or
     check_pair (_ScanGrid.judge, on both paths), and RuntimeError is

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import random
 import time
@@ -828,9 +829,9 @@ def _record_calls(monkeypatch, names):
 
 def _cold_scan_caches():
     # empty the tables that ratio_scan keeps across calls, so that the next
-    # scan computes every step test, move, term and reader it reads
+    # scan computes every step test, move, term and options list it reads
     oracle._scan_tables.cache_clear()
-    oracle._scan_readers.cache_clear()
+    oracle._scan_kept.cache_clear()
 
 
 def _assert_each_once(calls):
@@ -894,36 +895,99 @@ def test_scan_warm_tables_give_the_cold_reports(spec, monkeypatch):
     assert ran == len(cold) >= 8
 
 
+def _count_moves(monkeypatch):
+    # the arguments of each call of a move from now on: a layered graph
+    # calls its move once for each options list it builds
+    calls = []
+
+    def counted_moves(*args, _real=oracle._scan_moves):
+        move = _real(*args)
+
+        def counted(*key):
+            calls.append(key)
+            return move(*key)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "_scan_moves", counted_moves)
+    return calls
+
+
 @pytest.mark.parametrize("tid,length,bound", [("T3_1", 4, 3), ("T3_6", 3, 2)])
 def test_a_second_scan_reuses_the_exponent_free_tables(tid, length, bound, monkeypatch):
-    # after a scan of the same grid at (1, 1), the scan at (2, 3) runs no
-    # step test again, and for a pair (which takes no exponents) no pair
-    # term; a single sequence's terms read the exponents and are computed
-    # again. The report is the one from empty tables
+    # after a scan of the same grid at (1, 1), the scan at (2, 3) builds no
+    # options list and runs no step test again, and for a pair (which takes
+    # no exponents) computes no pair term; a single sequence's terms read
+    # the exponents and are computed again. The report is the one from
+    # empty tables
     args = {"length": length, "bound": bound}
     _cold_scan_caches()
     want = ratio_scan(tid, 2, 3, **args).to_jsonable()
     _cold_scan_caches()
+    moves = _count_moves(monkeypatch)
     ratio_scan(tid, 1, 1, **args)
+    assert moves
+    moves.clear()
     calls = _record_calls(monkeypatch, ("_scan_step", "_step_term", "_pair_term"))
     assert ratio_scan(tid, 2, 3, **args).to_jsonable() == want
-    assert calls["_scan_step"] == [] and calls["_pair_term"] == []
+    assert moves == [] and calls["_scan_step"] == [] and calls["_pair_term"] == []
     assert bool(calls["_step_term"]) == (lookup(tid).arity == 1)
 
 
+@pytest.mark.parametrize("tid,other,length,bound", [("T3_1", "T4_1", 4, 3), ("T3_2", "T4_2", 4, 2)])
+def test_a_graph_of_the_other_operator_is_not_reused(tid, other, length, bound, monkeypatch):
+    # the two statements have the same hypotheses, so the same moves, but
+    # the operator sets the index of each step's term: after a scan of tid,
+    # a scan of other gives the report from empty tables, and runs the
+    # engine as often
+    calls = _count_engine_calls(monkeypatch)
+    args = {"length": length, "bound": bound}
+    _cold_scan_caches()
+    want = ratio_scan(other, 2, 3, **args).to_jsonable(), len(calls)
+    _cold_scan_caches()
+    ratio_scan(tid, 2, 3, **args)
+    calls.clear()
+    assert (ratio_scan(other, 2, 3, **args).to_jsonable(), len(calls)) == want
+
+
 def test_scan_caches_stay_bounded():
-    # more distinct bounds (choice lists) and lengths (reader layouts) than
-    # the caches keep: each holds at most _SCAN_KEPT entries
+    # more distinct bounds (choice lists) and lengths (graphs) than the
+    # caches keep: each holds at most _SCAN_KEPT entries
     _cold_scan_caches()
     kept = oracle._SCAN_KEPT
     for n in range(kept + 2):
         ratio_scan("T3_1", length=3, bound=n)
         ratio_scan("T3_1", length=2 + n, bound=1)
-        for cache in (oracle._scan_tables, oracle._scan_readers):
+        for cache in (oracle._scan_tables, oracle._scan_kept):
             info = cache.cache_info()
             assert info.maxsize == kept and info.currsize <= kept
     assert oracle._scan_tables.cache_info().currsize == kept
-    assert oracle._scan_readers.cache_info().currsize == kept
+    assert oracle._scan_kept.cache_info().currsize == kept
+
+
+# (statement, length, bound, the bytes one scan left behind before the
+# layered graph was kept, on Python 3.11): the two pair grids left their
+# pair terms, T3_5 its step tests and moves, and T3_2 its readers of 4999
+# positions
+@pytest.mark.parametrize("tid,length,bound,parent", [
+    ("T3_6", 3, 5, 2_686_304), ("T3_7", 3, 4, 819_360), ("T3_5", 8, 6, 180_864),
+    ("T3_2", 5000, 0, 2_301_880),
+])
+def test_scan_caches_keep_at_most_the_cap(tid, length, bound, parent):
+    # what one scan from empty caches leaves behind (tracemalloc) is at most
+    # what it left before the graphs were kept: a graph or pair-term table
+    # past _SCAN_CAP entries is the scan's own
+    ratio_scan(tid, length=3, bound=1)   # loads what a first scan loads
+    _cold_scan_caches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ratio_scan(tid, length=length, bound=bound, budget=10**9)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= parent
 
 
 def _grid_points(spec, length, choices):
@@ -1049,6 +1113,35 @@ def test_scan_dp_leaves_violating_grids_to_the_walk(monkeypatch):
     assert report.violations > 0 and report.max_ratio > 1
     assert report.to_jsonable() == walked.to_jsonable()
     assert scan_calls == len(calls)
+
+
+def test_a_grid_the_dp_hands_to_the_walk_keeps_its_lists(monkeypatch):
+    # the quarter-constant T3_5 grid above, scanned from empty tables and
+    # again on its kept graph: the DP builds every options list, prunes its
+    # own copies of them and hands the grid to the walk, which reads the
+    # same lists. Every list read is, at the end, as it was when first read
+    spec = lookup("T3_5")
+    monkeypatch.setitem(theorems._REGISTRY, spec.id, replace(
+        spec, constant_fn=lambda *args: spec.constant_fn(*args) / 4))
+    first_read = {}
+
+    def recorded(*args, _real=oracle._scan_graph):
+        options = _real(*args)
+
+        def reading(k, pairs, acc):
+            opts = options(k, pairs, acc)
+            first_read.setdefault(id(opts), (opts, list(opts)))
+            return opts
+
+        return reading
+
+    monkeypatch.setattr(oracle, "_scan_graph", recorded)
+    _cold_scan_caches()
+    want = ratio_scan(spec.id, length=5, bound=3).to_jsonable()
+    assert want["violations"] > 0
+    assert ratio_scan(spec.id, length=5, bound=3).to_jsonable() == want
+    assert first_read
+    assert all(opts == seen for opts, seen in first_read.values())
 
 
 def test_scan_dp_reaches_a_grid_the_walk_cannot():
