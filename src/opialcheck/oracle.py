@@ -827,47 +827,23 @@ def _scan_step(tests, prev, pt):
 # over exponents reuses one graph, and one over statements and lengths at
 # one bound one or two choice lists (the real and the interval ones)
 _SCAN_KEPT = 4
-# the most entries a kept table holds: a layered graph's free positions,
-# options lists and edges, or a pair-term table's terms. A table that passes
-# it leaves its cache's slot, so the scan that filled it keeps it alone and
-# the next one starts a new table. Of the scan_grids grids, T3_6 L3 B2 has
-# the largest graph, 396 entries (4 positions, 104 lists, 288 edges), and
-# 225 pair terms; T3_5 L8 B6 has 3,114 and T3_6 L3 B5 19,179
+# the most entries a kept layered graph holds: its free positions, options
+# lists, edges and terms. A graph that passes it leaves its cache's slot,
+# so the scan that filled it keeps it alone and the next one starts a new
+# graph. Of the scan_grids grids, T3_6 L3 B2 has the largest graph, 621
+# entries (4 positions, 104 lists, 288 edges, 225 pair terms); T3_5 L8 B6
+# has 3,757 and T3_6 L3 B5 35,055
 _SCAN_CAP = 1024
-
-
-class _Terms(dict):
-    """A term table: terms[at] is the pair of integer terms (lhs, rhs) of
-    the elements at that a term reads, term(*at), computed on first read.
-    slot, when not None, is the one-element list of a cache that keeps the
-    table; once the table holds more than _SCAN_CAP terms, it leaves the
-    slot to a new, empty table."""
-
-    __slots__ = ("term", "slot")
-
-    def __init__(self, term, slot=None):
-        self.term, self.slot = term, slot
-
-    def __missing__(self, at):
-        t = self[at] = self.term(*at)
-        if self.slot is not None and len(self) > _SCAN_CAP:
-            self.slot[0] = _Terms(self.term, self.slot)
-            self.slot = None
-        return t
 
 
 @functools.lru_cache(maxsize=_SCAN_KEPT)
 def _scan_tables(choices):
     """The scan tables over the tuple choices that read no exponent, kept
-    across ratio_scan calls: (steps, moves, pair_slot), the memos of the
-    automaton's step tests and moves (_scan_moves) and a one-element list
-    holding the pair statements' term table (_Terms). A step test is keyed
-    by (tests, prev, pt), a move by its rule and what the rule reads, a
-    pair term by (u_{p-1}, u_p, v_{p-1}, v_p). None reads a statement, a
-    length or an exponent."""
-    pair_slot = [None]
-    pair_slot[0] = _Terms(lambda a, b, c, d: _pair_term(*a, *b, *c, *d), pair_slot)
-    return {}, {}, pair_slot
+    across ratio_scan calls: (steps, moves), the memos of the automaton's
+    step tests and moves (_scan_moves). A step test is keyed by (tests,
+    prev, pt), a move by its rule and what the rule reads. Neither reads a
+    statement, a length or an exponent."""
+    return {}, {}
 
 
 def _scan_layout(spec, L):
@@ -892,7 +868,7 @@ def _scan_layout(spec, L):
 def _scan_moves(rule_at, choices):
     """move(k, prev, acc, u_zero), the moves at the k-th free position of
     a layout (_scan_layout) over the tuple choices; see _scan_automaton."""
-    steps, moves, _ = _scan_tables(choices)
+    steps, moves = _scan_tables(choices)
 
     def admitted(anchor, into, out, no_zero, prev, acc):
         found = []
@@ -983,7 +959,7 @@ def _scan_readers(single, nabla, L, free):
 @functools.lru_cache(maxsize=_SCAN_KEPT)
 def _scan_kept(rule_at, L, free, single, nabla, choices):
     """The slot of the layered graph (_scan_graph) of a grid, kept across
-    ratio_scan calls: a one-element list holding its options function, or
+    ratio_scan calls: a one-element list holding its bind function, or
     None for the next scan to build it. The graph is keyed by all it reads:
     the layout's rules and free positions (_scan_layout), L, the arity, the
     operator (which sets each term's index) and the choices."""
@@ -993,23 +969,29 @@ def _scan_kept(rule_at, L, free, single, nabla, choices):
 def _scan_graph(rule_at, L, free, single, nabla, choices):
     """The layered graph of a grid on the layout (_scan_layout) rule_at,
     free over the tuple choices, the one copy that the walk and the DP
-    read: options(k, pairs, acc) lists the moves (_scan_moves) at free[k]
-    after the prefix in pairs (the walk positions' elements, u then v) with
+    read, as bind: bind(l1, l2) gives a scan's (options, values).
+    options(k, pairs, acc) lists the moves (_scan_moves) at free[k] after
+    the prefix in pairs (the walk positions' elements, u then v) with
     running order bits acc, in walk order, each as (element, order bits
-    after it, completed). completed holds (i, at) for each term that
-    choosing the element completes: its index and the elements it reads
-    (_scan_readers), the key of the scan's term table (_ScanGrid.terms).
-    Those run up to the next free position, so they also hold the terms of
-    any anchors before free[0].
+    after it, completed). completed holds (i, j) for each term that choosing
+    the element completes: its index and the position of its integer terms
+    (lhs, rhs) in values. Those run up to the next free position, so they
+    also hold the terms of any anchors before free[0].
 
     A list depends only on k, acc and the elements before free[k] that its
     moves and terms read: the element before it, for v the element of u at
-    its index, and those its terms read. It is keyed by exactly these, so a
-    single sequence's key (k, element before free[k], acc) is a state of the
-    DP's layer k, and its moves are the state's edges; options writes the
-    elements it tries to pairs[free[k]]. Nothing in it reads an exponent or
-    a sum, so the graph is built once and kept (_scan_kept) while it holds
-    at most _SCAN_CAP entries; no scan changes a list once built.
+    its index, and those its terms read (_scan_readers). It is keyed by
+    exactly these, so a single sequence's key (k, element before free[k],
+    acc) is a state of the DP's layer k, and its moves are the state's
+    edges; options writes the elements it tries to pairs[free[k]].
+
+    Each distinct term has one position j in the graph, by the elements it
+    reads, so no list reads an exponent: a pair's terms read none either,
+    and the graph holds their values; a single sequence's read l1 and l2,
+    so the graph holds their elements and each scan computes its values
+    from them. The graph is kept (_scan_kept) while it holds at most
+    _SCAN_CAP entries, and a list enters it only once complete, as a tuple;
+    past the cap it is the filling scan's own.
     """
     # a graph with more free positions than the cap is not looked up, so
     # that its key is not kept either
@@ -1021,43 +1003,67 @@ def _scan_graph(rule_at, L, free, single, nabla, choices):
     fills, context = _scan_readers(single, nabla, L, free)
     move = _scan_moves(rule_at, choices)
     graph = {}
+    # ids[at]: the position of the term on the elements at; keys[j]: its
+    # elements (a single sequence) or its values (a pair)
+    ids, keys = {}, []
     entries = len(free)
+    # whether the slot holds the graph; no list refers to bind, so a graph
+    # that is not kept is freed with its last scan
+    kept = entries <= _SCAN_CAP
 
-    def options(k, pairs, acc):
-        nonlocal entries
-        key = (k, context[k](pairs), acc)
-        opts = graph.get(key)
-        if opts is not None:
+    def bind(l1, l2):
+        values = [_step_term(*a, *b, l1, l2, nabla) for a, b in keys] if single else keys
+
+        def options(k, pairs, acc):
+            nonlocal entries, kept
+            key = (k, context[k](pairs), acc)
+            opts = graph.get(key)
+            if opts is not None:
+                return opts
+            q = free[k]
+            opts, known = [], len(keys)
+            for pt, a in move(k, pairs[q - 1], acc, single or pairs[q - L] == (0, 0)):
+                pairs[q] = pt
+                completed = []
+                for i, read in fills[k]:
+                    at = read(pairs)
+                    j = ids.get(at)
+                    if j is None:
+                        # its value before its position, so that a term
+                        # stopped on the way has none
+                        if single:
+                            values.append(_step_term(*at[0], *at[1], l1, l2, nabla))
+                            keys.append(at)
+                        else:
+                            keys.append(_pair_term(*at[0], *at[1], *at[2], *at[3]))
+                        j = ids[at] = len(keys) - 1
+                    completed.append((i, j))
+                opts.append((pt, a, tuple(completed)))
+            opts = graph[key] = tuple(opts)
+            if kept:
+                entries += 1 + len(opts) + len(keys) - known
+                if entries > _SCAN_CAP:
+                    kept = slot[0] = None
             return opts
-        q = free[k]
-        opts = graph[key] = []
-        for pt, a in move(k, pairs[q - 1], acc, single or pairs[q - L] == (0, 0)):
-            pairs[q] = pt
-            opts.append((pt, a, tuple((i, read(pairs)) for i, read in fills[k])))
-        entries += 1 + len(opts)
-        if entries > _SCAN_CAP and slot[0] is options:
-            slot[0] = None
-        return opts
 
-    if entries <= _SCAN_CAP:
-        slot[0] = options
-    return options
+        return options, values
+
+    if kept:
+        slot[0] = bind
+    return bind
 
 
 class _ScanGrid:
     """A grid of ratio_scan, validated, and what its walk and its DP share:
     the statement and its exponents, planned, the starting order bits and
     free positions of its admissibility automaton (_scan_layout), one frame
-    per window, the layered graph (options, _scan_graph), the term table
-    that binds the graph's terms to this scan (terms) and the engine's
-    check of a point (judge). The terms of a single sequence read l1 and
-    l2, so each scan fills its own table; a pair's read no exponent and
-    come from the choice list's table (_scan_tables). Nothing is built
-    before planned is known to be within budget: BudgetExceeded is raised
-    first."""
+    per window, the layered graph bound to the scan's exponents (options
+    and the terms' values, _scan_graph) and the engine's check of a point
+    (judge). Nothing is built before planned is known to be within budget:
+    BudgetExceeded is raised first."""
 
     __slots__ = ("spec", "l1", "l2", "length", "bound", "planned", "choices",
-                 "acc0", "free", "frames", "options", "terms")
+                 "acc0", "free", "frames", "options", "values")
 
     def __init__(self, theorem, l1, l2, length, bound, budget):
         spec = lookup(theorem)
@@ -1113,9 +1119,8 @@ class _ScanGrid:
                                 const.numerator, const.denominator, window))
         single = spec.arity == 1
         nabla = spec.operator is Operator.NABLA
-        self.options = _scan_graph(rule_at, L, self.free, single, nabla, self.choices)
-        self.terms = (_Terms(lambda a, b: _step_term(*a, *b, l1, l2, nabla)) if single
-                      else _scan_tables(self.choices)[2][0])
+        self.options, self.values = _scan_graph(rule_at, L, self.free, single, nabla,
+                                                self.choices)(l1, l2)
 
     def judge(self, pairs, lhs, crhs, cd, window):
         """(input, verdict): the point whose walk positions hold pairs, and
@@ -1153,7 +1158,7 @@ def _scan_walk(grid):
     and counts violations exactly (see ratio_scan)."""
     L = grid.length
     acc0, free = grid.acc0, grid.free
-    options, terms, frames = grid.options, grid.terms, grid.frames
+    options, values, frames = grid.options, grid.values, grid.frames
     pairs = [(0, 0)] * (grid.spec.arity * L)
     lhs_at = [0] * (L + 1)
     rhs_at = [0] * (L + 1)
@@ -1176,8 +1181,8 @@ def _scan_walk(grid):
             # the engine, and only then is the choice written to pairs
             points += len(opts)
             for pt, _, completed in opts:
-                for i, at in completed:
-                    tl, tr = terms[at]
+                for i, j in completed:
+                    tl, tr = values[j]
                     lhs_at[i + 1] = lhs_at[i] + tl
                     rhs_at[i + 1] = rhs_at[i] + tr
                 for sl, el, sr, er, cn, cd, window in frames:
@@ -1202,8 +1207,8 @@ def _scan_walk(grid):
             break
         pt, acc, completed = step
         pairs[free[len(stack) - 1]] = pt
-        for i, at in completed:
-            tl, tr = terms[at]
+        for i, j in completed:
+            tl, tr = values[j]
             lhs_at[i + 1] = lhs_at[i] + tl
             rhs_at[i + 1] = rhs_at[i] + tr
 
@@ -1237,7 +1242,7 @@ def _scan_dp(grid):
     """
     acc0, free = grid.acc0, grid.free
     (ls, le, rs, re_, cn, cd, _), = grid.frames
-    options, terms, K, zero = grid.options, grid.terms, len(free), (0, 0)
+    options, values, K, zero = grid.options, grid.values, len(free), (0, 0)
     # edges[k][s]: the moves from state s of layer k, in walk order, as
     # (element, lhs, rhs, index of the state it reaches in layer k + 1);
     # layer K holds one state, the end of every point
@@ -1256,8 +1261,8 @@ def _scan_dp(grid):
             out = []
             for pt, a, completed in options(k, pairs, acc):
                 lhs = rhs = 0
-                for i, at in completed:
-                    tl, tr = terms[at]
+                for i, j in completed:
+                    tl, tr = values[j]
                     if ls <= i < le:
                         lhs += tl
                     if rs <= i < re_:
@@ -1338,12 +1343,12 @@ def _scan_dp(grid):
 # what one edge of the DP's size bound costs, in walk visits: the DP passes
 # over its edges to count and once per record, the walk visits each
 # admissible point once, and planned bounds those. Timed both ways on kept
-# graphs, on the 144 grids of the 8 statements with lengths 3-8, bounds 1-5
-# and 50 <= planned <= 200,000 (exponents (2, 2), T2_2 (1, 1)), 1.5 came
-# within 2.9% (geometric mean) of always taking the faster path, closer
-# than 0.5, 1, 2, 3, 4 or 6 (4.9%, 3.8%, 3.4%, 4.9%, 5.4%, 11.1%); 26 of
-# the 104 grids it gives the DP ran faster walked, T4_1 L7 B1 and L8 B1
-# the most (the DP took 1.45 times as long)
+# graphs (best of 21), on the 144 grids of the 8 statements with lengths
+# 3-8, bounds 1-5 and 50 <= planned <= 200,000 (exponents (2, 2), T2_2
+# (1, 1)), 1.5 came within 4.3% (geometric mean) of always taking the
+# faster path, as close as 2 and closer than 0.5, 1, 3, 4 or 6 (7.7%,
+# 6.1%, 5.5%, 5.7%, 10.1%); 34 of the 104 grids it gives the DP ran faster
+# walked, T4_1 L7 B1 and L8 B1 the most (the DP took 1.6 times as long)
 _DP_PASS_FACTOR = 1.5
 
 
@@ -1387,25 +1392,26 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     (see _scan_rules) is never extended, and its points are decided with it
     in every window. The tests are exact, so every point reached is
     admissible in every window. The moves at each free position, each with
-    the elements of the terms it completes, are the grid's one layered
+    the positions of the terms it completes, are the grid's one layered
     graph (_scan_graph), read by both paths below, which take each term's
-    value from the scan's term table (_ScanGrid.terms).
+    integers from the scan's values (_ScanGrid.values).
 
     What reads no exponent outlives the scan, keyed by exactly what it
-    reads: the grid's layered graph per (rules, length, free positions,
-    arity, operator, choices) (_scan_kept), and the step tests, the moves
-    and the pair terms per choice list (_scan_tables, keyed by the choices,
-    which the bound and the statement's family fix). Each cache keeps the
-    _SCAN_KEPT = 4 most recently used entries, and a graph or pair-term
-    table that passes _SCAN_CAP entries is left to the scan that filled
-    it. So a sweep over exponents builds a kept grid's graph once, and one
-    over statements and lengths at one bound computes each step test, move
-    and pair term once. The single-sequence terms (which read l1 and l2),
-    the frames and the paths' own state are built anew for each scan. What
-    a scan leaves behind is bounded by the cap and by its step tests and
-    moves: after one scan of T3_6 at length 3 and bound 5 from empty
-    caches, tracemalloc counts 0.06 MB retained (its peak is 6.2 MB), after
-    T3_5 at length 8 and bound 6 0.18 MB, nearly all step tests and moves.
+    reads: the grid's layered graph, with its readers and its terms' elements
+    (for a pair, their values), per (rules, length, free positions, arity,
+    operator, choices) (_scan_kept), and the step tests and the moves per
+    choice list (_scan_tables, keyed by the choices, which the bound and
+    the statement's family fix). Each cache keeps the _SCAN_KEPT = 4 most
+    recently used entries, and a graph that passes _SCAN_CAP entries is
+    left to the scan that filled it. So a sweep over exponents builds a
+    kept grid's graph once, and one over statements and lengths at one
+    bound computes each step test and move once. The single-sequence term
+    values (which read l1 and l2), the frames and the paths' own state are
+    built anew for each scan. What a scan leaves behind is bounded by the
+    cap and by its step tests and moves: after one scan of T3_6 at length 3
+    and bound 5 from empty caches, tracemalloc counts 0.06 MB retained (its
+    peak is 6.7 MB), after T3_5 at length 8 and bound 6 0.18 MB, nearly all
+    step tests and moves.
 
     A grid is decided on one of two paths, with the same report:
     - The walk (_scan_walk) visits the admissible points depth first in

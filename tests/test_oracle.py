@@ -913,29 +913,32 @@ def _count_moves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("tid,length,bound", [("T3_1", 4, 3), ("T3_6", 3, 2)])
+# the four grids of the scan_grids benchmark: each graph stays under the cap
+@pytest.mark.parametrize("tid,length,bound", [("T3_1", 4, 3), ("T3_6", 3, 2), ("T3_5", 5, 3),
+                                              ("T2_2", 7, 3)])
 def test_a_second_scan_reuses_the_exponent_free_tables(tid, length, bound, monkeypatch):
-    # after a scan of the same grid at (1, 1), the scan at (2, 3) builds no
-    # options list and runs no step test again, and for a pair (which takes
-    # no exponents) computes no pair term; a single sequence's terms read
-    # the exponents and are computed again. The report is the one from
-    # empty tables
+    # after a scan of the same grid at (1, 1), the scan at (2, 3) (T2_2 at
+    # its one pair, (1, 1)) builds no options list and runs no step test
+    # again, and for a pair (which takes no exponents) computes no pair
+    # term; a single sequence's terms read the exponents and are computed
+    # again. The report is the one from empty tables
     args = {"length": length, "bound": bound}
+    l1, l2 = (1, 1) if tid == "T2_2" else (2, 3)
     _cold_scan_caches()
-    want = ratio_scan(tid, 2, 3, **args).to_jsonable()
+    want = ratio_scan(tid, l1, l2, **args).to_jsonable()
     _cold_scan_caches()
     moves = _count_moves(monkeypatch)
     ratio_scan(tid, 1, 1, **args)
     assert moves
     moves.clear()
     calls = _record_calls(monkeypatch, ("_scan_step", "_step_term", "_pair_term"))
-    assert ratio_scan(tid, 2, 3, **args).to_jsonable() == want
+    assert ratio_scan(tid, l1, l2, **args).to_jsonable() == want
     assert moves == [] and calls["_scan_step"] == [] and calls["_pair_term"] == []
     assert bool(calls["_step_term"]) == (lookup(tid).arity == 1)
 
 
 @pytest.mark.parametrize("tid,other,length,bound", [("T3_1", "T4_1", 4, 3), ("T3_2", "T4_2", 4, 2)])
-def test_a_graph_of_the_other_operator_is_not_reused(tid, other, length, bound, monkeypatch):
+def test_a_scan_graph_of_the_other_operator_is_not_reused(tid, other, length, bound, monkeypatch):
     # the two statements have the same hypotheses, so the same moves, but
     # the operator sets the index of each step's term: after a scan of tid,
     # a scan of other gives the report from empty tables, and runs the
@@ -948,6 +951,42 @@ def test_a_graph_of_the_other_operator_is_not_reused(tid, other, length, bound, 
     ratio_scan(tid, 2, 3, **args)
     calls.clear()
     assert (ratio_scan(other, 2, 3, **args).to_jsonable(), len(calls)) == want
+
+
+def test_an_interrupted_scan_keeps_no_part_of_a_list(monkeypatch):
+    # a scan stopped while it builds an options list (the first list with
+    # more than one move stops after its first) leaves no part of that list
+    # in the kept graph: the next scan of the grid, which reads the same
+    # graph and moves, gives the report from empty tables
+    class Stopped(Exception):
+        pass
+
+    def stop():
+        raise Stopped
+
+    args = {"length": 4, "bound": 3}
+    _cold_scan_caches()
+    want = ratio_scan("T3_1", 2, 3, **args).to_jsonable()
+    _cold_scan_caches()
+    stopped = []
+
+    def stopping_moves(*args, _real=oracle._scan_moves):
+        move = _real(*args)
+
+        def stopping_once(*key):
+            found = move(*key)
+            if stopped or len(found) < 2:
+                return found
+            stopped.append(key)
+            return itertools.chain(found[:1], iter(stop, None))
+
+        return stopping_once
+
+    monkeypatch.setattr(oracle, "_scan_moves", stopping_moves)
+    with pytest.raises(Stopped):
+        ratio_scan("T3_1", 2, 3, **args)
+    assert stopped and oracle._scan_kept.cache_info().currsize == 1
+    assert ratio_scan("T3_1", 2, 3, **args).to_jsonable() == want
 
 
 def test_scan_caches_stay_bounded():
@@ -967,16 +1006,15 @@ def test_scan_caches_stay_bounded():
 
 # (statement, length, bound, the bytes one scan left behind before the
 # layered graph was kept, on Python 3.11): the two pair grids left their
-# pair terms, T3_5 its step tests and moves, and T3_2 its readers of 4999
-# positions
+# pair terms and T3_2 its readers of 4999 positions, which now belong to
+# the grid's graph
 @pytest.mark.parametrize("tid,length,bound,parent", [
-    ("T3_6", 3, 5, 2_686_304), ("T3_7", 3, 4, 819_360), ("T3_5", 8, 6, 180_864),
-    ("T3_2", 5000, 0, 2_301_880),
+    ("T3_6", 3, 5, 2_686_304), ("T3_7", 3, 4, 819_360), ("T3_2", 5000, 0, 2_301_880),
 ])
 def test_scan_caches_keep_at_most_the_cap(tid, length, bound, parent):
     # what one scan from empty caches leaves behind (tracemalloc) is at most
-    # what it left before the graphs were kept: a graph or pair-term table
-    # past _SCAN_CAP entries is the scan's own
+    # what it left before the graphs were kept: a graph past _SCAN_CAP
+    # entries, with its terms and readers, is the scan's own
     ratio_scan(tid, length=3, bound=1)   # loads what a first scan loads
     _cold_scan_caches()
     gc.collect()
@@ -1115,7 +1153,7 @@ def test_scan_dp_leaves_violating_grids_to_the_walk(monkeypatch):
     assert scan_calls == len(calls)
 
 
-def test_a_grid_the_dp_hands_to_the_walk_keeps_its_lists(monkeypatch):
+def test_a_grid_the_scan_dp_hands_to_the_walk_keeps_its_lists(monkeypatch):
     # the quarter-constant T3_5 grid above, scanned from empty tables and
     # again on its kept graph: the DP builds every options list, prunes its
     # own copies of them and hands the grid to the walk, which reads the
@@ -1126,14 +1164,19 @@ def test_a_grid_the_dp_hands_to_the_walk_keeps_its_lists(monkeypatch):
     first_read = {}
 
     def recorded(*args, _real=oracle._scan_graph):
-        options = _real(*args)
+        bind = _real(*args)
 
-        def reading(k, pairs, acc):
-            opts = options(k, pairs, acc)
-            first_read.setdefault(id(opts), (opts, list(opts)))
-            return opts
+        def binding(l1, l2):
+            options, values = bind(l1, l2)
 
-        return reading
+            def reading(k, pairs, acc):
+                opts = options(k, pairs, acc)
+                first_read.setdefault(id(opts), (opts, list(opts)))
+                return opts
+
+            return reading, values
+
+        return binding
 
     monkeypatch.setattr(oracle, "_scan_graph", recorded)
     _cold_scan_caches()
@@ -1141,7 +1184,7 @@ def test_a_grid_the_dp_hands_to_the_walk_keeps_its_lists(monkeypatch):
     assert want["violations"] > 0
     assert ratio_scan(spec.id, length=5, bound=3).to_jsonable() == want
     assert first_read
-    assert all(opts == seen for opts, seen in first_read.values())
+    assert all(list(opts) == seen for opts, seen in first_read.values())
 
 
 def test_scan_dp_reaches_a_grid_the_walk_cannot():
