@@ -822,28 +822,17 @@ def _scan_step(tests, prev, pt):
     return d if order else 3
 
 
-# how many choice lists keep their scan tables (_scan_tables), and how many
-# grids their layered graph (_scan_kept), between ratio_scan calls: a sweep
-# over exponents reuses one graph, and one over statements and lengths at
-# one bound one or two choice lists (the real and the interval ones)
+# how many grids keep their layered graph (_scan_kept) between ratio_scan
+# calls, the only scan state that outlives a call: a sweep over exponents
+# reuses one graph
 _SCAN_KEPT = 4
 # the most entries a kept layered graph holds: its free positions, options
 # lists, edges and terms. A graph that passes it leaves its cache's slot,
 # so the scan that filled it keeps it alone and the next one starts a new
 # graph. Of the scan_grids grids, T3_6 L3 B2 has the largest graph, 621
-# entries (4 positions, 104 lists, 288 edges, 225 pair terms); T3_5 L8 B6
-# has 3,757 and T3_6 L3 B5 35,055
+# entries (4 positions, 104 lists, 288 edges, 225 pair terms); T3_6 L3 B3
+# has 2,981 in 372 lists, T3_5 L8 B6 3,757 and T3_6 L3 B5 35,055
 _SCAN_CAP = 1024
-
-
-@functools.lru_cache(maxsize=_SCAN_KEPT)
-def _scan_tables(choices):
-    """The scan tables over the tuple choices that read no exponent, kept
-    across ratio_scan calls: (steps, moves), the memos of the automaton's
-    step tests and moves (_scan_moves). A step test is keyed by (tests,
-    prev, pt), a move by its rule and what the rule reads. Neither reads a
-    statement, a length or an exponent."""
-    return {}, {}
 
 
 def _scan_layout(spec, L):
@@ -866,9 +855,27 @@ def _scan_layout(spec, L):
 
 
 def _scan_moves(rule_at, choices):
-    """move(k, prev, acc, u_zero), the moves at the k-th free position of
-    a layout (_scan_layout) over the tuple choices; see _scan_automaton."""
-    steps, moves = _scan_tables(choices)
+    """move(k, prev, acc, u_zero), the moves of the admissibility automaton
+    at the k-th free position of a layout (_scan_layout) over the tuple
+    choices. Chained from the layout's starting order bits over its free
+    positions, they reach exactly the admissible points, in walk order.
+
+    move lists the choices at free[k] that keep the prefix admissible, in
+    the order of choices, each as (element, order bits after it): prev is
+    the element before free[k], acc the running order bits and u_zero, for
+    v, whether u is [0, 0] at that index (True for a single sequence). An
+    anchor right after free[k] has no choice of its own, so the step into
+    it is tested here; a step between two anchors always passes, and
+    u_{L-1} to v_0 is no step.
+
+    A move depends only on the position's rule (whether it is an anchor,
+    its step test, the test of the step into a following anchor, its zero
+    test), on what the rule reads of prev, acc and u_zero, and on choices,
+    and it is keyed by exactly these: each key, and each step test, is
+    computed once per call of _scan_moves, memoized in its own dicts, and
+    shared by every position with the same rule.
+    """
+    steps, moves = {}, {}
 
     def admitted(anchor, into, out, no_zero, prev, acc):
         found = []
@@ -897,31 +904,6 @@ def _scan_moves(rule_at, choices):
         return found
 
     return move
-
-
-def _scan_automaton(spec, L, choices):
-    """The admissibility automaton of a scan on L elements (per sequence)
-    over choices: (acc0, free, move), the starting order bits, the walk
-    positions that are not anchors and the moves (_scan_layout).
-
-    move(k, prev, acc, u_zero) lists the choices at free[k] that keep the
-    prefix admissible, in the order of choices, each as (element, order
-    bits after it): prev is the element before free[k], acc the running
-    order bits and u_zero, for v, whether u is [0, 0] at that index (True
-    for a single sequence). An anchor right after free[k] has no choice of
-    its own, so the step into it is tested here; a step between two anchors
-    always passes, and u_{L-1} to v_0 is no step.
-
-    A move depends only on the position's rule (whether it is an anchor,
-    its step test, the test of the step into a following anchor, its zero
-    test), on what the rule reads of prev, acc and u_zero, and on choices,
-    and it is keyed by exactly these: each key, and each step test, is
-    computed once per choice list, memoized in the choice list's dicts
-    (_scan_tables), which outlive the scan, and shared by every position,
-    statement, length and exponent pair with the same rule.
-    """
-    acc0, free, rule_at = _scan_layout(spec, L)
-    return acc0, free, _scan_moves(rule_at, tuple(choices))
 
 
 def _scan_readers(single, nabla, L, free):
@@ -991,7 +973,9 @@ def _scan_graph(rule_at, L, free, single, nabla, choices):
     so the graph holds their elements and each scan computes its values
     from them. The graph is kept (_scan_kept) while it holds at most
     _SCAN_CAP entries, and a list enters it only once complete, as a tuple;
-    past the cap it is the filling scan's own.
+    past the cap it is the filling scan's own. The step tests and moves are
+    not kept: each bind memoizes its own (_scan_moves), and a kept list is
+    read without them, since it holds its moves.
     """
     # a graph with more free positions than the cap is not looked up, so
     # that its key is not kept either
@@ -1001,7 +985,6 @@ def _scan_graph(rule_at, L, free, single, nabla, choices):
     if slot[0] is not None:
         return slot[0]
     fills, context = _scan_readers(single, nabla, L, free)
-    move = _scan_moves(rule_at, choices)
     graph = {}
     # ids[at]: the position of the term on the elements at; keys[j]: its
     # elements (a single sequence) or its values (a pair)
@@ -1013,6 +996,8 @@ def _scan_graph(rule_at, L, free, single, nabla, choices):
 
     def bind(l1, l2):
         values = [_step_term(*a, *b, l1, l2, nabla) for a, b in keys] if single else keys
+        # the scan's own step tests and moves, freed with it
+        move = _scan_moves(rule_at, choices)
 
         def options(k, pairs, acc):
             nonlocal entries, kept
@@ -1388,7 +1373,7 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     lexicographically over the positions u_0..u_{L-1} (then v_0..v_{L-1}),
     each taking its choices in increasing (lo, hi) order: the walk order.
     The admissible points are those the moves of the scan's admissibility
-    automaton (_scan_automaton) reach, so a prefix that fails a hypothesis
+    automaton (_scan_moves) reach, so a prefix that fails a hypothesis
     (see _scan_rules) is never extended, and its points are decided with it
     in every window. The tests are exact, so every point reached is
     admissible in every window. The moves at each free position, each with
@@ -1396,22 +1381,20 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     graph (_scan_graph), read by both paths below, which take each term's
     integers from the scan's values (_ScanGrid.values).
 
-    What reads no exponent outlives the scan, keyed by exactly what it
-    reads: the grid's layered graph, with its readers and its terms' elements
-    (for a pair, their values), per (rules, length, free positions, arity,
-    operator, choices) (_scan_kept), and the step tests and the moves per
-    choice list (_scan_tables, keyed by the choices, which the bound and
-    the statement's family fix). Each cache keeps the _SCAN_KEPT = 4 most
-    recently used entries, and a graph that passes _SCAN_CAP entries is
-    left to the scan that filled it. So a sweep over exponents builds a
-    kept grid's graph once, and one over statements and lengths at one
-    bound computes each step test and move once. The single-sequence term
-    values (which read l1 and l2), the frames and the paths' own state are
-    built anew for each scan. What a scan leaves behind is bounded by the
-    cap and by its step tests and moves: after one scan of T3_6 at length 3
-    and bound 5 from empty caches, tracemalloc counts 0.06 MB retained (its
-    peak is 6.7 MB), after T3_5 at length 8 and bound 6 0.18 MB, nearly all
-    step tests and moves.
+    Only the grid's layered graph outlives the scan. It reads no exponent,
+    and it is kept with its readers and its terms' elements (for a pair,
+    their values) per (rules, length, free positions, arity, operator,
+    choices) (_scan_kept), for the _SCAN_KEPT = 4 most recently used grids;
+    a graph that passes _SCAN_CAP entries is left to the scan that filled
+    it. So a sweep over exponents builds a kept grid's graph once. The step
+    tests and moves (_scan_moves), the single-sequence term values (which
+    read l1 and l2), the frames and the paths' own state are built anew for
+    each scan, and a scan on a kept graph tests no step, since the graph
+    lists every move it read. What a scan leaves behind is bounded by the
+    cap: from empty caches, tracemalloc counts 0.027 MB retained after one
+    scan of T3_1 at length 3 and bound 27 (its peak is 44.8 MB), mostly its
+    choices in the cache's key, and 0.002 MB after T3_6 at length 3 and
+    bound 5 (peak 6.7 MB).
 
     A grid is decided on one of two paths, with the same report:
     - The walk (_scan_walk) visits the admissible points depth first in

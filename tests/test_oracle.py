@@ -828,9 +828,9 @@ def _record_calls(monkeypatch, names):
 
 
 def _cold_scan_caches():
-    # empty the tables that ratio_scan keeps across calls, so that the next
-    # scan computes every step test, move, term and options list it reads
-    oracle._scan_tables.cache_clear()
+    # empty the layered graphs that ratio_scan keeps across calls, so that
+    # the next scan computes every step test, move, term and options list it
+    # reads
     oracle._scan_kept.cache_clear()
 
 
@@ -990,42 +990,63 @@ def test_an_interrupted_scan_keeps_no_part_of_a_list(monkeypatch):
 
 
 def test_scan_caches_stay_bounded():
-    # more distinct bounds (choice lists) and lengths (graphs) than the
-    # caches keep: each holds at most _SCAN_KEPT entries
+    # more distinct grids, by bound (choice list) and by length, than the
+    # cache keeps: it holds at most _SCAN_KEPT graphs
     _cold_scan_caches()
     kept = oracle._SCAN_KEPT
     for n in range(kept + 2):
         ratio_scan("T3_1", length=3, bound=n)
         ratio_scan("T3_1", length=2 + n, bound=1)
-        for cache in (oracle._scan_tables, oracle._scan_kept):
-            info = cache.cache_info()
-            assert info.maxsize == kept and info.currsize <= kept
-    assert oracle._scan_tables.cache_info().currsize == kept
+        info = oracle._scan_kept.cache_info()
+        assert info.maxsize == kept and info.currsize <= kept
     assert oracle._scan_kept.cache_info().currsize == kept
 
 
-# (statement, length, bound, the bytes one scan left behind before the
-# layered graph was kept, on Python 3.11): the two pair grids left their
-# pair terms and T3_2 its readers of 4999 positions, which now belong to
-# the grid's graph
-@pytest.mark.parametrize("tid,length,bound,parent", [
-    ("T3_6", 3, 5, 2_686_304), ("T3_7", 3, 4, 819_360), ("T3_2", 5000, 0, 2_301_880),
+# grids whose graphs pass _SCAN_CAP entries: the two pair grids by their
+# pair terms, T3_2 by its 4999 free positions and T3_1 L3 B27, at the
+# default budget, by its 62,930 edges and 62,524 terms. Each id ends in
+# the bytes the scan left behind on Python 3.11 before its row was here:
+# the first three before the graph was kept, T3_1's (its step tests and
+# moves) before the moves were memoized per scan
+@pytest.mark.parametrize("tid,length,bound,budget", [
+    pytest.param("T3_6", 3, 5, 10**9, id="T3_6-3-5-2686304"),
+    pytest.param("T3_7", 3, 4, 10**9, id="T3_7-3-4-819360"),
+    pytest.param("T3_2", 5000, 0, 10**9, id="T3_2-5000-0-2301880"),
+    pytest.param("T3_1", 3, 27, 200_000, id="T3_1-3-27-19886696"),
 ])
-def test_scan_caches_keep_at_most_the_cap(tid, length, bound, parent):
-    # what one scan from empty caches leaves behind (tracemalloc) is at most
-    # what it left before the graphs were kept: a graph past _SCAN_CAP
-    # entries, with its terms and readers, is the scan's own
+def test_scan_caches_keep_at_most_the_cap(tid, length, bound, budget):
+    # what one scan from empty caches leaves behind (tracemalloc) when its
+    # graph passes the cap is at most the cache's key of that graph: a graph
+    # past _SCAN_CAP entries, with its terms, readers, step tests and moves,
+    # is the scan's own. That is under 64 bytes per entry the cap allows,
+    # a third of what a kept graph holds per entry (T3_6 L3 B2 about 180);
+    # T3_1 L3 B27's key, with its 406 choices, is about 27 kB
     ratio_scan(tid, length=3, bound=1)   # loads what a first scan loads
     _cold_scan_caches()
     gc.collect()
     tracemalloc.start()
     try:
-        ratio_scan(tid, length=length, bound=bound, budget=10**9)
+        ratio_scan(tid, length=length, bound=bound, budget=budget)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert retained <= parent
+    assert retained < 64 * oracle._SCAN_CAP
+
+
+def test_a_graph_past_the_cap_by_its_edges_and_terms_is_not_kept(monkeypatch):
+    # T3_6 L3 B3 builds 372 options lists, fewer than _SCAN_CAP, but its
+    # graph has 2,981 entries (4 free positions, 372 lists, 1,380 edges and
+    # 1,225 pair terms): it is not kept, so a second scan builds its lists
+    # and calls its moves again, and gives the report from empty caches
+    args = {"length": 3, "bound": 3}
+    _cold_scan_caches()
+    moves = _count_moves(monkeypatch)
+    want = ratio_scan("T3_6", **args).to_jsonable()
+    assert len(moves) == 372 < oracle._SCAN_CAP
+    moves.clear()
+    assert ratio_scan("T3_6", **args).to_jsonable() == want
+    assert len(moves) == 372
 
 
 def _grid_points(spec, length, choices):
@@ -1044,8 +1065,8 @@ def _grid_points(spec, length, choices):
 
 @pytest.mark.parametrize("spec", registry(), ids=lambda s: s.id.value)
 def test_scan_automaton_reaches_exactly_the_points_in_hypotheses(spec):
-    # chained from its starting order bits over the free positions, the
-    # automaton's moves reach, in walk order, exactly the grid points on
+    # chained from the layout's starting order bits over its free positions,
+    # the automaton's moves reach, in walk order, exactly the grid points on
     # which the hypothesis table holds at the window end L - 1, in
     # lexicographic order (the contract a count or a sampler of the
     # automaton relies on); no sum is read
@@ -1055,7 +1076,8 @@ def test_scan_automaton_reaches_exactly_the_points_in_hypotheses(spec):
                 choices = [(k, k) for k in range(bound + 1)]
             else:
                 choices = [(lo, hi) for lo in range(bound + 1) for hi in range(lo, bound + 1)]
-            acc0, free, move = oracle._scan_automaton(spec, length, choices)
+            acc0, free, rule_at = oracle._scan_layout(spec, length)
+            move = oracle._scan_moves(rule_at, tuple(choices))
             pairs = [(0, 0)] * (length * spec.arity)
             reached = []
 
