@@ -41,6 +41,7 @@ from .theorems import (
     registry,
     _ANCHOR_AT,
     _HYPOTHESES,
+    _Analysis,
     _check_lambdas,
     _frame,
     _holds,
@@ -616,18 +617,24 @@ def _beats(lcd, crhs, bn, bd):
     return lcd * bd > bn * crhs if crhs > 0 else lcd == 0 == crhs and bn < 0
 
 
-def _cross_check(spec, built, l1, l2, window, lhs, rhs, relaxed, where):
+def _cross_check(spec, built, l1, l2, window, lhs, rhs, relaxed, where, analysis=None):
     """The verdict of check_single or check_pair on built, which must have
-    the kernel's sides lhs and rhs and be in hypotheses exactly when nothing
-    is relaxed; RuntimeError, naming the check by where(), when it does not.
-    fuzz and ratio_scan run it on every check their reports show."""
-    verdict = (check_single(built, l1, l2, spec.id, window=window) if spec.arity == 1
-               else check_pair(*built, spec.id, window=window))
-    if verdict.in_hypotheses == relaxed or (verdict.lhs, verdict.rhs) != (lhs, rhs):
+    the kernel's sides lhs and rhs, each a (numerator, denominator) pair of
+    ints with a positive denominator, and be in hypotheses exactly when
+    nothing is relaxed; RuntimeError, naming the check by where(), when it
+    does not. The sides are compared by integer cross-multiplication.
+    analysis, when given, is the engine's _Analysis of built. fuzz and
+    ratio_scan run it on every check their reports show."""
+    verdict = (check_single(built, l1, l2, spec.id, window=window, _analysis=analysis)
+               if spec.arity == 1 else check_pair(*built, spec.id, window=window, _analysis=analysis))
+    (ln, ld), (rn, rd), vl, vr = lhs, rhs, verdict.lhs, verdict.rhs
+    if (verdict.in_hypotheses == relaxed or vl.numerator * ld != ln * vl.denominator
+            or vr.numerator * rd != rn * vr.denominator):
         raise RuntimeError(
-            f"kernel and engine disagree for {spec.id.value} at {where()}: kernel lhs {lhs},"
-            f" rhs {rhs}, {'out of' if relaxed else 'in'} hypotheses; engine lhs"
-            f" {verdict.lhs}, rhs {verdict.rhs}, in_hypotheses {verdict.in_hypotheses}"
+            f"kernel and engine disagree for {spec.id.value} at {where()}: kernel lhs"
+            f" {Fraction(ln, ld)}, rhs {Fraction(rn, rd)}, {'out of' if relaxed else 'in'}"
+            f" hypotheses; engine lhs {verdict.lhs}, rhs {verdict.rhs}, in_hypotheses"
+            f" {verdict.in_hypotheses}"
         )
     return verdict
 
@@ -696,15 +703,18 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
         window = _fuzz_window(spec, rng, base, L)
         if relax:
             built = _relaxed(spec, names, built, relax, rng, L, M)
-        # the engine runs only on a violation or a new maximum, and must agree
+        # the engine runs only on a violation or a new maximum, and must agree;
+        # it runs its own size guard, since a relaxed mutation (_mutate's
+        # monotone, nondecreasing) can step up to 3 * D past the magnitude
+        # that FuzzConfig guarded
         lhs, rhs, scale, const = _kernel_sides(spec, built, l1, l2, window)
         cd, crhs = const.denominator, const.numerator * rhs
         lcd = lhs * cd
         better = _beats(lcd, crhs, bn, bd)
         if not (better or lcd > crhs):
             continue
-        verdict = _cross_check(spec, built, l1, l2, window, Fraction(lhs, scale),
-                               Fraction(crhs, cd * scale), bool(relax), lambda t=t: f"trial {t}")
+        verdict = _cross_check(spec, built, l1, l2, window, (lhs, scale), (crhs, cd * scale),
+                               bool(relax), lambda t=t: f"trial {t}")
         if not verdict.holds:
             violations.append(TrialRecord(
                 trial=t, input=built, lambda1=l1, lambda2=l2, window=window,
@@ -827,11 +837,12 @@ def _scan_step(tests, prev, pt):
 # reuses one graph
 _SCAN_KEPT = 4
 # the most entries a kept layered graph holds: its free positions, options
-# lists, edges and terms. A graph that passes it leaves its cache's slot,
-# so the scan that filled it keeps it alone and the next one starts a new
-# graph. Of the scan_grids grids, T3_6 L3 B2 has the largest graph, 621
-# entries (4 positions, 104 lists, 288 edges, 225 pair terms); T3_6 L3 B3
-# has 2,981 in 372 lists, T3_5 L8 B6 3,757 and T3_6 L3 B5 35,055
+# lists, edges, terms and a single sequence's term classes. A graph that
+# passes it leaves _scan_kept, so the scan that filled it keeps it alone
+# and the next one starts a new graph. Of the scan_grids grids, T3_6 L3 B2
+# has the largest graph, 621 entries (4 positions, 104 lists, 288 edges,
+# 225 pair terms); T3_6 L3 B3 has 2,981 in 372 lists, T3_5 L8 B6 3,805
+# (its 643 terms in 48 classes) and T3_6 L3 B5 35,055
 _SCAN_CAP = 1024
 
 
@@ -938,14 +949,13 @@ def _scan_readers(single, nabla, L, free):
     return tuple(fills), tuple(context)
 
 
-@functools.lru_cache(maxsize=_SCAN_KEPT)
-def _scan_kept(rule_at, L, free, single, nabla, choices):
-    """The slot of the layered graph (_scan_graph) of a grid, kept across
-    ratio_scan calls: a one-element list holding its bind function, or
-    None for the next scan to build it. The graph is keyed by all it reads:
-    the layout's rules and free positions (_scan_layout), L, the arity, the
-    operator (which sets each term's index) and the choices."""
-    return [None]
+# the layered graphs (_scan_graph) kept across ratio_scan calls, as their
+# bind functions, least recently used first. A graph enters when its first
+# scan starts and leaves when it passes _SCAN_CAP entries; after each scan
+# the _SCAN_KEPT most recently used stay (ratio_scan). A graph is keyed
+# by all it reads: the layout's rules and free positions (_scan_layout), L,
+# the arity, the operator (which sets each term's index) and the choices
+_scan_kept = {}
 
 
 def _scan_graph(rule_at, L, free, single, nabla, choices):
@@ -967,30 +977,33 @@ def _scan_graph(rule_at, L, free, single, nabla, choices):
     acc) is a state of the DP's layer k, and its moves are the state's
     edges; options writes the elements it tries to pairs[free[k]].
 
-    Each distinct term has one position j in the graph, by the elements it
-    reads, so no list reads an exponent: a pair's terms read none either,
-    and the graph holds their values; a single sequence's read l1 and l2,
-    so the graph holds their elements and each scan computes its values
-    from them. The graph is kept (_scan_kept) while it holds at most
-    _SCAN_CAP entries, and a list enters it only once complete, as a tuple;
-    past the cap it is the filling scan's own. The step tests and moves are
-    not kept: each bind memoizes its own (_scan_moves), and a kept list is
-    read without them, since it holds its moves.
+    Terms on the same elements share one position j in the graph, so no
+    list reads an exponent. A pair's terms read none either, and the graph
+    holds their values. A single sequence's term reads its two elements only
+    through the norm of its u_i and the norm of its step, the pair that
+    _step_term gives at l1 = 1, l2 = 0; so the terms of one such class
+    share a position, the graph holds one element pair of each class, and
+    each scan computes the class values from those at its own l1 and l2.
+    The graph is kept (_scan_kept) while it holds at most _SCAN_CAP
+    entries, and a list enters it only once complete, as a tuple; past the
+    cap it is the filling scan's own. The step tests and moves are not
+    kept: each bind memoizes its own (_scan_moves), and a kept list is read
+    without them, since it holds its moves.
     """
-    # a graph with more free positions than the cap is not looked up, so
-    # that its key is not kept either
-    slot = [None]
-    if len(free) <= _SCAN_CAP:
-        slot = _scan_kept(rule_at, L, free, single, nabla, choices)
-    if slot[0] is not None:
-        return slot[0]
+    slot = (rule_at, L, free, single, nabla, choices)
+    bind = _scan_kept.pop(slot, None)
+    if bind is not None:
+        _scan_kept[slot] = bind   # the most recently used, last
+        return bind
     fills, context = _scan_readers(single, nabla, L, free)
     graph = {}
-    # ids[at]: the position of the term on the elements at; keys[j]: its
-    # elements (a single sequence) or its values (a pair)
-    ids, keys = {}, []
+    # ids[at]: the position of the term on the elements at; keys[j]: one
+    # element pair of a class of terms (a single sequence) or a term's values
+    # (a pair); classes[c]: the position of a single sequence's class c, the
+    # norms of u_i and of its step (_step_term at l1 = 1, l2 = 0)
+    ids, keys, classes = {}, [], {}
     entries = len(free)
-    # whether the slot holds the graph; no list refers to bind, so a graph
+    # whether _scan_kept holds the graph; no list refers to bind, so a graph
     # that is not kept is freed with its last scan
     kept = entries <= _SCAN_CAP
 
@@ -1006,7 +1019,7 @@ def _scan_graph(rule_at, L, free, single, nabla, choices):
             if opts is not None:
                 return opts
             q = free[k]
-            opts, known = [], len(keys)
+            opts, known = [], len(ids) + len(classes)
             for pt, a in move(k, pairs[q - 1], acc, single or pairs[q - L] == (0, 0)):
                 pairs[q] = pt
                 completed = []
@@ -1014,27 +1027,33 @@ def _scan_graph(rule_at, L, free, single, nabla, choices):
                     at = read(pairs)
                     j = ids.get(at)
                     if j is None:
-                        # its value before its position, so that a term
+                        # a value before its position, so that a term
                         # stopped on the way has none
                         if single:
-                            values.append(_step_term(*at[0], *at[1], l1, l2, nabla))
-                            keys.append(at)
+                            c = _step_term(*at[0], *at[1], 1, 0, nabla)
+                            j = classes.get(c)
+                            if j is None:
+                                values.append(_step_term(*at[0], *at[1], l1, l2, nabla))
+                                keys.append(at)
+                                j = classes[c] = len(keys) - 1
                         else:
                             keys.append(_pair_term(*at[0], *at[1], *at[2], *at[3]))
-                        j = ids[at] = len(keys) - 1
+                            j = len(keys) - 1
+                        ids[at] = j
                     completed.append((i, j))
                 opts.append((pt, a, tuple(completed)))
             opts = graph[key] = tuple(opts)
             if kept:
-                entries += 1 + len(opts) + len(keys) - known
+                entries += 1 + len(opts) + len(ids) + len(classes) - known
                 if entries > _SCAN_CAP:
-                    kept = slot[0] = None
+                    kept = False
+                    _scan_kept.pop(slot, None)
             return opts
 
         return options, values
 
     if kept:
-        slot[0] = bind
+        _scan_kept[slot] = bind
     return bind
 
 
@@ -1063,8 +1082,12 @@ class _ScanGrid:
             raise ValueError("bound must be non-negative")
         if budget < 1:
             raise ValueError("budget must be positive")
-        # the grid's endpoints are integers 0..bound on D = 1
-        _size_guard(bound.bit_length(), 1, length, *((l1, l2) if spec.arity == 1 else (1, 1)))
+        # the grid's endpoints are integers 0..bound on D = 1, whose bit count
+        # as the engine's guard reads it (theorems._end_bits) is one more than
+        # bound's; so this guard covers every point, and judge hands the
+        # engine these exponents as admitted
+        _size_guard(bound.bit_length() + 1, 1, length,
+                    *((l1, l2) if spec.arity == 1 else (1, 1)))
         L = length
         e = L - 1
         real_family = spec.sums.shape == "real"
@@ -1110,13 +1133,18 @@ class _ScanGrid:
     def judge(self, pairs, lhs, crhs, cd, window):
         """(input, verdict): the point whose walk positions hold pairs, and
         the engine's verdict on it in window, which must have the sides lhs
-        and crhs / cd (_cross_check)."""
+        and crhs / cd (_cross_check). The engine runs no size guard: its
+        analysis admits the grid's exponents, which __init__ guarded for
+        every point."""
         L = self.length
         u = _to_sequence(pairs[:L], 1)
-        built = u if self.spec.arity == 1 else (u, _to_sequence(pairs[L:], 1))
+        v = None if self.spec.arity == 1 else _to_sequence(pairs[L:], 1)
+        built = u if v is None else (u, v)
+        an = _Analysis(u, v)
+        an.admitted.add((self.l1, self.l2) if v is None else (1, 1))
         return built, _cross_check(
-            self.spec, built, self.l1, self.l2, window, Fraction(lhs), Fraction(crhs, cd), False,
-            lambda: f"{pairs[:L] if built is u else (pairs[:L], pairs[L:])}, window {window}")
+            self.spec, built, self.l1, self.l2, window, (lhs, 1), (crhs, cd), False,
+            lambda: f"{pairs[:L] if v is None else (pairs[:L], pairs[L:])}, window {window}", an)
 
     def report(self, points, violations, best, witness, window):
         """The ScanReport of points admissible points (in every window)."""
@@ -1384,17 +1412,20 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     Only the grid's layered graph outlives the scan. It reads no exponent,
     and it is kept with its readers and its terms' elements (for a pair,
     their values) per (rules, length, free positions, arity, operator,
-    choices) (_scan_kept), for the _SCAN_KEPT = 4 most recently used grids;
-    a graph that passes _SCAN_CAP entries is left to the scan that filled
-    it. So a sweep over exponents builds a kept grid's graph once. The step
-    tests and moves (_scan_moves), the single-sequence term values (which
-    read l1 and l2), the frames and the paths' own state are built anew for
-    each scan, and a scan on a kept graph tests no step, since the graph
-    lists every move it read. What a scan leaves behind is bounded by the
-    cap: from empty caches, tracemalloc counts 0.027 MB retained after one
-    scan of T3_1 at length 3 and bound 27 (its peak is 44.8 MB), mostly its
-    choices in the cache's key, and 0.002 MB after T3_6 at length 3 and
-    bound 5 (peak 6.7 MB).
+    choices) (_scan_kept), for the _SCAN_KEPT = 4 most recently used grids
+    whose graphs stay within _SCAN_CAP entries; a graph that passes the cap
+    leaves _scan_kept and evicts none of them. So a sweep over exponents
+    builds a kept grid's graph once. The step tests and moves (_scan_moves),
+    the single-sequence term values (which read l1 and l2), the frames and
+    the paths' own state are built anew for each scan, and a scan on a kept
+    graph tests no step, since the graph lists every move it read. The
+    graph holds one element pair for each class of a single sequence's
+    terms with the same norms (of u_i and of its step), so a scan computes
+    one value per class (T3_1 at length 4 and bound 3 has 60 terms in 16
+    classes). What a scan leaves behind is bounded by the cap: from empty
+    caches, tracemalloc counts 160 bytes retained after one scan of T3_1 at
+    length 3 and bound 27 (peak 37.4 MB) and after one of T3_6 at length 3
+    and bound 5 (peak 6.7 MB), neither of whose graphs is kept.
 
     A grid is decided on one of two paths, with the same report:
     - The walk (_scan_walk) visits the admissible points depth first in
@@ -1415,20 +1446,30 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     The engine judges only what the report shows: each violation and each
     point that raises the maximum is checked by check_single or
     check_pair (_ScanGrid.judge, on both paths), and RuntimeError is
-    raised, naming the point, when the engine's verdict differs. The
-    witness is the first point in walk order, with its first window, that
-    reaches the maximum.
+    raised, naming the point, when the engine's verdict differs in lhs, rhs
+    (compared with the scan's integer sides by cross-multiplication) or
+    in_hypotheses. The witness is the first point in walk order, with its
+    first window, that reaches the maximum.
 
     Exponent parameters are ignored by the pair statements. A grid whose
     results could be too long to print raises OutputTooLarge before
-    anything is built.
+    anything is built. The size guard runs once per grid, on bound's bit
+    length plus one (what the engine's guard reads of an endpoint bound on
+    D = 1), so it covers every point, and the engine's checks of the
+    records run no guard of their own.
     """
-    grid = _ScanGrid(theorem, l1, l2, length, bound, budget)
-    if _dp_decides(grid):
-        report = _scan_dp(grid)
-        if report is not None:
-            return report
-    return _scan_walk(grid)
+    try:
+        grid = _ScanGrid(theorem, l1, l2, length, bound, budget)
+        if _dp_decides(grid):
+            report = _scan_dp(grid)
+            if report is not None:
+                return report
+        return _scan_walk(grid)
+    finally:
+        # the _SCAN_KEPT most recently used graphs stay; one that passed the
+        # cap has left _scan_kept already, so it evicts none of them
+        while len(_scan_kept) > _SCAN_KEPT:
+            del _scan_kept[next(iter(_scan_kept))]
 
 
 # -- scalar proof-step checks -------------------------------------------------

@@ -345,15 +345,32 @@ def test_relaxed_fuzz_raises_when_the_kernel_is_off_by_one(tid, relax, side, mon
         fuzz(FuzzConfig(tid, trials=5, seed=0, relax=set(relax.split(","))))
 
 
-@pytest.mark.parametrize("tid,engine", [("T3_5", "check_single"), ("T3_9", "check_pair")])
-def test_fuzz_raises_when_the_engine_disagrees(tid, engine, monkeypatch):
+def _engine_off_in(monkeypatch, engine, field):
+    # the engine's verdict with one field wrong: lhs or rhs one more, or
+    # in_hypotheses flipped
     real = getattr(oracle, engine)
 
-    def off_by_one(*args, **kwargs):
+    def off(*args, **kwargs):
         verdict = real(*args, **kwargs)
-        return replace(verdict, rhs=verdict.rhs + 1)
+        if field == "in_hypotheses":
+            return replace(verdict, in_hypotheses=not verdict.in_hypotheses)
+        return replace(verdict, **{field: getattr(verdict, field) + 1})
 
-    monkeypatch.setattr(oracle, engine, off_by_one)
+    monkeypatch.setattr(oracle, engine, off)
+
+
+# each field of the verdict is cross-checked on its own; the rhs cases keep
+# the ids they had before the other fields were added
+@pytest.mark.parametrize("tid,engine,field", [
+    pytest.param("T3_5", "check_single", "rhs", id="T3_5-check_single"),
+    pytest.param("T3_9", "check_pair", "rhs", id="T3_9-check_pair"),
+    pytest.param("T3_5", "check_single", "lhs", id="T3_5-check_single-lhs"),
+    pytest.param("T3_9", "check_pair", "lhs", id="T3_9-check_pair-lhs"),
+    pytest.param("T3_5", "check_single", "in_hypotheses", id="T3_5-check_single-in_hypotheses"),
+    pytest.param("T3_9", "check_pair", "in_hypotheses", id="T3_9-check_pair-in_hypotheses"),
+])
+def test_fuzz_raises_when_the_engine_disagrees(tid, engine, field, monkeypatch):
+    _engine_off_in(monkeypatch, engine, field)
     with pytest.raises(RuntimeError, match=f"disagree for {tid} at trial 0"):
         fuzz(FuzzConfig(tid, trials=5, seed=0))
 
@@ -768,17 +785,27 @@ def test_scan_prefix_tests_have_teeth(name, monkeypatch):
     pytest.fail(f"dropping the {name} prefix test changed no scan report")
 
 
-@pytest.mark.parametrize("tid,engine", [("T3_1", "check_single"), ("T3_6", "check_pair")])
-def test_scan_raises_when_the_engine_disagrees(tid, engine, monkeypatch):
-    real = getattr(oracle, engine)
+# (tid, engine, length, bound) of grids whose records the walk judges, and
+# of grids the DP decides
+_WALKED = (("T3_1", "check_single", 3, 2), ("T3_6", "check_pair", 3, 2))
+_DP_DECIDED = (("T2_2", "check_single", 7, 3), ("T3_5", "check_single", 5, 3))
 
-    def off_by_one(*args, **kwargs):
-        verdict = real(*args, **kwargs)
-        return replace(verdict, lhs=verdict.lhs + 1)
 
-    monkeypatch.setattr(oracle, engine, off_by_one)
+# each grid checked on every field of the verdict; the walked grids' lhs
+# cases keep the ids they had before the others were added
+@pytest.mark.parametrize("tid,engine,length,bound,field", [
+    *(pytest.param(*grid, "lhs", id=f"{grid[0]}-{grid[1]}") for grid in _WALKED),
+    *(pytest.param(*grid, field, id=f"{grid[0]}-{grid[1]}-{field}")
+      for grid in _WALKED for field in ("rhs", "in_hypotheses")),
+    *(pytest.param(*grid, field, id=f"{grid[0]}-{grid[1]}-{field}")
+      for grid in _DP_DECIDED for field in ("lhs", "rhs", "in_hypotheses")),
+])
+def test_scan_raises_when_the_engine_disagrees(tid, engine, length, bound, field, monkeypatch):
+    grid = oracle._ScanGrid(tid, 1, 1, length, bound, 200_000)
+    assert oracle._dp_decides(grid) == ((tid, engine, length, bound) in _DP_DECIDED)
+    _engine_off_in(monkeypatch, engine, field)
     with pytest.raises(RuntimeError, match=f"disagree for {tid} at"):
-        ratio_scan(tid, length=3, bound=2)
+        ratio_scan(tid, length=length, bound=bound)
 
 
 @pytest.mark.parametrize("tid", ["T3_2", "T4_2"])
@@ -831,7 +858,7 @@ def _cold_scan_caches():
     # empty the layered graphs that ratio_scan keeps across calls, so that
     # the next scan computes every step test, move, term and options list it
     # reads
-    oracle._scan_kept.cache_clear()
+    oracle._scan_kept.clear()
 
 
 def _assert_each_once(calls):
@@ -985,7 +1012,7 @@ def test_an_interrupted_scan_keeps_no_part_of_a_list(monkeypatch):
     monkeypatch.setattr(oracle, "_scan_moves", stopping_moves)
     with pytest.raises(Stopped):
         ratio_scan("T3_1", 2, 3, **args)
-    assert stopped and oracle._scan_kept.cache_info().currsize == 1
+    assert stopped and len(oracle._scan_kept) == 1
     assert ratio_scan("T3_1", 2, 3, **args).to_jsonable() == want
 
 
@@ -997,9 +1024,8 @@ def test_scan_caches_stay_bounded():
     for n in range(kept + 2):
         ratio_scan("T3_1", length=3, bound=n)
         ratio_scan("T3_1", length=2 + n, bound=1)
-        info = oracle._scan_kept.cache_info()
-        assert info.maxsize == kept and info.currsize <= kept
-    assert oracle._scan_kept.cache_info().currsize == kept
+        assert len(oracle._scan_kept) <= kept
+    assert len(oracle._scan_kept) == kept
 
 
 # grids whose graphs pass _SCAN_CAP entries: the two pair grids by their
@@ -1016,11 +1042,11 @@ def test_scan_caches_stay_bounded():
 ])
 def test_scan_caches_keep_at_most_the_cap(tid, length, bound, budget):
     # what one scan from empty caches leaves behind (tracemalloc) when its
-    # graph passes the cap is at most the cache's key of that graph: a graph
-    # past _SCAN_CAP entries, with its terms, readers, step tests and moves,
-    # is the scan's own. That is under 64 bytes per entry the cap allows,
-    # a third of what a kept graph holds per entry (T3_6 L3 B2 about 180);
-    # T3_1 L3 B27's key, with its 406 choices, is about 27 kB
+    # graph passes the cap is under 64 bytes per entry the cap allows, a
+    # third of what a kept graph holds per entry (T3_6 L3 B2 about 180): a
+    # graph past _SCAN_CAP entries, with its key, terms, readers, step tests
+    # and moves, is the scan's own. These grids leave 160 to 808 bytes on
+    # Python 3.11
     ratio_scan(tid, length=3, bound=1)   # loads what a first scan loads
     _cold_scan_caches()
     gc.collect()
@@ -1047,6 +1073,86 @@ def test_a_graph_past_the_cap_by_its_edges_and_terms_is_not_kept(monkeypatch):
     moves.clear()
     assert ratio_scan("T3_6", **args).to_jsonable() == want
     assert len(moves) == 372
+
+
+# grids whose graphs pass _SCAN_CAP by one count each: T3_1 L4 B6 has 1,731
+# entries (3 free positions, 111 lists, 1,176 edges, 392 terms in 49
+# classes), 555 without its edges and 1,290 without its terms; T3_1 L4 B5
+# has 1,046 (3, 83, 693 edges, 231 terms in 36 classes), 1,010 without its
+# classes and 779 without its terms. Neither graph is kept, so a second scan
+# builds its lists and calls its moves again
+@pytest.mark.parametrize("length,bound", [
+    pytest.param(4, 6, id="edges"), pytest.param(4, 5, id="terms"),
+])
+def test_a_scan_graph_past_the_cap_by_one_count_is_not_kept(length, bound, monkeypatch):
+    args = {"length": length, "bound": bound}
+    _cold_scan_caches()
+    moves = _count_moves(monkeypatch)
+    want = ratio_scan("T3_1", 2, 3, **args).to_jsonable()
+    assert oracle._scan_kept == {}
+    built = len(moves)
+    moves.clear()
+    assert ratio_scan("T3_1", 2, 3, **args).to_jsonable() == want
+    assert len(moves) == built > 0 and oracle._scan_kept == {}
+
+
+def test_a_scan_past_the_cap_evicts_no_kept_graph(monkeypatch):
+    # T3_1 L3 B27's graph passes the cap, so it takes no place among the
+    # kept graphs: after it, the four scan_grids grids, scanned just before,
+    # are scanned again without a step test or a move
+    grids = [("T3_1", 4, 3), ("T3_5", 5, 3), ("T3_6", 3, 2), ("T2_2", 7, 3)]
+    _cold_scan_caches()
+    for tid, length, bound in grids:
+        ratio_scan(tid, length=length, bound=bound)
+    ratio_scan("T3_1", length=3, bound=27)
+    assert len(oracle._scan_kept) == len(grids)
+    moves = _count_moves(monkeypatch)
+    calls = _record_calls(monkeypatch, ("_scan_step",))
+    for tid, length, bound in grids:
+        ratio_scan(tid, length=length, bound=bound)
+    assert moves == [] and calls["_scan_step"] == []
+
+
+# a spread of grids for every statement: lengths 2-5, bounds up to 8 (7 and
+# 8 on either side of a bit) and exponents in both orders; the pair
+# statements take five of them within the test's budget
+_GUARD_GRIDS = [(2, 0, 1, 1), (3, 1, 2, 3), (4, 3, 3, 1), (3, 7, 1, 2), (2, 8, 2, 1), (5, 2, 1, 1),
+                (2, 5, 2, 2), (3, 2, 1, 3)]
+
+
+@pytest.mark.parametrize("spec", registry(), ids=lambda s: s.id.value)
+def test_scan_guards_each_grid_once_for_every_point(spec, monkeypatch):
+    # a grid runs the size guard once, on a bit count no smaller than the
+    # engine's guard would read on the grid's largest point, and the engine
+    # checks of its records run none of their own
+    grid_guards, engine_guards = [], []
+
+    def grid_guard(*args, _real=oracle._size_guard):
+        grid_guards.append(args)
+        return _real(*args)
+
+    def engine_guard(*args, _real=theorems._size_guard):
+        engine_guards.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(oracle, "_size_guard", grid_guard)
+    monkeypatch.setattr(theorems, "_size_guard", engine_guard)
+    calls = _count_engine_calls(monkeypatch)
+    ran = 0
+    for length, bound, l1, l2 in _GUARD_GRIDS:
+        if spec.id.value == "T2_2" or spec.arity == 2:
+            l1 = l2 = 1
+        grid_guards.clear()
+        try:
+            ratio_scan(spec.id, l1, l2, length=length, bound=bound, budget=20_000)
+        except BudgetExceeded:
+            continue
+        ran += 1
+        top = oracle._to_sequence([(bound, bound)] * length, 1)
+        (e, *rest), = grid_guards
+        assert e >= theorems._end_bits(top, 1), (length, bound)
+        assert rest == [1, length, l1, l2]
+    assert ran >= 5 and calls and engine_guards == []
 
 
 def _grid_points(spec, length, choices):
