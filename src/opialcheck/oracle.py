@@ -43,6 +43,7 @@ from .theorems import (
     _HYPOTHESES,
     _Analysis,
     _check_lambdas,
+    _endpoint_bits,
     _frame,
     _holds,
     _hypotheses,
@@ -423,11 +424,12 @@ class FuzzConfig:
         object.__setattr__(self, "lambda_range", (a, b))
         # the largest trial: endpoints drawn within m on denominators <=
         # _MAX_DEN; a pair's, on their lcm (at most _MAX_DEN * (_MAX_DEN - 1)),
-        # within _MAX_DEN * m. The exponents apply only where a trial draws them.
+        # which is at most _MAX_DEN times either one's. The exponents apply
+        # only where a trial draws them.
         pair = spec.arity == 2
         lam = 1 if pair or spec.id is TheoremId.T2_2 else b
-        top, D = (_MAX_DEN * m, _MAX_DEN * (_MAX_DEN - 1)) if pair else (m, _MAX_DEN)
-        _size_guard(top.bit_length(), D, hi, lam, lam)
+        scale, D = (_MAX_DEN, _MAX_DEN * (_MAX_DEN - 1)) if pair else (1, _MAX_DEN)
+        _size_guard(_endpoint_bits(m, scale), D, hi, lam, lam)
         relax = frozenset(self.relax)
         bad = relax - set(spec.preconditions)
         if bad:
@@ -774,23 +776,55 @@ class ScanReport:
     to_jsonable = record_to_jsonable
 
 
-def _scan_rules(spec, L):
-    """The prefix tests at each walk position q (u_0..u_{L-1}, then
-    v_0..v_{L-1} for a pair) and the starting order bits.
+def _scan_step(tests, prev, pt):
+    """The order bits the step prev -> pt keeps under the step tests of
+    _scan_layout, which the running bits AND in: 0 when the step fails them,
+    3 when the tests read no order."""
+    order, split, width = tests
+    (plo, phi), (lo, hi) = prev, pt
+    d = _step_bits(plo, lo) & _step_bits(phi, hi)
+    if (split and not d) or _step_bits(phi - plo, hi - lo) & width != width:
+        return 0
+    return d if order else 3
 
-    rules[q] = (anchor, step, zero): whether position q is pinned to
-    [0, 0]; the tests of the step into it, None when there are none, else
-    (order, split, width): whether it ANDs its order bits into the running
-    bits, whether it must keep some order, and the width order bits it must
-    keep; whether a zero there (for a pair, a joint zero) fails.
 
-    Each is a hypothesis's step form (theorems._HYPOTHESES) on its range
-    from theorems._plan with the window end m = e. The other names hold on
-    every grid point (degenerate, nonnegative) or are the anchors, which
-    are pinned. No range depends on the window start, so a prefix failing a
-    test fails every point below it in every window, and a point whose every
-    step passes is in hypotheses in every window: the walk reaches exactly
-    the admissible points.
+# how many grids keep their layered graph (_scan_kept) between ratio_scan
+# calls, the only scan state that outlives a call: a sweep over exponents
+# reuses one graph
+_SCAN_KEPT = 4
+# the most entries a kept layered graph holds: its free positions, options
+# lists, edges, terms and a single sequence's term classes. A graph that
+# passes it leaves _scan_kept, so the scan that filled it keeps it alone
+# and the next one starts a new graph. Of the scan_grids grids, T3_6 L3 B2
+# has the largest graph, 621 entries (4 positions, 104 lists, 288 edges,
+# 225 pair terms); T3_6 L3 B3 has 2,981 in 372 lists, T3_5 L8 B6 3,805
+# (its 643 terms in 48 classes) and T3_6 L3 B5 35,055
+_SCAN_CAP = 1024
+
+
+def _scan_layout(spec, L):
+    """(acc0, free, rule_at): the starting order bits of a scan on L
+    elements (per sequence), the walk positions that are not anchors, and
+    the rule that the move at each of them reads: (anchor, the test of the
+    step into it, the test of the step into a following anchor, zero).
+
+    Position q (u_0..u_{L-1}, then v_0..v_{L-1} for a pair) has the rule
+    (anchor, step, zero): whether it is pinned to [0, 0]; the tests of the
+    step into it, None when there are none, else (order, split, width):
+    whether it ANDs its order bits into the running bits, whether it must
+    keep some order, and the width order bits it must keep; whether a zero
+    there (for a pair, a joint zero) fails. A grid anchored everywhere (a
+    single sequence of length 2 anchored at both ends) is walked as its
+    first position, whose one choice is [0, 0].
+
+    Each test is a hypothesis's step form (theorems._HYPOTHESES) on its
+    range from theorems._plan with the window end m = e. The other names
+    hold on every grid point (degenerate, nonnegative) or are the anchors,
+    which are pinned. No range depends on the window start, so a prefix
+    failing a test fails every point below it in every window, and a point
+    whose every step passes is in hypotheses in every window: the walk
+    reaches exactly the admissible points. The rules are read afresh from
+    the hypothesis table on every call.
     """
     ranges, anchors = _plan_at(spec.preconditions, spec.arity == 2, L)
     # (whether it reads u only, lo, hi, kind, bits) of each step form
@@ -817,45 +851,6 @@ def _scan_rules(spec, L):
                     width |= bits if kind == "width" else 0
             step = (order, split, width) if order or split or width else None
             rules.append((i in anchors, step, zero))
-    return acc0, rules
-
-
-def _scan_step(tests, prev, pt):
-    """The order bits the step prev -> pt keeps under the step tests of
-    _scan_rules, which the running bits AND in: 0 when the step fails them,
-    3 when the tests read no order."""
-    order, split, width = tests
-    (plo, phi), (lo, hi) = prev, pt
-    d = _step_bits(plo, lo) & _step_bits(phi, hi)
-    if (split and not d) or _step_bits(phi - plo, hi - lo) & width != width:
-        return 0
-    return d if order else 3
-
-
-# how many grids keep their layered graph (_scan_kept) between ratio_scan
-# calls, the only scan state that outlives a call: a sweep over exponents
-# reuses one graph
-_SCAN_KEPT = 4
-# the most entries a kept layered graph holds: its free positions, options
-# lists, edges, terms and a single sequence's term classes. A graph that
-# passes it leaves _scan_kept, so the scan that filled it keeps it alone
-# and the next one starts a new graph. Of the scan_grids grids, T3_6 L3 B2
-# has the largest graph, 621 entries (4 positions, 104 lists, 288 edges,
-# 225 pair terms); T3_6 L3 B3 has 2,981 in 372 lists, T3_5 L8 B6 3,805
-# (its 643 terms in 48 classes) and T3_6 L3 B5 35,055
-_SCAN_CAP = 1024
-
-
-def _scan_layout(spec, L):
-    """(acc0, free, rule_at): the starting order bits of a scan on L
-    elements (per sequence), the walk positions that are not anchors (see
-    _scan_rules), and the rule that the move at each of them reads:
-    (anchor, the test of the step into it, the test of the step into a
-    following anchor, zero). A grid anchored everywhere (a single sequence
-    of length 2 anchored at both ends) is walked as its first position,
-    whose one choice is [0, 0]. The rules are read afresh from the
-    hypothesis table on every call."""
-    acc0, rules = _scan_rules(spec, L)
     free = tuple(q for q, rule in enumerate(rules) if not rule[0]) or (0,)
     rule_at = []
     for q in free:
@@ -917,38 +912,6 @@ def _scan_moves(rule_at, choices):
     return move
 
 
-def _scan_readers(single, nabla, L, free):
-    """(fills, context), the readers of the layered graph (_scan_graph)
-    over the free positions free of a grid of L elements per sequence:
-    fills[k] holds (index, reader of the elements) of each term that the
-    choice at free[k] completes, and context[k] reads the elements before
-    free[k] that its options list reads. A term is the step into u_q
-    (nabla: term q, forward: term q - 1) on (u_{q-1}, u_q), for a pair the
-    pair term p on (u_{p-1}, u_p, v_{p-1}, v_p), so the readers read
-    nothing else of the statement: no rule, bound or exponent."""
-    # done[r]: the index of the term that position r completes and the
-    # positions it reads, None when r completes none
-    if single:
-        done = [None] + [(q - 1 + nabla, (q - 1, q)) for q in range(1, L)]
-    else:
-        done = [None] * (L + 1) + [(p, (p - 1, p, L + p - 1, L + p)) for p in range(1, L)]
-    # a position's terms run up to the next free position (anchors have no
-    # choice), and the first one's from position 0; context[k] reads the
-    # elements in any fixed order, since only context[k] builds the keys of
-    # free[k]
-    fills, context = [], []
-    for start, q, stop in zip((0, *free[1:]), free, (*free[1:], len(done))):
-        fill, reads = [], {q - 1, q - L}
-        for d in done[start:stop]:
-            if d:
-                fill.append((d[0], itemgetter(*d[1])))
-                reads.update(d[1])
-        before = [r for r in reads if 0 <= r < q]
-        fills.append(tuple(fill))
-        context.append(itemgetter(*before) if before else lambda pairs: ())
-    return tuple(fills), tuple(context)
-
-
 # the layered graphs (_scan_graph) kept across ratio_scan calls, as their
 # bind functions, least recently used first. A graph enters when its first
 # scan starts and leaves when it passes _SCAN_CAP entries; after each scan
@@ -972,7 +935,7 @@ def _scan_graph(rule_at, L, free, single, nabla, choices):
 
     A list depends only on k, acc and the elements before free[k] that its
     moves and terms read: the element before it, for v the element of u at
-    its index, and those its terms read (_scan_readers). It is keyed by
+    its index, and those its terms read (fills below). It is keyed by
     exactly these, so a single sequence's key (k, element before free[k],
     acc) is a state of the DP's layer k, and its moves are the state's
     edges; options writes the elements it tries to pairs[free[k]].
@@ -995,7 +958,32 @@ def _scan_graph(rule_at, L, free, single, nabla, choices):
     if bind is not None:
         _scan_kept[slot] = bind   # the most recently used, last
         return bind
-    fills, context = _scan_readers(single, nabla, L, free)
+    # the readers: fills[k] holds (index, reader of the elements) of each
+    # term that the choice at free[k] completes, and context[k] reads the
+    # elements before free[k] that its options list reads. A term is the
+    # step into u_q (nabla: term q, forward: term q - 1) on (u_{q-1}, u_q),
+    # for a pair the pair term p on (u_{p-1}, u_p, v_{p-1}, v_p), so the
+    # readers read nothing else of the statement: no rule, bound or exponent.
+    # done[r]: the index of the term that position r completes and the
+    # positions it reads, None when r completes none
+    if single:
+        done = [None] + [(q - 1 + nabla, (q - 1, q)) for q in range(1, L)]
+    else:
+        done = [None] * (L + 1) + [(p, (p - 1, p, L + p - 1, L + p)) for p in range(1, L)]
+    # a position's terms run up to the next free position (anchors have no
+    # choice), and the first one's from position 0; context[k] reads the
+    # elements in any fixed order, since only context[k] builds the keys of
+    # free[k]
+    fills, context = [], []
+    for start, q, stop in zip((0, *free[1:]), free, (*free[1:], len(done))):
+        fill, reads = [], {q - 1, q - L}
+        for d in done[start:stop]:
+            if d:
+                fill.append((d[0], itemgetter(*d[1])))
+                reads.update(d[1])
+        before = [r for r in reads if 0 <= r < q]
+        fills.append(tuple(fill))
+        context.append(itemgetter(*before) if before else lambda pairs: ())
     graph = {}
     # ids[at]: the position of the term on the elements at; keys[j]: one
     # element pair of a class of terms (a single sequence) or a term's values
@@ -1083,10 +1071,10 @@ class _ScanGrid:
         if budget < 1:
             raise ValueError("budget must be positive")
         # the grid's endpoints are integers 0..bound on D = 1, whose bit count
-        # as the engine's guard reads it (theorems._end_bits) is one more than
-        # bound's; so this guard covers every point, and judge hands the
-        # engine these exponents as admitted
-        _size_guard(bound.bit_length() + 1, 1, length,
+        # is what the engine's guard reads of them (theorems._end_bits); so
+        # this guard covers every point, and judge hands the engine these
+        # exponents as admitted
+        _size_guard(_endpoint_bits(bound, 1), 1, length,
                     *((l1, l2) if spec.arity == 1 else (1, 1)))
         L = length
         e = L - 1
@@ -1238,20 +1226,27 @@ def _scan_dp(grid):
     Layer k holds the states (element before free[k], running order bits)
     that the moves reach from the start, and a state's edges are its moves
     (options), each carrying the lhs and rhs terms in the frame that it
-    completes. Every options list the DP builds stays in the graph, so a
-    walk that takes the grid over reads them again. One counting pass gives
-    admissible and drops the edges into states that no admissible point
-    completes from.
-    The walk's running maxima, its records, then follow one from another.
-    The first is the first admissible point in walk order. Each next one is
-    the first point after the current record, in walk order, whose weight
-    bd*cd*lhs - bn*cn*rhs at the record's ratio bn/bd is above 0: a
-    backward max-plus pass gives each state's best completion (Dinkelbach's
-    parametric step, Management Science 13(7), 1967), and a search from the
-    record's deepest position up finds the successor, the pass growing one
-    layer ahead of the search. The chain ends when
-    no point is above 0. The engine then judges every record in order, as
-    the walk judges each new maximum, and the last one is the witness.
+    completes. The statements the DP takes are anchored only at their ends,
+    so their free positions are adjacent and the element before free[k + 1]
+    is the one chosen at free[k]. Every options list the DP builds stays in
+    the graph, so a walk that takes the grid over reads them again. One
+    counting pass gives admissible and each state's count; a state with
+    none (a dead state) stays in the lists, and the walk below skips the
+    edges into it.
+    The walk's running maxima, its records, are then found by one depth
+    first walk over the edges in walk order. Before the first record no
+    live edge is skipped, so the first point it reaches, the first
+    admissible one, is the first record. After a record of ratio bn/bd a
+    point's weight is bd*cd*lhs - bn*cn*rhs, and the next record is the
+    first later point whose weight is above 0. The walk skips an edge when
+    its prefix weight plus best[k + 1][t], the largest weight of a
+    completion from the state t it reaches at that ratio, is at most 0, so
+    every point it reaches is the next record (Dinkelbach's parametric
+    step, Management Science 13(7), 1967). best is a backward max-plus pass
+    over the live edges, grown one layer up from the bottom at a time as
+    the walk moves up, and started afresh at each record. The engine then
+    judges every record in order, as the walk judges each new maximum, and
+    the last one is the witness.
     """
     acc0, free = grid.acc0, grid.free
     (ls, le, rs, re_, cn, cd, _), = grid.frames
@@ -1266,8 +1261,6 @@ def _scan_dp(grid):
     pairs = [zero] * grid.length
     for k, q in enumerate(free):
         last = k + 1 == K
-        # the next state reads this element when the next position follows
-        carry = not last and free[k + 1] == q + 1
         index, layer = {}, []
         for prev, acc in states:
             pairs[q - 1] = prev
@@ -1280,77 +1273,60 @@ def _scan_dp(grid):
                         lhs += tl
                     if rs <= i < re_:
                         rhs += tr
-                nxt = None if last else (pt if carry else zero, a)
-                out.append((pt, lhs, rhs, index.setdefault(nxt, len(index))))
+                out.append((pt, lhs, rhs, index.setdefault(None if last else (pt, a), len(index))))
             layer.append(out)
         edges.append(layer)
         states = list(index)
 
-    # the number of admissible completions of each state, from the end back
-    counts = [1]
+    # counts[k][s]: the number of admissible completions of state s of
+    # layer k, from the end back; a state with none is dead
+    counts = [[1]]
     for layer in reversed(edges):
-        for out in layer:
-            out[:] = [edge for edge in out if counts[edge[3]]]
-        counts = [sum(counts[edge[3]] for edge in out) for out in layer]
-    if not counts[0]:
+        counts.insert(0, [sum(counts[0][edge[3]] for edge in out) for out in layer])
+    if not counts[0][0]:
         return grid.report(0, 0, None, None, None)
 
-    def after(path, a, b):
-        # the first point after path, in walk order, whose weight a*lhs -
-        # b*rhs is above 0, as its move indices; None when there is none
-        on = []   # the state and the weight before each move of path
-        s = w = 0
-        for k, j in enumerate(path):
-            on.append((s, w))
-            _, l, r, s = edges[k][s][j]
-            w += a * l - b * r
-        # best[k][s]: the largest weight of a completion from state s of
-        # layer k (no edge reaches a state without one), one layer more for
-        # each position the search below moves up, so a successor close to
-        # path costs a few layers and not the whole pass
-        best = [None] * K + [[0]]
-        # the deepest position with a later move that can end above 0, then
-        # the first move at each later position that still can
-        for d in reversed(range(K)):
-            if best[d + 1] is None:
-                nxt = best[d + 2]
-                best[d + 1] = [max([a * l - b * r + nxt[t] for _, l, r, t in out], default=0)
-                               for out in edges[d + 1]]
-            s, w = on[d]
-            new, start = path[:d], path[d] + 1
-            for k in range(d, K):
-                out, nxt = edges[k][s], best[k + 1]
-                for j in range(start, len(out)):
-                    _, l, r, t = out[j]
-                    v = w + a * l - b * r
-                    if v + nxt[t] > 0:
-                        break
-                else:
-                    break   # no later move at d
-                new.append(j)
-                s, w, start = t, v, 0
-            else:
-                return new
-        return None
-
     records = []
-    path = [0] * K   # each state's first move: the first admissible point
-    while path is not None:
-        pairs, s, lhs, rhs = [zero] * grid.length, 0, 0, 0
-        for q, j, layer in zip(free, path, edges):
-            pairs[q], l, r, s = layer[s][j]
-            lhs += l
-            rhs += r
-        lcd, crhs = lhs * cd, cn * rhs
-        if not 0 <= lcd <= crhs:
-            return None
-        records.append((pairs, lhs, crhs))
-        ratio = Fraction(lcd, crhs) if crhs else Fraction(0)
-        path = after(path, ratio.denominator * cd, ratio.numerator * cn)
+    # the last record's ratio as the weight a*lhs - b*rhs, and best[k][s]
+    # at it for the layers k >= top; best is None before the first record
+    a = b = best = None
+    top = K
+    # the prefix sums before each layer, and the iterators over the edges
+    # of the walk's states, one per layer down to the deepest: a stack, not
+    # recursion, since K can pass the interpreter's recursion limit (T3_5
+    # at length 1,500 and bound 1 is decided here)
+    lhs_at, rhs_at = [0] * K, [0] * K
+    stack = [iter(edges[0][0])]
+    while stack:
+        k = len(stack) - 1
+        if best is not None:
+            while top > k + 1:
+                top -= 1
+                nxt, live = best[top + 1], counts[top + 1]
+                best[top] = [max([a * el - b * er + nxt[et] for _, el, er, et in out if live[et]],
+                                 default=0) for out in edges[top]]
+        for pt, l, r, t in stack[-1]:
+            lhs, rhs = lhs_at[k] + l, rhs_at[k] + r
+            if not counts[k + 1][t] or best is not None and a * lhs - b * rhs + best[k + 1][t] <= 0:
+                continue
+            pairs[free[k]] = pt
+            if k + 1 < K:
+                lhs_at[k + 1], rhs_at[k + 1] = lhs, rhs
+                stack.append(iter(edges[k + 1][t]))
+                break
+            lcd, crhs = lhs * cd, cn * rhs
+            if not 0 <= lcd <= crhs:
+                return None
+            records.append((pairs[:], lhs, crhs))
+            ratio = Fraction(lcd, crhs) if crhs else Fraction(0)
+            a, b = ratio.denominator * cd, ratio.numerator * cn
+            best, top = [None] * K + [[0]], K
+        else:
+            stack.pop()
 
     for pairs, lhs, crhs in records:
         u, verdict = grid.judge(pairs, lhs, crhs, cd, None)
-    return grid.report(counts[0], 0, verdict.ratio, u, None)
+    return grid.report(counts[0][0], 0, verdict.ratio, u, None)
 
 
 # what one edge of the DP's size bound costs, in walk visits: the DP passes
@@ -1402,7 +1378,7 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     each taking its choices in increasing (lo, hi) order: the walk order.
     The admissible points are those the moves of the scan's admissibility
     automaton (_scan_moves) reach, so a prefix that fails a hypothesis
-    (see _scan_rules) is never extended, and its points are decided with it
+    (see _scan_layout) is never extended, and its points are decided with it
     in every window. The tests are exact, so every point reached is
     admissible in every window. The moves at each free position, each with
     the positions of the terms it completes, are the grid's one layered
@@ -1437,12 +1413,14 @@ def ratio_scan(theorem, l1=1, l2=1, *, length, bound, budget=200_000) -> ScanRep
     - The DP (_scan_dp) counts the admissible points on the same graph,
       whose options are its layers' edges, without visiting them, and
       finds each point at which the walk's running maximum rises with one
-      max-plus pass per such point. It takes non-windowed single-sequence
-      statements, when planned exceeds _DP_PASS_FACTOR times the DP's size
-      bound (_dp_decides), and hands the grid to the walk when some point
-      violates the inequality, so violations stay exact; the walk reads
-      every options list the DP has built again, since the DP prunes only
-      its own copies of them.
+      depth-first walk over its layers, which skips every edge that a
+      max-plus bound at the last such point's ratio shows cannot lead
+      above it; a state that completes no point only costs a wasted
+      descent, since its bound over-estimates it. It takes non-windowed
+      single-sequence statements, when planned exceeds _DP_PASS_FACTOR
+      times the DP's size bound (_dp_decides), and hands the grid to the
+      walk when some point violates the inequality, so violations stay
+      exact; the walk reads every options list the DP has built again.
     The engine judges only what the report shows: each violation and each
     point that raises the maximum is checked by check_single or
     check_pair (_ScanGrid.judge, on both paths), and RuntimeError is

@@ -867,11 +867,18 @@ def _size_guard(e, D, n, l1, l2):
         )
 
 
+def _endpoint_bits(top, scale):
+    """The bit count the size guard reads of endpoints of magnitude at most
+    top on their own denominator, moved onto a common denominator scale
+    times theirs: the one rule of the engine's guard, the scan's and the
+    fuzzer's."""
+    return top.bit_length() + scale.bit_length()
+
+
 def _end_bits(s, D):
-    # the bit length of s's largest |endpoint| on the common denominator D
+    # _endpoint_bits of s's largest |endpoint| on the common denominator D
     # (no low exceeds its high)
-    top = max(max(s.highs), -min(s.lows)) if s.lows else 0
-    return top.bit_length() + (D // s.D).bit_length()
+    return _endpoint_bits(max(max(s.highs), -min(s.lows)) if s.lows else 0, D // s.D)
 
 
 def _guard(an, l1, l2):

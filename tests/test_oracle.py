@@ -1212,29 +1212,88 @@ _DP_STATEMENTS = [s for s in registry()
                   if s.arity == 1 and not (s.windowed or s.window_optional)]
 
 
+# grids whose walks raise the running maximum at least 9 times, each
+# walkable in seconds: (length, bound, l1, l2, records)
+_LONG_RECORD_CHAINS = {
+    "L3_01": [(6, 7, 1, 3, 10)],   # 32,768 admissible points
+    "T3_5": [(6, 5, 3, 1, 9)],     # 93,664
+    "T2_2": [(9, 4, 1, 1, 9)],     # 78,125
+}
+
+
+def _dp_gives_the_walk(args, calls):
+    # the DP gives the walk's report on the grid of args, its count pass
+    # the walk's admissible, and it runs the engine on the same records;
+    # the number of those
+    walked = oracle._scan_walk(oracle._ScanGrid(*args))
+    walk_calls = len(calls)
+    calls.clear()
+    decided = oracle._scan_dp(oracle._ScanGrid(*args))
+    assert decided is not None, args
+    assert decided.admissible == walked.admissible, args
+    assert decided.to_jsonable() == walked.to_jsonable(), args
+    assert len(calls) == walk_calls, args
+    calls.clear()
+    return walk_calls
+
+
 @pytest.mark.parametrize("spec", _DP_STATEMENTS, ids=lambda s: s.id.value)
 def test_scan_dp_matches_the_walk(spec, monkeypatch):
     # on every grid of _scan_grids with at most 20000 checks, whichever path
-    # the cost rule picks, the DP gives the walk's report, its count pass
-    # the walk's admissible, and it runs the engine on the same records
+    # the cost rule picks, and on the long record chains, the DP gives the
+    # walk's report and runs the engine as often (_dp_gives_the_walk)
     calls = _count_engine_calls(monkeypatch)
     ran = 0
     for length, bound, l1, l2 in _scan_grids(spec):
-        args = (spec.id, l1, l2, length, bound, 20_000)
         try:
-            walked = oracle._scan_walk(oracle._ScanGrid(*args))
+            _dp_gives_the_walk((spec.id, l1, l2, length, bound, 20_000), calls)
         except BudgetExceeded:
             continue
-        walk_calls = len(calls)
-        calls.clear()
-        decided = oracle._scan_dp(oracle._ScanGrid(*args))
-        assert decided is not None, args
-        assert decided.admissible == walked.admissible, args
-        assert decided.to_jsonable() == walked.to_jsonable(), args
-        assert len(calls) == walk_calls, args
-        calls.clear()
         ran += 1
     assert ran >= 20
+    for length, bound, l1, l2, records in _LONG_RECORD_CHAINS.get(spec.id.value, ()):
+        assert _dp_gives_the_walk((spec.id, l1, l2, length, bound, 10**6), calls) == records
+
+
+def test_dp_statements_have_adjacent_free_positions():
+    # the DP's state after free[k] holds the element chosen there, which is
+    # the element before free[k + 1] only when the two are adjacent: every
+    # statement it takes is anchored at its ends alone
+    for spec in _DP_STATEMENTS:
+        for length in range(2, 10):
+            free = oracle._scan_layout(spec, length)[1]
+            assert free == tuple(range(free[0], free[0] + len(free))), (spec.id, length)
+
+
+def test_scan_dp_walks_past_dead_states(monkeypatch):
+    # with mu_increasing added to T3_5's hypotheses the widths can never
+    # shrink to the [0, 0] anchor at the end, so most states complete no
+    # admissible point (44 of the 65 edges at length 5, bound 3 end in
+    # one). The DP keeps them in its lists, and its bounded walk gives the
+    # walk's report and runs the engine as often on every grid of lengths
+    # 3-7 and bounds 1-4 with at most 20000 checks
+    spec = lookup("T3_5")
+    monkeypatch.setitem(theorems._REGISTRY, spec.id, replace(
+        spec, preconditions=(*spec.preconditions, "mu_increasing")))
+    calls = _count_engine_calls(monkeypatch)
+    ran = 0
+    for length in range(3, 8):
+        for bound in range(1, 5):
+            for l1, l2 in _scan_exponents(spec):
+                try:
+                    _dp_gives_the_walk((spec.id, l1, l2, length, bound, 20_000), calls)
+                except BudgetExceeded:
+                    continue
+                ran += 1
+    assert ran == 51
+    # neither the walk nor the bound enters a dead state: at length 13,
+    # bound 9 the DP takes about 0.04 s on a 2-core x86_64 VM, 2 s when the
+    # bound reads the edges into dead states and over 25 s when the walk
+    # descends into them too
+    start = time.perf_counter()
+    rep = oracle._scan_dp(oracle._ScanGrid(spec.id, 1, 1, 13, 9, 10**20))
+    assert time.perf_counter() - start < 0.5
+    assert rep.max_ratio == Fraction(6, 7) and rep.admissible == 31_381_059_609
 
 
 @pytest.mark.parametrize("tid,length,bound,path,other", [
@@ -1283,9 +1342,9 @@ def test_scan_dp_leaves_violating_grids_to_the_walk(monkeypatch):
 
 def test_a_grid_the_scan_dp_hands_to_the_walk_keeps_its_lists(monkeypatch):
     # the quarter-constant T3_5 grid above, scanned from empty tables and
-    # again on its kept graph: the DP builds every options list, prunes its
-    # own copies of them and hands the grid to the walk, which reads the
-    # same lists. Every list read is, at the end, as it was when first read
+    # again on its kept graph: the DP builds every options list and hands
+    # the grid to the walk, which reads the same lists. Every list read is,
+    # at the end, as it was when first read
     spec = lookup("T3_5")
     monkeypatch.setitem(theorems._REGISTRY, spec.id, replace(
         spec, constant_fn=lambda *args: spec.constant_fn(*args) / 4))
@@ -1326,6 +1385,16 @@ def test_scan_dp_reaches_a_grid_the_walk_cannot():
     assert rep.admissible == 146_116_825 and rep.violations == 0
     verdict = check_single(rep.witness, 1, 1, "T3_5")
     assert verdict.in_hypotheses and verdict.ratio == Fraction(6, 7)
+
+
+def test_scan_dp_decides_a_grid_deeper_than_the_recursion_limit():
+    # T2_2 at length 1,100 and bound 1 has 1,098 free positions, more than
+    # the interpreter's default recursion limit of 1,000: the DP walks its
+    # layers on a stack of its own
+    grid = oracle._ScanGrid("T2_2", 1, 1, 1100, 1, 2**1100)
+    assert oracle._dp_decides(grid) and len(grid.free) == 1098
+    rep = ratio_scan("T2_2", length=1100, bound=1, budget=2**1100)
+    assert rep.max_ratio == Fraction(1, 550) and rep.admissible == 2**1098
 
 
 # -- inequality helpers -----------------------------------------------------------

@@ -735,7 +735,7 @@ def _refuses_fast(call, monkeypatch):
 
     for name in ("_term_list", "_rows"):
         monkeypatch.setattr(theorems, name, unreachable)
-    monkeypatch.setattr(oracle, "_scan_rules", unreachable)
+    monkeypatch.setattr(oracle, "_scan_layout", unreachable)
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -786,6 +786,18 @@ def test_size_guard_admits_what_it_bounds():
     pair = (seq([(0, 0), (1, 2), (0, 0)]), seq([(0, 0), (2, 3), (0, 0)]))
     assert lhs_terms(pair, _BIG, _BIG, "T3_6")
     assert check_pair(*pair, "T3_6").rhs > 0
+
+
+@pytest.mark.parametrize("tid", ["T3_5", "L3_01", "T3_1", "T4_5"])
+def test_fuzz_config_guards_what_the_engine_guards(tid):
+    # FuzzConfig counts an endpoint's bits by the engine's rule
+    # (theorems._endpoint_bits): at length 12 and exponents 4, 4 a magnitude
+    # of 1781 bits, whose trials the engine's guard can refuse, is refused at
+    # construction, and every trial at 1780 bits runs
+    config = dict(trials=3, seed=0, length_range=(12, 12), lambda_range=(4, 4))
+    with pytest.raises(OutputTooLarge, match="endpoints of 1782 bits"):
+        FuzzConfig(tid, endpoint_magnitude=2**1781 - 1, **config)
+    assert oracle.fuzz(FuzzConfig(tid, endpoint_magnitude=2**1780 - 1, **config)).trials_run == 3
 
 
 def test_order_text_is_the_listed_text():
